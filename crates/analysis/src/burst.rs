@@ -21,17 +21,6 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
-/// One heatmap cell.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BurstCell {
-    /// Total simultaneous disk failures (`y` axis).
-    pub failures: u32,
-    /// Racks the failures are scattered across (`x` axis).
-    pub affected_racks: u32,
-    /// Probability of data loss.
-    pub pdl: f64,
-}
-
 /// Tail of a Poisson–binomial distribution: `P(sum of independent
 /// Bernoulli(probs) >= k)`, by exact DP convolution.
 pub fn poisson_binomial_tail(probs: &[f64], k: usize) -> f64 {

@@ -1,6 +1,5 @@
-//! `mlec-bench`: the `mlec` experiment driver, the per-figure
-//! compatibility shims (`src/bin/fig*.rs`), and the self-contained
-//! microbenchmarks (`benches/`, timed by [`microbench`]).
+//! `mlec-bench`: the `mlec` experiment driver (`src/bin/mlec.rs`) and the
+//! self-contained microbenchmarks (`benches/`, timed by [`microbench`]).
 //!
 //! All execution goes through `mlec_core::registry`: arguments are parsed
 //! once against each experiment's declared schema, so unknown keys,
@@ -15,7 +14,7 @@ use mlec_core::registry::{self, ExperimentError, RunOutcome};
 use std::process::ExitCode;
 
 /// Standard banner printed before an experiment's report.
-pub fn banner(figure: &str, description: &str) {
+fn banner(figure: &str, description: &str) {
     println!("=== {figure}: {description}");
     println!(
         "    (mlec-rs reproduction of Wang et al., SC'23 — shapes/orderings are the target, \
@@ -64,12 +63,4 @@ pub fn execute_status(name: &str, raw_args: &[String]) -> u8 {
 /// [`execute_status`] as an [`ExitCode`].
 pub fn execute_with(name: &str, raw_args: &[String]) -> ExitCode {
     ExitCode::from(execute_status(name, raw_args))
-}
-
-/// Entry point of the per-figure compatibility shims: forward this
-/// process's `key=value` arguments to the named registry experiment
-/// (identical to `mlec run <name> [args…]`).
-pub fn shim(name: &str) -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    execute_with(name, &args)
 }

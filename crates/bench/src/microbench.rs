@@ -16,8 +16,7 @@
 //!   not a slow kernel).
 //!
 //! Baselines written by `--json` record *both* under each name
-//! (`{"name": {"min": ns, "median": ns}}`); legacy flat baselines
-//! (`{"name": ns}`) are read as min-only. The ungrouped [`fn@bench`] /
+//! (`{"name": {"min": ns, "median": ns}}`). The ungrouped [`fn@bench`] /
 //! [`Group`] helpers (no baseline tracking) print the median.
 //!
 //! Baseline-tracked targets use [`Harness`], which adds four flags after
@@ -209,11 +208,6 @@ impl Harness {
         }
     }
 
-    /// Results recorded so far, in execution order.
-    pub fn results(&self) -> &[(String, BatchStats)] {
-        &self.results
-    }
-
     /// Dump (`--json`) and gate (`--check`), returning the process exit
     /// code: failure iff any baseline comparison regressed beyond the
     /// threshold or the baseline is unreadable.
@@ -269,13 +263,9 @@ impl Harness {
         };
         let mut failures = Vec::new();
         for (name, value) in entries {
-            // The gate statistic is always the min: structured entries
-            // carry it under "min" (alongside an ungated "median"); legacy
-            // flat integers *are* the min.
-            let base_min = match value {
-                Json::Obj(_) => value.get("min").and_then(Json::as_u64),
-                _ => value.as_u64(),
-            };
+            // The gate statistic is always the min (the entry's "median"
+            // is context, never gated on).
+            let base_min = value.get("min").and_then(Json::as_u64);
             let Some(base_ns) = base_min.filter(|&ns| ns > 0) else {
                 failures.push(format!(
                     "{name}: baseline entry has no positive integer min"
@@ -358,8 +348,7 @@ mod tests {
 
     #[test]
     fn baseline_check_passes_within_threshold() {
-        // Legacy flat-integer baselines are read as min-only.
-        let path = baseline_file("pass", r#"{"a": 100, "b": 200}"#);
+        let path = baseline_file("pass", r#"{"a": {"min": 100}, "b": {"min": 200}}"#);
         // +24% and -50%: both inside a 25% regression budget.
         let h = harness_with(&[("a", 124, 130), ("b", 100, 110)], 25.0);
         assert!(h.check_against(&path).is_ok());
@@ -386,7 +375,7 @@ mod tests {
 
     #[test]
     fn baseline_check_fails_on_regression_and_missing_result() {
-        let path = baseline_file("fail", r#"{"a": 100, "gone": 50}"#);
+        let path = baseline_file("fail", r#"{"a": {"min": 100}, "gone": {"min": 50}}"#);
         let h = harness_with(&[("a", 130, 140)], 25.0);
         let failures = h.check_against(&path).unwrap_err();
         assert_eq!(failures.len(), 2, "{failures:?}");
@@ -405,6 +394,10 @@ mod tests {
         assert!(h.check_against(&path).is_err());
         let path2 = baseline_file("no-min", r#"{"a": {"median": 5}}"#);
         assert!(h.check_against(&path2).is_err());
+        // A flat integer is not an entry: the min must be named.
+        let path3 = baseline_file("flat", r#"{"a": 1}"#);
+        assert!(h.check_against(&path3).is_err());
+        let _ = std::fs::remove_file(path3);
         let _ = std::fs::remove_file(path);
         let _ = std::fs::remove_file(path2);
     }

@@ -17,7 +17,7 @@ use mlec_analysis::tradeoff::{
     enumerate_lrc, enumerate_mlec, enumerate_slec, ideal_lrc_undecodable_at_limit, TradeoffPoint,
     OVERHEAD_BAND,
 };
-use mlec_ec::throughput::{measure_slec_mt, ThroughputModel};
+use mlec_ec::throughput::{measure_slec, ThroughputModel};
 use mlec_ec::{Lrc, LrcParams, SlecParams};
 use mlec_runner::{run_with, trial_rng, GridOrder, GridTrial, HitTrial, Json, RunSpec, StopRule};
 use mlec_sim::bandwidth::{
@@ -220,12 +220,8 @@ fn heatmap_config_hash(spec: &HeatmapSpec, extra: &str) -> u64 {
     Json::obj(fields).fingerprint()
 }
 
-/// Fig 5: PDL heatmaps of the four MLEC schemes under correlated bursts.
-pub fn fig5_mlec_burst(spec: &HeatmapSpec) -> Vec<Heatmap> {
-    fig5_mlec_burst_with(spec, &HeatmapRunOpts::default())
-}
-
-/// [`fig5_mlec_burst`] with explicit runner options (threads, manifests).
+/// Fig 5: PDL heatmaps of the four MLEC schemes under correlated bursts,
+/// run with the given runner options (threads, manifests).
 pub fn fig5_mlec_burst_with(spec: &HeatmapSpec, opts: &HeatmapRunOpts) -> Vec<Heatmap> {
     MlecScheme::ALL
         .into_iter()
@@ -711,7 +707,7 @@ pub fn fig11_encoding_throughput(
     let mut out = Vec::new();
     for &p in ps {
         for &k in ks {
-            let pt = measure_slec_mt(k, p, chunk_bytes, min_bytes, threads);
+            let pt = measure_slec(k, p, chunk_bytes, min_bytes, threads);
             out.push(ThroughputCell {
                 k,
                 p,
@@ -965,12 +961,8 @@ pub fn fig15_mlec_vs_lrc_sim(
     Ok((points, rows.into_inner()))
 }
 
-/// Fig 13: PDL heatmaps of the four SLEC placements under bursts.
-pub fn fig13_slec_burst(spec: &HeatmapSpec, params: SlecParams) -> Vec<Heatmap> {
-    fig13_slec_burst_with(spec, params, &HeatmapRunOpts::default())
-}
-
-/// [`fig13_slec_burst`] with explicit runner options (threads, manifests).
+/// Fig 13: PDL heatmaps of the four SLEC placements under bursts, run
+/// with the given runner options (threads, manifests).
 pub fn fig13_slec_burst_with(
     spec: &HeatmapSpec,
     params: SlecParams,
@@ -996,12 +988,8 @@ pub fn fig13_slec_burst_with(
         .collect()
 }
 
-/// Fig 16: PDL heatmap of the paper's `(14,2,4)` LRC-Dp under bursts.
-pub fn fig16_lrc_burst(spec: &HeatmapSpec, params: LrcParams) -> Heatmap {
-    fig16_lrc_burst_with(spec, params, &HeatmapRunOpts::default())
-}
-
-/// [`fig16_lrc_burst`] with explicit runner options (threads, manifests).
+/// Fig 16: PDL heatmap of the paper's `(14,2,4)` LRC-Dp under bursts, run
+/// with the given runner options (threads, manifests).
 pub fn fig16_lrc_burst_with(
     spec: &HeatmapSpec,
     params: LrcParams,
@@ -1219,7 +1207,7 @@ mod tests {
             seed: 1,
             ..HeatmapSpec::default()
         };
-        let maps = fig5_mlec_burst(&spec);
+        let maps = fig5_mlec_burst_with(&spec, &HeatmapRunOpts::default());
         assert_eq!(maps.len(), 4);
         for m in &maps {
             assert_eq!(m.pdl.len(), m.ys.len());

@@ -1168,7 +1168,7 @@ static FIG12_FAMILIES: &[&str] = &["C/C", "C/D", "Loc-Cp-S", "Loc-Dp-S", "Net-Cp
 fn run_fig12(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
     let mb = ctx.u64("mb") as usize * 1024 * 1024;
     let threads = ctx.u64("threads") as usize;
-    let model = ThroughputModel::calibrate_threads(128 * 1024, mb, threads);
+    let model = ThroughputModel::calibrate(128 * 1024, mb, threads);
     let mut out = ExperimentOutput::new();
     w!(
         out.text,
@@ -1297,7 +1297,7 @@ static FIG15_INFO: ExperimentInfo = ExperimentInfo {
 fn run_fig15(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
     let mb = ctx.u64("mb") as usize * 1024 * 1024;
     let threads = ctx.u64("threads") as usize;
-    let model = ThroughputModel::calibrate_threads(128 * 1024, mb, threads);
+    let model = ThroughputModel::calibrate(128 * 1024, mb, threads);
     let mut out = ExperimentOutput::new();
     if ctx.mode == Mode::Sim {
         let rel_err = ctx.f64("rel_err");
@@ -2196,6 +2196,19 @@ fn store_bench_spec(ctx: &ExperimentCtx) -> Result<mlec_store::BenchSpec, Experi
             })
         }
     };
+    // The schema parses these as u64; the spec holds u32. An `as` cast
+    // would run `put_pct=4294967306` as 10.
+    let bounded = |name: &str, max: u32| -> Result<u32, ExperimentError> {
+        let value = ctx.u64(name);
+        u32::try_from(value)
+            .ok()
+            .filter(|&v| v <= max)
+            .ok_or_else(|| ExperimentError::BadValue {
+                name: name.to_string(),
+                value: value.to_string(),
+                expected: format!("integer in 0..={max}"),
+            })
+    };
     let kill_at = ctx.u64("kill_at");
     let trace = ctx.str("trace");
     let trace_text = if trace.is_empty() {
@@ -2210,14 +2223,14 @@ fn store_bench_spec(ctx: &ExperimentCtx) -> Result<mlec_store::BenchSpec, Experi
             ops: ctx.u64("ops"),
             objects: ctx.u64("objects"),
             zipf_s: ctx.f64("zipf"),
-            put_pct: ctx.u64("put_pct") as u32,
-            delete_pct: ctx.u64("delete_pct") as u32,
+            put_pct: bounded("put_pct", 100)?,
+            delete_pct: bounded("delete_pct", 100)?,
             ops_per_sec: ctx.u64("ops_per_sec"),
         },
-        kill: (kill_at > 0).then(|| KillSpec {
+        kill: (kill_at > 0).then_some(KillSpec {
             at_op: kill_at,
-            racks: ctx.u64("kill_racks") as u32,
-            disks: ctx.u64("kill_disks") as u32,
+            racks: bounded("kill_racks", u32::MAX)?,
+            disks: bounded("kill_disks", u32::MAX)?,
         }),
         threads: ctx.runner.threads.max(1),
         shards: ctx.u64("shards") as usize,

@@ -113,16 +113,6 @@ impl MlecSystem {
             seed,
         )
     }
-
-    /// Yearly cross-rack repair traffic under a method (§5.1.4).
-    pub fn yearly_repair_traffic_tb(&self, method: RepairMethod) -> f64 {
-        mlec_sim::traffic::mlec_yearly_traffic(
-            &self.deployment,
-            method,
-            mlec_analysis::chains::system_catastrophic_rate(&self.deployment),
-        )
-        .to_tb()
-    }
 }
 
 #[cfg(test)]

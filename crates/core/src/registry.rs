@@ -637,6 +637,22 @@ mod tests {
             run_experiment("fig07", &args(&["trials=many"])),
             Err(ExperimentError::BadValue { .. })
         ));
+        // A u64 that does not fit the spec's u32 field must not be
+        // truncated (4294967306 as u32 == 10) and run.
+        for arg in [
+            "put_pct=4294967306",
+            "delete_pct=101",
+            "kill_racks=4294967296",
+            "kill_disks=4294967296",
+        ] {
+            assert!(
+                matches!(
+                    run_experiment("store_bench", &args(&["ops=10", arg])),
+                    Err(ExperimentError::BadValue { .. })
+                ),
+                "{arg}"
+            );
+        }
         assert!(matches!(
             run_experiment("fig06", &args(&["mode=sim"])),
             Err(ExperimentError::UnsupportedMode { .. })

@@ -125,15 +125,6 @@ pub fn dump_json_in<T: ToJson + ?Sized>(
     }
 }
 
-/// [`dump_json_in`] at the default artifact directory,
-/// `target/figures/<name>.json`.
-pub fn dump_json<T: ToJson + ?Sized>(
-    name: &str,
-    value: &T,
-) -> Result<std::path::PathBuf, DumpError> {
-    dump_json_in(&Path::new("target").join("figures"), name, value)
-}
-
 /// Format a float with engineering-friendly precision: probabilities in
 /// scientific notation, moderate numbers with 1 decimal.
 pub fn fmt_value(v: f64) -> String {

@@ -120,16 +120,6 @@ impl Lrc {
         self.k
     }
 
-    /// Number of local groups / local parities.
-    pub fn local_groups(&self) -> usize {
-        self.l
-    }
-
-    /// Number of global parities.
-    pub fn global_parities(&self) -> usize {
-        self.r
-    }
-
     /// Total chunks per stripe (`k + l + r`).
     pub fn total_chunks(&self) -> usize {
         self.k + self.l + self.r

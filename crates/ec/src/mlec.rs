@@ -447,11 +447,19 @@ mod tests {
     }
 
     #[test]
-    fn encode_parallel_bit_identical_across_thread_counts() {
+    fn encode_golden_for_every_thread_count() {
         let codec = MlecCodec::new(3, 2, 4, 2).unwrap();
         let data = sample_data(12, 512);
         let serial = codec.encode(&data).unwrap();
-        for threads in [0usize, 1, 2, 3, 5, 11] {
+        // FNV-1a over the grid, row-major: the absolute pin for the stripe
+        // bytes, so a later rewrite of `encode` is checked against this
+        // body and not only against its own parallel schedule.
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for &b in serial.iter().flatten().flatten() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        assert_eq!(h, 0x86c8_f5cb_b5e7_362d);
+        for threads in [0usize, 1, 2, 3, 8] {
             let parallel = codec.encode_parallel(&data, threads).unwrap();
             assert_eq!(parallel, serial, "threads={threads}");
         }

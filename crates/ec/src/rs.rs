@@ -14,13 +14,11 @@ use mlec_gf::field::{gf_div, gf_inv};
 use mlec_gf::matrix::Matrix;
 use mlec_gf::slice::{dot_into, mul_add_slice};
 
-/// Segment size of the chunked multi-core encode path
-/// ([`ReedSolomon::encode_into_parallel`]). Boundaries are a fixed
-/// function of the stripe length — never of the thread count — which is
-/// what makes the parallel output bit-identical to the serial path. 64 KiB
-/// keeps a segment's working set (`k` data segments + `p` parity segments)
-/// around L2 size for paper-scale stripes while leaving enough segments to
-/// spread a 128 KiB+ chunk across cores.
+/// Segment size of the multi-worker schedule of
+/// [`ReedSolomon::encode_into_parallel`]. 64 KiB keeps a segment's working
+/// set (`k` data segments + `p` parity segments) around L2 size for
+/// paper-scale stripes while leaving enough segments to spread a 128 KiB+
+/// chunk across cores.
 pub const PARALLEL_SEGMENT_BYTES: usize = 64 * 1024;
 
 /// A systematic `(k + p)` Reed–Solomon codec.
@@ -136,7 +134,8 @@ impl ReedSolomon {
     }
 
     /// Compute parities into caller-provided buffers without allocating —
-    /// the hot path measured by the Fig. 11 throughput experiment.
+    /// the hot path measured by the Fig. 11 throughput experiment. This is
+    /// the one-worker schedule of [`ReedSolomon::encode_into_parallel`].
     ///
     /// # Errors
     /// Shape errors if `data` or `parity` counts/lengths are inconsistent.
@@ -145,84 +144,78 @@ impl ReedSolomon {
         data: &[T],
         parity: &mut [Vec<u8>],
     ) -> Result<(), EcError> {
-        let len = self.check_data_shape(data)?;
-        self.check_parity_shape(parity, len)?;
-        let refs: Vec<&[u8]> = data.iter().map(std::convert::AsRef::as_ref).collect();
-        for (pi, buf) in parity.iter_mut().enumerate() {
-            dot_into(self.generator.row(self.k + pi), &refs, buf);
-        }
-        Ok(())
+        self.encode_into_parallel(data, parity, 1)
     }
 
-    /// Multi-core [`ReedSolomon::encode_into`]: the stripe is split at
-    /// fixed [`PARALLEL_SEGMENT_BYTES`] boundaries and the segments are
-    /// distributed round-robin over `threads` scoped worker threads, each
-    /// computing all `p` parities for its byte ranges.
+    /// [`ReedSolomon::encode_into`] on up to `threads` workers: the stripe
+    /// is cut into segments, dealt round-robin to the workers, and each
+    /// worker computes all `p` parities for its byte ranges.
     ///
-    /// Because the segment boundaries are a function of the stripe length
-    /// only (never of `threads`) and GF arithmetic is exact, every output
-    /// byte is produced by the same operations in the same order as the
-    /// serial path — the result is **bit-identical** to
-    /// [`ReedSolomon::encode_into`] for every thread count.
-    ///
-    /// `threads <= 1`, or stripes of at most one segment, fall through to
-    /// the serial path (no thread is ever spawned for work that cannot
-    /// split).
+    /// One worker (`threads <= 1`, or a stripe of at most one
+    /// [`PARALLEL_SEGMENT_BYTES`] segment) takes the whole stripe as a
+    /// single segment on the calling thread — no thread is ever spawned for
+    /// work that cannot split. More workers split at fixed
+    /// [`PARALLEL_SEGMENT_BYTES`] boundaries and run on scoped threads.
+    /// Every parity byte depends only on the same byte position of the data
+    /// shards and GF arithmetic is exact, so the output is **bit-identical**
+    /// for every thread count.
     ///
     /// # Errors
     /// Shape errors if `data` or `parity` counts/lengths are inconsistent.
-    pub fn encode_into_parallel<T: AsRef<[u8]> + Sync>(
+    pub fn encode_into_parallel<T: AsRef<[u8]>>(
         &self,
         data: &[T],
         parity: &mut [Vec<u8>],
         threads: usize,
     ) -> Result<(), EcError> {
-        // Per-worker work list: (segment index, that segment's slice of
+        // Per-worker work list: (segment start, that segment's slice of
         // every parity buffer).
         type SegmentWork<'a> = Vec<(usize, Vec<&'a mut [u8]>)>;
         let len = self.check_data_shape(data)?;
         self.check_parity_shape(parity, len)?;
-        if threads <= 1 || len <= PARALLEL_SEGMENT_BYTES {
-            let refs: Vec<&[u8]> = data.iter().map(std::convert::AsRef::as_ref).collect();
-            for (pi, buf) in parity.iter_mut().enumerate() {
-                dot_into(self.generator.row(self.k + pi), &refs, buf);
-            }
-            return Ok(());
-        }
         let refs: Vec<&[u8]> = data.iter().map(std::convert::AsRef::as_ref).collect();
-        let nseg = len.div_ceil(PARALLEL_SEGMENT_BYTES);
+        let workers = threads.clamp(1, len.div_ceil(PARALLEL_SEGMENT_BYTES).max(1));
+        let seg_bytes = if workers == 1 {
+            len.max(1)
+        } else {
+            PARALLEL_SEGMENT_BYTES
+        };
         // Regroup the parity buffers into per-segment bundles: segment
-        // `si` owns bytes `si * SEG ..` of every parity buffer.
-        let mut per_seg: Vec<Vec<&mut [u8]>> =
-            (0..nseg).map(|_| Vec::with_capacity(self.p)).collect();
+        // `si` owns bytes `si * seg_bytes ..` of every parity buffer.
+        let mut per_seg: Vec<Vec<&mut [u8]>> = (0..len.div_ceil(seg_bytes))
+            .map(|_| Vec::with_capacity(self.p))
+            .collect();
         for buf in parity.iter_mut() {
-            for (si, seg) in buf.chunks_mut(PARALLEL_SEGMENT_BYTES).enumerate() {
+            for (si, seg) in buf.chunks_mut(seg_bytes).enumerate() {
                 per_seg[si].push(seg);
             }
         }
         // Static round-robin assignment: worker `w` owns segments
         // `w, w + workers, …` — disjoint buffers, no locking.
-        let workers = threads.min(nseg);
         let mut assignments: Vec<SegmentWork> = (0..workers).map(|_| Vec::new()).collect();
         for (si, segs) in per_seg.into_iter().enumerate() {
-            assignments[si % workers].push((si, segs));
+            assignments[si % workers].push((si * seg_bytes, segs));
         }
-        std::thread::scope(|scope| {
-            for mine in assignments {
-                let refs = &refs;
-                scope.spawn(move || {
-                    for (si, mut segs) in mine {
-                        let start = si * PARALLEL_SEGMENT_BYTES;
-                        let seg_len = segs[0].len();
-                        let seg_refs: Vec<&[u8]> =
-                            refs.iter().map(|d| &d[start..start + seg_len]).collect();
-                        for (pi, seg) in segs.iter_mut().enumerate() {
-                            dot_into(self.generator.row(self.k + pi), &seg_refs, seg);
-                        }
-                    }
-                });
+        let encode_segments = |mine: SegmentWork| {
+            for (start, mut segs) in mine {
+                let seg_len = segs[0].len();
+                let seg_refs: Vec<&[u8]> =
+                    refs.iter().map(|d| &d[start..start + seg_len]).collect();
+                for (pi, seg) in segs.iter_mut().enumerate() {
+                    dot_into(self.generator.row(self.k + pi), &seg_refs, seg);
+                }
             }
-        });
+        };
+        if workers == 1 {
+            assignments.into_iter().for_each(encode_segments);
+        } else {
+            std::thread::scope(|scope| {
+                for mine in assignments {
+                    let encode_segments = &encode_segments;
+                    scope.spawn(move || encode_segments(mine));
+                }
+            });
+        }
         Ok(())
     }
 
@@ -350,18 +343,7 @@ impl ReedSolomon {
         if old_data.len() != new_data.len() {
             return Err(EcError::ShapeMismatch("old/new data lengths differ".into()));
         }
-        if parity.len() != self.p {
-            return Err(EcError::ShapeMismatch(format!(
-                "expected {} parity buffers, got {}",
-                self.p,
-                parity.len()
-            )));
-        }
-        if parity.iter().any(|b| b.len() != old_data.len()) {
-            return Err(EcError::ShapeMismatch(
-                "parity buffer length mismatch".into(),
-            ));
-        }
+        self.check_parity_shape(parity, old_data.len())?;
         let delta: Vec<u8> = old_data.iter().zip(new_data).map(|(o, n)| o ^ n).collect();
         for (pi, buf) in parity.iter_mut().enumerate() {
             let coeff = self.generator.get(self.k + pi, shard);
@@ -518,33 +500,45 @@ mod tests {
         assert_eq!(parity[1], full[7]);
     }
 
-    #[test]
-    fn encode_into_parallel_bit_identical_across_thread_counts() {
-        // Stripe long enough for several 64 KiB segments, with a ragged
-        // tail so the last segment is short.
-        let len = 3 * PARALLEL_SEGMENT_BYTES + 12_345;
-        let rs = ReedSolomon::new(6, 3).unwrap();
-        let data = sample_data(6, len);
-        let mut serial = vec![vec![0u8; len]; 3];
-        rs.encode_into(&data, &mut serial).unwrap();
-        for threads in [0usize, 1, 2, 3, 7, 16] {
-            let mut parallel = vec![vec![0xffu8; len]; 3];
-            rs.encode_into_parallel(&data, &mut parallel, threads)
-                .unwrap();
-            assert_eq!(parallel, serial, "threads={threads}");
+    /// FNV-1a over the concatenated buffers. Serial and parallel encode are
+    /// one body, so its bytes are pinned absolutely rather than one
+    /// schedule against another.
+    fn fnv1a(bufs: &[Vec<u8>]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for &b in bufs.iter().flatten() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
         }
+        h
     }
 
     #[test]
-    fn encode_into_parallel_short_stripe_falls_through() {
-        // A stripe of one segment or less must not spawn and must match.
-        let rs = ReedSolomon::new(4, 2).unwrap();
-        let data = sample_data(4, 100);
-        let mut serial = vec![vec![0u8; 100]; 2];
-        rs.encode_into(&data, &mut serial).unwrap();
-        let mut parallel = vec![vec![0u8; 100]; 2];
-        rs.encode_into_parallel(&data, &mut parallel, 8).unwrap();
-        assert_eq!(parallel, serial);
+    fn encode_into_golden_for_every_thread_count() {
+        // (6+3) parity of `sample_data` at lengths straddling the segment
+        // size (one byte short, exact, one byte over, several segments with
+        // a ragged tail). The goldens were recorded from a plain
+        // per-parity `dot_into` loop over the whole stripe, so they do not
+        // depend on the segmenting under test.
+        const SEG: usize = PARALLEL_SEGMENT_BYTES;
+        let goldens = [
+            (100usize, 0xab6c_0a7a_6bf4_a603u64),
+            (SEG - 1, 0x1cb5_797d_70c8_7666),
+            (SEG, 0xde27_c7b2_501a_4f25),
+            (SEG + 1, 0x0575_ebc4_db27_4724),
+            (3 * SEG + 12_345, 0x58ff_52a0_f4bd_2c83),
+        ];
+        let rs = ReedSolomon::new(6, 3).unwrap();
+        for (len, golden) in goldens {
+            let data = sample_data(6, len);
+            let mut serial = vec![vec![0xffu8; len]; 3];
+            rs.encode_into(&data, &mut serial).unwrap();
+            assert_eq!(fnv1a(&serial), golden, "encode_into len={len}");
+            for threads in [0usize, 1, 2, 3, 8] {
+                let mut parallel = vec![vec![0xffu8; len]; 3];
+                rs.encode_into_parallel(&data, &mut parallel, threads)
+                    .unwrap();
+                assert_eq!(fnv1a(&parallel), golden, "len={len} threads={threads}");
+            }
+        }
     }
 
     #[test]

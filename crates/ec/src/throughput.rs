@@ -12,42 +12,32 @@
 //! parallel measurements are spawned once and fed batches through a
 //! barrier), with a warm-up pass, reporting data MB processed per second.
 
-use crate::mlec::MlecCodec;
 use crate::rs::ReedSolomon;
-use crate::scheme::{EcScheme, LrcParams, MlecParams, SlecParams};
-use crate::Lrc;
+use crate::scheme::{EcScheme, SlecParams};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Barrier;
 use std::time::Instant;
-
-/// Default chunk size used by the paper's setup (§3): 128 KB.
-pub const PAPER_CHUNK_BYTES: usize = 128 * 1024;
 
 /// One measured point of the throughput surface.
 #[derive(Debug, Clone, Copy)]
 pub struct ThroughputPoint {
     /// Data chunks.
     pub k: usize,
-    /// Parity chunks (or `l + r` for LRC).
+    /// Parity chunks.
     pub p: usize,
-    /// Measured single-core encoding throughput in MB of *data* per second.
+    /// Measured encoding throughput in MB of *data* per second.
     pub mb_per_s: f64,
 }
 
-/// Measure SLEC `(k + p)` encoding throughput with `chunk_bytes` chunks.
+/// Measure SLEC `(k + p)` encoding throughput with `chunk_bytes` chunks,
+/// the stripe split across `threads` scoped worker threads
+/// ([`ReedSolomon::encode_into_parallel`]; `threads <= 1` encodes on the
+/// calling thread). The parity bytes are identical for every thread count.
+/// This backs the `threads=` parameter of the `fig11` / `fig12` experiments.
 ///
 /// `min_bytes` controls how much data is pushed through the encoder (larger
 /// = steadier numbers, longer runtime).
-pub fn measure_slec(k: usize, p: usize, chunk_bytes: usize, min_bytes: usize) -> ThroughputPoint {
-    measure_slec_mt(k, p, chunk_bytes, min_bytes, 1)
-}
-
-/// Measure SLEC encoding throughput with the stripe split across `threads`
-/// scoped worker threads ([`ReedSolomon::encode_into_parallel`]); the output
-/// is bit-identical to the serial path. `threads <= 1` is exactly
-/// [`measure_slec`]. This backs the `threads=` parameter of the `fig11` /
-/// `fig12` experiments.
-pub fn measure_slec_mt(
+pub fn measure_slec(
     k: usize,
     p: usize,
     chunk_bytes: usize,
@@ -81,77 +71,6 @@ pub fn measure_slec_mt(
         k,
         p,
         mb_per_s: (iters * stripe_data_bytes) as f64 / 1e6 / elapsed,
-    }
-}
-
-/// Measure MLEC two-level encoding throughput (both levels timed together,
-/// as a storage server + enclosure controller pipeline would see it).
-pub fn measure_mlec(params: MlecParams, chunk_bytes: usize, min_bytes: usize) -> ThroughputPoint {
-    let codec = MlecCodec::new(
-        params.network.k,
-        params.network.p,
-        params.local.k,
-        params.local.p,
-    )
-    .expect("valid MLEC params");
-    let nd = codec.data_chunks();
-    let data: Vec<Vec<u8>> = (0..nd)
-        .map(|s| {
-            (0..chunk_bytes)
-                .map(|i| ((s * 31 + i) % 256) as u8)
-                .collect()
-        })
-        .collect();
-
-    let _ = codec.encode(&data).unwrap(); // warm-up
-
-    let stripe_data_bytes = nd * chunk_bytes;
-    let iters = (min_bytes / stripe_data_bytes).max(1);
-    let start = Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(codec.encode(&data).unwrap());
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    ThroughputPoint {
-        k: params.data_chunks(),
-        p: params.total_chunks() - params.data_chunks(),
-        mb_per_s: (iters * stripe_data_bytes) as f64 / 1e6 / elapsed,
-    }
-}
-
-/// Measure LRC `(k, l, r)` two-stage encoding throughput.
-pub fn measure_lrc(params: LrcParams, chunk_bytes: usize, min_bytes: usize) -> ThroughputPoint {
-    let lrc = Lrc::new(params.k, params.l, params.r).expect("valid LRC params");
-    let data: Vec<Vec<u8>> = (0..params.k)
-        .map(|s| {
-            (0..chunk_bytes)
-                .map(|i| ((s * 31 + i) % 256) as u8)
-                .collect()
-        })
-        .collect();
-
-    let _ = lrc.encode(&data).unwrap(); // warm-up
-
-    let stripe_data_bytes = params.k * chunk_bytes;
-    let iters = (min_bytes / stripe_data_bytes).max(1);
-    let start = Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(lrc.encode(&data).unwrap());
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    ThroughputPoint {
-        k: params.k,
-        p: params.l + params.r,
-        mb_per_s: (iters * stripe_data_bytes) as f64 / 1e6 / elapsed,
-    }
-}
-
-/// Measure any [`EcScheme`].
-pub fn measure_scheme(scheme: EcScheme, chunk_bytes: usize, min_bytes: usize) -> ThroughputPoint {
-    match scheme {
-        EcScheme::Slec(SlecParams { k, p }) => measure_slec(k, p, chunk_bytes, min_bytes),
-        EcScheme::Mlec(m) => measure_mlec(m, chunk_bytes, min_bytes),
-        EcScheme::Lrc(l) => measure_lrc(l, chunk_bytes, min_bytes),
     }
 }
 
@@ -297,21 +216,12 @@ pub struct ThroughputModel {
 }
 
 impl ThroughputModel {
-    /// Calibrate against a measured reference configuration.
-    pub fn calibrate(chunk_bytes: usize, min_bytes: usize) -> ThroughputModel {
-        Self::calibrate_threads(chunk_bytes, min_bytes, 1)
-    }
-
-    /// Calibrate with the reference encode split across `threads` worker
-    /// threads (see [`measure_slec_mt`]); `threads <= 1` is [`Self::calibrate`].
-    /// Predictions then model a `threads`-core encoder.
-    pub fn calibrate_threads(
-        chunk_bytes: usize,
-        min_bytes: usize,
-        threads: usize,
-    ) -> ThroughputModel {
+    /// Calibrate against a measured reference configuration, encoded on
+    /// `threads` worker threads (see [`measure_slec`]); predictions then
+    /// model a `threads`-core encoder.
+    pub fn calibrate(chunk_bytes: usize, min_bytes: usize, threads: usize) -> ThroughputModel {
         let reference = EcScheme::Slec(SlecParams::new(10, 4));
-        let measured = measure_slec_mt(10, 4, chunk_bytes, min_bytes, threads);
+        let measured = measure_slec(10, 4, chunk_bytes, min_bytes, threads);
         ThroughputModel {
             rate_mb_per_s: measured.mb_per_s * reference.encoding_multiplies_per_byte(),
         }
@@ -337,29 +247,21 @@ mod tests {
 
     #[test]
     fn throughput_positive_and_finite() {
-        let pt = measure_slec(4, 2, SMALL_CHUNK, SMALL_BYTES);
+        let pt = measure_slec(4, 2, SMALL_CHUNK, SMALL_BYTES, 1);
         assert!(pt.mb_per_s.is_finite() && pt.mb_per_s > 0.0);
     }
 
     #[test]
     fn more_parities_cost_more() {
         // p = 8 must be measurably slower than p = 1 at the same k.
-        let fast = measure_slec(8, 1, SMALL_CHUNK, SMALL_BYTES);
-        let slow = measure_slec(8, 8, SMALL_CHUNK, SMALL_BYTES);
+        let fast = measure_slec(8, 1, SMALL_CHUNK, SMALL_BYTES, 1);
+        let slow = measure_slec(8, 8, SMALL_CHUNK, SMALL_BYTES, 1);
         assert!(
             slow.mb_per_s < fast.mb_per_s,
             "p=8 ({:.1} MB/s) should be slower than p=1 ({:.1} MB/s)",
             slow.mb_per_s,
             fast.mb_per_s
         );
-    }
-
-    #[test]
-    fn mlec_and_lrc_measurable() {
-        let m = measure_mlec(MlecParams::new(2, 1, 2, 1), SMALL_CHUNK, SMALL_BYTES / 4);
-        assert!(m.mb_per_s > 0.0);
-        let l = measure_lrc(LrcParams::new(4, 2, 2), SMALL_CHUNK, SMALL_BYTES / 4);
-        assert!(l.mb_per_s > 0.0);
     }
 
     #[test]
@@ -370,7 +272,7 @@ mod tests {
         // 0.5 absorbs barrier overhead + scheduler noise on 1-CPU CI
         // runners; before the persistent-worker fix, per-iteration
         // thread::scope churn routinely dragged this below 0.5.
-        let serial = measure_slec(8, 4, SMALL_CHUNK, SMALL_BYTES);
+        let serial = measure_slec(8, 4, SMALL_CHUNK, SMALL_BYTES, 1);
         let parallel = measure_slec_parallel(8, 4, SMALL_CHUNK, 8, SMALL_BYTES * 2);
         assert!(
             parallel.mb_per_s > serial.mb_per_s * 0.5,
@@ -407,7 +309,7 @@ mod tests {
     #[test]
     fn threaded_measurement_positive_and_finite() {
         for threads in [0, 1, 2, 4] {
-            let pt = measure_slec_mt(4, 2, SMALL_CHUNK, SMALL_BYTES / 2, threads);
+            let pt = measure_slec(4, 2, SMALL_CHUNK, SMALL_BYTES / 2, threads);
             assert!(
                 pt.mb_per_s.is_finite() && pt.mb_per_s > 0.0,
                 "threads={threads}: {pt:?}"

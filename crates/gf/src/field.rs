@@ -78,9 +78,6 @@ impl Gf256 {
     /// The multiplicative identity.
     pub const ONE: Gf256 = Gf256(1);
 
-    /// The canonical generator (2) of the multiplicative group.
-    pub const GENERATOR: Gf256 = Gf256(2);
-
     /// Multiplicative inverse. Panics on zero.
     pub fn inv(self) -> Gf256 {
         Gf256(gf_inv(self.0))
@@ -89,11 +86,6 @@ impl Gf256 {
     /// `self^n`.
     pub fn pow(self, n: usize) -> Gf256 {
         Gf256(gf_pow(self.0, n))
-    }
-
-    /// True iff this is the additive identity.
-    pub fn is_zero(self) -> bool {
-        self.0 == 0
     }
 }
 

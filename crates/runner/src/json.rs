@@ -46,14 +46,6 @@ impl Json {
         }
     }
 
-    pub fn as_i64(&self) -> Option<i64> {
-        match *self {
-            Json::I64(v) => Some(v),
-            Json::U64(v) if v <= i64::MAX as u64 => Some(v as i64),
-            _ => None,
-        }
-    }
-
     pub fn as_f64(&self) -> Option<f64> {
         match *self {
             Json::F64(v) => Some(v),

@@ -74,10 +74,6 @@ impl Welford {
         }
     }
 
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Standard error of the mean.
     pub fn std_err(&self) -> f64 {
         if self.n < 2 {
@@ -184,11 +180,6 @@ impl WeightedWelford {
     /// Observations folded in (regardless of weight).
     pub fn count(&self) -> u64 {
         self.n
-    }
-
-    /// Total weight `Σw`.
-    pub fn total_weight(&self) -> f64 {
-        self.sum_w
     }
 
     pub fn mean(&self) -> f64 {

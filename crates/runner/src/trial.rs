@@ -176,10 +176,6 @@ impl GridAcc {
         self.cells[cell].push(x);
     }
 
-    pub fn num_cells(&self) -> usize {
-        self.cells.len()
-    }
-
     pub fn cell(&self, cell: usize) -> &Welford {
         &self.cells[cell]
     }

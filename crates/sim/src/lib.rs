@@ -48,7 +48,6 @@ pub mod importance;
 pub mod kernel;
 pub mod pool_sim;
 pub mod repair;
-pub mod scheduler;
 pub mod strategy;
 pub mod system_sim;
 pub mod trace;

@@ -187,9 +187,6 @@ pub struct ShardedArbiter {
     clocks: Vec<RackClock>,
 }
 
-/// The historical name: every existing caller sees the same API.
-pub type BandwidthArbiter = ShardedArbiter;
-
 impl ShardedArbiter {
     /// Arbiter over `geometry`'s racks with the §3 bandwidth parameters
     /// plus a per-I/O seek cost.
@@ -270,8 +267,8 @@ impl ShardedArbiter {
 mod tests {
     use super::*;
 
-    fn arbiter() -> BandwidthArbiter {
-        BandwidthArbiter::new(&Geometry::small_test(), &SimConfig::paper_default(), 400)
+    fn arbiter() -> ShardedArbiter {
+        ShardedArbiter::new(&Geometry::small_test(), &SimConfig::paper_default(), 400)
     }
 
     #[test]

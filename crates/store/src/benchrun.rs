@@ -337,47 +337,103 @@ fn apply_serial_op<B: ChunkBackend>(
     })
 }
 
-/// Flush the open epoch: apply the rack queues on the shards, max-join
-/// the per-row completion times, and resolve every pending op's outcome.
-/// The phase is computed at flush time from frozen kill/rebuild state —
-/// repairs only advance on the serial path, so it is the same value the
-/// serial engine would have computed op by op.
-#[allow(clippy::too_many_arguments)]
-fn flush_epoch<'a, B: ChunkBackend + Send>(
-    store: &mut MlecStore<B>,
-    queues: &mut EpochQueues<'a>,
-    pending: &mut Vec<usize>,
-    ends: &mut Vec<u64>,
+/// The epoch state of one prepared batch: the open epoch's rack queues,
+/// the ops waiting on them, and every op's resolved outcome.
+struct Epoch<'a> {
     prepared: &'a [Prep],
-    outcomes: &mut [Option<Outcome>],
-    shards: usize,
-    kill_time_us: Option<u64>,
-    tally: &mut Tally,
-    pending_verified: &mut u64,
-) -> Result<(), StoreError> {
-    if pending.is_empty() {
-        return Ok(());
+    /// One slot per prepared op, filled exactly once.
+    outcomes: Vec<Option<Outcome>>,
+    queues: EpochQueues<'a>,
+    /// Batch slots of the ops queued in the open epoch, in queue order.
+    pending: Vec<usize>,
+    /// Per pending op: its start time, max-joined by the flush into its
+    /// completion time.
+    ends: Vec<u64>,
+    /// Queued gets that carry expected bytes; they count as verified once
+    /// the flush has checked them.
+    pending_verified: u64,
+}
+
+impl<'a> Epoch<'a> {
+    fn new(prepared: &'a [Prep], racks: usize) -> Epoch<'a> {
+        Epoch {
+            prepared,
+            outcomes: vec![None; prepared.len()],
+            queues: EpochQueues::new(racks),
+            pending: Vec::new(),
+            ends: Vec::new(),
+            pending_verified: 0,
+        }
     }
-    store.apply_epoch(queues, shards, ends)?;
-    let done_at = store.repair().done_at();
-    for (i, &slot) in pending.iter().enumerate() {
-        // PANICS: `pending` holds slot indices handed out by this replay loop; both vectors are sized to the trace.
-        let op = prepared[slot].op;
-        // PANICS: `slot < outcomes.len()` (sized to the trace up front).
-        outcomes[slot] = Some(Outcome {
-            // PANICS: `apply_epoch` returns one end time per pending sub-op batch, index-aligned with `pending`.
-            latency_us: ends[i] - op.at_us,
-            degraded: false,
-            chunks_read: 0,
-            phase: phase_of(kill_time_us, done_at, op.at_us),
-        });
+
+    /// Record the outcome of the op in batch slot `slot`.
+    fn resolve(&mut self, slot: usize, outcome: Outcome) {
+        // PANICS: `slot` enumerates `prepared`, and `outcomes` is sized to match.
+        self.outcomes[slot] = Some(outcome);
     }
-    tally.verified_inline += *pending_verified;
-    *pending_verified = 0;
-    pending.clear();
-    ends.clear();
-    queues.clear();
-    Ok(())
+
+    /// Queue the op in batch slot `slot` on the open epoch: one sub-op per
+    /// row in `0..rows`, each on the rack that owns the row.
+    fn queue_rows<B: ChunkBackend>(
+        &mut self,
+        store: &MlecStore<B>,
+        slot: usize,
+        rows: u32,
+        start: u64,
+        action: impl Fn(u32) -> SubAction<'a>,
+    ) {
+        // PANICS: `slot` enumerates `prepared`.
+        let obj = self.prepared[slot].op.object;
+        for row in 0..rows {
+            let rack = store.rack_of_row(obj, row) as usize;
+            // PANICS: `rack_of_row` maps into `0..racks`, the `by_rack` queue count.
+            self.queues.by_rack[rack].push(SubOp {
+                slot: self.pending.len() as u32,
+                obj,
+                row,
+                start,
+                action: action(row),
+            });
+        }
+        self.ends.push(start);
+        self.pending.push(slot);
+    }
+
+    /// Flush the open epoch: apply the rack queues on the shards, max-join
+    /// the per-row completion times, and resolve every pending op's
+    /// outcome. The phase is computed at flush time from frozen
+    /// kill/rebuild state — repairs only advance on the serial path, so it
+    /// is the same value the serial engine would have computed op by op.
+    fn flush<B: ChunkBackend + Send>(
+        &mut self,
+        store: &mut MlecStore<B>,
+        shards: usize,
+        kill_time_us: Option<u64>,
+        tally: &mut Tally,
+    ) -> Result<(), StoreError> {
+        if self.pending.is_empty() {
+            return Ok(());
+        }
+        store.apply_epoch(&self.queues, shards, &mut self.ends)?;
+        let done_at = store.repair().done_at();
+        for (&slot, &end) in self.pending.iter().zip(&self.ends) {
+            // PANICS: `pending` holds batch slots, and `prepared`/`outcomes` are both sized to the batch.
+            let op = self.prepared[slot].op;
+            // PANICS: as above.
+            self.outcomes[slot] = Some(Outcome {
+                latency_us: end - op.at_us,
+                degraded: false,
+                chunks_read: 0,
+                phase: phase_of(kill_time_us, done_at, op.at_us),
+            });
+        }
+        tally.verified_inline += self.pending_verified;
+        self.pending_verified = 0;
+        self.pending.clear();
+        self.ends.clear();
+        self.queues.clear();
+        Ok(())
+    }
 }
 
 #[allow(clippy::too_many_lines)]
@@ -487,11 +543,7 @@ fn run_inner<B: ChunkBackend + Send>(
         // queues and runs barriers (and everything, when shards == 0)
         // monolithically in trace order.
         let n = prepared.len();
-        let mut outcomes: Vec<Option<Outcome>> = vec![None; n];
-        let mut queues = EpochQueues::new(racks);
-        let mut pending: Vec<usize> = Vec::new();
-        let mut ends: Vec<u64> = Vec::new();
-        let mut pending_verified = 0u64;
+        let mut epoch = Epoch::new(&prepared, racks);
 
         for (slot, prep) in prepared.iter().enumerate() {
             let op = prep.op;
@@ -500,18 +552,7 @@ fn run_inner<B: ChunkBackend + Send>(
             if kill_time_us.is_none() {
                 if let Some(kill) = &spec.kill {
                     if kill.at_op == op.index {
-                        flush_epoch(
-                            &mut store,
-                            &mut queues,
-                            &mut pending,
-                            &mut ends,
-                            &prepared,
-                            &mut outcomes,
-                            spec.shards,
-                            kill_time_us,
-                            &mut tally,
-                            &mut pending_verified,
-                        )?;
+                        epoch.flush(&mut store, spec.shards, kill_time_us, &mut tally)?;
                         lost_chunks = inject_kill(&mut store, kill, op.at_us);
                         kill_time_us = Some(op.at_us);
                         serial_window = true;
@@ -522,26 +563,10 @@ fn run_inner<B: ChunkBackend + Send>(
                 || serial_window
                 || (matches!(op.kind, OpKind::Get) && store.is_dead(op.object));
             if barrier {
-                flush_epoch(
-                    &mut store,
-                    &mut queues,
-                    &mut pending,
-                    &mut ends,
-                    &prepared,
-                    &mut outcomes,
-                    spec.shards,
-                    kill_time_us,
-                    &mut tally,
-                    &mut pending_verified,
-                )?;
-                // PANICS: `slot` enumerates `prepared`, and `outcomes` is sized to match.
-                outcomes[slot] = Some(apply_serial_op(
-                    &mut store,
-                    prep,
-                    kill_time_us,
-                    overhead,
-                    &mut tally,
-                )?);
+                epoch.flush(&mut store, spec.shards, kill_time_us, &mut tally)?;
+                let outcome =
+                    apply_serial_op(&mut store, prep, kill_time_us, overhead, &mut tally)?;
+                epoch.resolve(slot, outcome);
                 if serial_window && store.repair().pending() == 0 && store.lost_chunks() == 0 {
                     serial_window = false;
                 }
@@ -551,99 +576,56 @@ fn run_inner<B: ChunkBackend + Send>(
             // Rack-decomposable: commit bookkeeping now (the serial walk
             // is the single source of routing truth), queue row sub-ops.
             let start = op.at_us + overhead;
+            // A get or delete of an object that does not exist costs the
+            // software overhead only and queues nothing.
+            let miss = Outcome {
+                latency_us: overhead,
+                degraded: false,
+                chunks_read: 0,
+                phase: phase_of(kill_time_us, store.repair().done_at(), op.at_us),
+            };
             match op.kind {
                 OpKind::Put => {
                     tally.puts += 1;
                     store.commit_put_version(op.object);
                     // PANICS: the prepare pass builds a stripe for every Put before replay starts.
                     let stripe = prep.stripe.as_ref().expect("puts are prepared");
-                    for row in 0..nw {
-                        let rack = store.rack_of_row(op.object, row) as usize;
-                        // PANICS: `rack_of_row` maps into `0..racks`, the `by_rack` queue count.
-                        queues.by_rack[rack].push(SubOp {
-                            slot: pending.len() as u32,
-                            obj: op.object,
-                            row,
-                            start,
-                            // PANICS: `row < nw`, the stripe's row count.
-                            action: SubAction::Put(&stripe[row as usize]),
-                        });
-                    }
+                    epoch.queue_rows(&store, slot, nw, start, |row| {
+                        // PANICS: `row < nw`, the stripe's row count.
+                        SubAction::Put(&stripe[row as usize])
+                    });
                 }
                 OpKind::Get => {
                     tally.gets += 1;
                     if !store.exists(op.object) {
                         tally.misses += 1;
-                        // PANICS: `slot` enumerates `prepared`, and `outcomes` is sized to match.
-                        outcomes[slot] = Some(Outcome {
-                            latency_us: overhead,
-                            degraded: false,
-                            chunks_read: 0,
-                            phase: phase_of(kill_time_us, store.repair().done_at(), op.at_us),
-                        });
+                        epoch.resolve(slot, miss);
                         continue;
                     }
                     if prep.expected.is_some() {
-                        pending_verified += 1;
+                        epoch.pending_verified += 1;
                     }
-                    for row in 0..kn {
-                        let rack = store.rack_of_row(op.object, row) as usize;
-                        let verify = prep
+                    epoch.queue_rows(&store, slot, kn, start, |row| SubAction::Get {
+                        verify: prep
                             .expected
                             .as_ref()
-                            // PANICS: the expected buffer spans `nw * row_bytes` by construction, covering every row slice.
-                            .map(|e| &e[row as usize * row_bytes..(row as usize + 1) * row_bytes]);
-                        // PANICS: `rack_of_row` maps into `0..racks`, the `by_rack` queue count.
-                        queues.by_rack[rack].push(SubOp {
-                            slot: pending.len() as u32,
-                            obj: op.object,
-                            row,
-                            start,
-                            action: SubAction::Get { verify },
-                        });
-                    }
+                            // PANICS: the expected buffer spans `kn * row_bytes` by construction, covering every row slice.
+                            .map(|e| &e[row as usize * row_bytes..(row as usize + 1) * row_bytes]),
+                    });
                 }
                 OpKind::Delete => {
                     tally.deletes += 1;
                     if !store.commit_delete(op.object) {
                         tally.misses += 1;
-                        // PANICS: `slot` enumerates `prepared`, and `outcomes` is sized to match.
-                        outcomes[slot] = Some(Outcome {
-                            latency_us: overhead,
-                            degraded: false,
-                            chunks_read: 0,
-                            phase: phase_of(kill_time_us, store.repair().done_at(), op.at_us),
-                        });
+                        epoch.resolve(slot, miss);
                         continue;
                     }
-                    for row in 0..nw {
-                        let rack = store.rack_of_row(op.object, row) as usize;
-                        // PANICS: `rack_of_row` maps into `0..racks`, the `by_rack` queue count.
-                        queues.by_rack[rack].push(SubOp {
-                            slot: pending.len() as u32,
-                            obj: op.object,
-                            row,
-                            start,
-                            action: SubAction::Delete,
-                        });
-                    }
+                    epoch.queue_rows(&store, slot, nw, start, |_| SubAction::Delete);
                 }
             }
-            ends.push(start);
-            pending.push(slot);
         }
-        flush_epoch(
-            &mut store,
-            &mut queues,
-            &mut pending,
-            &mut ends,
-            &prepared,
-            &mut outcomes,
-            spec.shards,
-            kill_time_us,
-            &mut tally,
-            &mut pending_verified,
-        )?;
+        epoch.flush(&mut store, spec.shards, kill_time_us, &mut tally)?;
+        let mut outcomes = epoch.outcomes;
 
         // Stitch: record histograms and the op log in trace-index order.
         let mut records: Vec<OpRecord> = Vec::with_capacity(if oplog.is_some() { n } else { 0 });

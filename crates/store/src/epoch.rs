@@ -26,11 +26,10 @@
 //! its racks ascending and reports `(slot, end)` pairs that the caller
 //! max-joins into per-op completion times, in slot order.
 
-use crate::arbiter::{RackClock, RateCard};
+use crate::arbiter::RackClock;
 use crate::backend::ChunkBackend;
 use crate::store::{MlecStore, RackCtx, RackLane};
 use crate::StoreError;
-use mlec_topology::objectmap::ObjectMapper;
 
 /// What one trace op does inside one rack (always a single row).
 #[derive(Debug)]
@@ -76,47 +75,15 @@ impl<'a> EpochQueues<'a> {
     }
 }
 
-/// Drain one rack's queue through the shared row helpers, reporting each
-/// sub-op's completion time.
-#[allow(clippy::too_many_arguments)]
-fn drain_rack<B: ChunkBackend>(
-    rates: &RateCard,
-    mapper: &ObjectMapper,
-    clock: &mut RackClock,
-    lane: &mut RackLane<B>,
-    queue: &[SubOp<'_>],
-    kl: u32,
-    lw: u32,
-    chunk_bytes: usize,
-    outs: &mut Vec<(u32, u64)>,
-) -> Result<(), StoreError> {
-    let mut ctx = RackCtx {
-        rates,
-        clock,
-        lane,
-        mapper,
-    };
-    for sub in queue {
-        let end = match &sub.action {
-            SubAction::Put(chunks) => ctx.put_row(sub.obj, sub.row, chunks, sub.start)?,
-            SubAction::Get { verify } => {
-                ctx.get_row(sub.obj, sub.row, kl, chunk_bytes, sub.start, *verify, None)?
-            }
-            SubAction::Delete => ctx.delete_row(sub.obj, sub.row, lw, sub.start)?,
-        };
-        outs.push((sub.slot, end));
-    }
-    Ok(())
-}
-
 /// One rack's apply work: its clock domain, its lane, its queued sub-ops.
 type RackWork<'s, 'a, B> = (&'s mut RackClock, &'s mut RackLane<B>, &'s [SubOp<'a>]);
 
 impl<B: ChunkBackend + Send> MlecStore<B> {
     /// Apply one epoch's queues over `shards` rack shards and max-join the
     /// per-row completion times into `ends` (indexed by slot, pre-seeded
-    /// with each op's start time). `shards == 1` runs inline; more shards
-    /// use one scoped worker per non-empty shard.
+    /// with each op's start time). Each non-empty shard is drained by the
+    /// same closure: inline when there is only one, on one scoped worker
+    /// per shard otherwise.
     pub(crate) fn apply_epoch(
         &mut self,
         queues: &EpochQueues<'_>,
@@ -146,68 +113,67 @@ impl<B: ChunkBackend + Send> MlecStore<B> {
             // PANICS: `% shards` keeps the index in range; `shard_work` was built with `shards` buckets.
             shard_work[rack % shards].push((clock, lane, queue.as_slice()));
         }
+        shard_work.retain(|bucket| !bucket.is_empty());
 
-        let mut merge = |outs: Vec<(u32, u64)>| {
-            for (slot, end) in outs {
+        // Drain one shard's racks, ascending, through the shared row
+        // helpers, reporting each sub-op's `(slot, completion time)`.
+        let drain = |bucket: Vec<RackWork<'_, '_, B>>| -> Result<Vec<(u32, u64)>, StoreError> {
+            let mut outs = Vec::with_capacity(bucket.iter().map(|(_, _, q)| q.len()).sum());
+            for (clock, lane, queue) in bucket {
+                let mut ctx = RackCtx {
+                    rates,
+                    clock,
+                    lane,
+                    mapper,
+                };
+                for sub in queue {
+                    let end = match &sub.action {
+                        SubAction::Put(chunks) => {
+                            ctx.put_row(sub.obj, sub.row, chunks, sub.start)?
+                        }
+                        SubAction::Get { verify } => ctx.get_row(
+                            sub.obj,
+                            sub.row,
+                            kl,
+                            chunk_bytes,
+                            sub.start,
+                            *verify,
+                            None,
+                        )?,
+                        SubAction::Delete => ctx.delete_row(sub.obj, sub.row, lw, sub.start)?,
+                    };
+                    outs.push((sub.slot, end));
+                }
+            }
+            Ok(outs)
+        };
+
+        let results: Vec<Result<Vec<(u32, u64)>, StoreError>> = if shard_work.len() <= 1 {
+            shard_work.into_iter().map(drain).collect()
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = shard_work
+                    .into_iter()
+                    .map(|bucket| {
+                        let drain = &drain;
+                        scope.spawn(move || drain(bucket))
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    // PANICS: a panicked shard worker means a poisoned epoch; re-raising on the coordinator is correct.
+                    .map(|h| h.join().expect("epoch shard worker panicked"))
+                    .collect()
+            })
+        };
+        // Max-join is commutative and associative, so `ends` does not
+        // depend on which shard reported first.
+        for outs in results {
+            for (slot, end) in outs? {
                 // PANICS: sub-op `slot`s were assigned from `0..ends.len()` when the epoch was queued.
                 let e = &mut ends[slot as usize];
                 *e = (*e).max(end);
             }
-        };
-
-        if shards == 1 {
-            for bucket in shard_work {
-                for (clock, lane, queue) in bucket {
-                    let mut outs = Vec::with_capacity(queue.len());
-                    drain_rack(
-                        rates,
-                        mapper,
-                        clock,
-                        lane,
-                        queue,
-                        kl,
-                        lw,
-                        chunk_bytes,
-                        &mut outs,
-                    )?;
-                    merge(outs);
-                }
-            }
-            return Ok(());
-        }
-
-        let results: Vec<Result<Vec<(u32, u64)>, StoreError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = shard_work
-                .into_iter()
-                .filter(|bucket| !bucket.is_empty())
-                .map(|bucket| {
-                    scope.spawn(move || {
-                        let mut outs = Vec::new();
-                        for (clock, lane, queue) in bucket {
-                            drain_rack(
-                                rates,
-                                mapper,
-                                clock,
-                                lane,
-                                queue,
-                                kl,
-                                lw,
-                                chunk_bytes,
-                                &mut outs,
-                            )?;
-                        }
-                        Ok(outs)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                // PANICS: a panicked shard worker means a poisoned epoch; re-raising on the coordinator is correct.
-                .map(|h| h.join().expect("epoch shard worker panicked"))
-                .collect()
-        });
-        for result in results {
-            merge(result?);
         }
         Ok(())
     }

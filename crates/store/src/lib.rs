@@ -43,7 +43,7 @@ pub mod repair;
 pub mod stopwatch;
 pub mod store;
 
-pub use arbiter::{BandwidthArbiter, Lane, RackClock, RateCard, ShardedArbiter};
+pub use arbiter::{Lane, RackClock, RateCard, ShardedArbiter};
 pub use backend::{ChunkBackend, ChunkKey, FileBackend, MemBackend};
 pub use benchrun::{
     payload_for, run_store_bench, BackendChoice, BenchSpec, PhaseSummary, StoreBenchReport,

@@ -61,7 +61,12 @@ pub struct LoadSpec {
 impl LoadSpec {
     /// Validate the percentages and rates.
     pub fn validate(&self) -> Result<(), StoreError> {
-        if self.put_pct + self.delete_pct > 100 {
+        // Checked: a wrapping sum would pass `u32::MAX + 1` as 0.
+        if self
+            .put_pct
+            .checked_add(self.delete_pct)
+            .is_none_or(|mix| mix > 100)
+        {
             return Err(StoreError::BadSpec(format!(
                 "put_pct {} + delete_pct {} exceeds 100",
                 self.put_pct, self.delete_pct
@@ -335,6 +340,10 @@ mod tests {
         s.put_pct = 80;
         s.delete_pct = 30;
         assert!(s.validate().is_err());
+        let mut s = spec();
+        s.put_pct = u32::MAX;
+        s.delete_pct = 1;
+        assert!(s.validate().is_err(), "the mix must not wrap to 0");
         let mut s = spec();
         s.objects = 0;
         assert!(s.validate().is_err());

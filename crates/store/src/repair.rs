@@ -6,7 +6,7 @@
 //! the paper's 30-minute detection window). A fixed number of rebuild
 //! streams then drain the queue: each stream picks the earliest-ready
 //! stripe, occupies shared disk/rack bandwidth for the rebuild (through
-//! the same [`crate::arbiter::BandwidthArbiter`] foreground ops use —
+//! the same [`crate::arbiter::ShardedArbiter`] foreground ops use —
 //! that contention is the experiment), and must then idle long enough
 //! that repair consumes at most the configured fraction of bandwidth
 //! (§3: "disk and network traffics are both capped at 20%"). The

@@ -305,6 +305,12 @@ impl<B: ChunkBackend> MlecStore<B> {
     where
         F: FnMut(RackId) -> Result<B, StoreError>,
     {
+        let (nw, lw) = (cfg.code.network_width(), cfg.code.local_width());
+        if nw > 64 || lw > 64 {
+            return Err(StoreError::BadSpec(format!(
+                "code is {nw} x {lw} chunks; chunk keys pack row and column into 6 bits each"
+            )));
+        }
         let mapper = ObjectMapper::new(
             cfg.geometry,
             cfg.code,
@@ -418,6 +424,24 @@ impl<B: ChunkBackend> MlecStore<B> {
         Ok(self.codec.encode(&chunks)?)
     }
 
+    /// Gate of every write: `obj` must fit the 52-bit stripe field of a
+    /// [`ChunkKey`] (a larger id would alias another object's chunks) and
+    /// `stripe` must be this store's `n_w x l_w` grid. Returns `(n_w, l_w)`.
+    fn check_writable(&self, obj: u64, stripe: &MlecStripe) -> Result<(u32, u32), StoreError> {
+        if obj >= 1 << 52 {
+            return Err(StoreError::BadSpec(format!(
+                "object id {obj} exceeds the 52-bit chunk-key stripe space"
+            )));
+        }
+        let (nw, lw) = (self.cfg.code.network_width(), self.cfg.code.local_width());
+        if stripe.len() != nw as usize || stripe.iter().any(|r| r.len() != lw as usize) {
+            return Err(StoreError::BadSpec(format!(
+                "stripe grid is not {nw} x {lw}"
+            )));
+        }
+        Ok((nw, lw))
+    }
+
     /// Write object `obj` from a pre-encoded stripe grid. Returns the new
     /// version and the virtual latency.
     pub fn put_encoded(
@@ -426,12 +450,7 @@ impl<B: ChunkBackend> MlecStore<B> {
         stripe: &MlecStripe,
         now: u64,
     ) -> Result<PutResult, StoreError> {
-        let (nw, lw) = (self.cfg.code.network_width(), self.cfg.code.local_width());
-        if stripe.len() != nw as usize || stripe.iter().any(|r| r.len() != lw as usize) {
-            return Err(StoreError::BadSpec(format!(
-                "stripe grid is not {nw} x {lw}"
-            )));
-        }
+        let (nw, lw) = self.check_writable(obj, stripe)?;
         let start = now + self.cfg.overhead_us;
         let mut end = start;
         for row in 0..nw {
@@ -464,12 +483,7 @@ impl<B: ChunkBackend> MlecStore<B> {
     /// before the measured window opened. Indistinguishable from a put at
     /// version 0 in every other respect.
     pub fn preload_encoded(&mut self, obj: u64, stripe: &MlecStripe) -> Result<(), StoreError> {
-        let (nw, lw) = (self.cfg.code.network_width(), self.cfg.code.local_width());
-        if stripe.len() != nw as usize || stripe.iter().any(|r| r.len() != lw as usize) {
-            return Err(StoreError::BadSpec(format!(
-                "stripe grid is not {nw} x {lw}"
-            )));
-        }
+        let (nw, lw) = self.check_writable(obj, stripe)?;
         for row in 0..nw {
             let rack = self.rack_of_row(obj, row) as usize;
             for col in 0..lw {
@@ -841,11 +855,6 @@ impl<B: ChunkBackend> MlecStore<B> {
         }
     }
 
-    /// Chunks currently cached, over all rack cache shards.
-    pub fn cached_chunks(&self) -> usize {
-        self.lanes.iter().map(|l| l.cache.len()).sum()
-    }
-
     /// The bandwidth arbiter (lane totals).
     pub fn arbiter(&self) -> &ShardedArbiter {
         &self.arbiter
@@ -886,6 +895,36 @@ mod tests {
         // A second put bumps the version.
         assert_eq!(s.put(3, &p, 20_000).unwrap().version, 1);
         assert_eq!(s.version_of(3), Some(1));
+    }
+
+    #[test]
+    fn code_wider_than_the_key_packing_is_rejected() {
+        // 65 rows (or columns) would wrap the 6-bit key fields.
+        for (kn, pn, kl, pl) in [(60, 5, 4, 2), (2, 1, 60, 5)] {
+            let mut cfg = StoreConfig::small_test();
+            cfg.code = MapperCode { kn, pn, kl, pl };
+            let err = MlecStore::new(cfg, |_| Ok(MemBackend::new())).unwrap_err();
+            assert!(matches!(err, StoreError::BadSpec(_)), "{err:?}");
+        }
+    }
+
+    #[test]
+    fn object_id_beyond_the_key_space_is_rejected() {
+        let mut s = store();
+        let p = payload(s.config(), 1);
+        let stripe = s.encode_payload(&p).unwrap();
+        let max = (1u64 << 52) - 1;
+        s.put_encoded(max, &stripe, 0).unwrap();
+        for obj in [1u64 << 52, u64::MAX] {
+            let err = s.put_encoded(obj, &stripe, 0).unwrap_err();
+            assert!(matches!(err, StoreError::BadSpec(_)), "{err:?}");
+            let err = s.preload_encoded(obj, &stripe).unwrap_err();
+            assert!(matches!(err, StoreError::BadSpec(_)), "{err:?}");
+        }
+        // Object 0 would be the alias of 1 << 52: it must not exist.
+        assert_eq!(s.live_objects(), 1);
+        assert!(matches!(s.get(0, 0), Err(StoreError::UnknownObject(0))));
+        assert_eq!(s.get(max, 10).unwrap().payload, p);
     }
 
     #[test]

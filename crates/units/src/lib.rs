@@ -69,19 +69,9 @@ impl Volume {
         Volume(kb * 1e3 / 1e12)
     }
 
-    /// From megabytes: `mb / 1e6`.
-    pub fn from_mb(mb: f64) -> Volume {
-        Volume(mb / 1e6)
-    }
-
     /// Escape hatch: terabytes (identity — no rounding).
     pub const fn to_tb(self) -> f64 {
         self.0
-    }
-
-    /// Escape hatch: megabytes (`tb * 1e6`).
-    pub fn to_mb(self) -> f64 {
-        self.0 * 1e6
     }
 
     /// Larger of two volumes (`f64::max` semantics).
