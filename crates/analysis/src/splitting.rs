@@ -14,7 +14,7 @@
 
 use crate::chains::pool_catastrophic_rate;
 use crate::markov::nines;
-use mlec_runner::{run, RunReport, RunSpec, POISSON_ZERO_EVENT_UPPER_95};
+use mlec_runner::{run, RunReport, RunSpec};
 use mlec_sim::config::MlecDeployment;
 use mlec_sim::failure::FailureModel;
 use mlec_sim::importance::FailureBias;
@@ -51,38 +51,6 @@ pub fn stage1_analytic(dep: &MlecDeployment) -> Stage1 {
     }
 }
 
-/// Stage 1 from simulation samples (pool-years of [`mlec_sim::pool_sim`]).
-///
-/// A campaign that observed zero events reports the Poisson 95% upper bound
-/// `-ln(0.05)/pool_years` with `unobserved` set, instead of a rate of 0 that
-/// would silently turn into ∞ nines downstream.
-pub fn stage1_from_simulation(
-    dep: &MlecDeployment,
-    result: &mlec_sim::pool_sim::PoolSimResult,
-) -> Stage1 {
-    let injected = inject_catastrophic(dep);
-    let unobserved = result.events.is_empty();
-    let rate = if unobserved {
-        if result.pool_years > 0.0 {
-            POISSON_ZERO_EVENT_UPPER_95 / result.pool_years
-        } else {
-            f64::INFINITY
-        }
-    } else {
-        result.rate_per_pool_year()
-    };
-    Stage1 {
-        cat_rate_per_pool_year: rate,
-        lost_stripes: if unobserved {
-            injected.lost_stripes
-        } else {
-            result.mean_lost_stripes()
-        },
-        stripes_per_pool: injected.total_stripes,
-        unobserved,
-    }
-}
-
 /// Stage 1 from a runner-driven pool-simulation campaign: each trial
 /// simulates one pool for `years_per_trial` with importance-sampled failure
 /// arrivals under `bias` ([`FailureBias::NONE`] for direct simulation),
@@ -92,8 +60,9 @@ pub fn stage1_from_simulation(
 /// manifest). Returns the stage-1 summary together with the full run report
 /// (compound-Poisson CI on the weighted rate, ESS, trial counts).
 ///
-/// Zero observed events yield the Poisson 95% upper bound with `unobserved`
-/// set, exactly like [`stage1_from_simulation`].
+/// A campaign that observed zero events reports the Poisson 95% upper bound
+/// `-ln(0.05)/pool_years` with `unobserved` set, instead of a rate of 0 that
+/// would silently turn into ∞ nines downstream.
 pub fn stage1_via_runner(
     dep: &MlecDeployment,
     model: &FailureModel,
@@ -360,18 +329,14 @@ mod tests {
     fn stage1_simulation_fallback() {
         // Zero observed events must yield the Poisson 95% upper bound and
         // the unobserved flag — never a rate of 0 that becomes ∞ nines.
+        use mlec_runner::StopRule;
         let d = dep(MlecScheme::CC);
-        let empty = mlec_sim::pool_sim::PoolSimResult {
-            pool_years: 100.0,
-            events: vec![],
-            disk_failures: 10,
-            max_concurrent: 2,
-            excursions: 1,
-            excursion_weight: 1.0,
-        };
-        let s1 = stage1_from_simulation(&d, &empty);
+        let model = mlec_sim::failure::FailureModel::Exponential { afr: 0.01 };
+        let spec = RunSpec::new("splitting/stage1-empty", 3, StopRule::fixed(4));
+        let (s1, report) = stage1_via_runner(&d, &model, 25.0, FailureBias::NONE, &spec).unwrap();
+        assert_eq!(report.acc.events(), 0, "1% AFR is unobservable directly");
         assert!(s1.unobserved);
-        let expect = POISSON_ZERO_EVENT_UPPER_95 / 100.0;
+        let expect = -(0.05f64.ln()) / 100.0;
         assert!(
             (s1.cat_rate_per_pool_year - expect).abs() < 1e-15,
             "rate={}",
@@ -395,7 +360,7 @@ mod tests {
         assert_eq!(report.trials, 8);
         assert!((report.acc.pool_years() - 800.0).abs() < 1e-9);
         if report.acc.events() == 0 {
-            // Falls back to the injected census, like stage1_from_simulation.
+            // Falls back to the injected census.
             assert!(s1.unobserved);
             assert!(s1.lost_stripes > 0.0);
         } else {

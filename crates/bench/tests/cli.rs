@@ -137,6 +137,25 @@ fn malformed_value_exits_2() {
     let out = mlec(&["run", "fig07", "trials=many"]);
     assert_eq!(status(&out), 2);
     assert!(stderr(&out).contains("invalid value `many` for `trials`"));
+    // Hostile values that used to panic (empty heatmap axis) or run
+    // (negative rates and skews).
+    for (args, needle) in [
+        (["run", "fig05", "max=0"], "invalid value `0` for `max`"),
+        (["run", "fig13", "max=0"], "invalid value `0` for `max`"),
+        (["run", "fig16", "max=0"], "invalid value `0` for `max`"),
+        (
+            ["run", "fig08", "afr_pct=-5"],
+            "invalid value `-5` for `afr_pct`",
+        ),
+        (
+            ["run", "store_bench", "zipf=-1"],
+            "invalid value `-1` for `zipf`",
+        ),
+    ] {
+        let out = mlec(&args);
+        assert_eq!(status(&out), 2, "{args:?}");
+        assert!(stderr(&out).contains(needle), "{}", stderr(&out));
+    }
 }
 
 #[test]

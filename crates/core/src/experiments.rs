@@ -350,6 +350,72 @@ fn resolve_bias(
     }
 }
 
+/// One scheme's stage-1 pool campaign as Fig 7 and Fig 10 `mode=sim` both
+/// run it.
+struct Stage1Campaign {
+    /// The scheme's paper deployment at the campaign's AFR.
+    dep: MlecDeployment,
+    /// The resolved importance-sampling bias.
+    bias: FailureBias,
+    s1: mlec_analysis::splitting::Stage1,
+    report: mlec_runner::RunReport<mlec_sim::trials::PoolAcc>,
+}
+
+/// Run the stage-1 pool-simulation campaign of every scheme through
+/// `mlec-runner` under the run labels `<fig>/<scheme>`.
+fn stage1_campaigns(
+    fig: &str,
+    afr: f64,
+    years_per_trial: f64,
+    trials: u64,
+    seed: u64,
+    bias: Option<f64>,
+    opts: &HeatmapRunOpts,
+) -> std::io::Result<Vec<Stage1Campaign>> {
+    let sink = opts.event_log_sink()?;
+    let model = mlec_sim::failure::FailureModel::Exponential { afr };
+    let mut out = Vec::new();
+    for scheme in MlecScheme::ALL {
+        let mut dep = paper_deployment(scheme);
+        dep.config.afr = afr;
+        let bias = resolve_bias(bias, &dep, &model);
+        // The trial budget is a stop rule, not run identity: trial seeds
+        // depend only on (root seed, label, index), so extending `trials`
+        // must resume an existing manifest rather than refuse it. The
+        // resolved bias multiplier IS run identity (it changes every trial
+        // result), so it goes into the hash — per scheme, because auto
+        // bias differs across schemes.
+        let config_hash = Json::obj(vec![
+            ("afr", Json::F64(afr)),
+            ("years_per_trial", Json::F64(years_per_trial)),
+            ("bias_degraded", Json::F64(bias.degraded)),
+        ])
+        .fingerprint();
+        let run_label = format!("{fig}/{}", scheme.name().replace('/', ""));
+        let mut spec = RunSpec::new(&run_label, seed, StopRule::fixed(trials))
+            .threads(opts.threads)
+            .config_hash(config_hash);
+        if let Some(path) = opts.manifest_path(&run_label) {
+            spec = spec.manifest(path);
+        }
+        let (s1, report) = mlec_analysis::splitting::stage1_via_runner_logged(
+            &dep,
+            &model,
+            years_per_trial,
+            bias,
+            &spec,
+            sink.as_ref(),
+        )?;
+        out.push(Stage1Campaign {
+            dep,
+            bias,
+            s1,
+            report,
+        });
+    }
+    Ok(out)
+}
+
 /// Fig 7 `mode=sim`: measure each scheme's catastrophic-pool rate by
 /// pool simulation through `mlec-runner`. With importance sampling
 /// (`bias = None` for auto, or an explicit degraded-state multiplier) this
@@ -364,57 +430,25 @@ pub fn fig7_catastrophic_prob_sim(
     opts: &HeatmapRunOpts,
 ) -> std::io::Result<Vec<CatastrophicSimRow>> {
     let mut out = Vec::new();
-    let sink = opts.event_log_sink()?;
-    for scheme in MlecScheme::ALL {
-        let mut dep = paper_deployment(scheme);
-        dep.config.afr = afr;
-        let model = mlec_sim::failure::FailureModel::Exponential { afr };
-        let fb = resolve_bias(bias, &dep, &model);
-        // The trial budget is a stop rule, not run identity: trial seeds
-        // depend only on (root seed, label, index), so extending `trials`
-        // must resume an existing manifest rather than refuse it. The
-        // resolved bias multiplier IS run identity (it changes every trial
-        // result), so it goes into the hash — per scheme, because auto
-        // bias differs across schemes.
-        let config_hash = Json::obj(vec![
-            ("afr", Json::F64(afr)),
-            ("years_per_trial", Json::F64(years_per_trial)),
-            ("bias_degraded", Json::F64(fb.degraded)),
-        ])
-        .fingerprint();
-        let run_label = format!("fig07/{}", scheme.name().replace('/', ""));
-        let mut spec = RunSpec::new(&run_label, seed, StopRule::fixed(trials))
-            .threads(opts.threads)
-            .config_hash(config_hash);
-        if let Some(path) = opts.manifest_path(&run_label) {
-            spec = spec.manifest(path);
-        }
-        let (s1, report) = mlec_analysis::splitting::stage1_via_runner_logged(
-            &dep,
-            &model,
-            years_per_trial,
-            fb,
-            &spec,
-            sink.as_ref(),
-        )?;
-        let pools = dep.local_pools().num_pools() as f64;
-        let summary = report.summary;
+    for c in stage1_campaigns("fig07", afr, years_per_trial, trials, seed, bias, opts)? {
+        let pools = c.dep.local_pools().num_pools() as f64;
+        let acc = &c.report.acc;
         out.push(CatastrophicSimRow {
-            scheme: scheme.name(),
-            rate_per_pool_year: s1.cat_rate_per_pool_year,
-            rate_ci_low: summary.ci_low,
-            rate_ci_high: summary.ci_high,
-            prob_per_system_year: -(-s1.cat_rate_per_pool_year * pools).exp_m1(),
-            analytic_prob_per_system_year: -(-system_catastrophic_rate(&dep).to_per_year())
+            scheme: c.dep.scheme.name(),
+            rate_per_pool_year: c.s1.cat_rate_per_pool_year,
+            rate_ci_low: c.report.summary.ci_low,
+            rate_ci_high: c.report.summary.ci_high,
+            prob_per_system_year: -(-c.s1.cat_rate_per_pool_year * pools).exp_m1(),
+            analytic_prob_per_system_year: -(-system_catastrophic_rate(&c.dep).to_per_year())
                 .exp_m1(),
-            events: report.acc.events(),
-            weighted_events: report.acc.rate.weighted_events(),
-            ess: report.acc.rate.ess(),
-            mean_weight: report.acc.mean_excursion_weight(),
-            bias: fb.degraded,
-            pool_years: report.acc.pool_years(),
-            degraded_frac: report.acc.degraded_fraction(),
-            unobserved: s1.unobserved,
+            events: acc.events(),
+            weighted_events: acc.rate.weighted_events(),
+            ess: acc.rate.ess(),
+            mean_weight: acc.mean_excursion_weight(),
+            bias: c.bias.degraded,
+            pool_years: acc.pool_years(),
+            degraded_frac: acc.degraded_fraction(),
+            unobserved: c.s1.unobserved,
         });
     }
     Ok(out)
@@ -517,7 +551,7 @@ pub fn fig8_fig9_repair_methods_sim(
                 log_label: "",
             };
             // Trial budget excluded (a resumed run may extend it), the
-            // physics included — see fig7_catastrophic_prob_sim.
+            // physics included — see stage1_campaigns.
             let config_hash = Json::obj(vec![
                 ("afr", Json::F64(afr)),
                 ("years_per_trial", Json::F64(years_per_trial)),
@@ -631,50 +665,29 @@ pub fn fig10_durability_sim(
     bias: Option<f64>,
     opts: &HeatmapRunOpts,
 ) -> std::io::Result<Vec<DurabilitySimCell>> {
-    use mlec_analysis::splitting::{stage1_analytic, stage1_via_runner_logged, stage2_pdl};
+    use mlec_analysis::splitting::{stage1_analytic, stage2_pdl};
     use mlec_units::Duration;
     let mut out = Vec::new();
-    let sink = opts.event_log_sink()?;
-    for scheme in MlecScheme::ALL {
-        let mut dep = paper_deployment(scheme);
-        dep.config.afr = afr;
-        let model = mlec_sim::failure::FailureModel::Exponential { afr };
-        let fb = resolve_bias(bias, &dep, &model);
-        // `trials` deliberately excluded, resolved bias deliberately
-        // included — see fig7_catastrophic_prob_sim.
-        let config_hash = Json::obj(vec![
-            ("afr", Json::F64(afr)),
-            ("years_per_trial", Json::F64(years_per_trial)),
-            ("bias_degraded", Json::F64(fb.degraded)),
-        ])
-        .fingerprint();
-        let run_label = format!("fig10/{}", scheme.name().replace('/', ""));
-        let mut spec = RunSpec::new(&run_label, seed, StopRule::fixed(trials))
-            .threads(opts.threads)
-            .config_hash(config_hash);
-        if let Some(path) = opts.manifest_path(&run_label) {
-            spec = spec.manifest(path);
-        }
-        let (s1_sim, report) =
-            stage1_via_runner_logged(&dep, &model, years_per_trial, fb, &spec, sink.as_ref())?;
-        let s1_analytic = stage1_analytic(&dep);
+    for c in stage1_campaigns("fig10", afr, years_per_trial, trials, seed, bias, opts)? {
+        let s1_analytic = stage1_analytic(&c.dep);
+        let acc = &c.report.acc;
         for method in RepairMethod::PAPER {
             out.push(DurabilitySimCell {
-                scheme: scheme.name(),
+                scheme: c.dep.scheme.name(),
                 method: method.name().to_string(),
                 nines_sim_stage1: mlec_analysis::markov::nines(
-                    stage2_pdl(&dep, method, &s1_sim, Duration::from_years(1.0)).max(1e-300),
+                    stage2_pdl(&c.dep, method, &c.s1, Duration::from_years(1.0)).max(1e-300),
                 ),
                 nines_analytic_stage1: mlec_analysis::markov::nines(
-                    stage2_pdl(&dep, method, &s1_analytic, Duration::from_years(1.0)).max(1e-300),
+                    stage2_pdl(&c.dep, method, &s1_analytic, Duration::from_years(1.0)).max(1e-300),
                 ),
-                events: report.acc.events(),
-                weighted_events: report.acc.rate.weighted_events(),
-                ess: report.acc.rate.ess(),
-                bias: fb.degraded,
-                pool_years: report.acc.pool_years(),
-                degraded_frac: report.acc.degraded_fraction(),
-                unobserved: s1_sim.unobserved,
+                events: acc.events(),
+                weighted_events: acc.rate.weighted_events(),
+                ess: acc.rate.ess(),
+                bias: c.bias.degraded,
+                pool_years: acc.pool_years(),
+                degraded_frac: acc.degraded_fraction(),
+                unobserved: c.s1.unobserved,
             });
         }
     }

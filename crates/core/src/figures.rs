@@ -1,7 +1,6 @@
 //! [`Experiment`] implementations for every figure/table in the registry:
-//! the rendering that used to live in the per-figure binaries, now in one
-//! place so the `mlec` driver, the compatibility shims, and the regression
-//! tests all execute the identical code path.
+//! the rendering lives in one place so the `mlec` driver and the
+//! regression tests execute the identical code path.
 //!
 //! Each experiment turns typed context parameters into the row/series
 //! functions of [`crate::experiments`] and renders the paper-comparable
@@ -106,16 +105,26 @@ static HEATMAP_PARAMS: &[ParamSpec] = params![
 
 static HEATMAP_FAST: &[(&str, &str)] = &[("max", "12"), ("samples", "8")];
 
-fn heatmap_spec(ctx: &ExperimentCtx) -> HeatmapSpec {
+fn heatmap_spec(ctx: &ExperimentCtx) -> Result<HeatmapSpec, ExperimentError> {
     let rel_err = ctx.f64("rel_err");
-    HeatmapSpec {
-        max: ctx.u64("max") as u32,
+    // An empty axis has no last grid line (and `as u32` would wrap 2^32 to 0).
+    let max = ctx.u64("max");
+    let max = u32::try_from(max)
+        .ok()
+        .filter(|&max| max >= 1)
+        .ok_or_else(|| ExperimentError::BadValue {
+            name: "max".to_string(),
+            value: max.to_string(),
+            expected: format!("integer in 1..={}", u32::MAX),
+        })?;
+    Ok(HeatmapSpec {
+        max,
         step: (ctx.u64("step") as u32).max(1),
         samples: (ctx.u64("samples") as u32).max(1),
         seed: ctx.u64("seed"),
         rel_err: (rel_err > 0.0).then_some(rel_err),
         min_samples: ctx.u64("min_samples") as u32,
-    }
+    })
 }
 
 fn heatmap_grid_line(out: &mut ExperimentOutput, spec: &HeatmapSpec) {
@@ -256,7 +265,7 @@ static FIG05_INFO: ExperimentInfo = ExperimentInfo {
 };
 
 fn run_fig05(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
-    let spec = heatmap_spec(ctx);
+    let spec = heatmap_spec(ctx)?;
     let mut out = ExperimentOutput::new();
     heatmap_grid_line(&mut out, &spec);
     let maps = fig5_mlec_burst_with(&spec, &ctx.runner);
@@ -1376,7 +1385,7 @@ static FIG13_INFO: ExperimentInfo = ExperimentInfo {
 };
 
 fn run_fig13(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
-    let spec = heatmap_spec(ctx);
+    let spec = heatmap_spec(ctx)?;
     let mut out = ExperimentOutput::new();
     heatmap_grid_line(&mut out, &spec);
     let maps = fig13_slec_burst_with(&spec, SlecParams::new(7, 3), &ctx.runner);
@@ -1410,7 +1419,7 @@ static FIG16_INFO: ExperimentInfo = ExperimentInfo {
 };
 
 fn run_fig16(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
-    let spec = heatmap_spec(ctx);
+    let spec = heatmap_spec(ctx)?;
     let mut out = ExperimentOutput::new();
     heatmap_grid_line(&mut out, &spec);
     let map = fig16_lrc_burst_with(&spec, LrcParams::paper_default(), &ctx.runner);

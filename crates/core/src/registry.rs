@@ -21,7 +21,8 @@ use std::path::{Path, PathBuf};
 pub enum ParamKind {
     /// Unsigned integer (`trials=64`).
     U64,
-    /// Float (`rel_err=0.05`).
+    /// Non-negative float (`rel_err=0.05`): every declared one is a rate,
+    /// a span or a tolerance.
     F64,
     /// Free string (`bias=auto`).
     Str,
@@ -32,7 +33,7 @@ impl ParamKind {
     pub fn name(self) -> &'static str {
         match self {
             ParamKind::U64 => "integer",
-            ParamKind::F64 => "number",
+            ParamKind::F64 => "non-negative number",
             ParamKind::Str => "string",
         }
     }
@@ -40,7 +41,9 @@ impl ParamKind {
     fn validate(self, value: &str) -> bool {
         match self {
             ParamKind::U64 => value.parse::<u64>().is_ok(),
-            ParamKind::F64 => value.parse::<f64>().is_ok_and(f64::is_finite),
+            ParamKind::F64 => value
+                .parse::<f64>()
+                .is_ok_and(|v| v.is_finite() && v >= 0.0),
             ParamKind::Str => true,
         }
     }
@@ -637,6 +640,25 @@ mod tests {
             run_experiment("fig07", &args(&["trials=many"])),
             Err(ExperimentError::BadValue { .. })
         ));
+        // Every declared float is a non-negative quantity, and a heatmap
+        // needs at least one grid line (`max=0` used to panic on the axis).
+        for (name, arg) in [
+            ("fig08", "afr_pct=-5"),
+            ("fig09", "years=-1"),
+            ("fig05", "rel_err=-0.1"),
+            ("store_bench", "zipf=-1"),
+            ("fig05", "max=0"),
+            ("fig13", "max=0"),
+            ("fig16", "max=4294967296"),
+        ] {
+            assert!(
+                matches!(
+                    run_experiment(name, &args(&["mode=sim", arg])),
+                    Err(ExperimentError::BadValue { .. })
+                ),
+                "{name} {arg}"
+            );
+        }
         // A u64 that does not fit the spec's u32 field must not be
         // truncated (4294967306 as u32 == 10) and run.
         for arg in [

@@ -32,7 +32,7 @@ pub use executor::{run, run_with, RunReport, RunSpec, StopRule};
 pub use json::{Json, ToJson};
 pub use rng::{trial_rng, SplitMix64, TrialRng};
 pub use seed_stream::SeedStream;
-pub use stats::{Proportion, WeightedRate, WeightedWelford, Welford, POISSON_ZERO_EVENT_UPPER_95};
+pub use stats::{Proportion, WeightedRate, WeightedWelford, Welford};
 pub use trial::{
     Accumulator, FnTrial, GridAcc, GridOrder, GridTrial, HitAcc, HitTrial, MeanAcc, Summary, Trial,
 };

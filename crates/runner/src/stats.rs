@@ -5,11 +5,9 @@
 
 use crate::json::Json;
 
-/// `-ln(0.05)`: the exact 95% Poisson upper bound on a rate after observing
-/// zero events over unit exposure.
 /// `-ln(0.05)`: the 95% upper confidence bound on a Poisson mean when zero
 /// events were observed (divide by the exposure to get a rate bound).
-pub const POISSON_ZERO_EVENT_UPPER_95: f64 = 2.995_732_273_553_991;
+const POISSON_ZERO_EVENT_UPPER_95: f64 = 2.995_732_273_553_991;
 
 /// Welford's online mean/variance accumulator.
 ///

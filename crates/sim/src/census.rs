@@ -235,22 +235,6 @@ impl StripeCensus {
             }
         }
     }
-
-    /// Hours needed to drain everything at or above multiplicity `m`, given
-    /// a repair rate in chunks/hour.
-    pub fn drain_hours_at_or_above(&self, m: u32, chunks_per_hour: f64) -> f64 {
-        if chunks_per_hour <= 0.0 {
-            return f64::INFINITY;
-        }
-        let chunks: f64 = self
-            .counts
-            .iter()
-            .enumerate()
-            .skip(m as usize)
-            .map(|(mm, &n)| mm as f64 * n)
-            .sum();
-        chunks / chunks_per_hour
-    }
 }
 
 #[cfg(test)]
@@ -410,15 +394,5 @@ mod tests {
         // The leftover budget went slightly negative (-5e-10), so the
         // second entry is untouched.
         assert_eq!(pending[0], 40.0);
-    }
-
-    #[test]
-    fn drain_hours_accounting() {
-        let mut census = StripeCensus::new(120, 20, 1e6);
-        census.add_disk_failure();
-        census.add_disk_failure();
-        let h = census.drain_hours_at_or_above(2, 1000.0);
-        assert!((h - census.at(2) * 2.0 / 1000.0).abs() < 1e-9);
-        assert_eq!(census.drain_hours_at_or_above(2, 0.0), f64::INFINITY);
     }
 }

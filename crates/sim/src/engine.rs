@@ -81,22 +81,12 @@ impl<E> EventQueue<E> {
         self.heap.push(Entry { time, seq, event });
     }
 
-    /// Schedule `event` `delay` hours from now.
-    pub fn schedule_in(&mut self, delay: f64, event: E) {
-        self.schedule(self.now + delay, event);
-    }
-
     /// Pop the earliest event, advancing the clock to its time.
     pub fn pop(&mut self) -> Option<(f64, E)> {
         self.heap.pop().map(|e| {
             self.now = e.time;
             (e.time, e.event)
         })
-    }
-
-    /// Peek at the next event time without popping.
-    pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|e| e.time)
     }
 
     /// Number of pending events.
@@ -145,15 +135,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_in_is_relative() {
-        let mut q = EventQueue::new();
-        q.schedule(10.0, "first");
-        q.pop();
-        q.schedule_in(2.5, "second");
-        assert_eq!(q.pop(), Some((12.5, "second")));
-    }
-
-    #[test]
     #[should_panic]
     fn scheduling_into_the_past_panics() {
         let mut q = EventQueue::new();
@@ -163,13 +144,12 @@ mod tests {
     }
 
     #[test]
-    fn len_and_peek() {
+    fn len_and_is_empty() {
         let mut q: EventQueue<u8> = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
         q.schedule(4.0, 1);
         q.schedule(2.0, 2);
         assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(2.0));
+        assert!(!q.is_empty());
     }
 }

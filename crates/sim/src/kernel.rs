@@ -11,10 +11,11 @@
 //! - the pool simulators implement [`PoolPolicy`] (state transitions, loss
 //!   detection, and the repair-time model) and run under the shared
 //!   next-event loop [`run_pool_policy`];
-//! - the system simulator keeps its own repair scheduling on
-//!   [`crate::engine::EventQueue`] but consumes the kernel for failure
-//!   arrivals (via [`ArrivalSource`] — stochastic or trace-replay) and for
-//!   exposure/jump accounting.
+//! - the system simulator schedules network repairs on
+//!   [`crate::engine::EventQueue`], draws failure arrivals from the kernel
+//!   (via [`ArrivalSource`] — stochastic or trace-replay), and advances one
+//!   of the same [`PoolPolicy`] objects per touched pool lazily to each
+//!   arrival.
 //!
 //! Every RNG draw the kernel makes mirrors the original hand-rolled loops
 //! operation for operation, so fixed-seed results are bit-identical — the
@@ -324,17 +325,16 @@ pub enum FailureOutcome {
     },
 }
 
-/// Pool-state policy driven by [`run_pool_policy`]: the clustered and
-/// declustered pool simulators expressed as state transitions over the
-/// shared kernel. See `ClusteredPolicy`/`DeclusteredPolicy` in
-/// [`crate::pool_sim`].
+/// Pool-state policy driven by [`run_pool_policy`] and by
+/// [`crate::system_sim`]: the clustered and declustered pool models
+/// expressed as state transitions over the shared kernel. See
+/// `ClusteredPolicy`/`DeclusteredPolicy` in [`crate::pool_sim`].
 pub trait PoolPolicy {
+    /// Pool size in disks; the survivors carry the pool's failure hazard.
+    fn pool_disks(&self) -> u32;
+
     /// Currently failed disks (drives the bias multiplier).
     fn failed_disks(&self) -> u32;
-
-    /// True aggregate failure intensity (events/hour) with `failed` disks
-    /// down.
-    fn failure_rate(&self, failed: u32) -> f64;
 
     /// Absolute time of the next internal repair event — clustered rebuild
     /// completion or declustered full-drain completion — or infinity.
@@ -367,19 +367,22 @@ pub trait PoolPolicy {
 }
 
 /// The shared next-event loop of both pool simulators: sample the next
-/// biased failure arrival, race it against the policy's next repair event,
-/// charge exposure, censor at the horizon, and route regeneration and
+/// biased failure arrival (every surviving disk fails at `per_disk_rate`
+/// events/hour), race it against the policy's next repair event, charge
+/// exposure, censor at the horizon, and route regeneration and
 /// catastrophic outcomes through the kernel. Returns the catastrophic
 /// events observed (each carrying its excursion's likelihood weight).
 pub fn run_pool_policy<P: PoolPolicy, O: SimObserver>(
     kernel: &mut HazardKernel,
     policy: &mut P,
+    per_disk_rate: f64,
     observer: &mut O,
 ) -> Vec<CatastrophicEvent> {
     let mut events = Vec::new();
     loop {
         let failed = policy.failed_disks();
-        let next_fail = kernel.sample_next_failure(failed, policy.failure_rate(failed));
+        let true_rate = (policy.pool_disks() - failed) as f64 * per_disk_rate;
+        let next_fail = kernel.sample_next_failure(failed, true_rate);
         let next_repair = policy.next_repair_event(kernel.now());
         let step_to = next_fail.min(next_repair);
         if step_to > kernel.horizon() {

@@ -7,14 +7,22 @@
 //! (most-failed-first) rebuild and Poisson rare-stripe sampling at the
 //! catastrophic boundary.
 //!
+//! The two [`PoolPolicy`] implementations here are the only model of a
+//! local pool in the crate: [`simulate_pool_observed`] races one of them
+//! against its own hazard under [`run_pool_policy`], and
+//! [`crate::system_sim`] keeps one per touched pool of a whole deployment.
+//! Each policy is split into per-deployment constants ([`ClusteredParams`],
+//! [`DeclusteredParams`] — built once per run or mission, shared by
+//! reference) and the per-pool state that changes.
+//!
 //! At the paper's true 1% AFR direct simulation observes nothing; the
 //! [`crate::importance`] layer fixes that: failure arrivals can be sampled
 //! at a biased rate ([`FailureBias`], typically only while the pool is
 //! degraded) and every emitted [`CatastrophicEvent`] carries the exact
 //! likelihood-ratio weight of the true measure against the biased one, so
 //! weighted rates stay unbiased. [`simulate_pool`] is the unbiased entry
-//! point (all weights exactly 1.0); [`simulate_pool_biased`] takes a bias
-//! and is bit-identical to it under [`FailureBias::NONE`].
+//! point (all weights exactly 1.0); [`simulate_pool_observed`] takes a bias
+//! and an observer and is bit-identical to it under [`FailureBias::NONE`].
 //!
 //! Modeling notes (see DESIGN.md):
 //! - failure arrivals are exponential per surviving disk, resampled at every
@@ -33,7 +41,7 @@
 //!   weight degeneracy over long horizons without giving up exactness; the
 //!   per-excursion weights are recorded and their mean is 1 in expectation
 //!   (the unbiasedness diagnostic surfaced as
-//!   [`PoolSimResult::mean_excursion_weight`]).
+//!   [`crate::trials::PoolAcc::mean_excursion_weight`]).
 
 use crate::census::StripeCensus;
 use crate::config::{MlecDeployment, HOURS_PER_YEAR};
@@ -44,6 +52,7 @@ use crate::kernel::{
 };
 use mlec_topology::Placement;
 use mlec_units::Volume;
+use std::collections::VecDeque;
 
 /// One catastrophic local-pool failure observed by the simulator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,7 +68,8 @@ pub struct CatastrophicEvent {
     pub weight: f64,
 }
 
-/// Aggregate result of a pool simulation run.
+/// Raw result of one pool simulation run; [`crate::trials::PoolAcc`]
+/// accumulates runs into rates, means and confidence intervals.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PoolSimResult {
     /// Simulated pool-years.
@@ -78,50 +88,6 @@ pub struct PoolSimResult {
     pub excursion_weight: f64,
 }
 
-impl PoolSimResult {
-    /// Weighted catastrophic events per pool-year (0 when no exposure, so a
-    /// zero-trial resume can never produce NaN).
-    pub fn rate_per_pool_year(&self) -> f64 {
-        if self.pool_years <= 0.0 {
-            return 0.0;
-        }
-        self.events.iter().map(|e| e.weight).sum::<f64>() / self.pool_years
-    }
-
-    /// Weighted mean lost local stripes per catastrophic event (0 if none).
-    pub fn mean_lost_stripes(&self) -> f64 {
-        let sum_w: f64 = self.events.iter().map(|e| e.weight).sum();
-        if sum_w <= 0.0 {
-            return 0.0;
-        }
-        self.events
-            .iter()
-            .map(|e| e.weight * e.lost_stripes)
-            .sum::<f64>()
-            / sum_w
-    }
-
-    /// Mean final likelihood weight per excursion — ≈1 for a correctly
-    /// weighted run (exactly 1 unbiased); 0 when no excursion completed.
-    pub fn mean_excursion_weight(&self) -> f64 {
-        if self.excursions == 0 {
-            return 0.0;
-        }
-        self.excursion_weight / self.excursions as f64
-    }
-
-    /// Merge another run into this one (offsetting nothing — event times are
-    /// per-run).
-    pub fn merge(&mut self, other: PoolSimResult) {
-        self.pool_years += other.pool_years;
-        self.events.extend(other.events);
-        self.disk_failures += other.disk_failures;
-        self.max_concurrent = self.max_concurrent.max(other.max_concurrent);
-        self.excursions += other.excursions;
-        self.excursion_weight += other.excursion_weight;
-    }
-}
-
 /// Simulate one local pool of the deployment for `years` simulated years,
 /// unbiased (every event weight is exactly 1.0).
 ///
@@ -134,31 +100,28 @@ pub fn simulate_pool(
     years: f64,
     seed: u64,
 ) -> PoolSimResult {
-    simulate_pool_biased(dep, failure_model, years, seed, FailureBias::NONE)
+    simulate_pool_observed(
+        dep,
+        failure_model,
+        years,
+        seed,
+        FailureBias::NONE,
+        &mut NoopObserver,
+    )
 }
 
-/// Simulate one local pool with importance-sampled failure arrivals.
+/// Simulate one local pool with importance-sampled failure arrivals and a
+/// [`SimObserver`] attached.
 ///
 /// Arrivals are drawn at `bias.multiplier(failed_disks) ×` the true rate and
 /// every emitted event carries the exact likelihood-ratio weight, so
 /// `Σ weight / pool_years` estimates the true catastrophic rate at any bias.
 /// With [`FailureBias::NONE`] this is bit-identical to [`simulate_pool`]
-/// (the RNG consumes the same draws).
-pub fn simulate_pool_biased(
-    dep: &MlecDeployment,
-    failure_model: &FailureModel,
-    years: f64,
-    seed: u64,
-    bias: FailureBias,
-) -> PoolSimResult {
-    simulate_pool_observed(dep, failure_model, years, seed, bias, &mut NoopObserver)
-}
-
-/// [`simulate_pool_biased`] with a [`SimObserver`] attached: per-event
-/// callbacks for failures/repairs/catastrophes plus degraded-interval
-/// accounting. Observers never consume randomness, so results are
-/// bit-identical with any observer (and with [`NoopObserver`] the
-/// monomorphized code is the unobserved simulator).
+/// (the RNG consumes the same draws). The observer gets per-event callbacks
+/// for failures/repairs/catastrophes plus degraded-interval accounting;
+/// observers never consume randomness, so results are bit-identical with
+/// any observer (and with [`NoopObserver`] the monomorphized code is the
+/// unobserved simulator).
 pub fn simulate_pool_observed<O: SimObserver>(
     dep: &MlecDeployment,
     failure_model: &FailureModel,
@@ -167,51 +130,47 @@ pub fn simulate_pool_observed<O: SimObserver>(
     bias: FailureBias,
     observer: &mut O,
 ) -> PoolSimResult {
+    let horizon_h = years * HOURS_PER_YEAR;
+    let rate = per_disk_rate(failure_model);
     match dep.scheme.local {
         Placement::Clustered => {
             // The clustered simulator predates the seed-stream convention
             // and seeds its ChaCha12 stream raw; changing this would shift
             // every fixed-seed golden.
-            let mut kernel = HazardKernel::from_seed(seed, bias, years * HOURS_PER_YEAR);
-            let mut policy = ClusteredPolicy::new(dep, failure_model);
-            finish_pool_run(
-                run_pool_policy(&mut kernel, &mut policy, observer),
-                &kernel,
-                policy.max_concurrent(),
-                years,
-            )
+            let kernel = HazardKernel::from_seed(seed, bias, horizon_h);
+            let params = ClusteredParams::new(dep);
+            run_pool(kernel, ClusteredPolicy::new(&params), rate, years, observer)
         }
         Placement::Declustered => {
-            let mut kernel = HazardKernel::from_seed_stream(
-                seed,
-                "pool_sim/declustered",
-                bias,
-                years * HOURS_PER_YEAR,
-            );
-            let mut policy = DeclusteredPolicy::new(dep, failure_model);
-            finish_pool_run(
-                run_pool_policy(&mut kernel, &mut policy, observer),
-                &kernel,
-                policy.max_concurrent(),
+            let kernel =
+                HazardKernel::from_seed_stream(seed, "pool_sim/declustered", bias, horizon_h);
+            let params = DeclusteredParams::new(dep);
+            run_pool(
+                kernel,
+                DeclusteredPolicy::new(&params),
+                rate,
                 years,
+                observer,
             )
         }
     }
 }
 
-/// Assemble a [`PoolSimResult`] from the kernel's bookkeeping and the
-/// policy's concurrency accounting.
-fn finish_pool_run(
-    events: Vec<CatastrophicEvent>,
-    kernel: &HazardKernel,
-    max_concurrent: u32,
+/// Run one policy to the kernel's horizon and assemble a [`PoolSimResult`]
+/// from the kernel's bookkeeping and the policy's concurrency accounting.
+fn run_pool<P: PoolPolicy, O: SimObserver>(
+    mut kernel: HazardKernel,
+    mut policy: P,
+    per_disk_rate: f64,
     years: f64,
+    observer: &mut O,
 ) -> PoolSimResult {
+    let events = run_pool_policy(&mut kernel, &mut policy, per_disk_rate, observer);
     PoolSimResult {
         pool_years: years,
         events,
         disk_failures: kernel.disk_failures(),
-        max_concurrent,
+        max_concurrent: policy.max_concurrent(),
         excursions: kernel.excursions(),
         excursion_weight: kernel.excursion_weight(),
     }
@@ -235,52 +194,69 @@ fn per_disk_rate(model: &FailureModel) -> f64 {
     }
 }
 
-/// The clustered pool as a [`PoolPolicy`]: per-disk rebuilds tracked
-/// directly (a `Vec` of repair-completion times), catastrophe when
-/// `p_l + 1` failures overlap — at which point every stripe spans the pool
-/// and all are lost.
-pub struct ClusteredPolicy {
+/// Stripes in one local pool of the deployment.
+fn stripes_per_pool(dep: &MlecDeployment, pool_disks: u32) -> f64 {
+    pool_disks as f64 * dep.geometry.chunks_per_disk() / dep.local_width() as f64
+}
+
+/// What every clustered pool of a deployment shares: built once per run
+/// (or per whole-system mission) and borrowed by each [`ClusteredPolicy`].
+pub struct ClusteredParams {
     /// Pool size in disks.
     d: u32,
     /// Catastrophic threshold `p_l + 1`.
     threshold: u32,
-    /// Per-disk failure rate, events/hour.
-    rate: f64,
     /// Deterministic single-disk rebuild time, hours.
     repair_hours: f64,
     /// Stripes in the pool (all lost at catastrophe).
     total_stripes: f64,
+}
+
+impl ClusteredParams {
+    /// The clustered-pool constants of the deployment.
+    pub fn new(dep: &MlecDeployment) -> ClusteredParams {
+        let d = dep.local_pools().pool_size();
+        ClusteredParams {
+            d,
+            threshold: dep.params.local.p as u32 + 1,
+            repair_hours: (dep.config.detection()
+                + Volume::from_tb(dep.geometry.disk_capacity_tb)
+                    .transfer_time_mb(dep.config.disk_repair_bw()))
+            .to_hours(),
+            total_stripes: stripes_per_pool(dep, d),
+        }
+    }
+}
+
+/// The clustered pool as a [`PoolPolicy`]: per-disk rebuilds tracked
+/// directly (a `Vec` of repair-completion times), catastrophe when
+/// `p_l + 1` failures overlap — at which point every stripe spans the pool
+/// and all are lost.
+pub struct ClusteredPolicy<'a> {
+    params: &'a ClusteredParams,
     /// Repair-completion times of currently failed disks.
     active: Vec<f64>,
     max_concurrent: u32,
 }
 
-impl ClusteredPolicy {
-    /// Policy state for one clustered pool of the deployment.
-    pub fn new(dep: &MlecDeployment, failure_model: &FailureModel) -> ClusteredPolicy {
-        let d = dep.local_pools().pool_size();
+impl<'a> ClusteredPolicy<'a> {
+    /// A healthy clustered pool.
+    pub fn new(params: &'a ClusteredParams) -> ClusteredPolicy<'a> {
         ClusteredPolicy {
-            d,
-            threshold: dep.params.local.p as u32 + 1,
-            rate: per_disk_rate(failure_model),
-            repair_hours: (dep.config.detection()
-                + Volume::from_tb(dep.geometry.disk_capacity_tb)
-                    .transfer_time_mb(dep.config.disk_repair_bw()))
-            .to_hours(),
-            total_stripes: d as f64 * dep.geometry.chunks_per_disk() / dep.local_width() as f64,
+            params,
             active: Vec::new(),
             max_concurrent: 0,
         }
     }
 }
 
-impl PoolPolicy for ClusteredPolicy {
-    fn failed_disks(&self) -> u32 {
-        self.active.len() as u32
+impl PoolPolicy for ClusteredPolicy<'_> {
+    fn pool_disks(&self) -> u32 {
+        self.params.d
     }
 
-    fn failure_rate(&self, failed: u32) -> f64 {
-        (self.d - failed) as f64 * self.rate
+    fn failed_disks(&self) -> u32 {
+        self.active.len() as u32
     }
 
     fn next_repair_event(&self, _now: f64) -> f64 {
@@ -302,15 +278,15 @@ impl PoolPolicy for ClusteredPolicy {
     }
 
     fn on_failure(&mut self, kernel: &mut HazardKernel) -> FailureOutcome {
-        self.active.push(kernel.now() + self.repair_hours);
+        self.active.push(kernel.now() + self.params.repair_hours);
         self.max_concurrent = self.max_concurrent.max(self.active.len() as u32);
-        if self.active.len() as u32 >= self.threshold {
+        if self.active.len() as u32 >= self.params.threshold {
             // Every stripe spans the pool: all stripes are lost.
             let concurrent_failures = self.active.len() as u32;
             self.active.clear(); // network repair resets the pool
             FailureOutcome::Catastrophic {
                 concurrent_failures,
-                lost_stripes: self.total_stripes,
+                lost_stripes: self.params.total_stripes,
             }
         } else {
             FailureOutcome::Continue
@@ -322,79 +298,79 @@ impl PoolPolicy for ClusteredPolicy {
     }
 }
 
-/// The declustered pool as a [`PoolPolicy`]: the [`StripeCensus`]
-/// expected-value model with priority (most-failed-first) drain, FIFO
-/// spare-drain disk release, detection-delay repair pauses, and Poisson
-/// rare-stripe sampling at the catastrophic boundary.
-pub struct DeclusteredPolicy {
+/// What every declustered pool of a deployment shares: built once per run
+/// (or per whole-system mission) and borrowed by each
+/// [`DeclusteredPolicy`], so the drain-rate table exists once however many
+/// pools a mission touches.
+pub struct DeclusteredParams {
     /// Pool size in disks.
     d: u32,
     /// Local stripe width `k_l + p_l`.
     w: u32,
     /// Catastrophic threshold `p_l + 1`.
     threshold: u32,
-    /// Per-disk failure rate, events/hour.
-    rate: f64,
     /// Stripes in the pool.
     total_stripes: f64,
     /// Detection delay added after every failure, hours.
     detection_hours: f64,
-    /// Drain bandwidth at `f` failed disks, chunks/hour (interval-start
-    /// convention: recomputed per step, held constant over it).
-    drain_rate: DrainRate,
+    /// Drain bandwidth in chunks/hour at each failed-disk count `0..=d`:
+    /// `local_repair_bw(dep, 1, f) * 3600 / chunk_mb` (interval-start
+    /// convention: looked up per step, held constant over it).
+    drain_chunks_per_hour: Vec<f64>,
+}
+
+impl DeclusteredParams {
+    /// The declustered-pool constants of the deployment.
+    pub fn new(dep: &MlecDeployment) -> DeclusteredParams {
+        let d = dep.local_pools().pool_size();
+        let chunk_mb = dep.geometry.chunk_kb / 1e3;
+        DeclusteredParams {
+            d,
+            w: dep.local_width(),
+            threshold: dep.params.local.p as u32 + 1,
+            total_stripes: stripes_per_pool(dep, d),
+            detection_hours: dep.config.detection_hours,
+            drain_chunks_per_hour: (0..=d)
+                .map(|f| crate::bandwidth::local_repair_bw(dep, 1, f).to_mbs() * 3600.0 / chunk_mb)
+                .collect(),
+        }
+    }
+
+    fn drain_rate(&self, failed: u32) -> f64 {
+        // PANICS: callers pass `failed <= d`, the inclusive bound the
+        // table was built with.
+        self.drain_chunks_per_hour[failed as usize]
+    }
+
+    fn healthy_census(&self) -> StripeCensus {
+        StripeCensus::new(self.d, self.w, self.total_stripes)
+    }
+}
+
+/// The declustered pool as a [`PoolPolicy`]: the [`StripeCensus`]
+/// expected-value model with priority (most-failed-first) drain, FIFO
+/// spare-drain disk release, detection-delay repair pauses, and Poisson
+/// rare-stripe sampling at the catastrophic boundary.
+pub struct DeclusteredPolicy<'a> {
+    params: &'a DeclusteredParams,
     census: StripeCensus,
     /// Repair is paused until the most recent failure is detected.
     drain_paused_until: f64,
     /// FIFO of per-failure outstanding chunk volumes: when cumulative drain
     /// covers the head entry, that disk's data is fully in spare space and
     /// the disk is released (it no longer constrains stripe placement).
-    pending: std::collections::VecDeque<f64>,
+    pending: VecDeque<f64>,
     max_concurrent: u32,
 }
 
-/// The declustered drain-rate model, captured from the deployment so the
-/// policy carries no deployment borrow.
-struct DrainRate {
-    /// Precomputed `local_repair_bw(dep, 1, f) * 3600 / chunk_mb` for
-    /// each failed-disk count `f` in `0..=d`.
-    chunks_per_hour: Vec<f64>,
-}
-
-impl DrainRate {
-    fn new(dep: &MlecDeployment, d: u32, chunk_mb: f64) -> DrainRate {
-        DrainRate {
-            chunks_per_hour: (0..=d)
-                .map(|f| crate::bandwidth::local_repair_bw(dep, 1, f).to_mbs() * 3600.0 / chunk_mb)
-                .collect(),
-        }
-    }
-
-    fn at(&self, failed: u32) -> f64 {
-        // PANICS: callers pass `failed <= d`, the inclusive bound the
-        // vector was built with.
-        self.chunks_per_hour[failed as usize]
-    }
-}
-
-impl DeclusteredPolicy {
-    /// Policy state for one declustered pool of the deployment.
-    pub fn new(dep: &MlecDeployment, failure_model: &FailureModel) -> DeclusteredPolicy {
-        let pools = dep.local_pools();
-        let d = pools.pool_size();
-        let w = dep.local_width();
-        let chunk_mb = dep.geometry.chunk_kb / 1e3;
-        let total_stripes = d as f64 * dep.geometry.chunks_per_disk() / w as f64;
+impl<'a> DeclusteredPolicy<'a> {
+    /// A healthy declustered pool.
+    pub fn new(params: &'a DeclusteredParams) -> DeclusteredPolicy<'a> {
         DeclusteredPolicy {
-            d,
-            w,
-            threshold: dep.params.local.p as u32 + 1,
-            rate: per_disk_rate(failure_model),
-            total_stripes,
-            detection_hours: dep.config.detection_hours,
-            drain_rate: DrainRate::new(dep, d, chunk_mb),
-            census: StripeCensus::new(d, w, total_stripes),
+            params,
+            census: params.healthy_census(),
             drain_paused_until: 0.0,
-            pending: std::collections::VecDeque::new(),
+            pending: VecDeque::new(),
             max_concurrent: 0,
         }
     }
@@ -402,26 +378,26 @@ impl DeclusteredPolicy {
     /// Reset to healthy after a catastrophe (the network level rebuilds the
     /// pool); repair of future failures resumes immediately.
     fn reset_after_catastrophe(&mut self, now: f64) {
-        self.census = StripeCensus::new(self.d, self.w, self.total_stripes);
+        self.census = self.params.healthy_census();
         self.pending.clear();
         self.drain_paused_until = now;
     }
 }
 
-impl PoolPolicy for DeclusteredPolicy {
-    fn failed_disks(&self) -> u32 {
-        self.census.failed_disks()
+impl PoolPolicy for DeclusteredPolicy<'_> {
+    fn pool_disks(&self) -> u32 {
+        self.params.d
     }
 
-    fn failure_rate(&self, failed: u32) -> f64 {
-        (self.d - failed) as f64 * self.rate
+    fn failed_disks(&self) -> u32 {
+        self.census.failed_disks()
     }
 
     fn next_repair_event(&self, now: f64) -> f64 {
         // Time at which the current drain would finish everything.
         let remaining_chunks = self.census.failed_chunks();
         if remaining_chunks > 0.5 {
-            let rate = self.drain_rate.at(self.census.failed_disks());
+            let rate = self.params.drain_rate(self.census.failed_disks());
             // Floor the step so floating-point rounding at large `now` can
             // never produce a zero-length step (which would livelock).
             (self.drain_paused_until.max(now) + remaining_chunks / rate).max(now + 1e-6)
@@ -443,7 +419,7 @@ impl PoolPolicy for DeclusteredPolicy {
         let remaining_chunks = self.census.failed_chunks();
         let drain_start = self.drain_paused_until.max(from);
         if to > drain_start && remaining_chunks > 1e-9 {
-            let budget = (to - drain_start) * self.drain_rate.at(self.census.failed_disks());
+            let budget = (to - drain_start) * self.params.drain_rate(self.census.failed_disks());
             let repaired = self.census.drain_priority(budget);
             self.census.consume_drain(&mut self.pending, repaired);
             if self.census.failed_chunks() < 0.5 {
@@ -460,23 +436,24 @@ impl PoolPolicy for DeclusteredPolicy {
 
     fn on_failure(&mut self, kernel: &mut HazardKernel) -> FailureOutcome {
         let now = kernel.now();
-        if self.census.failed_disks() + 1 >= self.d {
+        let (d, threshold) = (self.params.d, self.params.threshold);
+        if self.census.failed_disks() + 1 >= d {
             // Essentially every disk is down: unconditionally catastrophic
             // (nothing left to place stripes on). Deliberately not counted
             // into max_concurrent, mirroring the original loop.
             self.reset_after_catastrophe(now);
             return FailureOutcome::Catastrophic {
-                concurrent_failures: self.d,
-                lost_stripes: self.total_stripes,
+                concurrent_failures: d,
+                lost_stripes: self.params.total_stripes,
             };
         }
         let before = self.census.failed_chunks();
         self.census.add_disk_failure();
         self.pending.push_back(self.census.failed_chunks() - before);
         self.max_concurrent = self.max_concurrent.max(self.census.failed_disks());
-        self.drain_paused_until = now + self.detection_hours;
-        if self.census.failed_disks() >= self.threshold {
-            let lambda = self.census.at_or_above(self.threshold);
+        self.drain_paused_until = now + self.params.detection_hours;
+        if self.census.failed_disks() >= threshold {
+            let lambda = self.census.at_or_above(threshold);
             let lost = if lambda > 30.0 {
                 lambda
             } else {
@@ -494,12 +471,13 @@ impl PoolPolicy for DeclusteredPolicy {
             // Rare-stripe sampling says no stripe actually reached the
             // catastrophic multiplicity: zero those classes (drain clears
             // the top classes first by construction).
-            let removed = self.census.at_or_above(self.threshold);
-            let repaired = self
-                .census
-                .drain_priority(removed * self.threshold as f64 * 2.0);
+            let removed = self.census.at_or_above(threshold);
+            let repaired = self.census.drain_priority(removed * threshold as f64 * 2.0);
             self.census.consume_drain(&mut self.pending, repaired);
             if self.census.failed_disks() == 0 {
+                // All-healthy (possibly by the census's half-chunk snap):
+                // no failed disk is left to release.
+                self.pending.clear();
                 return FailureOutcome::Regenerated;
             }
         }
@@ -518,6 +496,24 @@ mod tests {
 
     fn dep(scheme: MlecScheme) -> MlecDeployment {
         MlecDeployment::paper_default(scheme)
+    }
+
+    fn simulate_pool_biased(
+        dep: &MlecDeployment,
+        model: &FailureModel,
+        years: f64,
+        seed: u64,
+        bias: FailureBias,
+    ) -> PoolSimResult {
+        simulate_pool_observed(dep, model, years, seed, bias, &mut NoopObserver)
+    }
+
+    fn rate_per_pool_year(r: &PoolSimResult) -> f64 {
+        r.events.iter().map(|e| e.weight).sum::<f64>() / r.pool_years
+    }
+
+    fn mean_excursion_weight(r: &PoolSimResult) -> f64 {
+        r.excursion_weight / r.excursions as f64
     }
 
     #[test]
@@ -578,7 +574,7 @@ mod tests {
             assert!(direct.events.iter().all(|e| e.weight == 1.0));
             assert!(direct.excursions > 0);
             assert_eq!(direct.excursion_weight, direct.excursions as f64);
-            assert_eq!(direct.mean_excursion_weight(), 1.0);
+            assert_eq!(mean_excursion_weight(&direct), 1.0);
         }
     }
 
@@ -596,8 +592,8 @@ mod tests {
         let years = 2000.0;
         let direct = simulate_pool(&d, &model, years, 17);
         let biased = simulate_pool_biased(&d, &model, years, 18, FailureBias::degraded_only(3.0));
-        let rate_d = direct.rate_per_pool_year();
-        let rate_b = biased.rate_per_pool_year();
+        let rate_d = rate_per_pool_year(&direct);
+        let rate_b = rate_per_pool_year(&biased);
         assert!(
             direct.events.len() > 30,
             "direct events={}",
@@ -623,7 +619,7 @@ mod tests {
             (rate_d - rate_b).abs() < 1.96 * (se_d + se_b),
             "direct={rate_d}±{se_d} biased={rate_b}±{se_b}"
         );
-        let mw = biased.mean_excursion_weight();
+        let mw = mean_excursion_weight(&biased);
         assert!((mw - 1.0).abs() < 0.3, "mean excursion weight {mw}");
     }
 
@@ -646,14 +642,14 @@ mod tests {
             !biased.events.is_empty(),
             "importance sampling must observe events at 1% AFR"
         );
-        let rate = biased.rate_per_pool_year();
+        let rate = rate_per_pool_year(&biased);
         assert!(rate.is_finite() && rate > 0.0, "rate={rate}");
         // Each event needed ~3 forced arrivals: weights are far below 1.
         assert!(biased
             .events
             .iter()
             .all(|e| e.weight.is_finite() && e.weight < 1e-2));
-        let mw = biased.mean_excursion_weight();
+        let mw = mean_excursion_weight(&biased);
         assert!(mw > 0.1 && mw < 10.0, "mean excursion weight {mw}");
     }
 
@@ -691,86 +687,5 @@ mod tests {
                 e.lost_stripes
             );
         }
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let model = FailureModel::Exponential { afr: 10.0 };
-        let mut a = simulate_pool(&dep(MlecScheme::CC), &model, 10.0, 1);
-        let b = simulate_pool(&dep(MlecScheme::CC), &model, 10.0, 2);
-        let total_events = a.events.len() + b.events.len();
-        let total_failures = a.disk_failures + b.disk_failures;
-        let total_excursions = a.excursions + b.excursions;
-        a.merge(b);
-        assert_eq!(a.pool_years, 20.0);
-        assert_eq!(a.events.len(), total_events);
-        assert_eq!(a.disk_failures, total_failures);
-        assert_eq!(a.excursions, total_excursions);
-    }
-
-    #[test]
-    fn rate_estimation() {
-        let r = PoolSimResult {
-            pool_years: 50.0,
-            events: vec![
-                CatastrophicEvent {
-                    time_h: 1.0,
-                    concurrent_failures: 4,
-                    lost_stripes: 10.0,
-                    weight: 1.0,
-                },
-                CatastrophicEvent {
-                    time_h: 2.0,
-                    concurrent_failures: 4,
-                    lost_stripes: 20.0,
-                    weight: 1.0,
-                },
-            ],
-            disk_failures: 100,
-            max_concurrent: 4,
-            excursions: 2,
-            excursion_weight: 2.0,
-        };
-        assert!((r.rate_per_pool_year() - 0.04).abs() < 1e-12);
-        assert!((r.mean_lost_stripes() - 15.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weighted_rate_estimation() {
-        // Half-weight events count half; the lost-stripe mean is weighted.
-        let ev = |lost: f64, weight: f64| CatastrophicEvent {
-            time_h: 1.0,
-            concurrent_failures: 4,
-            lost_stripes: lost,
-            weight,
-        };
-        let r = PoolSimResult {
-            pool_years: 10.0,
-            events: vec![ev(10.0, 0.5), ev(40.0, 0.1)],
-            disk_failures: 5,
-            max_concurrent: 4,
-            excursions: 3,
-            excursion_weight: 2.7,
-        };
-        assert!((r.rate_per_pool_year() - 0.06).abs() < 1e-12);
-        let expect = (0.5 * 10.0 + 0.1 * 40.0) / 0.6;
-        assert!((r.mean_lost_stripes() - expect).abs() < 1e-12);
-        assert!((r.mean_excursion_weight() - 0.9).abs() < 1e-12);
-    }
-
-    #[test]
-    fn zero_exposure_yields_zero_rate_not_nan() {
-        // A resumed manifest with zero completed trials must not report NaN.
-        let r = PoolSimResult {
-            pool_years: 0.0,
-            events: Vec::new(),
-            disk_failures: 0,
-            max_concurrent: 0,
-            excursions: 0,
-            excursion_weight: 0.0,
-        };
-        assert_eq!(r.rate_per_pool_year(), 0.0);
-        assert_eq!(r.mean_lost_stripes(), 0.0);
-        assert_eq!(r.mean_excursion_weight(), 0.0);
     }
 }

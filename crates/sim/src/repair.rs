@@ -18,7 +18,7 @@
 use crate::census::prob_cover_all;
 use crate::config::MlecDeployment;
 use mlec_topology::Placement;
-use mlec_units::{Duration, Volume};
+use mlec_units::Volume;
 
 /// Repair-method selectors: the paper's four (§2.4) plus the two
 /// beyond-the-paper strategies layered on the [`crate::strategy`] seam.
@@ -102,8 +102,8 @@ impl std::fmt::Display for RepairMethod {
 /// Volumes and timings of one catastrophic-pool repair.
 ///
 /// This is the *rendering boundary* of the strategy layer: the fields are
-/// suffixed `f64`s (not [`Volume`]/[`Duration`] newtypes) because the plan
-/// feeds straight into figure JSON and CLI tables. All arithmetic that
+/// suffixed `f64`s (not [`Volume`]/[`mlec_units::Duration`] newtypes) because
+/// the plan feeds straight into figure JSON and CLI tables. All arithmetic that
 /// produces these numbers happens in typed quantities inside
 /// [`crate::strategy::RepairStrategy::plan`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -123,13 +123,6 @@ pub struct CatastrophicRepairPlan {
     /// Extra same-rack companion reads (TB) spent to shrink the wire
     /// volume. Zero for the four paper methods.
     pub local_read_extra_tb: f64,
-}
-
-impl CatastrophicRepairPlan {
-    /// Total wall-clock repair time (the phases run back to back).
-    pub fn total_time(&self) -> Duration {
-        Duration::from_hours(self.network_time_h + self.local_time_h)
-    }
 }
 
 /// Stripe-loss census of the injected `p_l + 1`-failure scenario.
@@ -273,7 +266,9 @@ mod tests {
         let fco = plan_catastrophic_repair(&dep(MlecScheme::CD), RepairMethod::Fco);
         let hyb = plan_catastrophic_repair(&dep(MlecScheme::CD), RepairMethod::Hyb);
         assert!(hyb.local_time_h > 0.0);
-        let ratio = hyb.total_time().to_hours() / fco.total_time().to_hours();
+        // The phases run back to back.
+        let total = |p: &CatastrophicRepairPlan| p.network_time_h + p.local_time_h;
+        let ratio = total(&hyb) / total(&fco);
         assert!(ratio > 0.8 && ratio < 1.2, "ratio={ratio}");
     }
 
@@ -284,7 +279,7 @@ mod tests {
         let fco = plan_catastrophic_repair(&dep(MlecScheme::CC), RepairMethod::Fco);
         let min = plan_catastrophic_repair(&dep(MlecScheme::CC), RepairMethod::Min);
         assert!(min.network_time_h < fco.network_time_h);
-        assert!(min.total_time().to_hours() > fco.total_time().to_hours());
+        assert!(min.network_time_h + min.local_time_h > fco.network_time_h + fco.local_time_h);
     }
 
     #[test]

@@ -8,13 +8,15 @@
 //! drive trace-based what-if studies. The rare-event durability numbers of
 //! Fig 10 come from `mlec-analysis`'s splitting path instead.
 //!
-//! State kept per pool is the same abstraction as
-//! [`crate::pool_sim`]: concurrent-failure sets for clustered pools, the
-//! stripe census with FIFO disk release for declustered pools. Catastrophic
-//! pools enter a network-repair sojourn whose length depends on the repair
-//! method; while `p_n + 1` pools in loss position overlap, a data-loss event
-//! is recorded (with rare-stripe thinning for chunk-knowledge methods on
-//! declustered locals).
+//! The local pools *are* [`crate::pool_sim`]'s policies: a mission keeps
+//! one [`PoolPolicy`] per touched pool and advances it lazily to each
+//! arrival in that pool (`on_repair_progress` → `on_repair_event` →
+//! `on_failure`), so rebuild tracking, census drain, detection pauses and
+//! rare-stripe sampling have one implementation. The network level treats a
+//! catastrophic pool as its "disk": it enters a network-repair sojourn whose
+//! length depends on the repair method; while `p_n + 1` pools in loss
+//! position overlap, a data-loss event is recorded (with rare-stripe
+//! thinning for chunk-knowledge methods on declustered locals).
 //!
 //! Next-event selection runs on [`crate::engine::EventQueue`]: disk-failure
 //! arrivals and network-repair completions are scheduled events, with FIFO
@@ -23,18 +25,19 @@
 //! or trace-replay); the RNG draw order (inter-arrival gap, then disk
 //! index, then per-pool processing draws) matches the original hand-rolled
 //! loop exactly, so fixed-seed results are bit-identical — see the
-//! `golden_*` kernel-invariance tests below.
+//! `golden_*` tests below.
 
-use crate::census::StripeCensus;
 use crate::config::{MlecDeployment, HOURS_PER_YEAR};
 use crate::engine::EventQueue;
-use crate::failure::{sample_poisson, FailureModel};
+use crate::failure::FailureModel;
 use crate::importance::FailureBias;
-use crate::kernel::{ArrivalSource, HazardKernel, NoopObserver, SimObserver};
+use crate::kernel::{
+    ArrivalSource, FailureOutcome, HazardKernel, NoopObserver, PoolPolicy, SimObserver,
+};
+use crate::pool_sim::{ClusteredParams, ClusteredPolicy, DeclusteredParams, DeclusteredPolicy};
 use crate::repair::{inject_catastrophic, RepairMethod};
 use crate::strategy::RepairStrategy;
 use mlec_topology::Placement;
-use mlec_units::Volume;
 use rand::Rng;
 use std::collections::BTreeMap;
 
@@ -66,53 +69,6 @@ impl SystemSimResult {
     }
 }
 
-/// Per-pool simulation state.
-enum PoolState {
-    Clustered {
-        /// Repair-completion times of active failures.
-        active: Vec<f64>,
-    },
-    Declustered {
-        census: StripeCensus,
-        pending: std::collections::VecDeque<f64>,
-        drain_paused_until: f64,
-        last_advanced: f64,
-    },
-}
-
-/// Replay a recorded failure trace through the system simulator: identical
-/// semantics to [`simulate_system`] but failures come from the trace rather
-/// than a stochastic model (the paper's trace-driven fault-simulation mode).
-pub fn simulate_system_trace(
-    dep: &MlecDeployment,
-    trace: &crate::trace::FailureTrace,
-    method: RepairMethod,
-    seed: u64,
-) -> SystemSimResult {
-    simulate_system_trace_observed(dep, trace, method.strategy(), seed, &mut NoopObserver)
-}
-
-/// [`simulate_system_trace`] with a [`SimObserver`] attached and the repair
-/// behaviour supplied as a [`RepairStrategy`] object.
-pub fn simulate_system_trace_observed<O: SimObserver>(
-    dep: &MlecDeployment,
-    trace: &crate::trace::FailureTrace,
-    strategy: &dyn RepairStrategy,
-    seed: u64,
-    observer: &mut O,
-) -> SystemSimResult {
-    let years = (trace.span_h() / HOURS_PER_YEAR).max(f64::MIN_POSITIVE);
-    run_system(
-        dep,
-        strategy,
-        years,
-        seed,
-        trace.arrival_source(dep.geometry.total_disks()),
-        SystemSimOptions::default(),
-        observer,
-    )
-}
-
 /// Optional realism knobs for the system simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SystemSimOptions {
@@ -125,26 +81,41 @@ pub struct SystemSimOptions {
     pub shared_repair_bandwidth: bool,
 }
 
-/// Simulate the whole deployment for `years`, with catastrophic pools
-/// repaired over the network using `method`.
-pub fn simulate_system(
-    dep: &MlecDeployment,
-    failure_model: &FailureModel,
-    method: RepairMethod,
+/// What a mission fixes before its first event.
+struct Mission<'a> {
+    dep: &'a MlecDeployment,
+    strategy: &'a dyn RepairStrategy,
     years: f64,
     seed: u64,
+    opts: SystemSimOptions,
+}
+
+/// Replay a recorded failure trace through the system simulator: identical
+/// semantics to [`simulate_system_opts`] but failures come from the trace
+/// rather than a stochastic model (the paper's trace-driven
+/// fault-simulation mode).
+pub fn simulate_system_trace(
+    dep: &MlecDeployment,
+    trace: &crate::trace::FailureTrace,
+    method: RepairMethod,
+    seed: u64,
 ) -> SystemSimResult {
-    simulate_system_opts(
+    let mission = Mission {
         dep,
-        failure_model,
-        method,
-        years,
+        strategy: method.strategy(),
+        years: (trace.span_h() / HOURS_PER_YEAR).max(f64::MIN_POSITIVE),
         seed,
-        SystemSimOptions::default(),
+        opts: SystemSimOptions::default(),
+    };
+    run_system(
+        &mission,
+        trace.arrival_source(dep.geometry.total_disks()),
+        &mut NoopObserver,
     )
 }
 
-/// [`simulate_system`] with explicit [`SystemSimOptions`].
+/// Simulate the whole deployment for `years`, with catastrophic pools
+/// repaired over the network using `method`.
 pub fn simulate_system_opts(
     dep: &MlecDeployment,
     failure_model: &FailureModel,
@@ -182,15 +153,18 @@ pub fn simulate_system_observed<O: SimObserver>(
         FailureModel::Exponential { afr } => afr / HOURS_PER_YEAR,
         _ => panic!("system simulation drives exponential failures; use simulate_system_trace"),
     };
-    run_system(
+    let mission = Mission {
         dep,
         strategy,
         years,
         seed,
+        opts,
+    };
+    run_system(
+        &mission,
         // One aggregate arrival process over every disk in the deployment;
         // the same product the pre-kernel loop computed per draw.
         ArrivalSource::exponential(dep.geometry.total_disks() as f64 * rate),
-        opts,
         observer,
     )
 }
@@ -228,15 +202,43 @@ struct RepairInFlight {
     concurrent: u32,
 }
 
+/// Run the mission with the pool policy of the deployment's local
+/// placement; the loop is monomorphised per policy type, so a clustered
+/// pool's state is its rebuild list and nothing else.
 fn run_system<O: SimObserver>(
-    dep: &MlecDeployment,
-    strategy: &dyn RepairStrategy,
-    years: f64,
-    seed: u64,
-    mut arrivals: ArrivalSource,
-    opts: SystemSimOptions,
+    mission: &Mission,
+    arrivals: ArrivalSource,
     observer: &mut O,
 ) -> SystemSimResult {
+    match mission.dep.scheme.local {
+        Placement::Clustered => {
+            let params = ClusteredParams::new(mission.dep);
+            run_pools(mission, arrivals, observer, || {
+                ClusteredPolicy::new(&params)
+            })
+        }
+        Placement::Declustered => {
+            let params = DeclusteredParams::new(mission.dep);
+            run_pools(mission, arrivals, observer, || {
+                DeclusteredPolicy::new(&params)
+            })
+        }
+    }
+}
+
+fn run_pools<P: PoolPolicy, O: SimObserver>(
+    mission: &Mission,
+    mut arrivals: ArrivalSource,
+    observer: &mut O,
+    healthy_pool: impl Fn() -> P,
+) -> SystemSimResult {
+    let &Mission {
+        dep,
+        strategy,
+        years,
+        seed,
+        opts,
+    } = mission;
     // Unbiased kernel: with multiplier 1 the exposure/jump accounting is a
     // no-op and the arrival draws are bit-identical to raw sampling; the
     // kernel still owns the RNG stream and the failure counter.
@@ -248,13 +250,8 @@ fn run_system<O: SimObserver>(
     );
     let pools = dep.local_pools();
     let num_pools = pools.num_pools();
-    let d = pools.pool_size();
-    let w = dep.local_width();
-    let threshold = dep.params.local.p as u32 + 1;
     let pn1 = dep.params.network.p as u32 + 1;
     let horizon = kernel.horizon();
-    let chunk_mb = dep.geometry.chunk_kb / 1e3;
-    let total_stripes_per_pool = d as f64 * dep.geometry.chunks_per_disk() / w as f64;
 
     // Repair plan for the configured strategy (identical for every pool).
     let injected = inject_catastrophic(dep);
@@ -266,12 +263,12 @@ fn run_system<O: SimObserver>(
         1.0
     };
 
-    let disk_repair_h = (dep.config.detection()
-        + Volume::from_tb(dep.geometry.disk_capacity_tb)
-            .transfer_time_mb(crate::bandwidth::single_disk_repair_bw(dep)))
-    .to_hours();
-
-    let mut states: BTreeMap<u32, PoolState> = BTreeMap::new();
+    // Touched pools not under network repair, each with the time its policy
+    // was last advanced to. A pool is advanced only when a failure lands in
+    // it: whatever repair completed since is applied first, so an arrival
+    // never sees a rebuild that finished at its own timestamp, and the
+    // drain guard and thresholds are the policy's own.
+    let mut states: BTreeMap<u32, (f64, P)> = BTreeMap::new();
     // Catastrophic pools under network repair. Entries are removed by their
     // `NetworkRepairDone` event; at equal timestamps the completion pops
     // before the arrival (FIFO tie-break on insertion order), so an arrival
@@ -320,84 +317,20 @@ fn run_system<O: SimObserver>(
             continue;
         }
 
-        // `(went_catastrophic, failed-disk count of the pool after this
-        // failure)` — the count feeds the observer hooks.
-        let (went_catastrophic, pool_failed) = match dep.scheme.local {
-            Placement::Clustered => {
-                let state = states
-                    .entry(pool)
-                    .or_insert(PoolState::Clustered { active: vec![] });
-                let PoolState::Clustered { active } = state else {
-                    unreachable!()
-                };
-                active.retain(|&t| t > now);
-                active.push(now + disk_repair_h);
-                let f = active.len() as u32;
-                (f >= threshold, f)
-            }
-            Placement::Declustered => {
-                let state = states
-                    .entry(pool)
-                    .or_insert_with(|| PoolState::Declustered {
-                        census: StripeCensus::new(d, w, total_stripes_per_pool),
-                        pending: Default::default(),
-                        drain_paused_until: 0.0,
-                        last_advanced: 0.0,
-                    });
-                let PoolState::Declustered {
-                    census,
-                    pending,
-                    drain_paused_until,
-                    last_advanced,
-                } = state
-                else {
-                    unreachable!()
-                };
-                // Advance the pool's drain to `now`.
-                if census.failed_chunks() > 0.5 {
-                    let f = census.failed_disks();
-                    let bw = crate::bandwidth::local_repair_bw(dep, 1, f).to_mbs();
-                    let cph = bw * 3600.0 / chunk_mb;
-                    let start = drain_paused_until.max(*last_advanced);
-                    if now > start {
-                        let repaired = census.drain_priority((now - start) * cph);
-                        census.consume_drain(pending, repaired);
-                        if census.failed_chunks() < 0.5 {
-                            pending.clear();
-                        }
-                    }
-                }
-                *last_advanced = now;
-                if census.failed_disks() + 1 >= d {
-                    (true, d)
-                } else {
-                    let before = census.failed_chunks();
-                    census.add_disk_failure();
-                    pending.push_back(census.failed_chunks() - before);
-                    *drain_paused_until = now + dep.config.detection_hours;
-                    let f = census.failed_disks();
-                    if f >= threshold {
-                        let lambda = census.at_or_above(threshold);
-                        let lost = if lambda > 30.0 {
-                            lambda
-                        } else {
-                            sample_poisson(kernel.rng(), lambda) as f64
-                        };
-                        if lost < 1.0 {
-                            let removed = census.at_or_above(threshold);
-                            let repaired = census.drain_priority(removed * threshold as f64 * 2.0);
-                            census.consume_drain(pending, repaired);
-                            if census.failed_chunks() < 0.5 {
-                                pending.clear();
-                            }
-                            (false, census.failed_disks())
-                        } else {
-                            (true, f)
-                        }
-                    } else {
-                        (false, f)
-                    }
-                }
+        let (advanced_to, policy) = states.entry(pool).or_insert_with(|| (0.0, healthy_pool()));
+        let failed_before = policy.failed_disks();
+        policy.on_repair_progress(*advanced_to, now);
+        policy.on_repair_event(now, failed_before);
+        *advanced_to = now;
+        // The failed-disk count of the pool after this failure feeds the
+        // observer hooks.
+        let (went_catastrophic, pool_failed) = match policy.on_failure(&mut kernel) {
+            FailureOutcome::Catastrophic {
+                concurrent_failures,
+                ..
+            } => (true, concurrent_failures),
+            FailureOutcome::Continue | FailureOutcome::Regenerated => {
+                (false, policy.failed_disks())
             }
         };
         observer.on_disk_failure(now, pool_failed);
@@ -410,8 +343,9 @@ fn run_system<O: SimObserver>(
         cross_rack_traffic_tb += plan.cross_rack_traffic_tb;
         observer.on_catastrophe(now, pool_failed, injected.lost_stripes, 1.0);
         states.remove(&pool); // network repair rebuilds the pool
-                              // Bandwidth contention: concurrent repairs sharing this repair's
-                              // bottleneck stretch its sojourn (snapshot at admission).
+
+        // Bandwidth contention: concurrent repairs sharing this repair's
+        // bottleneck stretch its sojourn (snapshot at admission).
         let contention = if opts.shared_repair_bandwidth {
             let sharing = match dep.scheme.network {
                 Placement::Clustered => {
@@ -538,6 +472,18 @@ mod tests {
         }
     }
 
+    /// The default-options mission most tests run.
+    fn simulate_system(
+        dep: &MlecDeployment,
+        failure_model: &FailureModel,
+        method: RepairMethod,
+        years: f64,
+        seed: u64,
+    ) -> SystemSimResult {
+        let opts = SystemSimOptions::default();
+        simulate_system_opts(dep, failure_model, method, years, seed, opts)
+    }
+
     /// Kernel-invariance goldens: bit-identical values captured from the
     /// original hand-rolled loop (pre-EventQueue, pre-HazardKernel). Every
     /// structural port since — event-queue next-event selection, then the
@@ -620,6 +566,172 @@ mod tests {
         assert_eq!(r.first_loss_h, None);
         assert!((r.cross_rack_traffic_tb - 38720.0).abs() < 1e-3, "{r:?}");
         assert!((r.total_sojourn_h - 3933.111111).abs() < 1e-3, "{r:?}");
+    }
+
+    /// One fixed-seed mission result, every float as its exact bits:
+    /// `(disk_failures, catastrophic, losses, first_loss, traffic TB,
+    /// sojourn h)`.
+    type Golden = (u64, u64, u64, Option<u64>, u64, u64);
+
+    fn golden_of(r: &SystemSimResult) -> Golden {
+        (
+            r.disk_failures,
+            r.catastrophic_pools,
+            r.data_loss_events,
+            r.first_loss_h.map(f64::to_bits),
+            r.cross_rack_traffic_tb.to_bits(),
+            r.total_sojourn_h.to_bits(),
+        )
+    }
+
+    /// Goldens recorded from the inlined `PoolState` loop before
+    /// `run_system` was ported onto the pool policies: declustered locals
+    /// under a chunk-knowledge method with data loss, so the census drain,
+    /// the per-pool catastrophe decision and the network-level thinning
+    /// draw are all pinned through the port.
+    #[test]
+    fn golden_declustered_locals_with_chunk_knowledge() {
+        let expect: [(MlecScheme, RepairMethod, [Golden; 4]); 2] = [
+            (
+                MlecScheme::DD,
+                RepairMethod::Hyb,
+                [
+                    (
+                        11670,
+                        4643,
+                        2442,
+                        Some(4628139500544131491),
+                        4684461068791340553,
+                        4674102240725538641,
+                    ),
+                    (
+                        11562,
+                        4622,
+                        2451,
+                        Some(4629168181892938633),
+                        4684437454280244006,
+                        4674064370046631937,
+                    ),
+                    (
+                        11538,
+                        4621,
+                        2396,
+                        Some(4634638952016308595),
+                        4684436329779715599,
+                        4674062566680969713,
+                    ),
+                    (
+                        11420,
+                        4529,
+                        2338,
+                        Some(4621192125440000031),
+                        4684332875731102155,
+                        4673896657040045105,
+                    ),
+                ],
+            ),
+            (
+                MlecScheme::CD,
+                RepairMethod::Min,
+                [
+                    (
+                        11690,
+                        4661,
+                        838,
+                        Some(4643336830256199054),
+                        4679977710173481383,
+                        4674134701307458673,
+                    ),
+                    (
+                        11469,
+                        4593,
+                        824,
+                        Some(4638868826519741148),
+                        4679901244137549707,
+                        4674012072442427441,
+                    ),
+                    (
+                        11594,
+                        4611,
+                        754,
+                        Some(4639910338779900940),
+                        4679921485147061033,
+                        4674044533024347473,
+                    ),
+                    (
+                        11441,
+                        4544,
+                        815,
+                        Some(4632433872153273915),
+                        4679846143611657764,
+                        4673923707524978465,
+                    ),
+                ],
+            ),
+        ];
+        let model = FailureModel::Exponential { afr: 20.0 };
+        for (scheme, method, goldens) in expect {
+            for (seed, golden) in goldens.into_iter().enumerate() {
+                let r = simulate_system(&small_dep(scheme), &model, method, 4.0, seed as u64);
+                assert_eq!(golden_of(&r), golden, "{scheme} {method} seed {seed}");
+            }
+        }
+    }
+
+    /// Parent-recorded goldens for the contention stretch (3-year missions,
+    /// seed 5): same-rack sharing on a clustered network level, the global
+    /// fabric on a declustered one.
+    #[test]
+    fn golden_shared_repair_bandwidth() {
+        let expect: [(MlecScheme, RepairMethod, f64, Golden); 3] = [
+            (
+                MlecScheme::DC,
+                RepairMethod::All,
+                10.0,
+                (
+                    4314,
+                    586,
+                    584,
+                    Some(4640988482051324060),
+                    4684072366442020864,
+                    4693041427341610548,
+                ),
+            ),
+            (
+                MlecScheme::CD,
+                RepairMethod::Fco,
+                20.0,
+                (
+                    8680,
+                    2101,
+                    1956,
+                    Some(4634396530864369907),
+                    4687902790075285504,
+                    4684039633064602186,
+                ),
+            ),
+            (
+                MlecScheme::DD,
+                RepairMethod::Hyb,
+                20.0,
+                (
+                    8569,
+                    2979,
+                    2461,
+                    Some(4631567718469540016),
+                    4681436187358825745,
+                    4677921463084094536,
+                ),
+            ),
+        ];
+        let opts = SystemSimOptions {
+            shared_repair_bandwidth: true,
+        };
+        for (scheme, method, afr, golden) in expect {
+            let model = FailureModel::Exponential { afr };
+            let r = simulate_system_opts(&small_dep(scheme), &model, method, 3.0, 5, opts);
+            assert_eq!(golden_of(&r), golden, "{scheme} {method}");
+        }
     }
 
     /// Kernel-invariance golden for the trace-replay arrival source.

@@ -6,7 +6,6 @@
 
 use crate::config::HOURS_PER_YEAR;
 use mlec_topology::{DiskId, Geometry};
-use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
@@ -298,26 +297,6 @@ pub fn detect_bursts(
     bursts
 }
 
-/// Shuffle a trace's disk assignments while keeping the timing intact — a
-/// "rules" style transformation (paper §3) used to test placement
-/// sensitivity separately from temporal correlation.
-pub fn shuffle_disks(trace: &FailureTrace, geometry: &Geometry, seed: u64) -> FailureTrace {
-    let mut rng = ChaCha12Rng::seed_from_u64(seed);
-    let mut disks: Vec<DiskId> = (0..geometry.total_disks()).collect();
-    disks.shuffle(&mut rng);
-    FailureTrace::new(
-        trace
-            .events()
-            .iter()
-            .map(|e| TraceEvent {
-                time_h: e.time_h,
-                // PANICS: the modulo keeps the index in bounds; `total_disks()` is nonzero for any valid geometry.
-                disk: disks[e.disk as usize % disks.len()],
-            })
-            .collect(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -406,27 +385,6 @@ mod tests {
         for (_, disks) in &bursts {
             assert!(disks.len() >= 10);
         }
-    }
-
-    #[test]
-    fn shuffle_preserves_timing() {
-        let g = Geometry::small_test();
-        let trace = FailureTrace::new(vec![
-            TraceEvent {
-                time_h: 1.0,
-                disk: 3,
-            },
-            TraceEvent {
-                time_h: 2.0,
-                disk: 3,
-            },
-        ]);
-        let shuffled = shuffle_disks(&trace, &g, 9);
-        assert_eq!(shuffled.len(), 2);
-        assert_eq!(shuffled.events()[0].time_h, 1.0);
-        assert_eq!(shuffled.events()[1].time_h, 2.0);
-        // Same source disk maps to the same target disk.
-        assert_eq!(shuffled.events()[0].disk, shuffled.events()[1].disk);
     }
 
     #[test]

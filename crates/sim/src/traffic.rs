@@ -32,13 +32,6 @@ pub fn net_slec_daily_traffic(geometry: &Geometry, config: &SimConfig, k: usize)
         * (k as f64 + 1.0)
 }
 
-/// Daily cross-rack repair traffic of a local SLEC: zero — all repair I/O
-/// stays inside the enclosure. (Rack-level failures are not repairable at
-/// all, which is the durability price Fig 13a/b shows.)
-pub fn local_slec_daily_traffic() -> Volume {
-    Volume::ZERO
-}
-
 /// Daily cross-rack repair traffic of a declustered LRC.
 ///
 /// Chunks are spread one-per-rack, so every repair crosses racks. A data or
@@ -138,10 +131,5 @@ mod tests {
                 .to_tb()
                 * 365.25;
         assert!(slec_yearly / yearly > 1e6);
-    }
-
-    #[test]
-    fn local_slec_is_free_of_network_traffic() {
-        assert_eq!(local_slec_daily_traffic(), Volume::ZERO);
     }
 }

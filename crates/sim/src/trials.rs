@@ -11,7 +11,7 @@ use crate::config::MlecDeployment;
 use crate::failure::FailureModel;
 use crate::importance::FailureBias;
 use crate::kernel::SimObserver;
-use crate::pool_sim::simulate_pool_observed;
+use crate::pool_sim::{simulate_pool_observed, PoolSimResult};
 use crate::strategy::RepairStrategy;
 use crate::system_sim::{simulate_system_observed, SystemSimOptions};
 use mlec_runner::{
@@ -199,6 +199,20 @@ pub struct PoolAcc {
 }
 
 impl PoolAcc {
+    /// Fold one pool run into the totals.
+    fn record(&mut self, result: &PoolSimResult) {
+        self.trials += 1;
+        self.rate.add_exposure(result.pool_years);
+        self.disk_failures += result.disk_failures;
+        self.max_concurrent = self.max_concurrent.max(result.max_concurrent);
+        for event in &result.events {
+            self.rate.push(event.weight);
+            self.lost_stripes.push(event.lost_stripes, event.weight);
+        }
+        self.excursions += result.excursions;
+        self.excursion_weight += result.excursion_weight;
+    }
+
     /// Catastrophic events observed (raw count, not weighted).
     pub fn events(&self) -> u64 {
         self.rate.events()
@@ -258,16 +272,7 @@ impl Trial for PoolTrial<'_> {
             self.bias,
             &mut observer,
         );
-        acc.trials += 1;
-        acc.rate.add_exposure(result.pool_years);
-        acc.disk_failures += result.disk_failures;
-        acc.max_concurrent = acc.max_concurrent.max(result.max_concurrent);
-        for event in &result.events {
-            acc.rate.push(event.weight);
-            acc.lost_stripes.push(event.lost_stripes, event.weight);
-        }
-        acc.excursions += result.excursions;
-        acc.excursion_weight += result.excursion_weight;
+        acc.record(&result);
         acc.degraded_hours += observer.degraded_hours;
         observer.finish();
     }
@@ -529,6 +534,61 @@ mod tests {
         );
         let mw = a.acc.mean_excursion_weight();
         assert!(mw > 0.1 && mw < 10.0, "mean excursion weight {mw}");
+    }
+
+    fn run_of(pool_years: f64, events: &[(f64, f64)], excursions: (u64, f64)) -> PoolSimResult {
+        PoolSimResult {
+            pool_years,
+            events: events
+                .iter()
+                .map(
+                    |&(lost_stripes, weight)| crate::pool_sim::CatastrophicEvent {
+                        time_h: 1.0,
+                        concurrent_failures: 4,
+                        lost_stripes,
+                        weight,
+                    },
+                )
+                .collect(),
+            disk_failures: 100,
+            max_concurrent: 4,
+            excursions: excursions.0,
+            excursion_weight: excursions.1,
+        }
+    }
+
+    #[test]
+    fn rate_estimation() {
+        let mut acc = PoolAcc::default();
+        acc.record(&run_of(20.0, &[(10.0, 1.0)], (1, 1.0)));
+        acc.record(&run_of(30.0, &[(20.0, 1.0)], (1, 1.0)));
+        assert_eq!(acc.pool_years(), 50.0);
+        assert_eq!((acc.trials, acc.events(), acc.disk_failures), (2, 2, 200));
+        assert!((acc.rate_per_pool_year() - 0.04).abs() < 1e-12);
+        assert!((acc.mean_lost_stripes() - 15.0).abs() < 1e-12);
+        assert_eq!(acc.mean_excursion_weight(), 1.0);
+    }
+
+    #[test]
+    fn weighted_rate_estimation() {
+        // Half-weight events count half; the lost-stripe mean is weighted.
+        let mut acc = PoolAcc::default();
+        acc.record(&run_of(10.0, &[(10.0, 0.5), (40.0, 0.1)], (3, 2.7)));
+        assert!((acc.rate_per_pool_year() - 0.06).abs() < 1e-12);
+        let expect = (0.5 * 10.0 + 0.1 * 40.0) / 0.6;
+        assert!((acc.mean_lost_stripes() - expect).abs() < 1e-12);
+        assert!((acc.mean_excursion_weight() - 0.9).abs() < 1e-12);
+    }
+
+    #[test]
+    fn zero_exposure_yields_zero_rate_not_nan() {
+        // A resumed manifest with zero completed trials must not report NaN.
+        let mut acc = PoolAcc::default();
+        acc.record(&run_of(0.0, &[], (0, 0.0)));
+        assert_eq!(acc.rate_per_pool_year(), 0.0);
+        assert_eq!(acc.mean_lost_stripes(), 0.0);
+        assert_eq!(acc.mean_excursion_weight(), 0.0);
+        assert_eq!(acc.degraded_fraction(), 0.0);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Fixed-seed, bit-exact golden tests for `simulate_pool` /
-//! `simulate_pool_biased`, mirroring the kernel-invariance goldens in
+//! `simulate_pool_observed`, mirroring the kernel-invariance goldens in
 //! `system_sim.rs`.
 //!
 //! These pin the exact RNG draw order of the clustered and declustered
@@ -16,7 +16,8 @@
 use mlec_sim::config::MlecDeployment;
 use mlec_sim::failure::FailureModel;
 use mlec_sim::importance::FailureBias;
-use mlec_sim::pool_sim::{simulate_pool, simulate_pool_biased, PoolSimResult};
+use mlec_sim::kernel::NoopObserver;
+use mlec_sim::pool_sim::{simulate_pool, simulate_pool_observed, PoolSimResult};
 use mlec_topology::MlecScheme;
 
 struct GoldenCase {
@@ -33,7 +34,7 @@ fn run_case(c: &GoldenCase) -> PoolSimResult {
     if c.bias.is_unbiased() {
         simulate_pool(&dep, &model, c.years, c.seed)
     } else {
-        simulate_pool_biased(&dep, &model, c.years, c.seed, c.bias)
+        simulate_pool_observed(&dep, &model, c.years, c.seed, c.bias, &mut NoopObserver)
     }
 }
 

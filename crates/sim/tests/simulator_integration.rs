@@ -7,7 +7,7 @@ use mlec_sim::config::MlecDeployment;
 use mlec_sim::failure::FailureModel;
 use mlec_sim::pool_sim::simulate_pool;
 use mlec_sim::repair::{inject_catastrophic, plan_catastrophic_repair, RepairMethod};
-use mlec_sim::system_sim::{simulate_system, simulate_system_trace};
+use mlec_sim::system_sim::{simulate_system_opts, simulate_system_trace, SystemSimOptions};
 use mlec_sim::trace::{synthesize, FailureTrace, TraceSpec};
 use mlec_topology::{Geometry, MlecScheme};
 
@@ -83,7 +83,9 @@ fn trace_and_exponential_paths_agree_statistically() {
     let mut trace_cat = 0u64;
     for seed in 0..6u64 {
         let model = FailureModel::Exponential { afr };
-        exp_cat += simulate_system(&dep, &model, RepairMethod::Fco, years, seed).catastrophic_pools;
+        let opts = SystemSimOptions::default();
+        exp_cat += simulate_system_opts(&dep, &model, RepairMethod::Fco, years, seed, opts)
+            .catastrophic_pools;
         let trace = synthesize(
             &g,
             &TraceSpec {
@@ -131,8 +133,9 @@ fn system_sim_deterministic() {
         let scheme = MlecScheme::ALL[(r.next_u64() % 4) as usize];
         let dep = paper(scheme);
         let model = FailureModel::Exponential { afr: 0.8 };
-        let a = simulate_system(&dep, &model, RepairMethod::Hyb, 1.0, seed);
-        let b = simulate_system(&dep, &model, RepairMethod::Hyb, 1.0, seed);
+        let opts = SystemSimOptions::default();
+        let a = simulate_system_opts(&dep, &model, RepairMethod::Hyb, 1.0, seed, opts);
+        let b = simulate_system_opts(&dep, &model, RepairMethod::Hyb, 1.0, seed, opts);
         assert_eq!(a, b);
     }
 }

@@ -651,7 +651,8 @@ fn run_inner<B: ChunkBackend + Send>(
         }
     }
 
-    // Drain outstanding rebuilds, then verify every live object end to end.
+    // Drain outstanding rebuilds, then verify every live object end to end
+    // (repair has given up on dead ones; `unrecoverable_stripes` counts them).
     store.pump_repairs(u64::MAX);
     let end_of_time = gen
         .len()
@@ -661,6 +662,9 @@ fn run_inner<B: ChunkBackend + Send>(
     let mut verified_final = 0u64;
     let live: Vec<(u64, u64)> = expected_versions.iter().map(|(&o, &v)| (o, v)).collect();
     for (obj, version) in live {
+        if store.is_dead(obj) {
+            continue;
+        }
         let got = store.get(obj, end_of_time)?;
         if got.payload != payload_for(&pay_stream, obj, version, plen) {
             return Err(StoreError::CorruptPayload(obj));
@@ -781,6 +785,28 @@ mod tests {
         assert!(report.phase("rebuild").is_some());
         // Every live object still round-trips bit-exactly.
         assert_eq!(report.verified_final, 256);
+    }
+
+    #[test]
+    fn kill_beyond_tolerance_completes_and_reports_the_loss() {
+        // Two racks exceed p_n = 1: repair abandons some stripes, and the
+        // final sweep must verify the survivors instead of aborting on the
+        // first dead object.
+        let mut spec = BenchSpec::small(2_000);
+        spec.load.objects = 64;
+        spec.kill = Some(KillSpec {
+            at_op: 500,
+            racks: 2,
+            disks: 0,
+        });
+        let serial = run_store_bench(&spec).unwrap();
+        assert!(serial.unrecoverable_stripes > 0);
+        assert!(serial.failed_gets > 0, "gets of dead objects fail");
+        assert!(serial.rebuild_done_us.is_some(), "rebuild must finish");
+        // One stripe per object: every object is either dead or verified.
+        assert_eq!(serial.verified_final + serial.unrecoverable_stripes, 64);
+        spec.shards = 2;
+        assert_eq!(run_store_bench(&spec).unwrap(), serial);
     }
 
     #[test]

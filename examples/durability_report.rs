@@ -7,13 +7,15 @@
 
 use mlec_core::analysis::chains::{pool_catastrophic_rate, pool_chain};
 use mlec_core::analysis::markov::nines;
-use mlec_core::analysis::splitting::{stage1_from_simulation, stage2_pdl};
+use mlec_core::analysis::splitting::{stage1_via_runner, stage2_pdl};
 use mlec_core::sim::config::MlecDeployment;
 use mlec_core::sim::failure::FailureModel;
+use mlec_core::sim::importance::FailureBias;
 use mlec_core::sim::pool_sim::simulate_pool;
 use mlec_core::sim::RepairMethod;
 use mlec_core::topology::MlecScheme;
 use mlec_core::units::Duration;
+use mlec_runner::{RunSpec, StopRule};
 
 fn main() {
     println!("Durability report for the paper's (10+2)/(17+3) deployment\n");
@@ -63,15 +65,13 @@ fn main() {
     let mut dep = MlecDeployment::paper_default(MlecScheme::CC);
     dep.config.afr = 0.5;
     let model = FailureModel::Exponential { afr: 0.5 };
-    let mut merged = simulate_pool(&dep, &model, 2000.0, 1);
-    for seed in 2..6 {
-        merged.merge(simulate_pool(&dep, &model, 2000.0, seed));
-    }
-    let s1 = stage1_from_simulation(&dep, &merged);
+    let spec = RunSpec::new("durability_report/stage1", 1, StopRule::fixed(5));
+    let (s1, report) = stage1_via_runner(&dep, &model, 2000.0, FailureBias::NONE, &spec)
+        .expect("no manifest, so no I/O to fail");
     println!(
         "  {} catastrophic events over {} pool-years -> rate {:.2e}/pool-yr",
-        merged.events.len(),
-        merged.pool_years,
+        report.acc.events(),
+        report.acc.pool_years(),
         s1.cat_rate_per_pool_year
     );
     let pdl = stage2_pdl(&dep, RepairMethod::Fco, &s1, Duration::from_years(1.0));
