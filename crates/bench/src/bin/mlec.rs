@@ -32,8 +32,7 @@ fn list() {
     // (REGISTRY itself stays in the paper's presentation order).
     let mut rows: Vec<Vec<String>> = REGISTRY
         .iter()
-        .map(|exp| {
-            let info = exp.info();
+        .map(|info| {
             vec![
                 info.name.to_string(),
                 info.modes
@@ -55,7 +54,7 @@ fn list() {
 }
 
 fn info(name: &str) -> ExitCode {
-    let Some(exp) = registry::find(name) else {
+    let Some(info) = registry::find(name) else {
         match registry::suggest(name) {
             Some(s) => eprintln!(
                 "error: unknown experiment `{name}` — did you mean `{s}`? (run `mlec list`)"
@@ -64,7 +63,6 @@ fn info(name: &str) -> ExitCode {
         }
         return ExitCode::from(2);
     };
-    let info = exp.info();
     println!("{} — {} [{}]", info.title, info.description, info.paper_ref);
     println!(
         "modes: {} (default: {})",
@@ -84,7 +82,7 @@ fn info(name: &str) -> ExitCode {
             .map(|p| {
                 vec![
                     p.name.to_string(),
-                    p.kind.name().to_string(),
+                    p.kind.to_string(),
                     if p.default.is_empty() {
                         "''".to_string()
                     } else {
@@ -117,8 +115,7 @@ fn run_all(flags: &[String]) -> ExitCode {
         }
     };
     let mut failed: Vec<&str> = Vec::new();
-    for exp in REGISTRY {
-        let info = exp.info();
+    for info in REGISTRY {
         let args: Vec<String> = if fast {
             info.fast.iter().map(|(k, v)| format!("{k}={v}")).collect()
         } else {

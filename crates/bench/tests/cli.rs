@@ -59,6 +59,321 @@ fn scratch(test: &str) -> PathBuf {
     dir
 }
 
+/// `mlec list` and `mlec info <name>` for every experiment, recorded at the
+/// commit before the schema became a typed struct: the declaration may
+/// change shape, what it prints may not.
+const LIST_GOLDEN: &str = r#"         name         modes                   title                                                                   description
+---------------------------------------------------------------------------------------------------------------------------------
+    ablations      analytic               Ablations                        detection time, throttle, AFR, and spare policy sweeps
+        fig01      analytic                Figure 1                                                storage scaling over the years
+        fig05           sim                Figure 5                                      MLEC PDL under correlated failure bursts
+        fig06      analytic                Figure 6                                           repair time per MLEC scheme (R_ALL)
+        fig07  analytic,sim                Figure 7                   probability of catastrophic local failure (per system-year)
+        fig08  analytic,sim                Figure 8                          cross-rack repair traffic (TB) per method and scheme
+        fig09  analytic,sim                Figure 9                     repair time split into network (-N) and local (-L) phases
+        fig10  analytic,sim               Figure 10                               durability (nines) per scheme and repair method
+        fig11      measured               Figure 11            (k+p) encoding throughput heatmap (single-core default, threads=N)
+        fig12  analytic,sim               Figure 12                   MLEC vs SLEC durability/throughput tradeoff (~30% overhead)
+        fig13           sim               Figure 13                               SLEC PDL under correlated failure bursts, (7+3)
+        fig15  analytic,sim               Figure 15                             MLEC C/D vs LRC-Dp durability/throughput tradeoff
+        fig16           sim               Figure 16                           LRC-Dp (14,2,4) PDL under correlated failure bursts
+paper_summary      analytic    Reproduction summary                                     paper headline numbers vs this repository
+       sec514      analytic  Sections 5.1.4 & 5.2.4                                   repair network traffic: SLEC vs LRC vs MLEC
+  store_bench           sim             Store bench          trace-driven object-store replay: rebuild vs foreground tail latency
+       table2      analytic                 Table 2  repair size and available repair bandwidth (single disk / catastrophic pool)
+        trace           sim             Trace tools                               synthesize, analyze, and replay a failure trace
+   validation           sim              Validation               direct system simulation vs splitting estimator at inflated AFR
+
+run one with `mlec run <name> [key=value…]`; `mlec info <name>` for parameters.
+"#;
+
+const INFO_GOLDEN: &[(&str, &str)] = &[
+    (
+        "fig01",
+        r#"Figure 1 — storage scaling over the years [§1, Fig 1 (motivation)]
+modes: analytic (default: analytic)
+parameters: none beyond the global keys
+global keys: mode= out= threads= manifests=
+"#,
+    ),
+    (
+        "table2",
+        r#"Table 2 — repair size and available repair bandwidth (single disk / catastrophic pool) [§4.1, Table 2]
+modes: analytic (default: analytic)
+parameters: none beyond the global keys
+global keys: mode= out= threads= manifests=
+"#,
+    ),
+    (
+        "fig05",
+        r#"Figure 5 — MLEC PDL under correlated failure bursts [§4.2, Fig 5]
+modes: sim (default: sim)
+  parameter                 type  default                                                                            help
+-------------------------------------------------------------------------------------------------------------------------
+        max              integer       60                                    largest failures/racks grid line (paper: 60)
+       step              integer        6                                   grid step above 6 (1 = the paper's full grid)
+    samples              integer       60            conditional-MC samples per cell (the budget cap when rel_err is set)
+       seed              integer       42                                                                   root RNG seed
+    rel_err  non-negative number        0  adaptive stop: target relative std error of the pooled grid (0 = fixed budget)
+min_samples              integer        8                       minimum samples per cell before an adaptive stop may fire
+global keys: mode= out= threads= manifests=
+`run all --fast` overrides: max=12 samples=8
+"#,
+    ),
+    (
+        "fig06",
+        r#"Figure 6 — repair time per MLEC scheme (R_ALL) [§4.1, Fig 6]
+modes: analytic (default: analytic)
+parameters: none beyond the global keys
+global keys: mode= out= threads= manifests=
+"#,
+    ),
+    (
+        "fig07",
+        r#"Figure 7 — probability of catastrophic local failure (per system-year) [§4.2, Fig 7]
+modes: analytic, sim (default: analytic)
+parameter                 type  default                                                                               help
+--------------------------------------------------------------------------------------------------------------------------
+  afr_pct  non-negative number        1                                       annual disk failure rate, percent (mode=sim)
+    years              integer       20                                          simulated years per pool trial (mode=sim)
+   trials              integer       64                                                  pool trials per scheme (mode=sim)
+     seed              integer       42                                                           root RNG seed (mode=sim)
+     bias               string     auto  degraded-state failure acceleration: auto, 1 (direct), or a multiplier (mode=sim)
+    trace               string       ''              write per-trial JSONL event logs to this path (mode=sim; empty = off)
+global keys: mode= out= threads= manifests=
+`run all --fast` overrides: trials=8 years=25
+"#,
+    ),
+    (
+        "fig08",
+        r#"Figure 8 — cross-rack repair traffic (TB) per method and scheme [§4.3, Fig 8]
+modes: analytic, sim (default: analytic)
+parameter                 type  default                                                                                                    help
+-----------------------------------------------------------------------------------------------------------------------------------------------
+  afr_pct  non-negative number       75                                        inflated AFR percent so missions observe catastrophes (mode=sim)
+    years  non-negative number        2                                                            mission length in years per trial (mode=sim)
+   trials              integer        8                                                    whole-system missions per scheme x method (mode=sim)
+     seed              integer       42                                                                                root RNG seed (mode=sim)
+   method               string    paper  repair methods: `paper` (R_ALL..R_MIN), `all` (adds R_LAYER, R_PIGGY), or a comma-separated label list
+global keys: mode= out= threads= manifests=
+`run all --fast` overrides: trials=2 years=1 method=all
+"#,
+    ),
+    (
+        "fig09",
+        r#"Figure 9 — repair time split into network (-N) and local (-L) phases [§4.3, Fig 9]
+modes: analytic, sim (default: analytic)
+parameter                 type  default                                                                                                    help
+-----------------------------------------------------------------------------------------------------------------------------------------------
+  afr_pct  non-negative number       75                                        inflated AFR percent so missions observe catastrophes (mode=sim)
+    years  non-negative number        2                                                            mission length in years per trial (mode=sim)
+   trials              integer        8                                                    whole-system missions per scheme x method (mode=sim)
+     seed              integer       42                                                                                root RNG seed (mode=sim)
+   method               string    paper  repair methods: `paper` (R_ALL..R_MIN), `all` (adds R_LAYER, R_PIGGY), or a comma-separated label list
+global keys: mode= out= threads= manifests=
+`run all --fast` overrides: trials=2 years=1 method=all
+"#,
+    ),
+    (
+        "fig10",
+        r#"Figure 10 — durability (nines) per scheme and repair method [§4.3, Fig 10]
+modes: analytic, sim (default: analytic)
+     parameter                 type  default                                                                               help
+-------------------------------------------------------------------------------------------------------------------------------
+       afr_pct  non-negative number        1                                       annual disk failure rate, percent (mode=sim)
+         years              integer       20                                          simulated years per pool trial (mode=sim)
+        trials              integer       64                                                  pool trials per scheme (mode=sim)
+          seed              integer       42                                                           root RNG seed (mode=sim)
+          bias               string     auto  degraded-state failure acceleration: auto, 1 (direct), or a multiplier (mode=sim)
+require_events              integer        0      fail (non-zero exit) unless every scheme observed this many events (mode=sim)
+         trace               string       ''              write per-trial JSONL event logs to this path (mode=sim; empty = off)
+global keys: mode= out= threads= manifests=
+`run all --fast` overrides: trials=8 years=25
+"#,
+    ),
+    (
+        "fig11",
+        r#"Figure 11 — (k+p) encoding throughput heatmap (single-core default, threads=N) [§5.1.1, Fig 11]
+modes: measured (default: measured)
+parameter     type  default                                                              help
+---------------------------------------------------------------------------------------------
+     kmax  integer       50                                          largest data-chunk count
+     pmax  integer       15                                              largest parity count
+    kstep  integer        4                                                       k grid step
+    pstep  integer        2                                                       p grid step
+ chunk_kb  integer      128                                                 chunk size in KiB
+       mb  integer       64                                      minimum MiB encoded per cell
+  threads  integer        1  worker threads per stripe encode (1 = paper's single-core setup)
+global keys: mode= out= threads= manifests=
+`run all --fast` overrides: kmax=10 pmax=5 mb=8
+"#,
+    ),
+    (
+        "fig12",
+        r#"Figure 12 — MLEC vs SLEC durability/throughput tradeoff (~30% overhead) [§5.1, Fig 12]
+modes: analytic, sim (default: analytic)
+  parameter                 type  default                                                                  help
+---------------------------------------------------------------------------------------------------------------
+         mb              integer       32                   MiB encoded while calibrating the kernel cost model
+    threads              integer        1  worker threads for the calibration encode (models an N-core encoder)
+   failures              integer       48                            burst stress cell: failed disks (mode=sim)
+      racks              integer        5                          burst stress cell: affected racks (mode=sim)
+    rel_err  non-negative number      0.1                   adaptive stop: target relative std error (mode=sim)
+min_samples              integer      200                minimum conditional-MC samples per campaign (mode=sim)
+    samples              integer    20000                  conditional-MC sample budget per campaign (mode=sim)
+       seed              integer       42                                              root RNG seed (mode=sim)
+global keys: mode= out= threads= manifests=
+`run all --fast` overrides: rel_err=0.3 samples=2000
+"#,
+    ),
+    (
+        "fig13",
+        r#"Figure 13 — SLEC PDL under correlated failure bursts, (7+3) [§5.1.3, Fig 13]
+modes: sim (default: sim)
+  parameter                 type  default                                                                            help
+-------------------------------------------------------------------------------------------------------------------------
+        max              integer       60                                    largest failures/racks grid line (paper: 60)
+       step              integer        6                                   grid step above 6 (1 = the paper's full grid)
+    samples              integer       60            conditional-MC samples per cell (the budget cap when rel_err is set)
+       seed              integer       42                                                                   root RNG seed
+    rel_err  non-negative number        0  adaptive stop: target relative std error of the pooled grid (0 = fixed budget)
+min_samples              integer        8                       minimum samples per cell before an adaptive stop may fire
+global keys: mode= out= threads= manifests=
+`run all --fast` overrides: max=12 samples=8
+"#,
+    ),
+    (
+        "fig15",
+        r#"Figure 15 — MLEC C/D vs LRC-Dp durability/throughput tradeoff [§5.2, Fig 15]
+modes: analytic, sim (default: analytic)
+  parameter                 type  default                                                                  help
+---------------------------------------------------------------------------------------------------------------
+         mb              integer       32                   MiB encoded while calibrating the kernel cost model
+    threads              integer        1  worker threads for the calibration encode (models an N-core encoder)
+    rel_err  non-negative number      0.1                   adaptive stop: target relative std error (mode=sim)
+min_samples              integer      200                          minimum rank tests per LRC config (mode=sim)
+    samples              integer    20000                            rank-test budget per LRC config (mode=sim)
+       seed              integer       42                                              root RNG seed (mode=sim)
+global keys: mode= out= threads= manifests=
+`run all --fast` overrides: rel_err=0.3 samples=1000
+"#,
+    ),
+    (
+        "fig16",
+        r#"Figure 16 — LRC-Dp (14,2,4) PDL under correlated failure bursts [§5.2.3, Fig 16]
+modes: sim (default: sim)
+  parameter                 type  default                                                                            help
+-------------------------------------------------------------------------------------------------------------------------
+        max              integer       60                                    largest failures/racks grid line (paper: 60)
+       step              integer        6                                   grid step above 6 (1 = the paper's full grid)
+    samples              integer       60            conditional-MC samples per cell (the budget cap when rel_err is set)
+       seed              integer       42                                                                   root RNG seed
+    rel_err  non-negative number        0  adaptive stop: target relative std error of the pooled grid (0 = fixed budget)
+min_samples              integer        8                       minimum samples per cell before an adaptive stop may fire
+global keys: mode= out= threads= manifests=
+`run all --fast` overrides: max=12 samples=8
+"#,
+    ),
+    (
+        "sec514",
+        r#"Sections 5.1.4 & 5.2.4 — repair network traffic: SLEC vs LRC vs MLEC [§5.1.4 / §5.2.4]
+modes: analytic (default: analytic)
+parameters: none beyond the global keys
+global keys: mode= out= threads= manifests=
+"#,
+    ),
+    (
+        "ablations",
+        r#"Ablations — detection time, throttle, AFR, and spare policy sweeps [§5.2.2 / §3 (beyond the paper's figures)]
+modes: analytic (default: analytic)
+parameters: none beyond the global keys
+global keys: mode= out= threads= manifests=
+"#,
+    ),
+    (
+        "paper_summary",
+        r#"Reproduction summary — paper headline numbers vs this repository [whole evaluation (fast analytic paths)]
+modes: analytic (default: analytic)
+parameters: none beyond the global keys
+global keys: mode= out= threads= manifests=
+"#,
+    ),
+    (
+        "validation",
+        r#"Validation — direct system simulation vs splitting estimator at inflated AFR [§6.2 (methodology cross-validation)]
+modes: sim (default: sim)
+parameter                 type  default                                                 help
+--------------------------------------------------------------------------------------------
+  afr_pct  non-negative number       75  inflated AFR percent (data loss must be observable)
+    years  non-negative number        2                      mission length in years per run
+     runs              integer       40                         whole-system runs per scheme
+     seed              integer       42                                        root RNG seed
+global keys: mode= out= threads= manifests=
+`run all --fast` overrides: runs=4
+"#,
+    ),
+    (
+        "trace",
+        r#"Trace tools — synthesize, analyze, and replay a failure trace [§6.1 (trace-driven fault simulation)]
+modes: sim (default: sim)
+          parameter                 type  default                                                            help
+-----------------------------------------------------------------------------------------------------------------
+            afr_pct  non-negative number        1                 background AFR percent of the synthesized trace
+bursts_per_year_x10              integer       10                            correlated bursts per year, times 10
+         burst_size              integer       60                                                 disks per burst
+        burst_racks              integer        1                                   racks a burst concentrates on
+              years  non-negative number        5                                           trace length in years
+               seed              integer       42                                            trace synthesis seed
+                csv               string       ''  also write the synthesized trace CSV to this path ('' = don't)
+global keys: mode= out= threads= manifests=
+`run all --fast` overrides: years=2
+"#,
+    ),
+    (
+        "store_bench",
+        r#"Store bench — trace-driven object-store replay: rebuild vs foreground tail latency [§3 (bandwidth model), §5 (repair/foreground interference)]
+modes: sim (default: sim)
+       parameter                 type  default                                                                                                                                help
+----------------------------------------------------------------------------------------------------------------------------------------------------------------------------------
+             ops              integer  1000000                                                                                                          trace operations to replay
+         objects              integer     4096                                                                           distinct objects, preloaded at version 0 before the trace
+            zipf  non-negative number      1.0                                                                                          Zipf(s) popularity skew of the object draw
+         put_pct              integer       10                                                                                                        percent of ops that are puts
+      delete_pct              integer        0                                                                                                     percent of ops that are deletes
+     ops_per_sec              integer    50000                                                                                                  trace arrival rate in virtual time
+         kill_at              integer        0                                                                        inject the failure when this op index is reached (0 = never)
+      kill_racks              integer        1                                                                                                 whole racks killed at the injection
+      kill_disks              integer        0                                                                                       extra disks killed in the next surviving rack
+           batch              integer     1024                                                                                                     ops prepared per parallel batch
+          shards              integer        0  apply-phase rack shards: 0 = monolithic serial apply, N >= 1 = epoch-sharded apply on N clock-domain shards (bit-identical output)
+    verify_every              integer       64                                                                       verify read-back bytes on every Nth op (0 = final sweep only)
+            seed              integer       42                                                                                          root seed for trace and payload derivation
+         backend               string      mem                                                                                                      chunk backend: `mem` or `file`
+             dir               string       ''                                                                          chunk directory for backend=file ('' = <out>/store_chunks)
+           oplog               string       ''                                                                      write the deterministic JSONL op log to this path ('' = don't)
+           trace               string       ''                                                                    replay this trace file instead of synthesizing ('' = synthesize)
+require_degraded              integer        0                                                              1 = fail unless the kill caused degraded reads and a completed rebuild
+          timing              integer        0                                                                       1 = also report wall-clock replay throughput (reporting only)
+global keys: mode= out= threads= manifests=
+`run all --fast` overrides: ops=2000 objects=256 kill_at=600 verify_every=16 shards=2
+"#,
+    ),
+];
+
+#[test]
+fn info_and_list_golden() {
+    let out = mlec(&["list"]);
+    assert_eq!(status(&out), 0, "stderr: {}", stderr(&out));
+    assert_eq!(stdout(&out), LIST_GOLDEN, "`mlec list` changed");
+    let names: Vec<&str> = INFO_GOLDEN.iter().map(|(name, _)| *name).collect();
+    assert_eq!(names, ALL_EXPERIMENTS);
+    for (name, golden) in INFO_GOLDEN {
+        let out = mlec(&["info", name]);
+        assert_eq!(status(&out), 0, "stderr: {}", stderr(&out));
+        assert_eq!(stdout(&out), *golden, "`mlec info {name}` changed");
+    }
+}
+
 #[test]
 fn list_enumerates_every_registered_experiment() {
     let out = mlec(&["list"]);
@@ -156,6 +471,50 @@ fn malformed_value_exits_2() {
         assert_eq!(status(&out), 2, "{args:?}");
         assert!(stderr(&out).contains(needle), "{}", stderr(&out));
     }
+    // Integers that used to panic deep in the run (exit 101) or to run as
+    // their value modulo 2^32: rejected by the parameter's field type, with
+    // the accepted range in the message.
+    for (args, needle) in [
+        (
+            ["run", "fig05", "step=4294967295"],
+            "invalid value `4294967295` for `step`: expected integer in 0..=4294967289",
+        ),
+        (
+            ["run", "fig05", "step=4294967297"],
+            "invalid value `4294967297` for `step`: expected integer in 0..=4294967289",
+        ),
+        (
+            ["run", "trace", "burst_racks=0"],
+            "invalid value `0` for `burst_racks`: expected integer in 1..=4294967295",
+        ),
+        (
+            ["run", "trace", "burst_size=4294967356"],
+            "invalid value `4294967356` for `burst_size`: expected integer in 0..=4294967295",
+        ),
+        (
+            ["run", "fig11", "chunk_kb=0"],
+            "invalid value `0` for `chunk_kb`: expected integer in 1..=4294967295",
+        ),
+        (
+            ["run", "fig11", "kmax=1"],
+            "invalid value `1` for `kmax`: expected integer in 2..=4294967295",
+        ),
+    ] {
+        let out = mlec(&args);
+        assert_eq!(status(&out), 2, "{args:?}");
+        assert!(stderr(&out).contains(needle), "{}", stderr(&out));
+    }
+    let out = mlec(&["run", "fig12", "mode=sim", "racks=0"]);
+    assert_eq!(status(&out), 2);
+    assert!(
+        stderr(&out).contains("invalid value `0` for `racks`: expected integer in 1..=4294967295"),
+        "{}",
+        stderr(&out)
+    );
+    // A grid wider than GF(2^8) allows used to panic in the encoder.
+    let out = mlec(&["run", "fig11", "kmax=300", "kstep=298", "pmax=1", "mb=1"]);
+    assert_eq!(status(&out), 2);
+    assert!(stderr(&out).contains("for `kmax`"), "{}", stderr(&out));
 }
 
 #[test]

@@ -89,17 +89,16 @@ impl Default for HeatmapSpec {
 
 impl HeatmapSpec {
     /// Grid lines: always dense over 1..=6 (the paper's PDL structure pivots
-    /// at `x = p_n + 1` racks), then stepped up to `max`.
+    /// at `x = p_n + 1` racks), then stepped up to `max`. Total for every
+    /// `max` and `step`: no sum can leave `u32`.
     fn axis(&self) -> Vec<u32> {
-        let mut v: Vec<u32> = (1..=6.min(self.max)).collect();
-        let mut x = 6 + self.step;
-        while x < self.max {
-            v.push(x);
-            x += self.step;
-        }
-        if *v.last().unwrap() != self.max {
-            v.push(self.max);
-        }
+        let mut v: Vec<u32> = (1..=self.max.min(6)).collect();
+        let stepped = (6..self.max).step_by(self.step.max(1) as usize);
+        v.extend(stepped.skip(1));
+        // The last line is `max`, which the dense part already ends on
+        // when `max <= 6`.
+        v.push(self.max);
+        v.dedup();
         v
     }
 }
@@ -120,9 +119,24 @@ pub struct HeatmapRunOpts {
 }
 
 impl HeatmapRunOpts {
-    fn manifest_path(&self, run_label: &str) -> Option<PathBuf> {
-        let dir = self.manifest_dir.as_ref()?;
-        Some(dir.join(format!("{}.jsonl", run_label.replace('/', "-"))))
+    /// The [`RunSpec`] of one figure campaign: the run's identity (`label`,
+    /// `seed`, `config_hash`) and stop rule under these options' thread
+    /// count, checkpointing to `<manifest_dir>/<label with / as ->.jsonl`
+    /// when a manifest directory is set.
+    pub(crate) fn run_spec(
+        &self,
+        label: &str,
+        seed: u64,
+        stop: StopRule,
+        config_hash: u64,
+    ) -> RunSpec {
+        let spec = RunSpec::new(label, seed, stop)
+            .threads(self.threads)
+            .config_hash(config_hash);
+        match &self.manifest_dir {
+            Some(dir) => spec.manifest(dir.join(format!("{}.jsonl", label.replace('/', "-")))),
+            None => spec,
+        }
     }
 
     /// Open the configured event-log sink, if any.
@@ -174,12 +188,7 @@ fn run_heatmap(
         ),
         None => StopRule::fixed(trial.total_trials()),
     };
-    let mut run_spec = RunSpec::new(run_label, spec.seed, stop)
-        .threads(opts.threads)
-        .config_hash(config_hash);
-    if let Some(path) = opts.manifest_path(run_label) {
-        run_spec = run_spec.manifest(path);
-    }
+    let run_spec = opts.run_spec(run_label, spec.seed, stop, config_hash);
     let report = run_with(&trial, &run_spec, trial.empty()).expect("heatmap run");
 
     let mut pdl = vec![vec![f64::NAN; xs.len()]; ys.len()];
@@ -392,12 +401,7 @@ fn stage1_campaigns(
         ])
         .fingerprint();
         let run_label = format!("{fig}/{}", scheme.name().replace('/', ""));
-        let mut spec = RunSpec::new(&run_label, seed, StopRule::fixed(trials))
-            .threads(opts.threads)
-            .config_hash(config_hash);
-        if let Some(path) = opts.manifest_path(&run_label) {
-            spec = spec.manifest(path);
-        }
+        let spec = opts.run_spec(&run_label, seed, StopRule::fixed(trials), config_hash);
         let (s1, report) = mlec_analysis::splitting::stage1_via_runner_logged(
             &dep,
             &model,
@@ -559,12 +563,7 @@ pub fn fig8_fig9_repair_methods_sim(
             ])
             .fingerprint();
             let run_label = format!("fig08/{}-{}", scheme.name().replace('/', ""), method.name());
-            let mut spec = RunSpec::new(&run_label, seed, StopRule::fixed(trials))
-                .threads(opts.threads)
-                .config_hash(config_hash);
-            if let Some(path) = opts.manifest_path(&run_label) {
-                spec = spec.manifest(path);
-            }
+            let spec = opts.run_spec(&run_label, seed, StopRule::fixed(trials), config_hash);
             let report = mlec_runner::run(&trial, &spec)?;
             let acc = &report.acc;
             let cat = acc.catastrophic_pools;
@@ -796,16 +795,8 @@ fn burst_check_campaign(
         let mut rng = trial_rng(seed);
         sample(&mut rng)
     });
-    let mut spec = RunSpec::new(
-        run_label,
-        seed,
-        StopRule::until_rel_err(rel_err, min_samples, samples),
-    )
-    .threads(opts.threads)
-    .config_hash(config_hash);
-    if let Some(path) = opts.manifest_path(run_label) {
-        spec = spec.manifest(path);
-    }
+    let stop = StopRule::until_rel_err(rel_err, min_samples, samples);
+    let spec = opts.run_spec(run_label, seed, stop, config_hash);
     let report = mlec_runner::run(&trial, &spec)?;
     let s = report.summary;
     Ok(BurstCheckRow {
@@ -940,16 +931,8 @@ pub fn fig15_mlec_vs_lrc_sim(
             ("erasures", Json::U64(m as u64)),
         ])
         .fingerprint();
-        let mut spec = RunSpec::new(
-            &run_label,
-            seed,
-            StopRule::until_rel_err(rel_err, min_samples, samples),
-        )
-        .threads(opts.threads)
-        .config_hash(config_hash);
-        if let Some(path) = opts.manifest_path(&run_label) {
-            spec = spec.manifest(path);
-        }
+        let stop = StopRule::until_rel_err(rel_err, min_samples, samples);
+        let spec = opts.run_spec(&run_label, seed, stop, config_hash);
         match mlec_runner::run(&trial, &spec) {
             Ok(report) => {
                 let s = report.summary;
@@ -1241,6 +1224,33 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn heatmap_axis_is_total() {
+        let axis = |max, step| {
+            HeatmapSpec {
+                max,
+                step,
+                ..HeatmapSpec::default()
+            }
+            .axis()
+        };
+        assert_eq!(
+            axis(60, 6),
+            [1, 2, 3, 4, 5, 6, 12, 18, 24, 30, 36, 42, 48, 54, 60]
+        );
+        assert_eq!(axis(12, 6), [1, 2, 3, 4, 5, 6, 12]);
+        assert_eq!(axis(3, 6), [1, 2, 3]);
+        assert_eq!(axis(6, 1), [1, 2, 3, 4, 5, 6]);
+        // `6 + step` and `x += step` used to wrap: step = u32::MAX put a
+        // 0-rack line on the axis, and the sampler panicked on it.
+        assert_eq!(axis(60, u32::MAX), [1, 2, 3, 4, 5, 6, 60]);
+        assert_eq!(
+            axis(u32::MAX, u32::MAX - 7),
+            [1, 2, 3, 4, 5, 6, u32::MAX - 1, u32::MAX]
+        );
+        assert_eq!(axis(9, 0), [1, 2, 3, 4, 5, 6, 7, 8, 9]);
     }
 
     #[test]

@@ -1,11 +1,13 @@
-//! [`Experiment`] implementations for every figure/table in the registry:
-//! the rendering lives in one place so the `mlec` driver and the
-//! regression tests execute the identical code path.
+//! Every figure/table in the registry: one `declare_experiment!`
+//! declaration plus one run function each. The rendering lives in one place
+//! so the `mlec` driver and the regression tests execute the identical code
+//! path.
 //!
-//! Each experiment turns typed context parameters into the row/series
-//! functions of [`crate::experiments`] and renders the paper-comparable
-//! report into [`ExperimentOutput::text`]; JSON artifacts keep their
-//! historical names (`fig05.json`, `table2.json`, …).
+//! A run function receives the execution context and the experiment's typed
+//! parameter struct, hands them to the row/series functions of
+//! [`crate::experiments`] and renders the paper-comparable report into
+//! [`ExperimentOutput::text`]; JSON artifacts keep their historical names
+//! (`fig05.json`, `table2.json`, …).
 
 use crate::experiments::{
     fig10_durability, fig10_durability_sim, fig11_encoding_throughput, fig12_mlec_vs_slec,
@@ -16,17 +18,18 @@ use crate::experiments::{
 };
 use crate::figdata;
 use crate::registry::{
-    suggest_among, Experiment, ExperimentCtx, ExperimentError, ExperimentInfo, ExperimentOutput,
-    Mode, ParamKind, ParamSpec,
+    declare_experiment, suggest_among, Bounded, ExperimentCtx, ExperimentError, ExperimentOutput,
+    Mode, NoParams,
 };
 use crate::report::{ascii_table, fmt_value, render_heatmap};
 use mlec_analysis::markov::nines;
 use mlec_ec::throughput::ThroughputModel;
 use mlec_ec::{LrcParams, SlecParams};
-use mlec_runner::{impl_to_json, Json, RunSpec, StopRule};
+use mlec_runner::{impl_to_json, Json, StopRule};
 use mlec_sim::config::MlecDeployment;
 use mlec_sim::RepairMethod;
 use mlec_topology::{Geometry, MlecScheme};
+use std::num::NonZeroU32;
 
 /// `writeln!` into an [`ExperimentOutput`] text buffer (infallible).
 macro_rules! w {
@@ -40,91 +43,42 @@ macro_rules! w {
     }};
 }
 
-macro_rules! params {
-    ($(($name:literal, $kind:ident, $default:literal, $help:literal)),* $(,)?) => {
-        &[$(ParamSpec {
-            name: $name,
-            kind: ParamKind::$kind,
-            default: $default,
-            help: $help,
-        }),*]
-    };
+/// The method × scheme pivot of Fig 8 / Fig 10: one row per method, one
+/// column per scheme, each cell rendered by `show`.
+fn method_by_scheme_table<C>(
+    methods: &[RepairMethod],
+    cells: &[C],
+    key: impl Fn(&C) -> (&str, &str),
+    show: impl Fn(&C) -> String,
+) -> String {
+    let schemes = MlecScheme::ALL.map(|s| s.name());
+    let rows: Vec<Vec<String>> = methods
+        .iter()
+        .map(|m| {
+            let mut row = vec![m.name().to_string()];
+            row.extend(schemes.iter().map(|s| {
+                let cell = cells.iter().find(|c| key(c) == (s.as_str(), m.name()));
+                cell.map_or_else(String::new, &show)
+            }));
+            row
+        })
+        .collect();
+    let mut headers = vec!["method"];
+    headers.extend(schemes.iter().map(String::as_str));
+    ascii_table(&headers, &rows)
 }
 
-macro_rules! experiment {
-    ($ty:ident, $info:ident, $run:path) => {
-        /// Registered experiment (see its [`ExperimentInfo`]).
-        pub struct $ty;
-        impl Experiment for $ty {
-            fn info(&self) -> &'static ExperimentInfo {
-                &$info
-            }
-            fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
-                $run(ctx)
-            }
-        }
-    };
-}
+const HEATMAP_FAST: &[(&str, &str)] = &[("max", "12"), ("samples", "8")];
 
-const SCHEMES: [&str; 4] = ["C/C", "C/D", "D/C", "D/D"];
-const METHODS: [&str; 4] = ["R_ALL", "R_FCO", "R_HYB", "R_MIN"];
-
-static HEATMAP_PARAMS: &[ParamSpec] = params![
-    (
-        "max",
-        U64,
-        "60",
-        "largest failures/racks grid line (paper: 60)"
-    ),
-    (
-        "step",
-        U64,
-        "6",
-        "grid step above 6 (1 = the paper's full grid)"
-    ),
-    (
-        "samples",
-        U64,
-        "60",
-        "conditional-MC samples per cell (the budget cap when rel_err is set)"
-    ),
-    ("seed", U64, "42", "root RNG seed"),
-    (
-        "rel_err",
-        F64,
-        "0",
-        "adaptive stop: target relative std error of the pooled grid (0 = fixed budget)"
-    ),
-    (
-        "min_samples",
-        U64,
-        "8",
-        "minimum samples per cell before an adaptive stop may fire"
-    ),
-];
-
-static HEATMAP_FAST: &[(&str, &str)] = &[("max", "12"), ("samples", "8")];
-
-fn heatmap_spec(ctx: &ExperimentCtx) -> Result<HeatmapSpec, ExperimentError> {
-    let rel_err = ctx.f64("rel_err");
-    // An empty axis has no last grid line (and `as u32` would wrap 2^32 to 0).
-    let max = ctx.u64("max");
-    let max = u32::try_from(max)
-        .ok()
-        .filter(|&max| max >= 1)
-        .ok_or_else(|| ExperimentError::BadValue {
-            name: "max".to_string(),
-            value: max.to_string(),
-            expected: format!("integer in 1..={}", u32::MAX),
-        })?;
-    Ok(HeatmapSpec {
-        max,
-        step: (ctx.u64("step") as u32).max(1),
-        samples: (ctx.u64("samples") as u32).max(1),
-        seed: ctx.u64("seed"),
-        rel_err: (rel_err > 0.0).then_some(rel_err),
-        min_samples: ctx.u64("min_samples") as u32,
-    })
+fn heatmap_spec(p: &HeatmapParams) -> HeatmapSpec {
+    HeatmapSpec {
+        max: p.max.get(),
+        step: p.step.get().max(1),
+        samples: p.samples.max(1),
+        seed: p.seed,
+        rel_err: (p.rel_err > 0.0).then_some(p.rel_err),
+        min_samples: p.min_samples,
+    }
 }
 
 fn heatmap_grid_line(out: &mut ExperimentOutput, spec: &HeatmapSpec) {
@@ -156,17 +110,18 @@ fn render_maps(
 
 // ---------------------------------------------------------------- fig01
 
-static FIG01_INFO: ExperimentInfo = ExperimentInfo {
-    name: "fig01",
-    title: "Figure 1",
-    description: "storage scaling over the years",
-    paper_ref: "§1, Fig 1 (motivation)",
-    modes: &[Mode::Analytic],
-    params: params![],
-    fast: &[],
-};
+declare_experiment! {
+    FIG01(run_fig01, NoParams) {
+        name: "fig01",
+        title: "Figure 1",
+        description: "storage scaling over the years",
+        paper_ref: "§1, Fig 1 (motivation)",
+        modes: &[Mode::Analytic],
+        fast: &[],
+    }
+}
 
-fn run_fig01(_ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
+fn run_fig01(_ctx: &ExperimentCtx, _p: &NoParams) -> Result<ExperimentOutput, ExperimentError> {
     let mut out = ExperimentOutput::new();
     for (title, artifact, series) in [
         (
@@ -199,21 +154,20 @@ fn run_fig01(_ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> 
     Ok(out)
 }
 
-experiment!(Fig01, FIG01_INFO, run_fig01);
-
 // --------------------------------------------------------------- table2
 
-static TABLE2_INFO: ExperimentInfo = ExperimentInfo {
-    name: "table2",
-    title: "Table 2",
-    description: "repair size and available repair bandwidth (single disk / catastrophic pool)",
-    paper_ref: "§4.1, Table 2",
-    modes: &[Mode::Analytic],
-    params: params![],
-    fast: &[],
-};
+declare_experiment! {
+    TABLE2(run_table2, NoParams) {
+        name: "table2",
+        title: "Table 2",
+        description: "repair size and available repair bandwidth (single disk / catastrophic pool)",
+        paper_ref: "§4.1, Table 2",
+        modes: &[Mode::Analytic],
+        fast: &[],
+    }
+}
 
-fn run_table2(_ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
+fn run_table2(_ctx: &ExperimentCtx, _p: &NoParams) -> Result<ExperimentOutput, ExperimentError> {
     let mut out = ExperimentOutput::new();
     let rows = table2_and_fig6();
     let table: Vec<Vec<String>> = rows
@@ -250,22 +204,31 @@ fn run_table2(_ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError>
     Ok(out)
 }
 
-experiment!(Table2, TABLE2_INFO, run_table2);
-
 // ---------------------------------------------------------------- fig05
 
-static FIG05_INFO: ExperimentInfo = ExperimentInfo {
-    name: "fig05",
-    title: "Figure 5",
-    description: "MLEC PDL under correlated failure bursts",
-    paper_ref: "§4.2, Fig 5",
-    modes: &[Mode::Sim],
-    params: HEATMAP_PARAMS,
-    fast: HEATMAP_FAST,
-};
+declare_experiment! {
+    FIG05(run_fig05, HeatmapParams {
+        max: NonZeroU32 = "60", "largest failures/racks grid line (paper: 60)";
+        // `6 + step` is the first stepped grid line; the bound keeps it a `u32`.
+        step: Bounded<0, { u32::MAX - 6 }> = "6", "grid step above 6 (1 = the paper's full grid)";
+        samples: u32 = "60",
+            "conditional-MC samples per cell (the budget cap when rel_err is set)";
+        seed: u64 = "42", "root RNG seed";
+        rel_err: f64 = "0",
+            "adaptive stop: target relative std error of the pooled grid (0 = fixed budget)";
+        min_samples: u32 = "8", "minimum samples per cell before an adaptive stop may fire";
+    }) {
+        name: "fig05",
+        title: "Figure 5",
+        description: "MLEC PDL under correlated failure bursts",
+        paper_ref: "§4.2, Fig 5",
+        modes: &[Mode::Sim],
+        fast: HEATMAP_FAST,
+    }
+}
 
-fn run_fig05(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
-    let spec = heatmap_spec(ctx)?;
+fn run_fig05(ctx: &ExperimentCtx, p: &HeatmapParams) -> Result<ExperimentOutput, ExperimentError> {
+    let spec = heatmap_spec(p);
     let mut out = ExperimentOutput::new();
     heatmap_grid_line(&mut out, &spec);
     let maps = fig5_mlec_burst_with(&spec, &ctx.runner);
@@ -288,21 +251,20 @@ fn run_fig05(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
     Ok(out)
 }
 
-experiment!(Fig05, FIG05_INFO, run_fig05);
-
 // ---------------------------------------------------------------- fig06
 
-static FIG06_INFO: ExperimentInfo = ExperimentInfo {
-    name: "fig06",
-    title: "Figure 6",
-    description: "repair time per MLEC scheme (R_ALL)",
-    paper_ref: "§4.1, Fig 6",
-    modes: &[Mode::Analytic],
-    params: params![],
-    fast: &[],
-};
+declare_experiment! {
+    FIG06(run_fig06, NoParams) {
+        name: "fig06",
+        title: "Figure 6",
+        description: "repair time per MLEC scheme (R_ALL)",
+        paper_ref: "§4.1, Fig 6",
+        modes: &[Mode::Analytic],
+        fast: &[],
+    }
+}
 
-fn run_fig06(_ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
+fn run_fig06(_ctx: &ExperimentCtx, _p: &NoParams) -> Result<ExperimentOutput, ExperimentError> {
     let mut out = ExperimentOutput::new();
     let rows = table2_and_fig6();
     let table: Vec<Vec<String>> = rows
@@ -335,50 +297,31 @@ fn run_fig06(_ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> 
     Ok(out)
 }
 
-experiment!(Fig06, FIG06_INFO, run_fig06);
-
 // ---------------------------------------------------------------- fig07
 
-static FIG07_INFO: ExperimentInfo = ExperimentInfo {
-    name: "fig07",
-    title: "Figure 7",
-    description: "probability of catastrophic local failure (per system-year)",
-    paper_ref: "§4.2, Fig 7",
-    modes: &[Mode::Analytic, Mode::Sim],
-    params: params![
-        (
-            "afr_pct",
-            F64,
-            "1",
-            "annual disk failure rate, percent (mode=sim)"
-        ),
-        (
-            "years",
-            U64,
-            "20",
-            "simulated years per pool trial (mode=sim)"
-        ),
-        ("trials", U64, "64", "pool trials per scheme (mode=sim)"),
-        ("seed", U64, "42", "root RNG seed (mode=sim)"),
-        (
-            "bias",
-            Str,
-            "auto",
-            "degraded-state failure acceleration: auto, 1 (direct), or a multiplier (mode=sim)"
-        ),
-        (
-            "trace",
-            Str,
-            "",
-            "write per-trial JSONL event logs to this path (mode=sim; empty = off)"
-        ),
-    ],
-    fast: &[("trials", "8"), ("years", "25")],
-};
+declare_experiment! {
+    FIG07(run_fig07, Fig07Params {
+        afr_pct: f64 = "1", "annual disk failure rate, percent (mode=sim)";
+        years: u64 = "20", "simulated years per pool trial (mode=sim)";
+        trials: u64 = "64", "pool trials per scheme (mode=sim)";
+        seed: u64 = "42", "root RNG seed (mode=sim)";
+        bias: String = "auto",
+            "degraded-state failure acceleration: auto, 1 (direct), or a multiplier (mode=sim)";
+        trace: String = "",
+            "write per-trial JSONL event logs to this path (mode=sim; empty = off)";
+    }) {
+        name: "fig07",
+        title: "Figure 7",
+        description: "probability of catastrophic local failure (per system-year)",
+        paper_ref: "§4.2, Fig 7",
+        modes: &[Mode::Analytic, Mode::Sim],
+        fast: &[("trials", "8"), ("years", "25")],
+    }
+}
 
-fn run_fig07(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
+fn run_fig07(ctx: &ExperimentCtx, p: &Fig07Params) -> Result<ExperimentOutput, ExperimentError> {
     if ctx.mode == Mode::Sim {
-        return run_fig07_sim(ctx);
+        return run_fig07_sim(ctx, p);
     }
     let mut out = ExperimentOutput::new();
     let rows = fig7_catastrophic_prob();
@@ -405,11 +348,31 @@ fn run_fig07(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
     Ok(out)
 }
 
+/// The `bias=` knob of the importance-sampled modes: `auto` → `None`
+/// (per-scheme auto-selection), otherwise a positive finite multiplier
+/// (`1` = direct simulation).
+fn parse_bias(raw: &str) -> Result<Option<f64>, ExperimentError> {
+    if raw == "auto" {
+        return Ok(None);
+    }
+    match raw.parse::<f64>() {
+        Ok(b) if b.is_finite() && b > 0.0 => Ok(Some(b)),
+        _ => Err(ExperimentError::BadValue {
+            name: "bias".to_string(),
+            value: raw.to_string(),
+            expected: "`auto` or a positive number".to_string(),
+        }),
+    }
+}
+
 /// The context's runner options plus the figure-local `trace=` knob: a
 /// non-empty value streams per-trial JSONL event logs to that path.
-fn runner_with_event_log(ctx: &ExperimentCtx, out: &mut ExperimentOutput) -> HeatmapRunOpts {
+fn runner_with_event_log(
+    ctx: &ExperimentCtx,
+    trace: &str,
+    out: &mut ExperimentOutput,
+) -> HeatmapRunOpts {
     let mut runner = ctx.runner.clone();
-    let trace = ctx.str("trace");
     if !trace.is_empty() {
         runner.event_log = Some(std::path::PathBuf::from(trace));
         w!(
@@ -420,12 +383,14 @@ fn runner_with_event_log(ctx: &ExperimentCtx, out: &mut ExperimentOutput) -> Hea
     runner
 }
 
-fn run_fig07_sim(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
-    let afr = ctx.f64("afr_pct") / 100.0;
-    let years = ctx.u64("years") as f64;
-    let trials = ctx.u64("trials");
-    let seed = ctx.u64("seed");
-    let bias = ctx.bias()?;
+fn run_fig07_sim(
+    ctx: &ExperimentCtx,
+    p: &Fig07Params,
+) -> Result<ExperimentOutput, ExperimentError> {
+    let afr = p.afr_pct / 100.0;
+    let years = p.years as f64;
+    let (trials, seed) = (p.trials, p.seed);
+    let bias = parse_bias(&p.bias)?;
     let mut out = ExperimentOutput::new();
     let bias_desc = match bias {
         None => "auto".to_string(),
@@ -436,7 +401,7 @@ fn run_fig07_sim(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentErro
         "sim mode: AFR {afr}, {trials} pool trials x {years} years per scheme, \
          bias {bias_desc}, root seed {seed}\n"
     );
-    let runner = runner_with_event_log(ctx, &mut out);
+    let runner = runner_with_event_log(ctx, &p.trace, &mut out);
     let rows = fig7_catastrophic_prob_sim(afr, years, trials, seed, bias, &runner)?;
     let table: Vec<Vec<String>> = rows
         .iter()
@@ -504,49 +469,34 @@ fn run_fig07_sim(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentErro
     Ok(out)
 }
 
-experiment!(Fig07, FIG07_INFO, run_fig07);
-
 // ---------------------------------------------------------- fig08/fig09
 
-static FIG08_INFO: ExperimentInfo = ExperimentInfo {
-    name: "fig08",
-    title: "Figure 8",
-    description: "cross-rack repair traffic (TB) per method and scheme",
-    paper_ref: "§4.3, Fig 8",
-    modes: &[Mode::Analytic, Mode::Sim],
-    params: params![
-        (
-            "afr_pct",
-            F64,
-            "75",
-            "inflated AFR percent so missions observe catastrophes (mode=sim)"
-        ),
-        (
-            "years",
-            F64,
-            "2",
-            "mission length in years per trial (mode=sim)"
-        ),
-        (
-            "trials",
-            U64,
-            "8",
-            "whole-system missions per scheme x method (mode=sim)"
-        ),
-        ("seed", U64, "42", "root RNG seed (mode=sim)"),
-        (
-            "method",
-            Str,
-            "paper",
-            "repair methods: `paper` (R_ALL..R_MIN), `all` (adds R_LAYER, R_PIGGY), or a comma-separated label list"
-        ),
-    ],
-    fast: &[("trials", "2"), ("years", "1"), ("method", "all")],
-};
+const REPAIR_METHOD_FAST: &[(&str, &str)] = &[("trials", "2"), ("years", "1"), ("method", "all")];
 
-fn run_fig08(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
+declare_experiment! {
+    FIG08(run_fig08, RepairMethodParams {
+        afr_pct: f64 = "75", "inflated AFR percent so missions observe catastrophes (mode=sim)";
+        years: f64 = "2", "mission length in years per trial (mode=sim)";
+        trials: u64 = "8", "whole-system missions per scheme x method (mode=sim)";
+        seed: u64 = "42", "root RNG seed (mode=sim)";
+        method: String = "paper",
+            "repair methods: `paper` (R_ALL..R_MIN), `all` (adds R_LAYER, R_PIGGY), or a comma-separated label list";
+    }) {
+        name: "fig08",
+        title: "Figure 8",
+        description: "cross-rack repair traffic (TB) per method and scheme",
+        paper_ref: "§4.3, Fig 8",
+        modes: &[Mode::Analytic, Mode::Sim],
+        fast: REPAIR_METHOD_FAST,
+    }
+}
+
+fn run_fig08(
+    ctx: &ExperimentCtx,
+    p: &RepairMethodParams,
+) -> Result<ExperimentOutput, ExperimentError> {
     if ctx.mode == Mode::Sim {
-        let (cells, mut out) = repair_methods_sim_campaign(ctx)?;
+        let (cells, mut out) = repair_methods_sim_campaign(ctx, p)?;
         let table: Vec<Vec<String>> = cells
             .iter()
             .map(|c| {
@@ -579,28 +529,16 @@ fn run_fig08(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
         out.artifact("fig08_sim", &cells);
         return Ok(out);
     }
-    let methods = parse_methods(ctx)?;
+    let methods = parse_methods(&p.method)?;
     let mut out = ExperimentOutput::new();
     let cells = fig8_fig9_repair_methods_for(&methods);
-    let rows: Vec<Vec<String>> = methods
-        .iter()
-        .map(|m| {
-            let mut row = vec![m.name().to_string()];
-            for s in SCHEMES {
-                let cell = cells
-                    .iter()
-                    .find(|c| c.scheme == s && c.method == m.name())
-                    .expect("cell exists");
-                row.push(fmt_value(cell.cross_rack_tb));
-            }
-            row
-        })
-        .collect();
-    w!(
-        out.text,
-        "{}",
-        ascii_table(&["method", "C/C", "C/D", "D/C", "D/D"], &rows)
+    let table = method_by_scheme_table(
+        &methods,
+        &cells,
+        |c| (&c.scheme, &c.method),
+        |c| fmt_value(c.cross_rack_tb),
     );
+    w!(out.text, "{table}");
     w!(
         out.text,
         "paper: R_ALL 4400/26400/4400/26400; R_FCO 880 everywhere;"
@@ -610,47 +548,23 @@ fn run_fig08(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
     Ok(out)
 }
 
-experiment!(Fig08, FIG08_INFO, run_fig08);
+declare_experiment! {
+    FIG09(run_fig09, RepairMethodParams) {
+        name: "fig09",
+        title: "Figure 9",
+        description: "repair time split into network (-N) and local (-L) phases",
+        paper_ref: "§4.3, Fig 9",
+        modes: &[Mode::Analytic, Mode::Sim],
+        fast: REPAIR_METHOD_FAST,
+    }
+}
 
-static FIG09_INFO: ExperimentInfo = ExperimentInfo {
-    name: "fig09",
-    title: "Figure 9",
-    description: "repair time split into network (-N) and local (-L) phases",
-    paper_ref: "§4.3, Fig 9",
-    modes: &[Mode::Analytic, Mode::Sim],
-    params: params![
-        (
-            "afr_pct",
-            F64,
-            "75",
-            "inflated AFR percent so missions observe catastrophes (mode=sim)"
-        ),
-        (
-            "years",
-            F64,
-            "2",
-            "mission length in years per trial (mode=sim)"
-        ),
-        (
-            "trials",
-            U64,
-            "8",
-            "whole-system missions per scheme x method (mode=sim)"
-        ),
-        ("seed", U64, "42", "root RNG seed (mode=sim)"),
-        (
-            "method",
-            Str,
-            "paper",
-            "repair methods: `paper` (R_ALL..R_MIN), `all` (adds R_LAYER, R_PIGGY), or a comma-separated label list"
-        ),
-    ],
-    fast: &[("trials", "2"), ("years", "1"), ("method", "all")],
-};
-
-fn run_fig09(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
+fn run_fig09(
+    ctx: &ExperimentCtx,
+    p: &RepairMethodParams,
+) -> Result<ExperimentOutput, ExperimentError> {
     if ctx.mode == Mode::Sim {
-        let (cells, mut out) = repair_methods_sim_campaign(ctx)?;
+        let (cells, mut out) = repair_methods_sim_campaign(ctx, p)?;
         let table: Vec<Vec<String>> = cells
             .iter()
             .map(|c| {
@@ -683,7 +597,7 @@ fn run_fig09(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
         out.artifact("fig09_sim", &cells);
         return Ok(out);
     }
-    let methods = parse_methods(ctx)?;
+    let methods = parse_methods(&p.method)?;
     let mut out = ExperimentOutput::new();
     let cells = fig8_fig9_repair_methods_for(&methods);
     let rows: Vec<Vec<String>> = cells
@@ -718,8 +632,6 @@ fn run_fig09(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
     Ok(out)
 }
 
-experiment!(Fig09, FIG09_INFO, run_fig09);
-
 fn sim_cell(c: &RepairMethodSimCell, value: f64) -> String {
     if c.catastrophic_pools == 0 {
         "-".to_string()
@@ -730,12 +642,11 @@ fn sim_cell(c: &RepairMethodSimCell, value: f64) -> String {
 
 fn repair_methods_sim_campaign(
     ctx: &ExperimentCtx,
+    p: &RepairMethodParams,
 ) -> Result<(Vec<RepairMethodSimCell>, ExperimentOutput), ExperimentError> {
-    let afr = ctx.f64("afr_pct") / 100.0;
-    let years = ctx.f64("years");
-    let trials = ctx.u64("trials");
-    let seed = ctx.u64("seed");
-    let methods = parse_methods(ctx)?;
+    let afr = p.afr_pct / 100.0;
+    let (years, trials, seed) = (p.years, p.trials, p.seed);
+    let methods = parse_methods(&p.method)?;
     let labels: Vec<&str> = methods.iter().map(mlec_sim::RepairMethod::name).collect();
     let mut out = ExperimentOutput::new();
     w!(
@@ -752,8 +663,7 @@ fn repair_methods_sim_campaign(
 /// methods), `all` (paper plus `R_LAYER`/`R_PIGGY`), or a comma-separated
 /// list of labels (case-insensitive, deduplicated, order preserved).
 /// Unknown labels get a `suggest_among` did-you-mean hint.
-fn parse_methods(ctx: &ExperimentCtx) -> Result<Vec<RepairMethod>, ExperimentError> {
-    let raw = ctx.str("method");
+fn parse_methods(raw: &str) -> Result<Vec<RepairMethod>, ExperimentError> {
     match raw {
         "paper" => return Ok(RepairMethod::PAPER.to_vec()),
         "all" => return Ok(RepairMethod::EXTENDED.to_vec()),
@@ -820,74 +730,41 @@ fn repair_methods_sim_footer(out: &mut ExperimentOutput) {
 
 // ---------------------------------------------------------------- fig10
 
-static FIG10_INFO: ExperimentInfo = ExperimentInfo {
-    name: "fig10",
-    title: "Figure 10",
-    description: "durability (nines) per scheme and repair method",
-    paper_ref: "§4.3, Fig 10",
-    modes: &[Mode::Analytic, Mode::Sim],
-    params: params![
-        (
-            "afr_pct",
-            F64,
-            "1",
-            "annual disk failure rate, percent (mode=sim)"
-        ),
-        (
-            "years",
-            U64,
-            "20",
-            "simulated years per pool trial (mode=sim)"
-        ),
-        ("trials", U64, "64", "pool trials per scheme (mode=sim)"),
-        ("seed", U64, "42", "root RNG seed (mode=sim)"),
-        (
-            "bias",
-            Str,
-            "auto",
-            "degraded-state failure acceleration: auto, 1 (direct), or a multiplier (mode=sim)"
-        ),
-        (
-            "require_events",
-            U64,
-            "0",
-            "fail (non-zero exit) unless every scheme observed this many events (mode=sim)"
-        ),
-        (
-            "trace",
-            Str,
-            "",
-            "write per-trial JSONL event logs to this path (mode=sim; empty = off)"
-        ),
-    ],
-    fast: &[("trials", "8"), ("years", "25")],
-};
+declare_experiment! {
+    FIG10(run_fig10, Fig10Params {
+        afr_pct: f64 = "1", "annual disk failure rate, percent (mode=sim)";
+        years: u64 = "20", "simulated years per pool trial (mode=sim)";
+        trials: u64 = "64", "pool trials per scheme (mode=sim)";
+        seed: u64 = "42", "root RNG seed (mode=sim)";
+        bias: String = "auto",
+            "degraded-state failure acceleration: auto, 1 (direct), or a multiplier (mode=sim)";
+        require_events: u64 = "0",
+            "fail (non-zero exit) unless every scheme observed this many events (mode=sim)";
+        trace: String = "",
+            "write per-trial JSONL event logs to this path (mode=sim; empty = off)";
+    }) {
+        name: "fig10",
+        title: "Figure 10",
+        description: "durability (nines) per scheme and repair method",
+        paper_ref: "§4.3, Fig 10",
+        modes: &[Mode::Analytic, Mode::Sim],
+        fast: &[("trials", "8"), ("years", "25")],
+    }
+}
 
-fn run_fig10(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
+fn run_fig10(ctx: &ExperimentCtx, p: &Fig10Params) -> Result<ExperimentOutput, ExperimentError> {
     if ctx.mode == Mode::Sim {
-        return run_fig10_sim(ctx);
+        return run_fig10_sim(ctx, p);
     }
     let mut out = ExperimentOutput::new();
     let cells = fig10_durability();
-    let rows: Vec<Vec<String>> = METHODS
-        .iter()
-        .map(|m| {
-            let mut row = vec![m.to_string()];
-            for s in SCHEMES {
-                let cell = cells
-                    .iter()
-                    .find(|c| c.scheme == s && c.method == *m)
-                    .expect("cell exists");
-                row.push(format!("{:.1}", cell.nines));
-            }
-            row
-        })
-        .collect();
-    w!(
-        out.text,
-        "{}",
-        ascii_table(&["method", "C/C", "C/D", "D/C", "D/D"], &rows)
+    let table = method_by_scheme_table(
+        &RepairMethod::PAPER,
+        &cells,
+        |c| (&c.scheme, &c.method),
+        |c| format!("{:.1}", c.nines),
     );
+    w!(out.text, "{table}");
     w!(
         out.text,
         "paper: R_FCO +0.9-6.6 nines over R_ALL; R_HYB +0.6-4.1; R_MIN +0.1-1.2;"
@@ -900,13 +777,14 @@ fn run_fig10(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
     Ok(out)
 }
 
-fn run_fig10_sim(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
-    let afr = ctx.f64("afr_pct") / 100.0;
-    let years = ctx.u64("years") as f64;
-    let trials = ctx.u64("trials");
-    let seed = ctx.u64("seed");
-    let bias = ctx.bias()?;
-    let require_events = ctx.u64("require_events");
+fn run_fig10_sim(
+    ctx: &ExperimentCtx,
+    p: &Fig10Params,
+) -> Result<ExperimentOutput, ExperimentError> {
+    let afr = p.afr_pct / 100.0;
+    let years = p.years as f64;
+    let (trials, seed, require_events) = (p.trials, p.seed, p.require_events);
+    let bias = parse_bias(&p.bias)?;
     let mut out = ExperimentOutput::new();
     let bias_desc = match bias {
         None => "auto".to_string(),
@@ -924,34 +802,25 @@ fn run_fig10_sim(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentErro
         out.text,
         "`>=x` marks a zero-event durability lower bound\n"
     );
-    let runner = runner_with_event_log(ctx, &mut out);
+    let runner = runner_with_event_log(ctx, &p.trace, &mut out);
     let cells = fig10_durability_sim(afr, years, trials, seed, bias, &runner)?;
-    let rows: Vec<Vec<String>> = METHODS
-        .iter()
-        .map(|m| {
-            let mut row = vec![m.to_string()];
-            for s in SCHEMES {
-                let cell = cells
-                    .iter()
-                    .find(|c| c.scheme == s && c.method == *m)
-                    .expect("cell exists");
-                row.push(format!(
-                    "{}{:.1} ({:.1})",
-                    if cell.unobserved { ">=" } else { "" },
-                    cell.nines_sim_stage1,
-                    cell.nines_analytic_stage1
-                ));
-            }
-            row
-        })
-        .collect();
-    w!(
-        out.text,
-        "{}",
-        ascii_table(&["method", "C/C", "C/D", "D/C", "D/D"], &rows)
+    let table = method_by_scheme_table(
+        &RepairMethod::PAPER,
+        &cells,
+        |c| (&c.scheme, &c.method),
+        |c| {
+            format!(
+                "{}{:.1} ({:.1})",
+                if c.unobserved { ">=" } else { "" },
+                c.nines_sim_stage1,
+                c.nines_analytic_stage1
+            )
+        },
     );
-    for s in SCHEMES {
-        if let Some(c) = cells.iter().find(|c| c.scheme == s) {
+    w!(out.text, "{table}");
+    let schemes = MlecScheme::ALL.map(|s| s.name());
+    for s in &schemes {
+        if let Some(c) = cells.iter().find(|c| c.scheme == *s) {
             w!(
                 out.text,
                 "  {s}: {} events ({:.3e} weighted, ESS {:.1}) over {:.0} pool-years, \
@@ -984,8 +853,8 @@ fn run_fig10_sim(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentErro
     );
     out.artifact("fig10_sim", &cells);
     if require_events > 0 {
-        for s in SCHEMES {
-            if let Some(c) = cells.iter().find(|c| c.scheme == s) {
+        for s in &schemes {
+            if let Some(c) = cells.iter().find(|c| c.scheme == *s) {
                 if c.events < require_events {
                     out.gate_failures.push(format!(
                         "require_events={require_events}: {s} observed only {} events",
@@ -1004,44 +873,47 @@ fn run_fig10_sim(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentErro
     Ok(out)
 }
 
-experiment!(Fig10, FIG10_INFO, run_fig10);
-
 // ---------------------------------------------------------------- fig11
 
-static FIG11_INFO: ExperimentInfo = ExperimentInfo {
-    name: "fig11",
-    title: "Figure 11",
-    description: "(k+p) encoding throughput heatmap (single-core default, threads=N)",
-    paper_ref: "§5.1.1, Fig 11",
-    modes: &[Mode::Measured],
-    params: params![
-        ("kmax", U64, "50", "largest data-chunk count"),
-        ("pmax", U64, "15", "largest parity count"),
-        ("kstep", U64, "4", "k grid step"),
-        ("pstep", U64, "2", "p grid step"),
-        ("chunk_kb", U64, "128", "chunk size in KiB"),
-        ("mb", U64, "64", "minimum MiB encoded per cell"),
-        (
-            "threads",
-            U64,
-            "1",
-            "worker threads per stripe encode (1 = paper's single-core setup)"
-        ),
-    ],
-    fast: &[("kmax", "10"), ("pmax", "5"), ("mb", "8")],
-};
+declare_experiment! {
+    FIG11(run_fig11, Fig11Params {
+        kmax: Bounded<2, { u32::MAX }> = "50", "largest data-chunk count";
+        pmax: NonZeroU32 = "15", "largest parity count";
+        kstep: u32 = "4", "k grid step";
+        pstep: u32 = "2", "p grid step";
+        chunk_kb: NonZeroU32 = "128", "chunk size in KiB";
+        mb: u32 = "64", "minimum MiB encoded per cell";
+        threads: u32 = "1", "worker threads per stripe encode (1 = paper's single-core setup)";
+    }) {
+        name: "fig11",
+        title: "Figure 11",
+        description: "(k+p) encoding throughput heatmap (single-core default, threads=N)",
+        paper_ref: "§5.1.1, Fig 11",
+        modes: &[Mode::Measured],
+        fast: &[("kmax", "10"), ("pmax", "5"), ("mb", "8")],
+    }
+}
 
-fn run_fig11(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
-    let kmax = ctx.u64("kmax") as usize;
-    let pmax = ctx.u64("pmax") as usize;
-    let kstep = (ctx.u64("kstep") as usize).max(1);
-    let pstep = (ctx.u64("pstep") as usize).max(1);
-    let chunk = ctx.u64("chunk_kb") as usize * 1024;
-    let min_bytes = ctx.u64("mb") as usize * 1024 * 1024;
-    let threads = ctx.u64("threads") as usize;
+fn run_fig11(_ctx: &ExperimentCtx, p: &Fig11Params) -> Result<ExperimentOutput, ExperimentError> {
+    let chunk = p.chunk_kb.get() as usize * 1024;
+    let min_bytes = p.mb as usize * 1024 * 1024;
+    let threads = p.threads as usize;
 
-    let ks: Vec<usize> = (2..=kmax).step_by(kstep).collect();
-    let ps: Vec<usize> = (1..=pmax).step_by(pstep).collect();
+    // The grids stop at the last stepped value at or below kmax / pmax.
+    // GF(2^8) has no code wider than 256 chunks (`measure_slec` would
+    // panic), which also bounds the grids before they are materialised.
+    let (kmax, kstep) = (p.kmax.get(), p.kstep.max(1));
+    let (pmax, pstep) = (p.pmax.get(), p.pstep.max(1));
+    let widest = u64::from(kmax - (kmax - 2) % kstep) + u64::from(pmax - (pmax - 1) % pstep);
+    if widest > 256 {
+        return Err(ExperimentError::BadValue {
+            name: "kmax".to_string(),
+            value: kmax.to_string(),
+            expected: format!("a grid whose widest stripe k + p (here {widest}) is at most 256"),
+        });
+    }
+    let ks: Vec<usize> = (2..=kmax as usize).step_by(kstep as usize).collect();
+    let ps: Vec<usize> = (1..=pmax as usize).step_by(pstep as usize).collect();
     let mut out = ExperimentOutput::new();
     w!(
         out.text,
@@ -1086,8 +958,6 @@ fn run_fig11(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
     Ok(out)
 }
 
-experiment!(Fig11, FIG11_INFO, run_fig11);
-
 // ---------------------------------------------------------- fig12/fig15
 
 fn tradeoff_tables(
@@ -1118,65 +988,32 @@ fn tradeoff_tables(
     }
 }
 
-static FIG12_INFO: ExperimentInfo = ExperimentInfo {
-    name: "fig12",
-    title: "Figure 12",
-    description: "MLEC vs SLEC durability/throughput tradeoff (~30% overhead)",
-    paper_ref: "§5.1, Fig 12",
-    modes: &[Mode::Analytic, Mode::Sim],
-    params: params![
-        (
-            "mb",
-            U64,
-            "32",
-            "MiB encoded while calibrating the kernel cost model"
-        ),
-        (
-            "threads",
-            U64,
-            "1",
-            "worker threads for the calibration encode (models an N-core encoder)"
-        ),
-        (
-            "failures",
-            U64,
-            "48",
-            "burst stress cell: failed disks (mode=sim)"
-        ),
-        (
-            "racks",
-            U64,
-            "5",
-            "burst stress cell: affected racks (mode=sim)"
-        ),
-        (
-            "rel_err",
-            F64,
-            "0.1",
-            "adaptive stop: target relative std error (mode=sim)"
-        ),
-        (
-            "min_samples",
-            U64,
-            "200",
-            "minimum conditional-MC samples per campaign (mode=sim)"
-        ),
-        (
-            "samples",
-            U64,
-            "20000",
-            "conditional-MC sample budget per campaign (mode=sim)"
-        ),
-        ("seed", U64, "42", "root RNG seed (mode=sim)"),
-    ],
-    fast: &[("rel_err", "0.3"), ("samples", "2000")],
-};
+declare_experiment! {
+    FIG12(run_fig12, Fig12Params {
+        mb: u32 = "32", "MiB encoded while calibrating the kernel cost model";
+        threads: u32 = "1",
+            "worker threads for the calibration encode (models an N-core encoder)";
+        failures: NonZeroU32 = "48", "burst stress cell: failed disks (mode=sim)";
+        racks: NonZeroU32 = "5", "burst stress cell: affected racks (mode=sim)";
+        rel_err: f64 = "0.1", "adaptive stop: target relative std error (mode=sim)";
+        min_samples: u64 = "200", "minimum conditional-MC samples per campaign (mode=sim)";
+        samples: u64 = "20000", "conditional-MC sample budget per campaign (mode=sim)";
+        seed: u64 = "42", "root RNG seed (mode=sim)";
+    }) {
+        name: "fig12",
+        title: "Figure 12",
+        description: "MLEC vs SLEC durability/throughput tradeoff (~30% overhead)",
+        paper_ref: "§5.1, Fig 12",
+        modes: &[Mode::Analytic, Mode::Sim],
+        fast: &[("rel_err", "0.3"), ("samples", "2000")],
+    }
+}
 
 static FIG12_FAMILIES: &[&str] = &["C/C", "C/D", "Loc-Cp-S", "Loc-Dp-S", "Net-Cp-S", "Net-Dp-S"];
 
-fn run_fig12(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
-    let mb = ctx.u64("mb") as usize * 1024 * 1024;
-    let threads = ctx.u64("threads") as usize;
+fn run_fig12(ctx: &ExperimentCtx, p: &Fig12Params) -> Result<ExperimentOutput, ExperimentError> {
+    let mb = p.mb as usize * 1024 * 1024;
+    let threads = p.threads as usize;
     let model = ThroughputModel::calibrate(128 * 1024, mb, threads);
     let mut out = ExperimentOutput::new();
     w!(
@@ -1186,17 +1023,15 @@ fn run_fig12(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
         mlec_gf::simd::kernel_name()
     );
     if ctx.mode == Mode::Sim {
-        let failures = ctx.u64("failures") as u32;
-        let racks = ctx.u64("racks") as u32;
-        let rel_err = ctx.f64("rel_err");
+        let (failures, racks, rel_err) = (p.failures.get(), p.racks.get(), p.rel_err);
         let (points, checks) = fig12_mlec_vs_slec_sim(
             &model,
             failures,
             racks,
             rel_err,
-            ctx.u64("min_samples"),
-            ctx.u64("samples"),
-            ctx.u64("seed"),
+            p.min_samples,
+            p.samples,
+            p.seed,
             &ctx.runner,
         )?;
         tradeoff_tables(&mut out, &points, FIG12_FAMILIES);
@@ -1259,63 +1094,38 @@ fn run_fig12(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
     Ok(out)
 }
 
-experiment!(Fig12, FIG12_INFO, run_fig12);
+declare_experiment! {
+    FIG15(run_fig15, Fig15Params {
+        mb: u32 = "32", "MiB encoded while calibrating the kernel cost model";
+        threads: u32 = "1",
+            "worker threads for the calibration encode (models an N-core encoder)";
+        rel_err: f64 = "0.1", "adaptive stop: target relative std error (mode=sim)";
+        min_samples: u64 = "200", "minimum rank tests per LRC config (mode=sim)";
+        samples: u64 = "20000", "rank-test budget per LRC config (mode=sim)";
+        seed: u64 = "42", "root RNG seed (mode=sim)";
+    }) {
+        name: "fig15",
+        title: "Figure 15",
+        description: "MLEC C/D vs LRC-Dp durability/throughput tradeoff",
+        paper_ref: "§5.2, Fig 15",
+        modes: &[Mode::Analytic, Mode::Sim],
+        fast: &[("rel_err", "0.3"), ("samples", "1000")],
+    }
+}
 
-static FIG15_INFO: ExperimentInfo = ExperimentInfo {
-    name: "fig15",
-    title: "Figure 15",
-    description: "MLEC C/D vs LRC-Dp durability/throughput tradeoff",
-    paper_ref: "§5.2, Fig 15",
-    modes: &[Mode::Analytic, Mode::Sim],
-    params: params![
-        (
-            "mb",
-            U64,
-            "32",
-            "MiB encoded while calibrating the kernel cost model"
-        ),
-        (
-            "threads",
-            U64,
-            "1",
-            "worker threads for the calibration encode (models an N-core encoder)"
-        ),
-        (
-            "rel_err",
-            F64,
-            "0.1",
-            "adaptive stop: target relative std error (mode=sim)"
-        ),
-        (
-            "min_samples",
-            U64,
-            "200",
-            "minimum rank tests per LRC config (mode=sim)"
-        ),
-        (
-            "samples",
-            U64,
-            "20000",
-            "rank-test budget per LRC config (mode=sim)"
-        ),
-        ("seed", U64, "42", "root RNG seed (mode=sim)"),
-    ],
-    fast: &[("rel_err", "0.3"), ("samples", "1000")],
-};
-
-fn run_fig15(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
-    let mb = ctx.u64("mb") as usize * 1024 * 1024;
-    let threads = ctx.u64("threads") as usize;
+fn run_fig15(ctx: &ExperimentCtx, p: &Fig15Params) -> Result<ExperimentOutput, ExperimentError> {
+    let mb = p.mb as usize * 1024 * 1024;
+    let threads = p.threads as usize;
     let model = ThroughputModel::calibrate(128 * 1024, mb, threads);
     let mut out = ExperimentOutput::new();
     if ctx.mode == Mode::Sim {
-        let rel_err = ctx.f64("rel_err");
+        let rel_err = p.rel_err;
         let (points, rows) = fig15_mlec_vs_lrc_sim(
             &model,
             rel_err,
-            ctx.u64("min_samples"),
-            ctx.u64("samples"),
-            ctx.u64("seed"),
+            p.min_samples,
+            p.samples,
+            p.seed,
             &ctx.runner,
         )?;
         tradeoff_tables(&mut out, &points, &["C/D", "LRC-Dp"]);
@@ -1370,22 +1180,21 @@ fn run_fig15(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
     Ok(out)
 }
 
-experiment!(Fig15, FIG15_INFO, run_fig15);
-
 // ---------------------------------------------------------- fig13/fig16
 
-static FIG13_INFO: ExperimentInfo = ExperimentInfo {
-    name: "fig13",
-    title: "Figure 13",
-    description: "SLEC PDL under correlated failure bursts, (7+3)",
-    paper_ref: "§5.1.3, Fig 13",
-    modes: &[Mode::Sim],
-    params: HEATMAP_PARAMS,
-    fast: HEATMAP_FAST,
-};
+declare_experiment! {
+    FIG13(run_fig13, HeatmapParams) {
+        name: "fig13",
+        title: "Figure 13",
+        description: "SLEC PDL under correlated failure bursts, (7+3)",
+        paper_ref: "§5.1.3, Fig 13",
+        modes: &[Mode::Sim],
+        fast: HEATMAP_FAST,
+    }
+}
 
-fn run_fig13(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
-    let spec = heatmap_spec(ctx)?;
+fn run_fig13(ctx: &ExperimentCtx, p: &HeatmapParams) -> Result<ExperimentOutput, ExperimentError> {
+    let spec = heatmap_spec(p);
     let mut out = ExperimentOutput::new();
     heatmap_grid_line(&mut out, &spec);
     let maps = fig13_slec_burst_with(&spec, SlecParams::new(7, 3), &ctx.runner);
@@ -1406,20 +1215,19 @@ fn run_fig13(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
     Ok(out)
 }
 
-experiment!(Fig13, FIG13_INFO, run_fig13);
+declare_experiment! {
+    FIG16(run_fig16, HeatmapParams) {
+        name: "fig16",
+        title: "Figure 16",
+        description: "LRC-Dp (14,2,4) PDL under correlated failure bursts",
+        paper_ref: "§5.2.3, Fig 16",
+        modes: &[Mode::Sim],
+        fast: HEATMAP_FAST,
+    }
+}
 
-static FIG16_INFO: ExperimentInfo = ExperimentInfo {
-    name: "fig16",
-    title: "Figure 16",
-    description: "LRC-Dp (14,2,4) PDL under correlated failure bursts",
-    paper_ref: "§5.2.3, Fig 16",
-    modes: &[Mode::Sim],
-    params: HEATMAP_PARAMS,
-    fast: HEATMAP_FAST,
-};
-
-fn run_fig16(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
-    let spec = heatmap_spec(ctx)?;
+fn run_fig16(ctx: &ExperimentCtx, p: &HeatmapParams) -> Result<ExperimentOutput, ExperimentError> {
+    let spec = heatmap_spec(p);
     let mut out = ExperimentOutput::new();
     heatmap_grid_line(&mut out, &spec);
     let map = fig16_lrc_burst_with(&spec, LrcParams::paper_default(), &ctx.runner);
@@ -1432,21 +1240,20 @@ fn run_fig16(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
     Ok(out)
 }
 
-experiment!(Fig16, FIG16_INFO, run_fig16);
-
 // --------------------------------------------------------------- sec514
 
-static SEC514_INFO: ExperimentInfo = ExperimentInfo {
-    name: "sec514",
-    title: "Sections 5.1.4 & 5.2.4",
-    description: "repair network traffic: SLEC vs LRC vs MLEC",
-    paper_ref: "§5.1.4 / §5.2.4",
-    modes: &[Mode::Analytic],
-    params: params![],
-    fast: &[],
-};
+declare_experiment! {
+    SEC514(run_sec514, NoParams) {
+        name: "sec514",
+        title: "Sections 5.1.4 & 5.2.4",
+        description: "repair network traffic: SLEC vs LRC vs MLEC",
+        paper_ref: "§5.1.4 / §5.2.4",
+        modes: &[Mode::Analytic],
+        fast: &[],
+    }
+}
 
-fn run_sec514(_ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
+fn run_sec514(_ctx: &ExperimentCtx, _p: &NoParams) -> Result<ExperimentOutput, ExperimentError> {
     let mut out = ExperimentOutput::new();
     let rows = repair_traffic_comparison();
     let table: Vec<Vec<String>> = rows
@@ -1476,19 +1283,18 @@ fn run_sec514(_ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError>
     Ok(out)
 }
 
-experiment!(Sec514, SEC514_INFO, run_sec514);
-
 // ------------------------------------------------------------ ablations
 
-static ABLATIONS_INFO: ExperimentInfo = ExperimentInfo {
-    name: "ablations",
-    title: "Ablations",
-    description: "detection time, throttle, AFR, and spare policy sweeps",
-    paper_ref: "§5.2.2 / §3 (beyond the paper's figures)",
-    modes: &[Mode::Analytic],
-    params: params![],
-    fast: &[],
-};
+declare_experiment! {
+    ABLATIONS(run_ablations, NoParams) {
+        name: "ablations",
+        title: "Ablations",
+        description: "detection time, throttle, AFR, and spare policy sweeps",
+        paper_ref: "§5.2.2 / §3 (beyond the paper's figures)",
+        modes: &[Mode::Analytic],
+        fast: &[],
+    }
+}
 
 fn ablation_table(
     out: &mut ExperimentOutput,
@@ -1508,7 +1314,7 @@ fn ablation_table(
     );
 }
 
-fn run_ablations(_ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
+fn run_ablations(_ctx: &ExperimentCtx, _p: &NoParams) -> Result<ExperimentOutput, ExperimentError> {
     use mlec_analysis::ablation::{
         afr_sweep, detection_time_sweep, spare_policy_comparison, throttle_sweep,
     };
@@ -1571,21 +1377,23 @@ fn run_ablations(_ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentErr
     Ok(out)
 }
 
-experiment!(Ablations, ABLATIONS_INFO, run_ablations);
-
 // -------------------------------------------------------- paper_summary
 
-static PAPER_SUMMARY_INFO: ExperimentInfo = ExperimentInfo {
-    name: "paper_summary",
-    title: "Reproduction summary",
-    description: "paper headline numbers vs this repository",
-    paper_ref: "whole evaluation (fast analytic paths)",
-    modes: &[Mode::Analytic],
-    params: params![],
-    fast: &[],
-};
+declare_experiment! {
+    PAPER_SUMMARY(run_paper_summary, NoParams) {
+        name: "paper_summary",
+        title: "Reproduction summary",
+        description: "paper headline numbers vs this repository",
+        paper_ref: "whole evaluation (fast analytic paths)",
+        modes: &[Mode::Analytic],
+        fast: &[],
+    }
+}
 
-fn run_paper_summary(_ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
+fn run_paper_summary(
+    _ctx: &ExperimentCtx,
+    _p: &NoParams,
+) -> Result<ExperimentOutput, ExperimentError> {
     use mlec_sim::{traffic, SimConfig};
     let mut out = ExperimentOutput::new();
     let mut rows: Vec<Vec<String>> = Vec::new();
@@ -1700,7 +1508,8 @@ fn run_paper_summary(_ctx: &ExperimentCtx) -> Result<ExperimentOutput, Experimen
             .unwrap()
             .nines
     };
-    let fco_gains: Vec<f64> = SCHEMES
+    let schemes = MlecScheme::ALL.map(|s| s.name());
+    let fco_gains: Vec<f64> = schemes
         .iter()
         .map(|s| nines_of(s, "R_FCO") - nines_of(s, "R_ALL"))
         .collect();
@@ -1714,7 +1523,7 @@ fn run_paper_summary(_ctx: &ExperimentCtx) -> Result<ExperimentOutput, Experimen
             fco_gains.iter().cloned().fold(f64::NAN, f64::max)
         ),
     );
-    let min_gains: Vec<f64> = SCHEMES
+    let min_gains: Vec<f64> = schemes
         .iter()
         .map(|s| nines_of(s, "R_MIN") - nines_of(s, "R_HYB"))
         .collect();
@@ -1776,8 +1585,6 @@ fn run_paper_summary(_ctx: &ExperimentCtx) -> Result<ExperimentOutput, Experimen
     Ok(out)
 }
 
-experiment!(PaperSummary, PAPER_SUMMARY_INFO, run_paper_summary);
-
 // ----------------------------------------------------------- validation
 
 struct ValidationRow {
@@ -1804,36 +1611,33 @@ impl_to_json!(ValidationRow {
     catastrophic_pools_simulated,
 });
 
-static VALIDATION_INFO: ExperimentInfo = ExperimentInfo {
-    name: "validation",
-    title: "Validation",
-    description: "direct system simulation vs splitting estimator at inflated AFR",
-    paper_ref: "§6.2 (methodology cross-validation)",
-    modes: &[Mode::Sim],
-    params: params![
-        (
-            "afr_pct",
-            F64,
-            "75",
-            "inflated AFR percent (data loss must be observable)"
-        ),
-        ("years", F64, "2", "mission length in years per run"),
-        ("runs", U64, "40", "whole-system runs per scheme"),
-        ("seed", U64, "42", "root RNG seed"),
-    ],
-    fast: &[("runs", "4")],
-};
+declare_experiment! {
+    VALIDATION(run_validation, ValidationParams {
+        afr_pct: f64 = "75", "inflated AFR percent (data loss must be observable)";
+        years: f64 = "2", "mission length in years per run";
+        runs: u64 = "40", "whole-system runs per scheme";
+        seed: u64 = "42", "root RNG seed";
+    }) {
+        name: "validation",
+        title: "Validation",
+        description: "direct system simulation vs splitting estimator at inflated AFR",
+        paper_ref: "§6.2 (methodology cross-validation)",
+        modes: &[Mode::Sim],
+        fast: &[("runs", "4")],
+    }
+}
 
-fn run_validation(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
+fn run_validation(
+    ctx: &ExperimentCtx,
+    p: &ValidationParams,
+) -> Result<ExperimentOutput, ExperimentError> {
     use mlec_analysis::splitting::{stage1_analytic, stage2_pdl};
     use mlec_sim::failure::FailureModel;
     use mlec_sim::system_sim::SystemSimOptions;
     use mlec_sim::trials::SystemTrial;
 
-    let afr = ctx.f64("afr_pct") / 100.0;
-    let years = ctx.f64("years");
-    let runs = ctx.u64("runs");
-    let seed = ctx.u64("seed");
+    let afr = p.afr_pct / 100.0;
+    let (years, runs, seed) = (p.years, p.runs, p.seed);
     let mut out = ExperimentOutput::new();
     w!(
         out.text,
@@ -1862,12 +1666,9 @@ fn run_validation(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentErr
             log_label: "",
         };
         let label = format!("validation/{}", scheme.name().replace('/', ""));
-        let mut spec = RunSpec::new(&label, seed, StopRule::fixed(runs))
-            .threads(ctx.runner.threads)
-            .config_hash(config_hash);
-        if let Some(dir) = &ctx.runner.manifest_dir {
-            spec = spec.manifest(dir.join(format!("{}.jsonl", label.replace('/', "-"))));
-        }
+        let spec = ctx
+            .runner
+            .run_spec(&label, seed, StopRule::fixed(runs), config_hash);
         let report = mlec_runner::run(&trial, &spec)?;
         if report.resumed_trials > 0 {
             w!(
@@ -1953,56 +1754,40 @@ fn run_validation(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentErr
     Ok(out)
 }
 
-experiment!(Validation, VALIDATION_INFO, run_validation);
-
 // ---------------------------------------------------------------- trace
 
-static TRACE_INFO: ExperimentInfo = ExperimentInfo {
-    name: "trace",
-    title: "Trace tools",
-    description: "synthesize, analyze, and replay a failure trace",
-    paper_ref: "§6.1 (trace-driven fault simulation)",
-    modes: &[Mode::Sim],
-    params: params![
-        (
-            "afr_pct",
-            F64,
-            "1",
-            "background AFR percent of the synthesized trace"
-        ),
-        (
-            "bursts_per_year_x10",
-            U64,
-            "10",
-            "correlated bursts per year, times 10"
-        ),
-        ("burst_size", U64, "60", "disks per burst"),
-        ("burst_racks", U64, "1", "racks a burst concentrates on"),
-        ("years", F64, "5", "trace length in years"),
-        ("seed", U64, "42", "trace synthesis seed"),
-        (
-            "csv",
-            Str,
-            "",
-            "also write the synthesized trace CSV to this path ('' = don't)"
-        ),
-    ],
-    fast: &[("years", "2")],
-};
+declare_experiment! {
+    TRACE(run_trace, TraceParams {
+        afr_pct: f64 = "1", "background AFR percent of the synthesized trace";
+        bursts_per_year_x10: u64 = "10", "correlated bursts per year, times 10";
+        burst_size: u32 = "60", "disks per burst";
+        burst_racks: NonZeroU32 = "1", "racks a burst concentrates on";
+        years: f64 = "5", "trace length in years";
+        seed: u64 = "42", "trace synthesis seed";
+        csv: String = "", "also write the synthesized trace CSV to this path ('' = don't)";
+    }) {
+        name: "trace",
+        title: "Trace tools",
+        description: "synthesize, analyze, and replay a failure trace",
+        paper_ref: "§6.1 (trace-driven fault simulation)",
+        modes: &[Mode::Sim],
+        fast: &[("years", "2")],
+    }
+}
 
-fn run_trace(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
+fn run_trace(_ctx: &ExperimentCtx, p: &TraceParams) -> Result<ExperimentOutput, ExperimentError> {
     use mlec_sim::system_sim::simulate_system_trace;
     use mlec_sim::trace::{detect_bursts, synthesize, TraceSpec};
 
     let spec = TraceSpec {
-        background_afr: ctx.f64("afr_pct") / 100.0,
-        bursts_per_year: ctx.u64("bursts_per_year_x10") as f64 / 10.0,
-        burst_size: ctx.u64("burst_size") as u32,
-        burst_racks: ctx.u64("burst_racks") as u32,
-        years: ctx.f64("years"),
+        background_afr: p.afr_pct / 100.0,
+        bursts_per_year: p.bursts_per_year_x10 as f64 / 10.0,
+        burst_size: p.burst_size,
+        burst_racks: p.burst_racks.get(),
+        years: p.years,
     };
     let geometry = Geometry::paper_default();
-    let trace = synthesize(&geometry, &spec, ctx.u64("seed"));
+    let trace = synthesize(&geometry, &spec, p.seed);
     let mut out = ExperimentOutput::new();
 
     w!(
@@ -2061,7 +1846,7 @@ fn run_trace(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
         )
     );
 
-    let csv = ctx.str("csv");
+    let csv = &p.csv;
     if !csv.is_empty() {
         std::fs::write(csv, trace.to_csv())?;
         w!(out.text, "trace written to {csv}");
@@ -2069,134 +1854,61 @@ fn run_trace(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
     Ok(out)
 }
 
-experiment!(TraceTools, TRACE_INFO, run_trace);
-
 // ---------------------------------------------------------------- store
 
-static STORE_BENCH_INFO: ExperimentInfo = ExperimentInfo {
-    name: "store_bench",
-    title: "Store bench",
-    description: "trace-driven object-store replay: rebuild vs foreground tail latency",
-    paper_ref: "§3 (bandwidth model), §5 (repair/foreground interference)",
-    modes: &[Mode::Sim],
-    params: params![
-        ("ops", U64, "1000000", "trace operations to replay"),
-        (
-            "objects",
-            U64,
-            "4096",
-            "distinct objects, preloaded at version 0 before the trace"
-        ),
-        (
-            "zipf",
-            F64,
-            "1.0",
-            "Zipf(s) popularity skew of the object draw"
-        ),
-        ("put_pct", U64, "10", "percent of ops that are puts"),
-        ("delete_pct", U64, "0", "percent of ops that are deletes"),
-        (
-            "ops_per_sec",
-            U64,
-            "50000",
-            "trace arrival rate in virtual time"
-        ),
-        (
-            "kill_at",
-            U64,
-            "0",
-            "inject the failure when this op index is reached (0 = never)"
-        ),
-        (
-            "kill_racks",
-            U64,
-            "1",
-            "whole racks killed at the injection"
-        ),
-        (
-            "kill_disks",
-            U64,
-            "0",
-            "extra disks killed in the next surviving rack"
-        ),
-        ("batch", U64, "1024", "ops prepared per parallel batch"),
-        (
-            "shards",
-            U64,
-            "0",
-            "apply-phase rack shards: 0 = monolithic serial apply, N >= 1 = epoch-sharded apply on N clock-domain shards (bit-identical output)"
-        ),
-        (
-            "verify_every",
-            U64,
-            "64",
-            "verify read-back bytes on every Nth op (0 = final sweep only)"
-        ),
-        (
-            "seed",
-            U64,
-            "42",
-            "root seed for trace and payload derivation"
-        ),
-        ("backend", Str, "mem", "chunk backend: `mem` or `file`"),
-        (
-            "dir",
-            Str,
-            "",
-            "chunk directory for backend=file ('' = <out>/store_chunks)"
-        ),
-        (
-            "oplog",
-            Str,
-            "",
-            "write the deterministic JSONL op log to this path ('' = don't)"
-        ),
-        (
-            "trace",
-            Str,
-            "",
-            "replay this trace file instead of synthesizing ('' = synthesize)"
-        ),
-        (
-            "require_degraded",
-            U64,
-            "0",
-            "1 = fail unless the kill caused degraded reads and a completed rebuild"
-        ),
-        (
-            "timing",
-            U64,
-            "0",
-            "1 = also report wall-clock replay throughput (reporting only)"
-        ),
-    ],
-    fast: &[
-        ("ops", "2000"),
-        ("objects", "256"),
-        ("kill_at", "600"),
-        ("verify_every", "16"),
-        ("shards", "2"),
-    ],
-};
+declare_experiment! {
+    STORE_BENCH(run_store_bench_exp, StoreBenchParams {
+        ops: u64 = "1000000", "trace operations to replay";
+        objects: u64 = "4096", "distinct objects, preloaded at version 0 before the trace";
+        zipf: f64 = "1.0", "Zipf(s) popularity skew of the object draw";
+        put_pct: Bounded<0, 100> = "10", "percent of ops that are puts";
+        delete_pct: Bounded<0, 100> = "0", "percent of ops that are deletes";
+        ops_per_sec: u64 = "50000", "trace arrival rate in virtual time";
+        kill_at: u64 = "0", "inject the failure when this op index is reached (0 = never)";
+        kill_racks: u32 = "1", "whole racks killed at the injection";
+        kill_disks: u32 = "0", "extra disks killed in the next surviving rack";
+        batch: u64 = "1024", "ops prepared per parallel batch";
+        shards: u64 = "0",
+            "apply-phase rack shards: 0 = monolithic serial apply, N >= 1 = epoch-sharded apply on N clock-domain shards (bit-identical output)";
+        verify_every: u64 = "64", "verify read-back bytes on every Nth op (0 = final sweep only)";
+        seed: u64 = "42", "root seed for trace and payload derivation";
+        backend: String = "mem", "chunk backend: `mem` or `file`";
+        dir: String = "", "chunk directory for backend=file ('' = <out>/store_chunks)";
+        oplog: String = "", "write the deterministic JSONL op log to this path ('' = don't)";
+        trace: String = "", "replay this trace file instead of synthesizing ('' = synthesize)";
+        require_degraded: u64 = "0",
+            "1 = fail unless the kill caused degraded reads and a completed rebuild";
+        timing: u64 = "0", "1 = also report wall-clock replay throughput (reporting only)";
+    }) {
+        name: "store_bench",
+        title: "Store bench",
+        description: "trace-driven object-store replay: rebuild vs foreground tail latency",
+        paper_ref: "§3 (bandwidth model), §5 (repair/foreground interference)",
+        modes: &[Mode::Sim],
+        fast: &[
+            ("ops", "2000"),
+            ("objects", "256"),
+            ("kill_at", "600"),
+            ("verify_every", "16"),
+            ("shards", "2"),
+        ],
+    }
+}
 
 fn store_err(e: mlec_store::StoreError) -> ExperimentError {
     ExperimentError::Io(std::io::Error::other(e.to_string()))
 }
 
-fn store_bench_spec(ctx: &ExperimentCtx) -> Result<mlec_store::BenchSpec, ExperimentError> {
+fn store_bench_spec(
+    ctx: &ExperimentCtx,
+    p: &StoreBenchParams,
+) -> Result<mlec_store::BenchSpec, ExperimentError> {
     use mlec_store::{BackendChoice, BenchSpec, KillSpec, LoadSpec, StoreConfig};
 
-    let backend = match ctx.str("backend") {
+    let backend = match p.backend.as_str() {
         "mem" => BackendChoice::Mem,
-        "file" => {
-            let dir = ctx.str("dir");
-            let dir = if dir.is_empty() {
-                ctx.out_dir.join("store_chunks")
-            } else {
-                std::path::PathBuf::from(dir)
-            };
-            BackendChoice::File(dir)
-        }
+        "file" if p.dir.is_empty() => BackendChoice::File(ctx.out_dir.join("store_chunks")),
+        "file" => BackendChoice::File(std::path::PathBuf::from(&p.dir)),
         other => {
             return Err(ExperimentError::BadValue {
                 name: "backend".to_string(),
@@ -2205,57 +1917,44 @@ fn store_bench_spec(ctx: &ExperimentCtx) -> Result<mlec_store::BenchSpec, Experi
             })
         }
     };
-    // The schema parses these as u64; the spec holds u32. An `as` cast
-    // would run `put_pct=4294967306` as 10.
-    let bounded = |name: &str, max: u32| -> Result<u32, ExperimentError> {
-        let value = ctx.u64(name);
-        u32::try_from(value)
-            .ok()
-            .filter(|&v| v <= max)
-            .ok_or_else(|| ExperimentError::BadValue {
-                name: name.to_string(),
-                value: value.to_string(),
-                expected: format!("integer in 0..={max}"),
-            })
-    };
-    let kill_at = ctx.u64("kill_at");
-    let trace = ctx.str("trace");
-    let trace_text = if trace.is_empty() {
+    let trace_text = if p.trace.is_empty() {
         None
     } else {
-        Some(std::fs::read_to_string(trace)?)
+        Some(std::fs::read_to_string(&p.trace)?)
     };
-    let oplog = ctx.str("oplog");
     Ok(BenchSpec {
         store: StoreConfig::small_test(),
         load: LoadSpec {
-            ops: ctx.u64("ops"),
-            objects: ctx.u64("objects"),
-            zipf_s: ctx.f64("zipf"),
-            put_pct: bounded("put_pct", 100)?,
-            delete_pct: bounded("delete_pct", 100)?,
-            ops_per_sec: ctx.u64("ops_per_sec"),
+            ops: p.ops,
+            objects: p.objects,
+            zipf_s: p.zipf,
+            put_pct: p.put_pct.get(),
+            delete_pct: p.delete_pct.get(),
+            ops_per_sec: p.ops_per_sec,
         },
-        kill: (kill_at > 0).then_some(KillSpec {
-            at_op: kill_at,
-            racks: bounded("kill_racks", u32::MAX)?,
-            disks: bounded("kill_disks", u32::MAX)?,
+        kill: (p.kill_at > 0).then_some(KillSpec {
+            at_op: p.kill_at,
+            racks: p.kill_racks,
+            disks: p.kill_disks,
         }),
         threads: ctx.runner.threads.max(1),
-        shards: ctx.u64("shards") as usize,
-        batch: ctx.u64("batch").max(1) as usize,
-        verify_every: ctx.u64("verify_every"),
-        seed: ctx.u64("seed"),
+        shards: p.shards as usize,
+        batch: p.batch.max(1) as usize,
+        verify_every: p.verify_every,
+        seed: p.seed,
         backend,
-        oplog: (!oplog.is_empty()).then(|| std::path::PathBuf::from(oplog)),
+        oplog: (!p.oplog.is_empty()).then(|| std::path::PathBuf::from(&p.oplog)),
         trace_text,
-        timing: ctx.u64("timing") != 0,
+        timing: p.timing != 0,
     })
 }
 
 #[allow(clippy::too_many_lines)]
-fn run_store_bench_exp(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
-    let spec = store_bench_spec(ctx)?;
+fn run_store_bench_exp(
+    ctx: &ExperimentCtx,
+    p: &StoreBenchParams,
+) -> Result<ExperimentOutput, ExperimentError> {
+    let spec = store_bench_spec(ctx, p)?;
     let report = mlec_store::run_store_bench(&spec).map_err(store_err)?;
     let mut out = ExperimentOutput::new();
 
@@ -2375,7 +2074,7 @@ fn run_store_bench_exp(ctx: &ExperimentCtx) -> Result<ExperimentOutput, Experime
         );
     }
 
-    if ctx.u64("require_degraded") != 0 {
+    if p.require_degraded != 0 {
         if report.degraded_reads == 0 {
             out.gate_failures
                 .push("gate: require_degraded=1 but no read was degraded".to_string());
@@ -2452,5 +2151,3 @@ fn run_store_bench_exp(ctx: &ExperimentCtx) -> Result<ExperimentOutput, Experime
     out.artifacts.push(("store_bench".to_string(), artifact));
     Ok(out)
 }
-
-experiment!(StoreBench, STORE_BENCH_INFO, run_store_bench_exp);

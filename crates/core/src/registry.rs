@@ -1,66 +1,250 @@
-//! The experiment registry: every table/figure of the paper as a named,
-//! self-describing [`Experiment`] behind one uniform execution surface.
+//! The experiment registry: every table/figure of the paper as one
+//! [`ExperimentInfo`] behind one uniform execution surface.
 //!
-//! Each experiment declares its [`ExperimentInfo`] — name, title, paper
-//! reference, supported [`Mode`]s, and a typed parameter schema — and the
-//! driver (`mlec` in `mlec-bench`) resolves `key=value` arguments against
-//! that schema *before* running anything: unknown keys, malformed values,
-//! and unsupported modes are hard errors, never silently ignored. The
-//! implementations live in [`crate::figures`]; the per-figure binaries are
-//! thin compatibility shims over [`run_experiment`].
+//! An experiment is one `declare_experiment!` declaration plus one run
+//! function (both in [`crate::figures`]). The declaration lists each
+//! parameter once — name, type, default, help — and expands to the printed
+//! schema (`&[ParamSpec]`, what `mlec info` shows) *and* a typed parameter
+//! struct whose fields are filled, in declaration order, from the
+//! `key=value` arguments. The field type carries the accepted range
+//! (`ParamType`), every value is parsed exactly once, and the struct is
+//! what the run function receives: reading an undeclared or mistyped
+//! parameter is a compile error. The driver (`mlec` in `mlec-bench`)
+//! resolves arguments *before* running anything: unknown keys, values
+//! outside the field type's range, and unsupported modes are hard errors,
+//! never silently ignored.
 
 use crate::experiments::HeatmapRunOpts;
 use crate::report::{dump_json_in, DumpError};
 use mlec_runner::Json;
-use std::collections::BTreeMap;
 use std::fmt;
+use std::num::NonZeroU32;
 use std::path::{Path, PathBuf};
 
-/// Value type of a declared parameter.
+/// The value type of a declared parameter: how the raw text of a
+/// `key=value` argument becomes the typed field, and what `mlec info` and
+/// a rejection say about it.
+pub(crate) trait ParamType: Sized {
+    /// Type column of `mlec info`.
+    const KIND: &'static str;
+
+    /// The value `raw` spells, or `None` when it is outside the type.
+    fn parse(raw: &str) -> Option<Self>;
+
+    /// What a rejected value is told was expected; integer types narrower
+    /// than `u64` name their accepted range.
+    fn expected() -> String {
+        Self::KIND.to_string()
+    }
+}
+
+fn integer_in(min: u32, max: u32) -> String {
+    format!("integer in {min}..={max}")
+}
+
+/// Unsigned integer (`trials=64`).
+impl ParamType for u64 {
+    const KIND: &'static str = "integer";
+    fn parse(raw: &str) -> Option<u64> {
+        raw.parse().ok()
+    }
+}
+
+/// An integer the experiment narrows to 32 bits (`samples=60`).
+impl ParamType for u32 {
+    const KIND: &'static str = "integer";
+    fn parse(raw: &str) -> Option<u32> {
+        raw.parse().ok()
+    }
+    fn expected() -> String {
+        integer_in(0, u32::MAX)
+    }
+}
+
+/// A count that must not be zero (`racks=5`).
+impl ParamType for NonZeroU32 {
+    const KIND: &'static str = "integer";
+    fn parse(raw: &str) -> Option<NonZeroU32> {
+        raw.parse().ok()
+    }
+    fn expected() -> String {
+        integer_in(1, u32::MAX)
+    }
+}
+
+/// An integer in `MIN..=MAX` (`put_pct=10` is a `Bounded<0, 100>`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ParamKind {
-    /// Unsigned integer (`trials=64`).
-    U64,
-    /// Non-negative float (`rel_err=0.05`): every declared one is a rate,
-    /// a span or a tolerance.
-    F64,
-    /// Free string (`bias=auto`).
-    Str,
-}
+pub(crate) struct Bounded<const MIN: u32, const MAX: u32>(u32);
 
-impl ParamKind {
-    /// Human name used in error messages and `mlec info`.
-    pub fn name(self) -> &'static str {
-        match self {
-            ParamKind::U64 => "integer",
-            ParamKind::F64 => "non-negative number",
-            ParamKind::Str => "string",
-        }
-    }
-
-    fn validate(self, value: &str) -> bool {
-        match self {
-            ParamKind::U64 => value.parse::<u64>().is_ok(),
-            ParamKind::F64 => value
-                .parse::<f64>()
-                .is_ok_and(|v| v.is_finite() && v >= 0.0),
-            ParamKind::Str => true,
-        }
+impl<const MIN: u32, const MAX: u32> Bounded<MIN, MAX> {
+    /// The value, within `MIN..=MAX`.
+    pub(crate) fn get(self) -> u32 {
+        self.0
     }
 }
 
-/// One declared `key=value` parameter of an experiment.
+impl<const MIN: u32, const MAX: u32> ParamType for Bounded<MIN, MAX> {
+    const KIND: &'static str = "integer";
+    fn parse(raw: &str) -> Option<Self> {
+        raw.parse()
+            .ok()
+            .filter(|v| (MIN..=MAX).contains(v))
+            .map(Bounded)
+    }
+    fn expected() -> String {
+        integer_in(MIN, MAX)
+    }
+}
+
+/// Non-negative float (`rel_err=0.05`): every declared one is a rate, a
+/// span or a tolerance.
+impl ParamType for f64 {
+    const KIND: &'static str = "non-negative number";
+    fn parse(raw: &str) -> Option<f64> {
+        raw.parse()
+            .ok()
+            .filter(|v: &f64| v.is_finite() && *v >= 0.0)
+    }
+}
+
+/// Free string (`bias=auto`); the run function interprets it.
+impl ParamType for String {
+    const KIND: &'static str = "string";
+    fn parse(raw: &str) -> Option<String> {
+        Some(raw.to_string())
+    }
+}
+
+/// One declared `key=value` parameter of an experiment, as `mlec info`
+/// prints it.
 #[derive(Debug, Clone, Copy)]
 pub struct ParamSpec {
     /// Key as typed on the command line.
     pub name: &'static str,
-    /// Value type, validated at parse time.
-    pub kind: ParamKind,
+    /// The field type's `ParamType::KIND`.
+    pub kind: &'static str,
     /// Default, rendered exactly as a user could type it.
     pub default: &'static str,
     /// One-line description for `mlec info`.
     pub help: &'static str,
 }
+
+/// One field of a typed parameter struct: the value given at its position
+/// (the declared default when none was), parsed as the field's type.
+pub(crate) fn parse_field<T: ParamType>(
+    name: &str,
+    default: &str,
+    given: Option<&str>,
+) -> Result<T, ExperimentError> {
+    let raw = given.unwrap_or(default);
+    T::parse(raw).ok_or_else(|| ExperimentError::BadValue {
+        name: name.to_string(),
+        value: raw.to_string(),
+        expected: T::expected(),
+    })
+}
+
+/// The typed parameter struct of an experiment that declares none.
+pub(crate) struct NoParams;
+
+impl NoParams {
+    pub(crate) const SPECS: &'static [ParamSpec] = &[];
+
+    pub(crate) fn from_values(_values: &[Option<String>]) -> Result<NoParams, ExperimentError> {
+        Ok(NoParams)
+    }
+}
+
+/// Declare one experiment: its [`ExperimentInfo`] static and — when a
+/// parameter block is given — the typed parameter struct the block
+/// describes. Each `field: Type = "default", "help";` line is both one
+/// [`ParamSpec`] of the printed schema and one field of the struct, so a
+/// parameter is declared in exactly one place. Experiments sharing a
+/// schema name the same struct; the first declares the block, the others
+/// omit it.
+///
+/// ```text
+/// declare_experiment! {
+///     FIG99(run_fig99, Fig99Params {
+///         trials: u64 = "64", "pool trials per scheme";
+///         racks: NonZeroU32 = "5", "affected racks";
+///     }) {
+///         name: "fig99",
+///         title: "Figure 99",
+///         description: "…",
+///         paper_ref: "§9",
+///         modes: &[Mode::Sim],
+///         fast: &[("trials", "8")],
+///     }
+/// }
+/// fn run_fig99(ctx: &ExperimentCtx, p: &Fig99Params) -> Result<ExperimentOutput, ExperimentError>
+/// ```
+macro_rules! declare_experiment {
+    (
+        $INFO:ident($run:path, $Params:ident $({
+            $($field:ident: $ty:ty = $default:literal, $help:literal;)*
+        })?) {
+            name: $name:expr,
+            title: $title:expr,
+            description: $description:expr,
+            paper_ref: $paper_ref:expr,
+            modes: $modes:expr,
+            fast: $fast:expr $(,)?
+        }
+    ) => {
+        $(
+            struct $Params {
+                $($field: $ty,)*
+            }
+
+            impl $Params {
+                const SPECS: &'static [$crate::registry::ParamSpec] = &[$(
+                    $crate::registry::ParamSpec {
+                        name: stringify!($field),
+                        kind: <$ty as $crate::registry::ParamType>::KIND,
+                        default: $default,
+                        help: $help,
+                    },
+                )*];
+
+                fn from_values(
+                    values: &[Option<String>],
+                ) -> Result<$Params, $crate::registry::ExperimentError> {
+                    let mut values = values.iter().map(Option::as_deref);
+                    Ok($Params {
+                        $($field: $crate::registry::parse_field(
+                            stringify!($field),
+                            $default,
+                            values.next().flatten(),
+                        )?,)*
+                    })
+                }
+            }
+        )?
+
+        pub(crate) static $INFO: $crate::registry::ExperimentInfo =
+            $crate::registry::ExperimentInfo {
+                name: $name,
+                title: $title,
+                description: $description,
+                paper_ref: $paper_ref,
+                modes: $modes,
+                params: $Params::SPECS,
+                fast: $fast,
+                bind: {
+                    fn bind(
+                        ctx: &$crate::registry::ExperimentCtx,
+                    ) -> Result<$crate::registry::BoundRun<'_>, $crate::registry::ExperimentError>
+                    {
+                        let params = $Params::from_values(ctx.values())?;
+                        Ok(Box::new(move || $run(ctx, &params)))
+                    }
+                    bind
+                },
+            };
+    };
+}
+pub(crate) use declare_experiment;
 
 /// Execution mode of an experiment. The first entry of
 /// [`ExperimentInfo::modes`] is the default.
@@ -85,7 +269,12 @@ impl Mode {
     }
 }
 
-/// Static self-description of an experiment.
+/// An experiment whose arguments are bound to its typed parameter struct;
+/// calling it runs the experiment.
+pub type BoundRun<'a> = Box<dyn FnOnce() -> Result<ExperimentOutput, ExperimentError> + 'a>;
+
+/// One registered experiment: its self-description, its parameter schema
+/// and its entry point. Built by `declare_experiment!`.
 #[derive(Debug)]
 pub struct ExperimentInfo {
     /// Registry name (`mlec run <name>`).
@@ -104,13 +293,13 @@ pub struct ExperimentInfo {
     /// Overrides applied by `mlec run all --fast` — must name declared
     /// params with valid values (enforced by registry tests).
     pub fast: &'static [(&'static str, &'static str)],
+    /// Parse the context's values into the experiment's typed parameter
+    /// struct — the one place a value is parsed, and where a value outside
+    /// its field type is rejected — and return the run over it.
+    pub bind: fn(&ExperimentCtx) -> Result<BoundRun<'_>, ExperimentError>,
 }
 
 impl ExperimentInfo {
-    fn param(&self, name: &str) -> Option<&ParamSpec> {
-        self.params.iter().find(|p| p.name == name)
-    }
-
     /// Default mode (first declared).
     pub fn default_mode(&self) -> Mode {
         self.modes[0]
@@ -139,7 +328,7 @@ pub enum ExperimentError {
         /// The accepted keys, for the error message.
         allowed: String,
     },
-    /// The value does not parse under the declared [`ParamKind`].
+    /// The value is outside the parameter's declared `ParamType`.
     BadValue {
         /// Parameter name.
         name: String,
@@ -229,7 +418,8 @@ impl From<DumpError> for ExperimentError {
     }
 }
 
-/// Resolved, validated execution context handed to [`Experiment::run`].
+/// Resolved execution context handed to an experiment's run function
+/// next to its typed parameter struct.
 #[derive(Debug)]
 pub struct ExperimentCtx {
     /// Selected mode (validated against the experiment's `modes`).
@@ -238,15 +428,17 @@ pub struct ExperimentCtx {
     pub out_dir: PathBuf,
     /// Runner execution options: `threads=N`, `manifests=DIR`.
     pub runner: HeatmapRunOpts,
-    info: &'static ExperimentInfo,
-    values: BTreeMap<&'static str, String>,
+    /// Per declared parameter, in schema order: the value given on the
+    /// command line, if any.
+    values: Vec<Option<String>>,
 }
 
 impl ExperimentCtx {
-    /// Parse raw `key=value` arguments against an experiment's schema.
+    /// Resolve raw `key=value` arguments against an experiment's schema.
     /// Every key must be a declared parameter or one of the global keys
-    /// (`mode`, `out`, `threads`, `manifests`); every value must parse
-    /// under the declared kind. Later duplicates override earlier ones.
+    /// (`mode`, `out`, `threads`, `manifests`). Later duplicates override
+    /// earlier ones. The values of declared parameters are parsed by
+    /// [`ExperimentInfo::bind`].
     pub fn parse(
         info: &'static ExperimentInfo,
         raw_args: &[String],
@@ -255,17 +447,18 @@ impl ExperimentCtx {
             mode: info.default_mode(),
             out_dir: Path::new("target").join("figures"),
             runner: HeatmapRunOpts::default(),
-            info,
-            values: info
-                .params
-                .iter()
-                .map(|p| (p.name, p.default.to_string()))
-                .collect(),
+            values: vec![None; info.params.len()],
         };
         for arg in raw_args {
             let Some((key, value)) = arg.split_once('=') else {
                 return Err(ExperimentError::BadArg(arg.clone()));
             };
+            let declared = info
+                .params
+                .iter()
+                .zip(&mut ctx.values)
+                .find(|(p, _)| p.name == key)
+                .map(|(_, slot)| slot);
             match key {
                 "mode" => {
                     let mode = info.modes.iter().copied().find(|m| m.name() == value);
@@ -290,22 +483,13 @@ impl ExperimentCtx {
                     // Experiments that also declare `threads` in their
                     // schema (fig11/fig12/fig15: encode-side parallelism)
                     // receive the same value there — one knob, both layers.
-                    if let Some(spec) = info.param("threads") {
-                        ctx.values.insert(spec.name, value.to_string());
+                    if let Some(slot) = declared {
+                        *slot = Some(value.to_string());
                     }
                 }
                 "manifests" => ctx.runner.manifest_dir = Some(PathBuf::from(value)),
-                _ => match info.param(key) {
-                    Some(spec) => {
-                        if !spec.kind.validate(value) {
-                            return Err(ExperimentError::BadValue {
-                                name: key.to_string(),
-                                value: value.to_string(),
-                                expected: spec.kind.name().to_string(),
-                            });
-                        }
-                        ctx.values.insert(spec.name, value.to_string());
-                    }
+                _ => match declared {
+                    Some(slot) => *slot = Some(value.to_string()),
                     None => {
                         let mut allowed: Vec<&str> = info.params.iter().map(|p| p.name).collect();
                         // Global keys, deduped against the schema (an
@@ -327,43 +511,10 @@ impl ExperimentCtx {
         Ok(ctx)
     }
 
-    fn raw(&self, name: &str) -> &str {
-        self.values
-            .get(name)
-            .unwrap_or_else(|| panic!("{}: parameter `{name}` not declared", self.info.name))
-    }
-
-    /// A declared [`ParamKind::U64`] parameter (validated at parse time).
-    pub fn u64(&self, name: &str) -> u64 {
-        self.raw(name).parse().expect("validated at parse time")
-    }
-
-    /// A declared [`ParamKind::F64`] parameter (validated at parse time).
-    pub fn f64(&self, name: &str) -> f64 {
-        self.raw(name).parse().expect("validated at parse time")
-    }
-
-    /// A declared [`ParamKind::Str`] parameter.
-    pub fn str(&self, name: &str) -> &str {
-        self.raw(name)
-    }
-
-    /// The `bias=` knob of the importance-sampled modes: `auto` → `None`
-    /// (per-scheme auto-selection), otherwise a positive finite
-    /// multiplier (`1` = direct simulation).
-    pub fn bias(&self) -> Result<Option<f64>, ExperimentError> {
-        let raw = self.str("bias");
-        if raw == "auto" {
-            return Ok(None);
-        }
-        match raw.parse::<f64>() {
-            Ok(b) if b.is_finite() && b > 0.0 => Ok(Some(b)),
-            _ => Err(ExperimentError::BadValue {
-                name: "bias".to_string(),
-                value: raw.to_string(),
-                expected: "`auto` or a positive number".to_string(),
-            }),
-        }
+    /// The given values, one slot per declared parameter in schema order —
+    /// what a typed parameter struct is filled from.
+    pub(crate) fn values(&self) -> &[Option<String>] {
+        &self.values
     }
 }
 
@@ -392,41 +543,32 @@ impl ExperimentOutput {
     }
 }
 
-/// A registered experiment: static self-description plus an execution
-/// entry point. Implementations live in [`crate::figures`].
-pub trait Experiment: Sync {
-    /// The experiment's static description and parameter schema.
-    fn info(&self) -> &'static ExperimentInfo;
-    /// Execute under a validated context.
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError>;
-}
-
 /// Every registered experiment, in the paper's presentation order.
-pub static REGISTRY: &[&dyn Experiment] = &[
-    &crate::figures::Fig01,
-    &crate::figures::Table2,
-    &crate::figures::Fig05,
-    &crate::figures::Fig06,
-    &crate::figures::Fig07,
-    &crate::figures::Fig08,
-    &crate::figures::Fig09,
-    &crate::figures::Fig10,
-    &crate::figures::Fig11,
-    &crate::figures::Fig12,
-    &crate::figures::Fig13,
-    &crate::figures::Fig15,
-    &crate::figures::Fig16,
-    &crate::figures::Sec514,
-    &crate::figures::Ablations,
-    &crate::figures::PaperSummary,
-    &crate::figures::Validation,
-    &crate::figures::TraceTools,
-    &crate::figures::StoreBench,
+pub static REGISTRY: &[&ExperimentInfo] = &[
+    &crate::figures::FIG01,
+    &crate::figures::TABLE2,
+    &crate::figures::FIG05,
+    &crate::figures::FIG06,
+    &crate::figures::FIG07,
+    &crate::figures::FIG08,
+    &crate::figures::FIG09,
+    &crate::figures::FIG10,
+    &crate::figures::FIG11,
+    &crate::figures::FIG12,
+    &crate::figures::FIG13,
+    &crate::figures::FIG15,
+    &crate::figures::FIG16,
+    &crate::figures::SEC514,
+    &crate::figures::ABLATIONS,
+    &crate::figures::PAPER_SUMMARY,
+    &crate::figures::VALIDATION,
+    &crate::figures::TRACE,
+    &crate::figures::STORE_BENCH,
 ];
 
 /// Look up an experiment by registry name.
-pub fn find(name: &str) -> Option<&'static dyn Experiment> {
-    REGISTRY.iter().copied().find(|e| e.info().name == name)
+pub fn find(name: &str) -> Option<&'static ExperimentInfo> {
+    REGISTRY.iter().copied().find(|info| info.name == name)
 }
 
 /// Edit distance between two short ASCII names (classic two-row DP).
@@ -450,7 +592,7 @@ fn edit_distance(a: &str, b: &str) -> usize {
 /// toward the lexicographically first candidate so the suggestion is
 /// stable.
 pub fn suggest(name: &str) -> Option<&'static str> {
-    let names: Vec<&'static str> = REGISTRY.iter().map(|e| e.info().name).collect();
+    let names: Vec<&'static str> = REGISTRY.iter().map(|info| info.name).collect();
     suggest_among(name, &names)
 }
 
@@ -497,13 +639,13 @@ pub struct RunOutcome {
     pub gate_failures: Vec<String>,
 }
 
-/// Resolve `name`, validate `raw_args` against its schema, execute, and
+/// Resolve `name`, bind `raw_args` to its typed parameters, execute, and
 /// dump every artifact under the context's `out=` directory.
 pub fn run_experiment(name: &str, raw_args: &[String]) -> Result<RunOutcome, ExperimentError> {
-    let exp = find(name).ok_or_else(|| ExperimentError::UnknownExperiment(name.to_string()))?;
-    let info = exp.info();
+    let info = find(name).ok_or_else(|| ExperimentError::UnknownExperiment(name.to_string()))?;
     let ctx = ExperimentCtx::parse(info, raw_args)?;
-    let output = exp.run(&ctx)?;
+    let run = (info.bind)(&ctx)?;
+    let output = run()?;
     let mut artifact_paths = Vec::new();
     for (artifact, value) in &output.artifacts {
         artifact_paths.push(dump_json_in(&ctx.out_dir, artifact, value)?);
@@ -529,8 +671,7 @@ mod tests {
     #[test]
     fn registry_names_are_unique_and_nonempty() {
         let mut seen = BTreeSet::new();
-        for exp in REGISTRY {
-            let info = exp.info();
+        for info in REGISTRY {
             assert!(!info.name.is_empty());
             assert!(
                 seen.insert(info.name),
@@ -567,7 +708,7 @@ mod tests {
         for (heading, name) in expected {
             assert!(doc.contains(heading), "EXPERIMENTS.md lost `{heading}`");
             assert_eq!(
-                REGISTRY.iter().filter(|e| e.info().name == name).count(),
+                REGISTRY.iter().filter(|info| info.name == name).count(),
                 1,
                 "{name} must be registered exactly once"
             );
@@ -580,45 +721,59 @@ mod tests {
 
     #[test]
     fn schema_round_trip_defaults_and_fast_overrides() {
-        for exp in REGISTRY {
-            let info = exp.info();
-            for p in info.params {
-                assert!(
-                    p.kind.validate(p.default),
-                    "{}: default for {} does not parse as {}",
-                    info.name,
-                    p.name,
-                    p.kind.name()
-                );
-            }
-            // No-arg parse succeeds and typed getters return the defaults.
-            let ctx = ExperimentCtx::parse(info, &[]).unwrap();
-            assert_eq!(ctx.mode, info.default_mode());
-            for p in info.params {
-                match p.kind {
-                    ParamKind::U64 => assert_eq!(ctx.u64(p.name).to_string(), p.default),
-                    ParamKind::F64 => {
-                        assert_eq!(ctx.f64(p.name), p.default.parse::<f64>().unwrap());
-                    }
-                    ParamKind::Str => assert_eq!(ctx.str(p.name), p.default),
+        for info in REGISTRY {
+            let bind = |args: &[String]| {
+                let ctx = ExperimentCtx::parse(info, args)
+                    .unwrap_or_else(|e| panic!("{}: {args:?}: {e}", info.name));
+                assert_eq!(ctx.values().len(), info.params.len());
+                if let Err(e) = (info.bind)(&ctx) {
+                    panic!(
+                        "{}: {args:?} does not build the typed struct: {e}",
+                        info.name
+                    );
                 }
-            }
-            // Fast overrides must target declared params with valid values.
-            for (key, value) in info.fast {
-                let spec = info
-                    .param(key)
-                    .unwrap_or_else(|| panic!("{}: fast override names unknown {key}", info.name));
-                assert!(spec.kind.validate(value));
-            }
+                ctx
+            };
+            // No argument: every declared default is inside its field type.
+            let ctx = bind(&[]);
+            assert_eq!(ctx.mode, info.default_mode());
+            // So are the fast overrides, which must name declared params.
+            let fast: Vec<String> = info.fast.iter().map(|(k, v)| format!("{k}={v}")).collect();
+            bind(&fast);
             // Round-trip: feeding every default back as an explicit
-            // argument parses cleanly.
+            // argument binds too.
             let explicit: Vec<String> = info
                 .params
                 .iter()
                 .map(|p| format!("{}={}", p.name, p.default))
                 .collect();
-            ExperimentCtx::parse(info, &explicit).unwrap();
+            bind(&explicit);
         }
+    }
+
+    #[test]
+    fn field_types_reject_values_outside_their_range_and_name_it() {
+        let reject = |err: Result<u32, ExperimentError>, range: &str| match err {
+            Err(e @ ExperimentError::BadValue { .. }) => {
+                let msg = e.to_string();
+                assert!(msg.contains(range), "{msg}");
+            }
+            other => panic!("expected BadValue, got {other:?}"),
+        };
+        let field = |v| parse_field::<u32>("samples", "60", Some(v));
+        assert_eq!(field("4294967295").unwrap(), u32::MAX);
+        reject(field("4294967296"), "integer in 0..=4294967295");
+        reject(field("-1"), "integer in 0..=4294967295");
+        let field = |v| parse_field::<NonZeroU32>("racks", "5", Some(v)).map(NonZeroU32::get);
+        assert_eq!(field("1").unwrap(), 1);
+        reject(field("0"), "integer in 1..=4294967295");
+        reject(field("4294967296"), "integer in 1..=4294967295");
+        let field = |v| parse_field::<Bounded<2, 100>>("kmax", "50", Some(v)).map(Bounded::get);
+        assert_eq!((field("2").unwrap(), field("100").unwrap()), (2, 100));
+        reject(field("1"), "integer in 2..=100");
+        reject(field("101"), "integer in 2..=100");
+        // No value given at the field's position: the declared default.
+        assert_eq!(parse_field::<u32>("samples", "60", None).unwrap(), 60);
     }
 
     #[test]
@@ -658,6 +813,29 @@ mod tests {
                 ),
                 "{name} {arg}"
             );
+        }
+        // Integers that used to panic deep in a run (a zero rack count, a
+        // zero chunk size, a grid step that wraps the axis) or to run as
+        // their value modulo 2^32.
+        for (name, arg) in [
+            ("fig05", "step=4294967295"),
+            ("fig05", "step=4294967297"),
+            ("trace", "burst_racks=0"),
+            ("trace", "burst_size=4294967356"),
+            ("fig11", "chunk_kb=0"),
+            ("fig11", "kmax=1"),
+            ("fig11", "pmax=0"),
+            ("fig12", "racks=0"),
+            ("fig12", "failures=4294967296"),
+            ("fig13", "samples=4294967296"),
+            ("fig16", "min_samples=4294967296"),
+        ] {
+            match run_experiment(name, &args(&[arg])) {
+                Err(e @ ExperimentError::BadValue { .. }) => {
+                    assert!(e.to_string().contains("expected integer in "), "{e}");
+                }
+                other => panic!("{name} {arg}: expected BadValue, got {other:?}"),
+            }
         }
         // A u64 that does not fit the spec's u32 field must not be
         // truncated (4294967306 as u32 == 10) and run.
@@ -749,20 +927,20 @@ mod tests {
 
     #[test]
     fn mode_selection_and_bias_validation() {
-        let info = find("fig07").unwrap().info();
+        let info = find("fig07").unwrap();
         let ctx = ExperimentCtx::parse(info, &args(&["mode=sim", "bias=4"])).unwrap();
         assert_eq!(ctx.mode, Mode::Sim);
-        assert_eq!(ctx.bias().unwrap(), Some(4.0));
         let ctx = ExperimentCtx::parse(info, &[]).unwrap();
         assert_eq!(ctx.mode, Mode::Analytic);
-        assert_eq!(ctx.bias().unwrap(), None);
-        let ctx = ExperimentCtx::parse(info, &args(&["bias=-3"])).unwrap();
-        assert!(ctx.bias().is_err());
+        assert!(matches!(
+            run_experiment("fig07", &args(&["mode=sim", "bias=-3"])),
+            Err(ExperimentError::BadValue { .. })
+        ));
     }
 
     #[test]
     fn global_keys_resolve_into_ctx() {
-        let info = find("fig05").unwrap().info();
+        let info = find("fig05").unwrap();
         let ctx = ExperimentCtx::parse(
             info,
             &args(&["threads=4", "manifests=/tmp/m", "out=/tmp/f", "samples=9"]),
@@ -774,6 +952,22 @@ mod tests {
             Some(Path::new("/tmp/m"))
         );
         assert_eq!(ctx.out_dir, Path::new("/tmp/f"));
-        assert_eq!(ctx.u64("samples"), 9);
+        // `samples` is the third declared parameter of fig05.
+        let samples = info
+            .params
+            .iter()
+            .position(|p| p.name == "samples")
+            .unwrap();
+        assert_eq!(ctx.values()[samples].as_deref(), Some("9"));
+        assert_eq!(ctx.values().iter().flatten().count(), 1);
+        // fig11 declares `threads`: the global knob lands there too.
+        let info = find("fig11").unwrap();
+        let ctx = ExperimentCtx::parse(info, &args(&["threads=3"])).unwrap();
+        let threads = info
+            .params
+            .iter()
+            .position(|p| p.name == "threads")
+            .unwrap();
+        assert_eq!(ctx.values()[threads].as_deref(), Some("3"));
     }
 }

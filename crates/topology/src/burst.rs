@@ -15,6 +15,8 @@ use rand::Rng;
 pub enum BurstError {
     /// Need at least as many failures as affected racks.
     TooFewFailures { failures: u32, racks: u32 },
+    /// Failures with no rack to land on.
+    NoRacks { failures: u32 },
     /// More affected racks than racks in the system.
     TooManyRacks { requested: u32, available: u32 },
     /// More failures assigned to a rack than it has disks.
@@ -30,6 +32,9 @@ impl std::fmt::Display for BurstError {
         match self {
             BurstError::TooFewFailures { failures, racks } => {
                 write!(f, "{failures} failures cannot cover {racks} racks")
+            }
+            BurstError::NoRacks { failures } => {
+                write!(f, "{failures} failures cannot land on zero racks")
             }
             BurstError::TooManyRacks {
                 requested,
@@ -89,6 +94,9 @@ pub fn sample_rack_counts<R: Rng>(
             failures,
             racks: affected_racks,
         });
+    }
+    if affected_racks == 0 && failures > 0 {
+        return Err(BurstError::NoRacks { failures });
     }
     let mut racks: Vec<RackId> = (0..geometry.racks).collect();
     racks.shuffle(rng);
@@ -168,6 +176,21 @@ mod tests {
             sample_burst(&g, 30, 1, &mut rng),
             Err(BurstError::RackOverflow { .. })
         ));
+    }
+
+    #[test]
+    fn failures_on_zero_racks_are_an_error_not_a_panic() {
+        // Used to index `racks[0]` of an empty vec (then divide by zero)
+        // while building the `RackOverflow` error.
+        let g = Geometry::small_test();
+        let mut rng = ChaCha12Rng::seed_from_u64(1);
+        assert_eq!(
+            sample_rack_counts(&g, 5, 0, &mut rng),
+            Err(BurstError::NoRacks { failures: 5 })
+        );
+        assert!(sample_burst(&g, 1, 0, &mut rng).is_err());
+        // The empty burst stays valid.
+        assert_eq!(sample_rack_counts(&g, 0, 0, &mut rng), Ok(Vec::new()));
     }
 
     #[test]

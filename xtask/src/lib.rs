@@ -1,6 +1,6 @@
 //! In-tree static analysis for the mlec workspace.
 //!
-//! `cargo xtask lint` runs a registry of architectural lints (L1–L5, see
+//! `cargo xtask lint` runs a registry of architectural lints (L1–L8, see
 //! DESIGN.md "Enforced invariants") over the production sources and fails
 //! on any finding not suppressed — with a reason — in `lints.allow.toml`.
 //!
@@ -40,7 +40,7 @@ pub fn run_lints(root: &Path) -> Result<Vec<Diagnostic>, EngineError> {
 
 /// Like [`run_lints`], optionally scoped to a set of workspace-relative
 /// file paths (the `--changed` mode). Lints still scan the *whole*
-/// workspace — cross-file lints (registry sync) need global context — but
+/// workspace — cross-file lints need global context — but
 /// only diagnostics landing in the given files are reported, and the
 /// `unused-allow` pseudo-lint is silenced (entries for untouched files
 /// are unknowable from a partial view).

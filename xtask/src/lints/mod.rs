@@ -5,7 +5,6 @@
 mod clock_confinement;
 mod det_iter;
 mod panic_freedom;
-mod registry_sync;
 mod rng_confinement;
 mod safety;
 mod unit_discipline;
@@ -17,7 +16,6 @@ use crate::source::Workspace;
 pub use clock_confinement::ClockConfinement;
 pub use det_iter::DeterministicIteration;
 pub use panic_freedom::PanicFreedom;
-pub use registry_sync::RegistrySchemaSync;
 pub use rng_confinement::RngConfinement;
 pub use safety::SafetyComments;
 pub use unit_discipline::UnitDiscipline;
@@ -33,14 +31,14 @@ pub trait Lint {
     fn check(&self, ws: &Workspace, out: &mut Vec<Diagnostic>);
 }
 
-/// Every registered lint, in documentation order (L1–L8).
+/// Every registered lint, in documentation order (L1–L4, L6–L8: numbers
+/// are stable references into DESIGN.md §7, and L5 is unassigned).
 pub fn all() -> Vec<Box<dyn Lint>> {
     vec![
         Box::new(RngConfinement),
         Box::new(NoWallClock),
         Box::new(DeterministicIteration),
         Box::new(SafetyComments),
-        Box::new(RegistrySchemaSync),
         Box::new(ClockConfinement),
         Box::new(UnitDiscipline),
         Box::new(PanicFreedom),

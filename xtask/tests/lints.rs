@@ -115,27 +115,6 @@ fn safety_quiet_when_justified_and_denied() {
     assert_quiet("safety-comment");
 }
 
-// --- L5 registry-schema-sync -------------------------------------------
-
-#[test]
-fn registry_sync_fires_on_undeclared_read_through_helper() {
-    let diags = fire("registry-schema-sync");
-    assert!(
-        diags
-            .iter()
-            .any(|d| d.message.contains("samples") && d.message.contains("fig99")),
-        "undeclared `samples` read via helper not caught: {diags:?}"
-    );
-    // The declared reads must NOT be flagged.
-    assert!(!diags.iter().any(|d| d.message.contains("\"max\"")));
-    assert!(!diags.iter().any(|d| d.message.contains("\"seed\"")));
-}
-
-#[test]
-fn registry_sync_quiet_on_shared_static_helper_and_bias() {
-    assert_quiet("registry-schema-sync");
-}
-
 // --- L6 clock-confinement ----------------------------------------------
 
 #[test]
