@@ -262,6 +262,25 @@ pub fn mlec_burst_sample(
     }
 }
 
+/// Mean of `samples` conditional-Monte-Carlo draws from one seeded
+/// stream; NaN as soon as a draw is (the cell is infeasible).
+fn mean_of_samples(
+    samples: u32,
+    seed: u64,
+    mut sample: impl FnMut(&mut ChaCha12Rng) -> f64,
+) -> f64 {
+    let mut rng = ChaCha12Rng::seed_from_u64(seed);
+    let mut total = 0.0f64;
+    for _ in 0..samples {
+        let v = sample(&mut rng);
+        if v.is_nan() {
+            return f64::NAN;
+        }
+        total += v;
+    }
+    total / samples as f64
+}
+
 /// MLEC burst PDL (Fig 5) via conditional Monte Carlo + exact inner DP.
 pub fn mlec_burst_pdl(
     dep: &MlecDeployment,
@@ -270,16 +289,9 @@ pub fn mlec_burst_pdl(
     samples: u32,
     seed: u64,
 ) -> f64 {
-    let mut rng = ChaCha12Rng::seed_from_u64(seed);
-    let mut total = 0.0f64;
-    for _ in 0..samples {
-        let v = mlec_burst_sample(dep, failures, affected_racks, &mut rng);
-        if v.is_nan() {
-            return f64::NAN;
-        }
-        total += v;
-    }
-    total / samples as f64
+    mean_of_samples(samples, seed, |rng| {
+        mlec_burst_sample(dep, failures, affected_racks, rng)
+    })
 }
 
 /// One disk-level Monte Carlo trial of the MLEC burst estimator: sample a
@@ -431,35 +443,6 @@ pub fn slec_burst_sample(
     }
 }
 
-/// SLEC burst PDL (Fig 13) for the four placements of a `(k+p)` code.
-pub fn slec_burst_pdl(
-    geometry: &Geometry,
-    params: SlecParams,
-    placement: SlecPlacement,
-    failures: u32,
-    affected_racks: u32,
-    samples: u32,
-    seed: u64,
-) -> f64 {
-    let mut rng = ChaCha12Rng::seed_from_u64(seed);
-    let mut total = 0.0f64;
-    for _ in 0..samples {
-        let v = slec_burst_sample(
-            geometry,
-            params,
-            placement,
-            failures,
-            affected_racks,
-            &mut rng,
-        );
-        if v.is_nan() {
-            return f64::NAN;
-        }
-        total += v;
-    }
-    total / samples as f64
-}
-
 /// Distribution of failed-chunk count for a random stripe of width `w`
 /// placed on `w` distinct racks (uniform rack subset, uniform disk per
 /// rack), given per-rack failure counts. Exact DP over racks; returns
@@ -506,39 +489,11 @@ pub fn stripe_failure_distribution(
     (0..=cap).map(|m| (dp[w][m] - total).exp()).collect()
 }
 
-/// LRC burst PDL (Fig 16): declustered LRC with every chunk in a separate
-/// rack. `undecodable_by_count[m]` must give `P(an m-chunk erasure pattern
-/// at uniform positions is undecodable)` (see [`lrc_undecodable_by_count`]).
-pub fn lrc_burst_pdl(
-    geometry: &Geometry,
-    params: LrcParams,
-    undecodable_by_count: &[f64],
-    failures: u32,
-    affected_racks: u32,
-    samples: u32,
-    seed: u64,
-) -> f64 {
-    let mut rng = ChaCha12Rng::seed_from_u64(seed);
-    let mut total = 0.0f64;
-    for _ in 0..samples {
-        let v = lrc_burst_sample(
-            geometry,
-            params,
-            undecodable_by_count,
-            failures,
-            affected_racks,
-            &mut rng,
-        );
-        if v.is_nan() {
-            return f64::NAN;
-        }
-        total += v;
-    }
-    total / samples as f64
-}
-
-/// One conditional-Monte-Carlo sample of the LRC burst PDL. NaN when the
-/// cell is infeasible.
+/// One conditional-Monte-Carlo sample of the LRC burst PDL (Fig 16):
+/// declustered LRC with every chunk in a separate rack.
+/// `undecodable_by_count[m]` must give `P(an m-chunk erasure pattern at
+/// uniform positions is undecodable)` (see [`lrc_undecodable_by_count`]).
+/// NaN when the cell is infeasible.
 pub fn lrc_burst_sample(
     geometry: &Geometry,
     params: LrcParams,
@@ -607,6 +562,37 @@ mod tests {
 
     fn dep(scheme: MlecScheme) -> MlecDeployment {
         MlecDeployment::paper_default(scheme)
+    }
+
+    /// Fig 13 cell: the mean the heatmap runner takes over
+    /// [`slec_burst_sample`].
+    fn slec_burst_pdl(
+        g: &Geometry,
+        params: SlecParams,
+        placement: SlecPlacement,
+        failures: u32,
+        racks: u32,
+        samples: u32,
+        seed: u64,
+    ) -> f64 {
+        mean_of_samples(samples, seed, |rng| {
+            slec_burst_sample(g, params, placement, failures, racks, rng)
+        })
+    }
+
+    /// Fig 16 cell, likewise over [`lrc_burst_sample`].
+    fn lrc_burst_pdl(
+        g: &Geometry,
+        params: LrcParams,
+        curve: &[f64],
+        failures: u32,
+        racks: u32,
+        samples: u32,
+        seed: u64,
+    ) -> f64 {
+        mean_of_samples(samples, seed, |rng| {
+            lrc_burst_sample(g, params, curve, failures, racks, rng)
+        })
     }
 
     #[test]

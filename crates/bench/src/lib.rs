@@ -1,5 +1,6 @@
-//! `mlec-bench`: the `mlec` experiment driver (`src/bin/mlec.rs`) and the
-//! self-contained microbenchmarks (`benches/`, timed by [`microbench`]).
+//! `mlec-bench`: the `mlec` experiment driver (`src/bin/mlec.rs`).
+//! Performance is measured by the ledger (`BENCHMARK.json` + `benchmark/`);
+//! `benches/micro.rs` only prints the few rows it does not cover yet.
 //!
 //! All execution goes through `mlec_core::registry`: arguments are parsed
 //! once against each experiment's declared schema, so unknown keys,
@@ -7,8 +8,6 @@
 //! silently ignored. Every experiment prints the paper-comparable
 //! rows/series to stdout and dumps machine-readable JSON under
 //! `target/figures/` (tunable with `out=DIR`).
-
-pub mod microbench;
 
 use mlec_core::registry::{self, ExperimentError, RunOutcome};
 use std::process::ExitCode;

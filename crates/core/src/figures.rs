@@ -1859,16 +1859,16 @@ fn run_trace(_ctx: &ExperimentCtx, p: &TraceParams) -> Result<ExperimentOutput, 
 declare_experiment! {
     STORE_BENCH(run_store_bench_exp, StoreBenchParams {
         ops: u64 = "1000000", "trace operations to replay";
-        objects: u64 = "4096", "distinct objects, preloaded at version 0 before the trace";
+        objects: NonZeroU32 = "4096", "distinct objects, preloaded at version 0 before the trace";
         zipf: f64 = "1.0", "Zipf(s) popularity skew of the object draw";
         put_pct: Bounded<0, 100> = "10", "percent of ops that are puts";
         delete_pct: Bounded<0, 100> = "0", "percent of ops that are deletes";
-        ops_per_sec: u64 = "50000", "trace arrival rate in virtual time";
+        ops_per_sec: NonZeroU32 = "50000", "trace arrival rate in virtual time";
         kill_at: u64 = "0", "inject the failure when this op index is reached (0 = never)";
         kill_racks: u32 = "1", "whole racks killed at the injection";
         kill_disks: u32 = "0", "extra disks killed in the next surviving rack";
         batch: u64 = "1024", "ops prepared per parallel batch";
-        shards: u64 = "0",
+        shards: u32 = "0",
             "apply-phase rack shards: 0 = monolithic serial apply, N >= 1 = epoch-sharded apply on N clock-domain shards (bit-identical output)";
         verify_every: u64 = "64", "verify read-back bytes on every Nth op (0 = final sweep only)";
         seed: u64 = "42", "root seed for trace and payload derivation";
@@ -1905,6 +1905,14 @@ fn store_bench_spec(
 ) -> Result<mlec_store::BenchSpec, ExperimentError> {
     use mlec_store::{BackendChoice, BenchSpec, KillSpec, LoadSpec, StoreConfig};
 
+    let mix = p.put_pct.get() + p.delete_pct.get();
+    if mix > 100 {
+        return Err(ExperimentError::BadValue {
+            name: "delete_pct".to_string(),
+            value: p.delete_pct.get().to_string(),
+            expected: format!("put_pct + delete_pct (here {mix}) to be at most 100"),
+        });
+    }
     let backend = match p.backend.as_str() {
         "mem" => BackendChoice::Mem,
         "file" if p.dir.is_empty() => BackendChoice::File(ctx.out_dir.join("store_chunks")),
@@ -1926,11 +1934,11 @@ fn store_bench_spec(
         store: StoreConfig::small_test(),
         load: LoadSpec {
             ops: p.ops,
-            objects: p.objects,
+            objects: u64::from(p.objects.get()),
             zipf_s: p.zipf,
             put_pct: p.put_pct.get(),
             delete_pct: p.delete_pct.get(),
-            ops_per_sec: p.ops_per_sec,
+            ops_per_sec: u64::from(p.ops_per_sec.get()),
         },
         kill: (p.kill_at > 0).then_some(KillSpec {
             at_op: p.kill_at,

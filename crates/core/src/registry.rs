@@ -844,6 +844,13 @@ mod tests {
             "delete_pct=101",
             "kill_racks=4294967296",
             "kill_disks=4294967296",
+            // Sizes that used to overflow an allocation or to be refused
+            // as `Io` after set-up had begun.
+            "objects=18446744073709551615",
+            "shards=18446744073709551615",
+            "objects=0",
+            "ops_per_sec=0",
+            "delete_pct=91",
         ] {
             assert!(
                 matches!(

@@ -130,11 +130,6 @@ impl Lrc {
         (self.l + self.r) as f64 / self.k as f64
     }
 
-    /// The data-chunk indices belonging to local group `g`.
-    pub fn group_members(&self, g: usize) -> &[usize] {
-        &self.groups[g]
-    }
-
     /// The local group that chunk `idx` belongs to, or `None` for global
     /// parities.
     pub fn group_of(&self, idx: usize) -> Option<usize> {
@@ -433,8 +428,8 @@ mod tests {
         // parities are XORs of their groups.
         let lrc = Lrc::new(4, 2, 2).unwrap();
         assert_eq!(lrc.total_chunks(), 8);
-        assert_eq!(lrc.group_members(0), &[0, 1]);
-        assert_eq!(lrc.group_members(1), &[2, 3]);
+        assert_eq!(lrc.groups[0], [0, 1]);
+        assert_eq!(lrc.groups[1], [2, 3]);
         let data = sample_data(4, 16);
         let chunks = lrc.encode(&data).unwrap();
         for i in 0..16 {
@@ -446,8 +441,8 @@ mod tests {
     #[test]
     fn unbalanced_groups() {
         let lrc = Lrc::new(5, 2, 1).unwrap();
-        assert_eq!(lrc.group_members(0), &[0, 1, 2]);
-        assert_eq!(lrc.group_members(1), &[3, 4]);
+        assert_eq!(lrc.groups[0], [0, 1, 2]);
+        assert_eq!(lrc.groups[1], [3, 4]);
         assert_eq!(lrc.group_of(4), Some(1));
         assert_eq!(lrc.group_of(5), Some(0)); // local parity 0
         assert_eq!(lrc.group_of(7), None); // global parity

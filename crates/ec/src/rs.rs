@@ -321,37 +321,6 @@ impl ReedSolomon {
         Ok(())
     }
 
-    /// Incrementally update all parity shards after a partial write to one
-    /// data shard: `parity'_j = parity_j + G[j][shard] * (new - old)`.
-    /// This is how production systems avoid re-reading the whole stripe on
-    /// small writes; cost is `p` multiply-accumulates over the changed
-    /// bytes instead of a `k`-wide re-encode.
-    ///
-    /// # Panics
-    /// Panics if `shard >= k`.
-    ///
-    /// # Errors
-    /// Shape errors when lengths disagree.
-    pub fn update_parity(
-        &self,
-        shard: usize,
-        old_data: &[u8],
-        new_data: &[u8],
-        parity: &mut [Vec<u8>],
-    ) -> Result<(), EcError> {
-        assert!(shard < self.k, "only data shards can be updated");
-        if old_data.len() != new_data.len() {
-            return Err(EcError::ShapeMismatch("old/new data lengths differ".into()));
-        }
-        self.check_parity_shape(parity, old_data.len())?;
-        let delta: Vec<u8> = old_data.iter().zip(new_data).map(|(o, n)| o ^ n).collect();
-        for (pi, buf) in parity.iter_mut().enumerate() {
-            let coeff = self.generator.get(self.k + pi, shard);
-            mul_add_slice(coeff, &delta, buf);
-        }
-        Ok(())
-    }
-
     /// Decode with an explicit helper set: reconstruct shard `target` using
     /// exactly the shards listed in `helpers` (must contain at least `k`
     /// live shards). Returns the rebuilt shard. This models repair methods
@@ -549,43 +518,6 @@ mod tests {
         assert!(rs.encode_into_parallel(&data, &mut wrong_count, 4).is_err());
         let mut wrong_len = vec![vec![0u8; 16], vec![0u8; 15]];
         assert!(rs.encode_into_parallel(&data, &mut wrong_len, 4).is_err());
-    }
-
-    #[test]
-    fn incremental_parity_update_matches_reencode() {
-        let rs = ReedSolomon::new(5, 3).unwrap();
-        let mut data = sample_data(5, 32);
-        let shards = rs.encode(&data).unwrap();
-        let mut parity: Vec<Vec<u8>> = shards[5..].to_vec();
-        // Overwrite shard 2 with new content and update incrementally.
-        let old = data[2].clone();
-        let new: Vec<u8> = (0..32).map(|i| (i * 91 + 5) as u8).collect();
-        rs.update_parity(2, &old, &new, &mut parity).unwrap();
-        data[2] = new;
-        let reencoded = rs.encode(&data).unwrap();
-        assert_eq!(parity[0], reencoded[5]);
-        assert_eq!(parity[1], reencoded[6]);
-        assert_eq!(parity[2], reencoded[7]);
-    }
-
-    #[test]
-    fn incremental_update_shape_errors() {
-        let rs = ReedSolomon::new(3, 1).unwrap();
-        let mut parity = vec![vec![0u8; 4]];
-        assert!(rs
-            .update_parity(0, &[1, 2], &[1, 2, 3], &mut parity)
-            .is_err());
-        assert!(rs
-            .update_parity(0, &[1, 2, 3, 4], &[4, 3, 2, 1], [].as_mut())
-            .is_err());
-    }
-
-    #[test]
-    #[should_panic]
-    fn incremental_update_rejects_parity_shard() {
-        let rs = ReedSolomon::new(3, 1).unwrap();
-        let mut parity = vec![vec![0u8; 2]];
-        let _ = rs.update_parity(3, &[0, 0], &[1, 1], &mut parity);
     }
 
     #[test]

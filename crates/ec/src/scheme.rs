@@ -78,17 +78,6 @@ impl MlecParams {
     pub fn overhead(&self) -> f64 {
         self.total_chunks() as f64 / self.data_chunks() as f64 - 1.0
     }
-
-    /// Chunk failures in one local stripe beyond which the stripe is lost
-    /// locally (`p_l + 1` is the catastrophic threshold, Table 1).
-    pub const fn local_tolerance(&self) -> usize {
-        self.local.p
-    }
-
-    /// Lost local stripes in one network stripe beyond which data is lost.
-    pub const fn network_tolerance(&self) -> usize {
-        self.network.p
-    }
 }
 
 impl std::fmt::Display for MlecParams {
@@ -127,12 +116,6 @@ impl LrcParams {
     /// Parity overhead `(l + r) / k`.
     pub fn overhead(&self) -> f64 {
         (self.l + self.r) as f64 / self.k as f64
-    }
-
-    /// Failures always tolerable regardless of pattern (`r + 1` for
-    /// information-theoretically optimal LRCs).
-    pub const fn guaranteed_tolerance(&self) -> usize {
-        self.r + 1
     }
 }
 
@@ -215,14 +198,6 @@ mod tests {
         assert_eq!(MlecParams::paper_default().to_string(), "(10+2)/(17+3)");
         assert_eq!(SlecParams::new(7, 3).to_string(), "(7+3)");
         assert_eq!(LrcParams::paper_default().to_string(), "(14,2,4)");
-    }
-
-    #[test]
-    fn tolerances() {
-        let m = MlecParams::paper_default();
-        assert_eq!(m.local_tolerance(), 3);
-        assert_eq!(m.network_tolerance(), 2);
-        assert_eq!(LrcParams::new(12, 2, 2).guaranteed_tolerance(), 3);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Scalar arithmetic in GF(2^8) and the [`Gf256`] element wrapper.
+//! Scalar arithmetic in GF(2^8).
 //!
 //! Addition and subtraction are both XOR; multiplication and division go
 //! through the log/exp tables in [`crate::tables`]. All functions are total:
@@ -6,18 +6,10 @@
 //! data-dependent condition).
 
 use crate::tables::{EXP, GROUP_ORDER, LOG};
-use std::fmt;
-use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// Add two field elements (XOR).
 #[inline(always)]
 pub const fn gf_add(a: u8, b: u8) -> u8 {
-    a ^ b
-}
-
-/// Subtract two field elements (identical to addition in characteristic 2).
-#[inline(always)]
-pub const fn gf_sub(a: u8, b: u8) -> u8 {
     a ^ b
 }
 
@@ -65,109 +57,6 @@ pub fn gf_pow(a: u8, n: usize) -> u8 {
     }
     let l = (LOG[a as usize] as usize * n) % GROUP_ORDER;
     EXP[l]
-}
-
-/// A GF(2^8) element with operator overloads, used where expression-style
-/// math reads better than the free functions (e.g. matrix kernels in tests).
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
-pub struct Gf256(pub u8);
-
-impl Gf256 {
-    /// The additive identity.
-    pub const ZERO: Gf256 = Gf256(0);
-    /// The multiplicative identity.
-    pub const ONE: Gf256 = Gf256(1);
-
-    /// Multiplicative inverse. Panics on zero.
-    pub fn inv(self) -> Gf256 {
-        Gf256(gf_inv(self.0))
-    }
-
-    /// `self^n`.
-    pub fn pow(self, n: usize) -> Gf256 {
-        Gf256(gf_pow(self.0, n))
-    }
-}
-
-impl fmt::Debug for Gf256 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Gf256(0x{:02x})", self.0)
-    }
-}
-
-impl fmt::Display for Gf256 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:02x}", self.0)
-    }
-}
-
-impl Add for Gf256 {
-    type Output = Gf256;
-    fn add(self, rhs: Gf256) -> Gf256 {
-        Gf256(gf_add(self.0, rhs.0))
-    }
-}
-
-impl AddAssign for Gf256 {
-    // GF(2^8) addition IS xor — not a typo for `+`.
-    #[allow(clippy::suspicious_op_assign_impl)]
-    fn add_assign(&mut self, rhs: Gf256) {
-        self.0 ^= rhs.0;
-    }
-}
-
-impl Sub for Gf256 {
-    type Output = Gf256;
-    fn sub(self, rhs: Gf256) -> Gf256 {
-        Gf256(gf_sub(self.0, rhs.0))
-    }
-}
-
-impl SubAssign for Gf256 {
-    // Subtraction equals addition in characteristic 2.
-    #[allow(clippy::suspicious_op_assign_impl)]
-    fn sub_assign(&mut self, rhs: Gf256) {
-        self.0 ^= rhs.0;
-    }
-}
-
-impl Neg for Gf256 {
-    type Output = Gf256;
-    fn neg(self) -> Gf256 {
-        self // -a == a in characteristic 2
-    }
-}
-
-impl Mul for Gf256 {
-    type Output = Gf256;
-    fn mul(self, rhs: Gf256) -> Gf256 {
-        Gf256(gf_mul(self.0, rhs.0))
-    }
-}
-
-impl MulAssign for Gf256 {
-    fn mul_assign(&mut self, rhs: Gf256) {
-        self.0 = gf_mul(self.0, rhs.0);
-    }
-}
-
-impl Div for Gf256 {
-    type Output = Gf256;
-    fn div(self, rhs: Gf256) -> Gf256 {
-        Gf256(gf_div(self.0, rhs.0))
-    }
-}
-
-impl From<u8> for Gf256 {
-    fn from(v: u8) -> Gf256 {
-        Gf256(v)
-    }
-}
-
-impl From<Gf256> for u8 {
-    fn from(v: Gf256) -> u8 {
-        v.0
-    }
 }
 
 #[cfg(test)]
@@ -243,18 +132,5 @@ mod tests {
     #[should_panic]
     fn division_by_zero_panics() {
         gf_div(7, 0);
-    }
-
-    #[test]
-    fn wrapper_operators() {
-        let a = Gf256(0x53);
-        let b = Gf256(0xca);
-        assert_eq!(a + b, Gf256(0x53 ^ 0xca));
-        assert_eq!(a - b, a + b);
-        assert_eq!(-a, a);
-        assert_eq!((a * b) / b, a);
-        assert_eq!(a * Gf256::ONE, a);
-        assert_eq!(a * Gf256::ZERO, Gf256::ZERO);
-        assert_eq!(a.inv() * a, Gf256::ONE);
     }
 }

@@ -7,7 +7,7 @@
 //! coders. This crate provides:
 //!
 //! - [`field`]: scalar arithmetic (add/sub = XOR, log/exp-table multiply,
-//!   inverse, power) and the [`field::Gf256`] element wrapper.
+//!   inverse, power).
 //! - [`tables`]: compile-time-generated exponent/logarithm tables.
 //! - [`mod@slice`]: the throughput-critical bulk kernels
 //!   ([`slice::mul_slice`], [`slice::mul_add_slice`]) that the encoding
@@ -54,5 +54,4 @@ pub mod simd;
 pub mod slice;
 pub mod tables;
 
-pub use field::Gf256;
 pub use matrix::Matrix;

@@ -32,25 +32,6 @@ impl Matrix {
         m
     }
 
-    /// Build from a nested-slice literal; all rows must have equal length.
-    ///
-    /// # Panics
-    /// Panics on ragged input.
-    pub fn from_rows(rows: &[&[u8]]) -> Matrix {
-        let r = rows.len();
-        let c = rows.first().map_or(0, |row| row.len());
-        let mut data = Vec::with_capacity(r * c);
-        for row in rows {
-            assert_eq!(row.len(), c, "ragged matrix literal");
-            data.extend_from_slice(row);
-        }
-        Matrix {
-            rows: r,
-            cols: c,
-            data,
-        }
-    }
-
     /// An `rows x cols` Vandermonde matrix: entry `(i, j) = i^j`.
     ///
     /// Any `cols` rows of this matrix are linearly independent when
@@ -135,23 +116,6 @@ impl Matrix {
             }
         }
         out
-    }
-
-    /// Matrix–vector product.
-    ///
-    /// # Panics
-    /// Panics if `v.len() != self.cols`.
-    pub fn mul_vec(&self, v: &[u8]) -> Vec<u8> {
-        assert_eq!(v.len(), self.cols, "vector length mismatch");
-        (0..self.rows)
-            .map(|i| {
-                let mut acc = 0u8;
-                for (j, &x) in v.iter().enumerate() {
-                    acc ^= gf_mul(self.get(i, j), x);
-                }
-                acc
-            })
-            .collect()
     }
 
     /// A new matrix from the given subset of row indices.
@@ -273,6 +237,15 @@ impl fmt::Debug for Matrix {
 mod tests {
     use super::*;
 
+    /// A matrix from a nested-slice literal.
+    fn from_rows(rows: &[&[u8]]) -> Matrix {
+        Matrix {
+            rows: rows.len(),
+            cols: rows[0].len(),
+            data: rows.concat(),
+        }
+    }
+
     #[test]
     fn identity_is_multiplicative_unit() {
         let m = Matrix::vandermonde(4, 4);
@@ -303,7 +276,7 @@ mod tests {
 
     #[test]
     fn singular_matrix_has_no_inverse() {
-        let m = Matrix::from_rows(&[&[1, 2], &[1, 2]]);
+        let m = from_rows(&[&[1, 2], &[1, 2]]);
         assert!(m.invert().is_none());
         assert_eq!(m.rank(), 1);
     }
@@ -352,21 +325,9 @@ mod tests {
     }
 
     #[test]
-    fn mul_vec_matches_mul() {
-        let m = Matrix::cauchy(3, 5);
-        let v = [7u8, 0, 0x40, 9, 0xff];
-        let as_col = Matrix::from_rows(&[&[7], &[0], &[0x40], &[9], &[0xff]]);
-        let prod = m.mul(&as_col);
-        let prod_vec = m.mul_vec(&v);
-        for (i, &pv) in prod_vec.iter().enumerate() {
-            assert_eq!(prod.get(i, 0), pv);
-        }
-    }
-
-    #[test]
     fn stack_and_select_rows() {
         let top = Matrix::identity(2);
-        let bottom = Matrix::from_rows(&[&[3, 4]]);
+        let bottom = from_rows(&[&[3, 4]]);
         let s = top.stack(&bottom);
         assert_eq!(s.rows(), 3);
         assert_eq!(s.row(2), &[3, 4]);

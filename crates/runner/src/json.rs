@@ -7,7 +7,6 @@
 //! formatting; NaN and infinities serialize as `null` (heatmaps use NaN for
 //! not-computed cells).
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// A JSON value.
@@ -447,12 +446,6 @@ impl ToJson for f64 {
     }
 }
 
-impl ToJson for f32 {
-    fn to_json(&self) -> Json {
-        Json::F64(*self as f64)
-    }
-}
-
 macro_rules! impl_to_json_uint {
     ($($t:ty),*) => {$(
         impl ToJson for $t {
@@ -460,63 +453,11 @@ macro_rules! impl_to_json_uint {
         }
     )*};
 }
-impl_to_json_uint!(u8, u16, u32, u64, usize);
-
-macro_rules! impl_to_json_int {
-    ($($t:ty),*) => {$(
-        impl ToJson for $t {
-            fn to_json(&self) -> Json { Json::I64(*self as i64) }
-        }
-    )*};
-}
-impl_to_json_int!(i8, i16, i32, i64, isize);
-
-impl<T: ToJson> ToJson for Option<T> {
-    fn to_json(&self) -> Json {
-        match self {
-            Some(v) => v.to_json(),
-            None => Json::Null,
-        }
-    }
-}
+impl_to_json_uint!(u32, u64, usize);
 
 impl<T: ToJson> ToJson for Vec<T> {
     fn to_json(&self) -> Json {
         Json::Arr(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
-impl<T: ToJson> ToJson for [T] {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
-impl<T: ToJson + ?Sized> ToJson for &T {
-    fn to_json(&self) -> Json {
-        (*self).to_json()
-    }
-}
-
-impl<A: ToJson, B: ToJson> ToJson for (A, B) {
-    fn to_json(&self) -> Json {
-        Json::Arr(vec![self.0.to_json(), self.1.to_json()])
-    }
-}
-
-impl<A: ToJson, B: ToJson, C: ToJson> ToJson for (A, B, C) {
-    fn to_json(&self) -> Json {
-        Json::Arr(vec![self.0.to_json(), self.1.to_json(), self.2.to_json()])
-    }
-}
-
-impl<K: std::fmt::Display, V: ToJson> ToJson for BTreeMap<K, V> {
-    fn to_json(&self) -> Json {
-        Json::Obj(
-            self.iter()
-                .map(|(k, v)| (k.to_string(), v.to_json()))
-                .collect(),
-        )
     }
 }
 
@@ -537,19 +478,6 @@ macro_rules! impl_to_json {
             }
         }
     };
-}
-
-/// Implement [`ToJson`] as the `Display` string of the type — useful for
-/// scheme/method enums that already render their canonical names.
-#[macro_export]
-macro_rules! impl_to_json_display {
-    ($($ty:ty),+ $(,)?) => {$(
-        impl $crate::json::ToJson for $ty {
-            fn to_json(&self) -> $crate::json::Json {
-                $crate::json::Json::Str(format!("{self}"))
-            }
-        }
-    )+};
 }
 
 #[cfg(test)]

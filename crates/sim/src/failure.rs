@@ -36,26 +36,6 @@ impl FailureModel {
         FailureModel::Exponential { afr: 0.01 }
     }
 
-    /// Sample a time-to-failure in hours for a fresh disk.
-    ///
-    /// For [`FailureModel::Trace`], `index` selects the next trace entry and
-    /// the returned value is the absolute trace time (callers treat trace
-    /// playback specially); for the distributions `index` is ignored.
-    pub fn sample_ttf_hours<R: Rng>(&self, rng: &mut R, index: usize) -> f64 {
-        match self {
-            FailureModel::Exponential { afr } => {
-                let rate = afr / crate::config::HOURS_PER_YEAR;
-                sample_exponential(rng, rate)
-            }
-            FailureModel::Weibull { shape, scale_hours } => {
-                // Inverse-CDF: t = scale * (-ln(1-u))^(1/shape).
-                let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-                scale_hours * (-u.ln()).powf(1.0 / shape)
-            }
-            FailureModel::Trace { times } => times.get(index).copied().unwrap_or(f64::INFINITY),
-        }
-    }
-
     /// Mean time to failure (infinite for an exhausted trace).
     pub fn mttf(&self) -> mlec_units::Duration {
         let hours = match self {
@@ -167,14 +147,13 @@ mod tests {
 
     #[test]
     fn exponential_mean_matches_afr() {
-        let model = FailureModel::Exponential { afr: 0.5 };
+        let expected = crate::config::HOURS_PER_YEAR / 0.5;
         let mut rng = ChaCha12Rng::seed_from_u64(1);
         let n = 20_000;
         let mean: f64 = (0..n)
-            .map(|i| model.sample_ttf_hours(&mut rng, i))
+            .map(|_| sample_exponential(&mut rng, 1.0 / expected))
             .sum::<f64>()
             / n as f64;
-        let expected = crate::config::HOURS_PER_YEAR / 0.5;
         assert!(
             (mean - expected).abs() / expected < 0.03,
             "mean={mean} expected={expected}"
@@ -188,13 +167,6 @@ mod tests {
             scale_hours: 1000.0,
         };
         assert!((model.mttf().to_hours() - 1000.0).abs() < 1.0);
-        let mut rng = ChaCha12Rng::seed_from_u64(2);
-        let n = 20_000;
-        let mean: f64 = (0..n)
-            .map(|i| model.sample_ttf_hours(&mut rng, i))
-            .sum::<f64>()
-            / n as f64;
-        assert!((mean - 1000.0).abs() / 1000.0 < 0.03, "mean={mean}");
     }
 
     #[test]
@@ -252,18 +224,6 @@ mod tests {
             ((old - exact) / exact).abs() > 1e-3,
             "Stirling at {x} should be visibly wrong: old={old} exact={exact}"
         );
-    }
-
-    #[test]
-    fn trace_playback_in_order() {
-        let model = FailureModel::Trace {
-            times: vec![5.0, 9.0, 100.0],
-        };
-        let mut rng = ChaCha12Rng::seed_from_u64(3);
-        assert_eq!(model.sample_ttf_hours(&mut rng, 0), 5.0);
-        assert_eq!(model.sample_ttf_hours(&mut rng, 1), 9.0);
-        assert_eq!(model.sample_ttf_hours(&mut rng, 2), 100.0);
-        assert_eq!(model.sample_ttf_hours(&mut rng, 3), f64::INFINITY);
     }
 
     #[test]

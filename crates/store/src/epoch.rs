@@ -91,7 +91,9 @@ impl<B: ChunkBackend + Send> MlecStore<B> {
         ends: &mut [u64],
     ) -> Result<(), StoreError> {
         debug_assert_eq!(queues.by_rack.len(), self.lanes.len());
-        let shards = shards.max(1);
+        // `rack % shards` never reaches a bucket at or beyond the rack
+        // count, so more shards than racks would only be empty buckets.
+        let shards = shards.min(self.lanes.len()).max(1);
         let kl = self.cfg.code.kl;
         let lw = self.cfg.code.local_width();
         let chunk_bytes = self.cfg.chunk_bytes;
@@ -223,7 +225,7 @@ mod tests {
             want.push(now + reference.get(obj, now).unwrap().latency_us);
         }
 
-        for shards in [1usize, 2, 4, 8] {
+        for shards in [1usize, 2, 4, 8, 100_000] {
             let mut s = store();
             let (nw, kn) = (cfg.code.network_width(), cfg.code.kn);
             let mut queues = EpochQueues::new(s.arbiter().racks());

@@ -809,16 +809,6 @@ impl<B: ChunkBackend> MlecStore<B> {
         end
     }
 
-    /// Current version of `obj`, if live.
-    pub fn version_of(&self, obj: u64) -> Option<u64> {
-        self.versions.get(&obj).copied()
-    }
-
-    /// Live object count.
-    pub fn live_objects(&self) -> usize {
-        self.versions.len()
-    }
-
     /// Chunks currently lost to failures and not yet rebuilt.
     pub fn lost_chunks(&self) -> usize {
         self.lost.len()
@@ -894,7 +884,7 @@ mod tests {
         assert_eq!(got.chunks_read, 0);
         // A second put bumps the version.
         assert_eq!(s.put(3, &p, 20_000).unwrap().version, 1);
-        assert_eq!(s.version_of(3), Some(1));
+        assert_eq!(s.versions.get(&3), Some(&1));
     }
 
     #[test]
@@ -922,7 +912,7 @@ mod tests {
             assert!(matches!(err, StoreError::BadSpec(_)), "{err:?}");
         }
         // Object 0 would be the alias of 1 << 52: it must not exist.
-        assert_eq!(s.live_objects(), 1);
+        assert_eq!(s.versions.len(), 1);
         assert!(matches!(s.get(0, 0), Err(StoreError::UnknownObject(0))));
         assert_eq!(s.get(max, 10).unwrap().payload, p);
     }
@@ -1051,7 +1041,7 @@ mod tests {
         let lat = s.delete(4, 10_000).unwrap();
         assert!(lat > 0);
         assert_eq!(s.chunk_count(), 0);
-        assert_eq!(s.live_objects(), 0);
+        assert_eq!(s.versions.len(), 0);
     }
 
     #[test]

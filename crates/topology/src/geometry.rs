@@ -67,11 +67,6 @@ impl Geometry {
         self.racks * self.enclosures_per_rack
     }
 
-    /// Raw capacity of the system in TB.
-    pub fn total_capacity_tb(&self) -> f64 {
-        self.total_disks() as f64 * self.disk_capacity_tb
-    }
-
     /// Chunks that fit on one disk.
     pub fn chunks_per_disk(&self) -> f64 {
         self.disk_capacity_tb * 1e12 / (self.chunk_kb * 1e3)
@@ -130,7 +125,6 @@ mod tests {
         assert_eq!(g.total_disks(), 57_600);
         assert_eq!(g.disks_per_rack(), 960);
         assert_eq!(g.total_enclosures(), 480);
-        assert!((g.total_capacity_tb() - 57_600.0 * 20.0).abs() < 1e-6);
     }
 
     #[test]

@@ -56,19 +56,6 @@ impl FailureLayout {
         }
         counts
     }
-
-    /// Pools whose failure count is at least `threshold` (e.g. `p_l + 1`
-    /// for catastrophic-pool detection in `*/C` schemes).
-    pub fn pools_at_or_above(&self, pools: &LocalPoolMap, threshold: u32) -> Vec<u32> {
-        let mut hit: Vec<u32> = self
-            .per_pool_counts(pools)
-            .into_iter()
-            .filter(|&(_, c)| c >= threshold)
-            .map(|(p, _)| p)
-            .collect();
-        hit.sort_unstable();
-        hit
-    }
 }
 
 impl FromIterator<DiskId> for FailureLayout {
@@ -102,7 +89,7 @@ mod tests {
     }
 
     #[test]
-    fn per_pool_counts_and_threshold() {
+    fn per_pool_counts() {
         let g = Geometry::small_test();
         let map = LocalPoolMap::new(g, Placement::Clustered, 4);
         // Disks 0..4 are pool 0; disks 4..8 are pool 1.
@@ -110,8 +97,6 @@ mod tests {
         let counts = layout.per_pool_counts(&map);
         assert_eq!(counts[&0], 3);
         assert_eq!(counts[&1], 1);
-        assert_eq!(layout.pools_at_or_above(&map, 2), vec![0]);
-        assert_eq!(layout.pools_at_or_above(&map, 4), Vec::<u32>::new());
     }
 
     #[test]

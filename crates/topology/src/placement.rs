@@ -298,28 +298,6 @@ impl NetworkPoolMap {
     }
 }
 
-/// Pool key for network-clustered SLEC (`Net-Cp`): disks at the same
-/// (enclosure, slot) position across a group of `k+p` racks form one pool.
-/// Returns the pool index of `disk`.
-///
-/// # Panics
-/// Panics unless the rack count is a multiple of `stripe_width`.
-pub fn net_cp_pool_of(geometry: &Geometry, stripe_width: u32, disk: DiskId) -> u32 {
-    assert_eq!(
-        geometry.racks % stripe_width,
-        0,
-        "rack count must be a multiple of the Net-Cp stripe width"
-    );
-    let rack_group = geometry.rack_of(disk) / stripe_width;
-    let position = disk % geometry.disks_per_rack(); // (enclosure, slot)
-    rack_group * geometry.disks_per_rack() + position
-}
-
-/// Number of Net-Cp pools in the system.
-pub fn net_cp_num_pools(geometry: &Geometry, stripe_width: u32) -> u32 {
-    (geometry.racks / stripe_width) * geometry.disks_per_rack()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -418,22 +396,6 @@ mod tests {
         let g = Geometry::paper_default(); // 60 racks
         let local = LocalPoolMap::new(g, Placement::Clustered, 20);
         let _ = NetworkPoolMap::new_clustered(&local, 7); // 60 % 7 != 0
-    }
-
-    #[test]
-    fn net_cp_slec_pools() {
-        // (7+3) Net-Cp SLEC over 60 racks: 6 rack groups x 960 positions.
-        let g = Geometry::paper_default();
-        assert_eq!(net_cp_num_pools(&g, 10), 6 * 960);
-        // Disks at the same (enclosure, slot) in racks 0..9 share a pool.
-        let d0 = g.disk_at(0, 3, 17);
-        let d9 = g.disk_at(9, 3, 17);
-        let d10 = g.disk_at(10, 3, 17);
-        assert_eq!(net_cp_pool_of(&g, 10, d0), net_cp_pool_of(&g, 10, d9));
-        assert_ne!(net_cp_pool_of(&g, 10, d0), net_cp_pool_of(&g, 10, d10));
-        // A different slot in the same rack group is a different pool.
-        let d0b = g.disk_at(0, 3, 18);
-        assert_ne!(net_cp_pool_of(&g, 10, d0), net_cp_pool_of(&g, 10, d0b));
     }
 
     #[test]

@@ -198,10 +198,10 @@ mod tests {
 
     #[test]
     fn parse_apply_and_prefix_match() {
-        let text = "\n# c\n[[allow]]\nlint = \"no-wall-clock\"\npath = \"crates/bench/\"\nreason = \"timing surface\"\n";
+        let text = "\n# c\n[[allow]]\nlint = \"no-wall-clock\"\npath = \"crates/ec/\"\nreason = \"timing surface\"\n";
         let allow = AllowFile::parse(text, KNOWN).unwrap();
         let kept = allow.apply(vec![
-            diag("no-wall-clock", "crates/bench/src/microbench.rs"),
+            diag("no-wall-clock", "crates/ec/src/throughput.rs"),
             diag("no-wall-clock", "crates/sim/src/engine.rs"),
         ]);
         assert_eq!(kept.len(), 1);

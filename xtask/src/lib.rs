@@ -35,7 +35,16 @@ impl std::fmt::Display for EngineError {
 /// suppressions in `<root>/lints.allow.toml` (if present), and return the
 /// surviving diagnostics sorted by path, line, and lint name.
 pub fn run_lints(root: &Path) -> Result<Vec<Diagnostic>, EngineError> {
-    run_lints_scoped(root, None)
+    run_lints_scoped(root, None).map(|run| run.diagnostics)
+}
+
+/// What one pass over the workspace produced.
+pub struct LintRun {
+    /// Surviving findings, sorted by path, line, and lint name.
+    pub diagnostics: Vec<Diagnostic>,
+    /// `lint-name: note` lines the lints print whether or not they fired
+    /// (L8's `// PANICS:` count).
+    pub notes: Vec<String>,
 }
 
 /// Like [`run_lints`], optionally scoped to a set of workspace-relative
@@ -47,12 +56,14 @@ pub fn run_lints(root: &Path) -> Result<Vec<Diagnostic>, EngineError> {
 pub fn run_lints_scoped(
     root: &Path,
     only_files: Option<&[String]>,
-) -> Result<Vec<Diagnostic>, EngineError> {
+) -> Result<LintRun, EngineError> {
     let ws = source::Workspace::load(root)
         .map_err(|e| EngineError(format!("loading workspace at {}: {e}", root.display())))?;
     let mut diags = Vec::new();
+    let mut notes = Vec::new();
     for lint in lints::all() {
         lint.check(&ws, &mut diags);
+        notes.extend(lint.note(&ws).map(|n| format!("{}: {n}", lint.name())));
     }
     let allow_path = root.join("lints.allow.toml");
     let known = lints::known_names();
@@ -68,7 +79,10 @@ pub fn run_lints_scoped(
         kept.retain(|d| d.lint != "unused-allow" && files.iter().any(|f| f == &d.path));
     }
     kept.sort_by(|a, b| (a.path.as_str(), a.line, a.lint).cmp(&(b.path.as_str(), b.line, b.lint)));
-    Ok(kept)
+    Ok(LintRun {
+        diagnostics: kept,
+        notes,
+    })
 }
 
 /// Workspace-relative paths of files changed against `HEAD` plus

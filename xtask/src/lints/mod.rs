@@ -29,6 +29,10 @@ pub trait Lint {
     fn description(&self) -> &'static str;
     /// Scan the workspace, appending findings.
     fn check(&self, ws: &Workspace, out: &mut Vec<Diagnostic>);
+    /// A count worth printing on every run, findings or not.
+    fn note(&self, _ws: &Workspace) -> Option<String> {
+        None
+    }
 }
 
 /// Every registered lint, in documentation order (L1–L4, L6–L8: numbers

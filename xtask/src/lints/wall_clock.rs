@@ -3,8 +3,8 @@
 //! `SystemTime`) and environment-dependent entropy (`env::var`,
 //! `thread_rng`, `OsRng`, `from_entropy`) make reruns incomparable and
 //! break bit-identical goldens. The deliberate timing surfaces — the
-//! Fig 11 measured-mode kernel timer, the microbench harness, the
-//! runner's telemetry stopwatch — are suppressed in `lints.allow.toml`
+//! Fig 11 measured-mode kernel timer, the runner's telemetry stopwatch,
+//! the store's `timing=1` stopwatch — are suppressed in `lints.allow.toml`
 //! with reasons.
 
 use super::Lint;

@@ -91,8 +91,11 @@ fn lint(args: &[String]) -> ExitCode {
     } else {
         None
     };
-    let diags = match xtask::run_lints_scoped(&root, scope.as_deref()) {
-        Ok(diags) => diags,
+    let xtask::LintRun {
+        diagnostics: diags,
+        notes,
+    } = match xtask::run_lints_scoped(&root, scope.as_deref()) {
+        Ok(run) => run,
         Err(e) => {
             eprintln!("xtask lint: {e}");
             return ExitCode::from(2);
@@ -103,6 +106,9 @@ fn lint(args: &[String]) -> ExitCode {
     } else {
         for d in &diags {
             println!("{d}");
+        }
+        for note in &notes {
+            println!("{note}");
         }
     }
     if diags.is_empty() {
