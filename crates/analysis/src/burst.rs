@@ -13,13 +13,12 @@
 
 use mlec_ec::lrc::Lrc;
 use mlec_ec::{LrcParams, SlecParams};
+use mlec_runner::rng::ChaCha12Rng;
+use mlec_runner::TrialRng;
 use mlec_sim::census::{hypergeom_pmf, ln_choose};
 use mlec_sim::config::MlecDeployment;
 use mlec_topology::burst::{sample_burst, sample_rack_counts};
 use mlec_topology::{Geometry, Placement, SlecPlacement};
-use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha12Rng;
 
 /// Tail of a Poisson–binomial distribution: `P(sum of independent
 /// Bernoulli(probs) >= k)`, by exact DP convolution.
@@ -189,7 +188,7 @@ pub fn mlec_burst_sample(
     dep: &MlecDeployment,
     failures: u32,
     affected_racks: u32,
-    rng: &mut impl Rng,
+    rng: &mut TrialRng,
 ) -> f64 {
     let g = dep.geometry;
     let pools = dep.local_pools();
@@ -264,11 +263,7 @@ pub fn mlec_burst_sample(
 
 /// Mean of `samples` conditional-Monte-Carlo draws from one seeded
 /// stream; NaN as soon as a draw is (the cell is infeasible).
-fn mean_of_samples(
-    samples: u32,
-    seed: u64,
-    mut sample: impl FnMut(&mut ChaCha12Rng) -> f64,
-) -> f64 {
+fn mean_of_samples(samples: u32, seed: u64, mut sample: impl FnMut(&mut TrialRng) -> f64) -> f64 {
     let mut rng = ChaCha12Rng::seed_from_u64(seed);
     let mut total = 0.0f64;
     for _ in 0..samples {
@@ -301,7 +296,7 @@ pub fn mlec_burst_direct_trial(
     dep: &MlecDeployment,
     failures: u32,
     affected_racks: u32,
-    rng: &mut impl Rng,
+    rng: &mut TrialRng,
 ) -> Option<bool> {
     let g = dep.geometry;
     let pools = dep.local_pools();
@@ -378,7 +373,7 @@ pub fn slec_burst_sample(
     placement: SlecPlacement,
     failures: u32,
     affected_racks: u32,
-    rng: &mut impl Rng,
+    rng: &mut TrialRng,
 ) -> f64 {
     let w = params.width() as u32;
     let threshold = params.p as u32 + 1;
@@ -500,7 +495,7 @@ pub fn lrc_burst_sample(
     undecodable_by_count: &[f64],
     failures: u32,
     affected_racks: u32,
-    rng: &mut impl Rng,
+    rng: &mut TrialRng,
 ) -> f64 {
     let n = params.width() as u32;
     let total_chunks = geometry.total_disks() as f64 * geometry.chunks_per_disk();
@@ -541,7 +536,7 @@ pub fn lrc_undecodable_by_count(lrc: &Lrc, samples_per_count: u32, seed: u64) ->
             // Floyd's algorithm for a uniform m-subset.
             let mut chosen = std::collections::BTreeSet::new();
             for j in (n - m)..n {
-                let t = rng.gen_range(0..=j);
+                let t = rng.gen_below(j as u64 + 1) as usize;
                 let pick = if chosen.insert(t) { t } else { j };
                 chosen.insert(pick);
                 erased[pick] = true;

@@ -114,8 +114,7 @@ fn markov_two_state_against_closed_form() {
 
 #[test]
 fn stripe_distribution_against_monte_carlo() {
-    use rand::prelude::*;
-    use rand_chacha::ChaCha12Rng;
+    use mlec_runner::rng::ChaCha12Rng;
     let g = Geometry::paper_default();
     let counts = vec![(2u32, 40u32), (10, 25), (30, 15)];
     let w = 10u32;
@@ -124,17 +123,12 @@ fn stripe_distribution_against_monte_carlo() {
     let mut rng = ChaCha12Rng::seed_from_u64(11);
     let trials = 40_000;
     let mut histogram = vec![0u32; w as usize + 1];
-    let all_racks: Vec<u32> = (0..g.racks).collect();
     for _ in 0..trials {
-        let chosen: Vec<u32> = all_racks
-            .choose_multiple(&mut rng, w as usize)
-            .copied()
-            .collect();
         let mut failed = 0;
-        for r in chosen {
+        for r in rng.choose_multiple(g.racks as usize, w as usize) {
             let q = counts
                 .iter()
-                .find(|&&(rack, _)| rack == r)
+                .find(|&&(rack, _)| rack as usize == r)
                 .map_or(0.0, |&(_, c)| c as f64 / g.disks_per_rack() as f64);
             if rng.gen_bool(q) {
                 failed += 1;

@@ -542,6 +542,23 @@ fn malformed_value_exits_2() {
         assert_eq!(status(&out), 2, "{args:?}");
         assert!(stderr(&out).contains(needle), "{}", stderr(&out));
     }
+    // trace: burst shapes the deployment cannot hold used to be dropped on
+    // every arrival, yielding a silently burst-free trace (exit 0).
+    for (args, needle) in [
+        (
+            ["run", "trace", "burst_racks=1000", "years=1"],
+            "invalid value `1000` for `burst_racks`: expected burst_racks <= 60 and",
+        ),
+        (
+            ["run", "trace", "burst_size=100000", "years=1"],
+            "for `burst_size`: expected burst_racks <= 60 and burst_racks <= burst_size <= \
+             burst_racks x 960",
+        ),
+    ] {
+        let out = mlec(&args);
+        assert_eq!(status(&out), 2, "{args:?}");
+        assert!(stderr(&out).contains(needle), "{}", stderr(&out));
+    }
     let out = mlec(&["run", "fig12", "mode=sim", "racks=0"]);
     assert_eq!(status(&out), 2);
     assert!(

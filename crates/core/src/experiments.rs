@@ -913,15 +913,10 @@ pub fn fig15_mlec_vs_lrc_sim(
         let m = params.r + 2;
         let n = lrc.total_chunks();
         let trial = HitTrial(|seed: u64| {
-            use rand::Rng as _;
-            let mut rng = trial_rng(seed);
             let mut erased = vec![false; n];
-            // Uniform m-subset via partial Fisher-Yates over chunk indices.
-            let mut idx: Vec<usize> = (0..n).collect();
-            for i in 0..m {
-                let j = rng.gen_range(i..n);
-                idx.swap(i, j);
-                erased[idx[i]] = true;
+            // Uniform m-subset of the chunk indices.
+            for i in trial_rng(seed).choose_multiple(n, m) {
+                erased[i] = true;
             }
             !lrc.decodable(&erased)
         });

@@ -1778,6 +1778,7 @@ declare_experiment! {
 fn run_trace(_ctx: &ExperimentCtx, p: &TraceParams) -> Result<ExperimentOutput, ExperimentError> {
     use mlec_sim::system_sim::simulate_system_trace;
     use mlec_sim::trace::{detect_bursts, synthesize, TraceSpec};
+    use mlec_topology::burst::BurstError;
 
     let spec = TraceSpec {
         background_afr: p.afr_pct / 100.0,
@@ -1787,7 +1788,21 @@ fn run_trace(_ctx: &ExperimentCtx, p: &TraceParams) -> Result<ExperimentOutput, 
         years: p.years,
     };
     let geometry = Geometry::paper_default();
-    let trace = synthesize(&geometry, &spec, p.seed);
+    let trace = synthesize(&geometry, &spec, p.seed).map_err(|e| {
+        let (name, value) = match e {
+            BurstError::TooManyRacks { .. } => ("burst_racks", spec.burst_racks),
+            _ => ("burst_size", spec.burst_size),
+        };
+        ExperimentError::BadValue {
+            name: name.to_string(),
+            value: value.to_string(),
+            expected: format!(
+                "burst_racks <= {} and burst_racks <= burst_size <= burst_racks x {} ({e})",
+                geometry.racks,
+                geometry.disks_per_rack()
+            ),
+        }
+    })?;
     let mut out = ExperimentOutput::new();
 
     w!(

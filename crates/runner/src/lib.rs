@@ -12,13 +12,13 @@
 //! * [`manifest`] — incremental JSONL run manifests enabling
 //!   checkpoint/resume of long runs;
 //! * [`json`] — the self-contained JSON layer used by manifests and figure
-//!   dumps.
+//!   dumps;
+//! * [`rng`] — the workspace's only generators: `SplitMix64` for seed
+//!   derivation and the `ChaCha12` every trial draws from.
 //!
-//! The crate is foundational (std-only): simulation and analysis crates
-//! depend on it and implement [`trial::Trial`] for their own types. With
-//! the default `external-rng` feature the per-trial generator is the
-//! workspace `ChaCha12`; disabling it leaves a fully self-contained
-//! `SplitMix64` fallback.
+//! The crate is foundational (std-only, no dependencies): simulation and
+//! analysis crates depend on it and implement [`trial::Trial`] for their
+//! own types.
 
 pub mod executor;
 pub mod json;

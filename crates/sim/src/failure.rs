@@ -6,7 +6,7 @@
 //! wear-out sensitivity studies and trace playback for replaying recorded
 //! failure logs.
 
-use rand::Rng;
+use mlec_runner::TrialRng;
 
 /// A time-to-failure model for a single disk.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,17 +63,18 @@ impl FailureModel {
 }
 
 /// Sample an exponential variate with the given rate (events/hour).
-pub fn sample_exponential<R: Rng>(rng: &mut R, rate_per_hour: f64) -> f64 {
+#[inline]
+pub fn sample_exponential(rng: &mut TrialRng, rate_per_hour: f64) -> f64 {
     if rate_per_hour <= 0.0 {
         return f64::INFINITY;
     }
-    let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+    let u = rng.gen_f64(f64::MIN_POSITIVE, 1.0);
     -u.ln() / rate_per_hour
 }
 
 /// Sample a Poisson variate (Knuth's method for small means, normal
 /// approximation above 64 — the census code only needs "0 / small / huge").
-pub fn sample_poisson<R: Rng>(rng: &mut R, mean: f64) -> u64 {
+pub fn sample_poisson(rng: &mut TrialRng, mean: f64) -> u64 {
     assert!(!mean.is_nan(), "Poisson mean must not be NaN");
     if mean <= 0.0 {
         return 0;
@@ -90,7 +91,7 @@ pub fn sample_poisson<R: Rng>(rng: &mut R, mean: f64) -> u64 {
     let mut k = 0u64;
     let mut p = 1.0;
     loop {
-        p *= rng.gen_range(0.0..1.0);
+        p *= rng.gen_f64(0.0, 1.0);
         if p <= l {
             return k;
         }
@@ -99,9 +100,9 @@ pub fn sample_poisson<R: Rng>(rng: &mut R, mean: f64) -> u64 {
 }
 
 /// Box–Muller standard normal.
-fn sample_standard_normal<R: Rng>(rng: &mut R) -> f64 {
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
+fn sample_standard_normal(rng: &mut TrialRng) -> f64 {
+    let u1 = rng.gen_f64(f64::MIN_POSITIVE, 1.0);
+    let u2 = rng.gen_f64(0.0, 1.0);
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
@@ -142,8 +143,7 @@ pub(crate) fn gamma_fn(x: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha12Rng;
+    use mlec_runner::rng::ChaCha12Rng;
 
     #[test]
     fn exponential_mean_matches_afr() {

@@ -31,7 +31,7 @@
 use crate::failure::sample_exponential;
 use crate::importance::{FailureBias, PathWeight};
 use crate::pool_sim::CatastrophicEvent;
-use rand_chacha::ChaCha12Rng;
+use mlec_runner::{trial_rng, TrialRng};
 
 /// Uniform per-event hook layer for all three simulators.
 ///
@@ -82,7 +82,7 @@ impl SimObserver for NoopObserver {}
 /// likelihood ratio is exact, not an approximation.
 #[derive(Debug, Clone)]
 pub struct HazardKernel {
-    rng: ChaCha12Rng,
+    rng: TrialRng,
     bias: FailureBias,
     pw: PathWeight,
     now: f64,
@@ -97,11 +97,18 @@ pub struct HazardKernel {
 }
 
 impl HazardKernel {
-    /// A kernel over a pre-seeded RNG (each simulator keeps its own seeding
-    /// convention), simulating until `horizon_h` hours under `bias`.
-    pub fn new(rng: ChaCha12Rng, bias: FailureBias, horizon_h: f64) -> HazardKernel {
+    /// A kernel seeded raw, simulating until `horizon_h` hours under
+    /// `bias`: `seed` feeds [`trial_rng`] directly. This is the clustered
+    /// pool simulator's historical convention; the draw stream is
+    /// bit-identical to pre-kernel code.
+    ///
+    /// This and [`Self::from_seed_stream`] are the only ways to make a
+    /// kernel, which keeps every generator the simulators draw from inside
+    /// this module — the `rng-confinement` lint (`cargo xtask lint`)
+    /// rejects `ChaCha12Rng` anywhere else in them.
+    pub fn from_seed(seed: u64, bias: FailureBias, horizon_h: f64) -> HazardKernel {
         HazardKernel {
-            rng,
+            rng: trial_rng(seed),
             bias,
             pw: PathWeight::new(),
             now: 0.0,
@@ -112,19 +119,6 @@ impl HazardKernel {
             excursions: 0,
             excursion_weight: 0.0,
         }
-    }
-
-    /// A kernel seeded raw: `seed` feeds `ChaCha12Rng::seed_from_u64`
-    /// directly. This is the clustered pool simulator's historical
-    /// convention; the draw stream is bit-identical to pre-kernel code.
-    ///
-    /// Together with [`Self::from_seed_stream`] this keeps every RNG
-    /// construction inside this module — the `rng-confinement` lint
-    /// (`cargo xtask lint`) rejects `ChaCha`/`SeedableRng` anywhere else
-    /// in the simulators.
-    pub fn from_seed(seed: u64, bias: FailureBias, horizon_h: f64) -> HazardKernel {
-        use rand::SeedableRng as _;
-        HazardKernel::new(ChaCha12Rng::seed_from_u64(seed), bias, horizon_h)
     }
 
     /// A kernel seeded through the runner's [`mlec_runner::SeedStream`]
@@ -162,7 +156,7 @@ impl HazardKernel {
     /// from [`Self::sample_next_failure`] instead so the likelihood ratio
     /// stays exact.
     #[inline]
-    pub fn rng(&mut self) -> &mut ChaCha12Rng {
+    pub fn rng(&mut self) -> &mut TrialRng {
         &mut self.rng
     }
 
@@ -444,10 +438,9 @@ pub fn run_pool_policy<P: PoolPolicy, O: SimObserver>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     fn kernel(bias: FailureBias) -> HazardKernel {
-        HazardKernel::new(ChaCha12Rng::seed_from_u64(7), bias, 1000.0)
+        HazardKernel::from_seed(7, bias, 1000.0)
     }
 
     #[test]
@@ -467,8 +460,8 @@ mod tests {
     fn kernel_draws_match_raw_sampling() {
         // The kernel consumes exactly the draws the hand-rolled loops did:
         // one exponential per sample_next_failure, nothing else.
-        let mut raw = ChaCha12Rng::seed_from_u64(42);
-        let mut k = HazardKernel::new(ChaCha12Rng::seed_from_u64(42), FailureBias::NONE, 1e9);
+        let mut raw = trial_rng(42);
+        let mut k = HazardKernel::from_seed(42, FailureBias::NONE, 1e9);
         for _ in 0..100 {
             // The policy hands the kernel the total rate for the current
             // state (here: 3 failed disks, total rate 0.02/h).
@@ -500,9 +493,9 @@ mod tests {
 
     #[test]
     fn exponential_arrival_source_matches_direct_gap() {
-        let mut raw = ChaCha12Rng::seed_from_u64(9);
+        let mut raw = trial_rng(9);
         let expect = sample_exponential(&mut raw, 5.0);
-        let mut k = HazardKernel::new(ChaCha12Rng::seed_from_u64(9), FailureBias::NONE, 1e9);
+        let mut k = HazardKernel::from_seed(9, FailureBias::NONE, 1e9);
         let mut src = ArrivalSource::exponential(5.0);
         let (t, disk) = src.next_arrival(&mut k, 100.0).unwrap();
         assert_eq!(disk, None);

@@ -38,7 +38,6 @@ use crate::pool_sim::{ClusteredParams, ClusteredPolicy, DeclusteredParams, Declu
 use crate::repair::{inject_catastrophic, RepairMethod};
 use crate::strategy::RepairStrategy;
 use mlec_topology::Placement;
-use rand::Rng;
 use std::collections::BTreeMap;
 
 /// Result of one system simulation run.
@@ -301,7 +300,10 @@ fn run_pools<P: PoolPolicy, O: SimObserver>(
                 }
                 match disk {
                     Some(d) => d,
-                    None => kernel.rng().gen_range(0..dep.geometry.total_disks()),
+                    None => kernel
+                        .rng()
+                        .gen_below(u64::from(dep.geometry.total_disks()))
+                        as u32,
                 }
             }
         };
@@ -748,7 +750,8 @@ mod tests {
                 years: 2.0,
             },
             5,
-        );
+        )
+        .unwrap();
         let r = simulate_system_trace(&dep(MlecScheme::CC), &trace, RepairMethod::Fco, 9);
         assert_eq!(r.disk_failures, 5889);
         assert_eq!(r.catastrophic_pools, 0);
@@ -885,7 +888,8 @@ mod tests {
                 years: 2.0,
             },
             5,
-        );
+        )
+        .unwrap();
         let r = simulate_system_trace(&dep(MlecScheme::CC), &trace, RepairMethod::Fco, 9);
         assert_eq!(r.disk_failures as usize, trace.len());
         assert!((r.years - trace.span_h() / 8766.0).abs() < 0.01);

@@ -5,10 +5,9 @@
 //! bursts, which exercises the same trace-replay code path.
 
 use crate::config::HOURS_PER_YEAR;
+use mlec_runner::rng::ChaCha12Rng;
+use mlec_topology::burst::{sample_burst, validate, BurstError};
 use mlec_topology::{DiskId, Geometry};
-use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha12Rng;
 
 /// One trace record: a disk failing at an absolute time.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -145,8 +144,17 @@ pub struct TraceSpec {
 }
 
 /// Generate a synthetic trace: Poisson background failures over all disks
-/// plus Poisson-arriving correlated bursts confined to a few racks.
-pub fn synthesize(geometry: &Geometry, spec: &TraceSpec, seed: u64) -> FailureTrace {
+/// plus Poisson-arriving correlated bursts confined to a few racks. Errors
+/// (before any draw) when bursts are requested in a shape the geometry
+/// cannot hold.
+pub fn synthesize(
+    geometry: &Geometry,
+    spec: &TraceSpec,
+    seed: u64,
+) -> Result<FailureTrace, BurstError> {
+    if spec.bursts_per_year > 0.0 {
+        validate(geometry, spec.burst_size, spec.burst_racks)?;
+    }
     let mut rng = ChaCha12Rng::seed_from_u64(
         mlec_runner::SeedStream::new(seed, "trace/synthesize").trial_seed(0),
     );
@@ -163,7 +171,7 @@ pub fn synthesize(geometry: &Geometry, spec: &TraceSpec, seed: u64) -> FailureTr
         }
         events.push(TraceEvent {
             time_h: t,
-            disk: rng.gen_range(0..geometry.total_disks()),
+            disk: rng.gen_below(u64::from(geometry.total_disks())) as DiskId,
         });
     }
 
@@ -175,23 +183,17 @@ pub fn synthesize(geometry: &Geometry, spec: &TraceSpec, seed: u64) -> FailureTr
         if t > span_h {
             break;
         }
-        if let Ok(layout) = mlec_topology::burst::sample_burst(
-            geometry,
-            spec.burst_size,
-            spec.burst_racks,
-            &mut rng,
-        ) {
-            for &disk in layout.disks() {
-                // Jitter failures across a 10-minute window.
-                let jitter: f64 = rng.gen_range(0.0..1.0 / 6.0);
-                events.push(TraceEvent {
-                    time_h: t + jitter,
-                    disk,
-                });
-            }
+        let layout = sample_burst(geometry, spec.burst_size, spec.burst_racks, &mut rng)?;
+        for &disk in layout.disks() {
+            // Jitter failures across a 10-minute window.
+            let jitter = rng.gen_f64(0.0, 1.0 / 6.0);
+            events.push(TraceEvent {
+                time_h: t + jitter,
+                disk,
+            });
         }
     }
-    FailureTrace::new(events)
+    Ok(FailureTrace::new(events))
 }
 
 /// Which disks a failure rule targets.
@@ -258,8 +260,8 @@ pub fn synthesize_rules(geometry: &Geometry, rules: &[FailureRule], seed: u64) -
             events.push(TraceEvent {
                 time_h: t,
                 disk: *disks
-                    // PANICS: `gen_range(0..disks.len())` requires a non-empty selection and yields an in-range index.
-                    .get(rng.gen_range(0..disks.len()))
+                    // PANICS: `gen_below(disks.len())` requires a non-empty selection and yields an in-range index.
+                    .get(rng.gen_below(disks.len() as u64) as usize)
                     .expect("non-empty selection"),
             });
         }
@@ -314,7 +316,7 @@ mod tests {
     #[test]
     fn synthesis_matches_requested_rates() {
         let g = Geometry::paper_default();
-        let trace = synthesize(&g, &spec(), 1);
+        let trace = synthesize(&g, &spec(), 1).unwrap();
         // Background: 57,600 * 0.02 * 5 = 5,760; bursts: 2*5*30 = 300.
         let expected = 5760.0 + 300.0;
         assert!(
@@ -325,6 +327,32 @@ mod tests {
         // AFR estimate close to background + burst contribution.
         let afr = trace.empirical_afr(&g);
         assert!((afr - 0.021).abs() < 0.003, "afr={afr}");
+    }
+
+    #[test]
+    fn unholdable_burst_shape_is_an_error_not_a_burst_free_trace() {
+        let g = Geometry::small_test(); // 6 racks x 24 disks
+        let shaped = |burst_size, burst_racks, bursts_per_year| TraceSpec {
+            burst_size,
+            burst_racks,
+            bursts_per_year,
+            years: 0.01, // too short for a burst to arrive: the shape alone decides
+            ..spec()
+        };
+        assert!(matches!(
+            synthesize(&g, &shaped(10, 7, 2.0), 1),
+            Err(BurstError::TooManyRacks { available: 6, .. })
+        ));
+        assert!(matches!(
+            synthesize(&g, &shaped(49, 2, 2.0), 1),
+            Err(BurstError::RackOverflow { disks: 24, .. })
+        ));
+        assert!(matches!(
+            synthesize(&g, &shaped(1, 2, 2.0), 1),
+            Err(BurstError::TooFewFailures { .. })
+        ));
+        // No bursts requested: the shape is never used.
+        assert!(synthesize(&g, &shaped(10, 7, 0.0), 1).is_ok());
     }
 
     #[test]
@@ -340,7 +368,8 @@ mod tests {
                 years: 1.0,
             },
             7,
-        );
+        )
+        .unwrap();
         let csv = trace.to_csv();
         let parsed = FailureTrace::from_csv(&csv).unwrap();
         assert_eq!(parsed, trace);
@@ -374,7 +403,7 @@ mod tests {
     #[test]
     fn burst_detection_finds_injected_bursts() {
         let g = Geometry::paper_default();
-        let trace = synthesize(&g, &spec(), 3);
+        let trace = synthesize(&g, &spec(), 3).unwrap();
         let bursts = detect_bursts(&trace, 0.5, 10);
         // ~10 bursts injected over 5 years at 2/year.
         assert!(

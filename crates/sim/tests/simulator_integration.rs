@@ -96,7 +96,8 @@ fn trace_and_exponential_paths_agree_statistically() {
                 years,
             },
             seed,
-        );
+        )
+        .unwrap();
         trace_cat +=
             simulate_system_trace(&dep, &trace, RepairMethod::Fco, seed).catastrophic_pools;
     }

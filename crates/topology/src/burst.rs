@@ -7,8 +7,7 @@
 
 use crate::geometry::{DiskId, Geometry, RackId};
 use crate::layout::FailureLayout;
-use rand::seq::SliceRandom;
-use rand::Rng;
+use mlec_runner::TrialRng;
 
 /// Errors from burst generation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -19,12 +18,8 @@ pub enum BurstError {
     NoRacks { failures: u32 },
     /// More affected racks than racks in the system.
     TooManyRacks { requested: u32, available: u32 },
-    /// More failures assigned to a rack than it has disks.
-    RackOverflow {
-        rack: RackId,
-        requested: u32,
-        disks: u32,
-    },
+    /// More failures per affected rack than a rack has disks.
+    RackOverflow { requested: u32, disks: u32 },
 }
 
 impl std::fmt::Display for BurstError {
@@ -42,14 +37,10 @@ impl std::fmt::Display for BurstError {
             } => {
                 write!(f, "requested {requested} racks but system has {available}")
             }
-            BurstError::RackOverflow {
-                rack,
-                requested,
-                disks,
-            } => {
+            BurstError::RackOverflow { requested, disks } => {
                 write!(
                     f,
-                    "rack {rack} asked for {requested} failures but has {disks} disks"
+                    "a rack would take {requested} failures but has {disks} disks"
                 )
             }
         }
@@ -58,31 +49,10 @@ impl std::fmt::Display for BurstError {
 
 impl std::error::Error for BurstError {}
 
-/// Sample a burst of `failures` failed disks scattered across exactly
-/// `affected_racks` racks.
-pub fn sample_burst<R: Rng>(
-    geometry: &Geometry,
-    failures: u32,
-    affected_racks: u32,
-    rng: &mut R,
-) -> Result<FailureLayout, BurstError> {
-    let counts = sample_rack_counts(geometry, failures, affected_racks, rng)?;
-    let mut failed: Vec<DiskId> = Vec::with_capacity(failures as usize);
-    for (rack, count) in counts {
-        failed.extend(sample_disks_in_rack(geometry, rack, count, rng));
-    }
-    Ok(FailureLayout::new(failed))
-}
-
-/// Sample only the per-rack failure counts of a burst (rack identity
-/// included). Exposed separately so analyses that work at per-rack
-/// granularity can skip disk-level sampling.
-pub fn sample_rack_counts<R: Rng>(
-    geometry: &Geometry,
-    failures: u32,
-    affected_racks: u32,
-    rng: &mut R,
-) -> Result<Vec<(RackId, u32)>, BurstError> {
+/// Whether the geometry can hold a burst of `failures` disks on exactly
+/// `affected_racks` racks. Depends on the shape alone, never on a draw, so
+/// a caller about to sample many bursts of one shape checks once up front.
+pub fn validate(geometry: &Geometry, failures: u32, affected_racks: u32) -> Result<(), BurstError> {
     if affected_racks > geometry.racks {
         return Err(BurstError::TooManyRacks {
             requested: affected_racks,
@@ -98,53 +68,79 @@ pub fn sample_rack_counts<R: Rng>(
     if affected_racks == 0 && failures > 0 {
         return Err(BurstError::NoRacks { failures });
     }
-    let mut racks: Vec<RackId> = (0..geometry.racks).collect();
-    racks.shuffle(rng);
-    racks.truncate(affected_racks as usize);
-
-    let capacity = geometry.disks_per_rack();
-    if failures > capacity * affected_racks {
+    let disks = geometry.disks_per_rack();
+    if failures > disks * affected_racks {
         return Err(BurstError::RackOverflow {
-            rack: racks[0],
             requested: failures.div_ceil(affected_racks),
-            disks: capacity,
+            disks,
         });
     }
+    Ok(())
+}
+
+/// Sample a burst of `failures` failed disks scattered across exactly
+/// `affected_racks` racks.
+pub fn sample_burst(
+    geometry: &Geometry,
+    failures: u32,
+    affected_racks: u32,
+    rng: &mut TrialRng,
+) -> Result<FailureLayout, BurstError> {
+    let counts = sample_rack_counts(geometry, failures, affected_racks, rng)?;
+    let mut failed: Vec<DiskId> = Vec::with_capacity(failures as usize);
+    for (rack, count) in counts {
+        failed.extend(sample_disks_in_rack(geometry, rack, count, rng));
+    }
+    Ok(FailureLayout::new(failed))
+}
+
+/// Sample only the per-rack failure counts of a burst (rack identity
+/// included). Exposed separately so analyses that work at per-rack
+/// granularity can skip disk-level sampling.
+pub fn sample_rack_counts(
+    geometry: &Geometry,
+    failures: u32,
+    affected_racks: u32,
+    rng: &mut TrialRng,
+) -> Result<Vec<(RackId, u32)>, BurstError> {
+    validate(geometry, failures, affected_racks)?;
+    let racks = rng.shuffle(geometry.racks as usize);
+    let capacity = geometry.disks_per_rack();
     // Each chosen rack gets one failure; the remainder scatter uniformly
     // among racks that still have healthy disks.
     let mut counts = vec![1u32; affected_racks as usize];
     for _ in 0..(failures - affected_racks) {
         loop {
-            let i = rng.gen_range(0..affected_racks as usize);
+            let i = rng.gen_below(u64::from(affected_racks)) as usize;
             if counts[i] < capacity {
                 counts[i] += 1;
                 break;
             }
         }
     }
-    Ok(racks.into_iter().zip(counts).collect())
+    // `zip` keeps the first `affected_racks` of the shuffled racks.
+    Ok(racks.into_iter().map(|r| r as RackId).zip(counts).collect())
 }
 
 /// Sample `count` distinct failed disks uniformly within one rack.
-pub fn sample_disks_in_rack<R: Rng>(
+pub fn sample_disks_in_rack(
     geometry: &Geometry,
     rack: RackId,
     count: u32,
-    rng: &mut R,
+    rng: &mut TrialRng,
 ) -> Vec<DiskId> {
-    let disks: Vec<DiskId> = geometry.disks_in_rack(rack).collect();
+    let disks = geometry.disks_in_rack(rack);
     debug_assert!(count as usize <= disks.len());
-    disks
-        .choose_multiple(rng, count as usize)
-        .copied()
+    rng.choose_multiple(disks.len(), count as usize)
+        .into_iter()
+        .map(|i| disks.start + i as DiskId)
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha12Rng;
+    use mlec_runner::rng::ChaCha12Rng;
 
     #[test]
     fn burst_shape_invariants() {

@@ -11,6 +11,7 @@
 
 use crate::geometry::{DiskId, Geometry, RackId};
 use crate::placement::{LocalPoolMap, MlecScheme, NetworkPoolMap, Placement};
+use mlec_runner::rng::{mix64, GOLDEN_GAMMA};
 
 /// Code parameters the mapper needs (decoupled from `mlec-ec` to keep the
 /// layering acyclic: topology must not depend on the codec crate's types).
@@ -224,12 +225,9 @@ impl ObjectMapper {
     }
 }
 
-/// `SplitMix64` — a well-distributed 64-bit mixer.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+/// One `SplitMix64` step from state `z` — a well-distributed 64-bit mixer.
+fn mix(z: u64) -> u64 {
+    mix64(z.wrapping_add(GOLDEN_GAMMA))
 }
 
 fn hash3(seed: u64, a: u64, b: u64) -> u64 {

@@ -5,11 +5,10 @@
 //! substream per property, one seed per case), so every run exercises the
 //! same inputs.
 
+use mlec_runner::rng::ChaCha12Rng;
 use mlec_runner::{SeedStream, SplitMix64};
 use mlec_topology::objectmap::{MapperCode, ObjectMapper};
 use mlec_topology::{burst, Geometry, LocalPoolMap, MlecScheme, Placement};
-use rand::SeedableRng;
-use rand_chacha::ChaCha12Rng;
 
 const CASES: u64 = 48;
 

@@ -83,7 +83,8 @@ fn main() {
                     years: 3.0,
                 },
                 7,
-            );
+            )
+            .expect("a 12-disk burst on 2 racks fits the paper geometry");
             let dep = MlecDeployment::paper_default(rec.scheme);
             let result = simulate_system_trace(&dep, &trace, rec.method, 7);
             println!(

@@ -3,12 +3,11 @@
 //! story.
 
 use mlec_core::ec::{Lrc, MlecCodec, ReedSolomon};
-use rand::prelude::*;
-use rand_chacha::ChaCha12Rng;
+use mlec_runner::rng::ChaCha12Rng;
 
 fn random_chunks(rng: &mut ChaCha12Rng, n: usize, len: usize) -> Vec<Vec<u8>> {
     (0..n)
-        .map(|_| (0..len).map(|_| rng.gen()).collect())
+        .map(|_| (0..len).map(|_| rng.next_u64() as u8).collect())
         .collect()
 }
 
@@ -36,9 +35,7 @@ fn paper_default_mlec_codec_survives_its_design_tolerance() {
         if j == 0 || j == 5 {
             continue;
         }
-        let mut cols: Vec<usize> = (0..20).collect();
-        cols.shuffle(&mut rng);
-        for &c in cols.iter().take(3) {
+        for &c in rng.shuffle(20).iter().take(3) {
             row[c] = None;
         }
     }

@@ -9,9 +9,8 @@ use mlec_core::analysis::burst::poisson_binomial_tail;
 use mlec_core::ec::{Lrc, MlecCodec, ReedSolomon};
 use mlec_core::sim::census::{hypergeom_pmf, prob_cover_all, StripeCensus};
 use mlec_core::topology::{burst, FailureLayout, Geometry, LocalPoolMap, Placement};
+use mlec_runner::rng::ChaCha12Rng;
 use mlec_runner::{SeedStream, SplitMix64};
-use rand::SeedableRng;
-use rand_chacha::ChaCha12Rng;
 
 const CASES: u64 = 64;
 
@@ -35,12 +34,11 @@ fn rs_reconstructs_any_tolerable_pattern() {
         let rs = ReedSolomon::new(k, p).unwrap();
         let mut rng = ChaCha12Rng::seed_from_u64(seed);
         let data: Vec<Vec<u8>> = (0..k)
-            .map(|_| (0..len).map(|_| rand::Rng::gen(&mut rng)).collect())
+            .map(|_| (0..len).map(|_| rng.next_u64() as u8).collect())
             .collect();
         let encoded = rs.encode(&data).unwrap();
         // Random erasure pattern of size p.
-        let mut idx: Vec<usize> = (0..k + p).collect();
-        rand::seq::SliceRandom::shuffle(&mut idx[..], &mut rng);
+        let idx = rng.shuffle(k + p);
         let mut shards: Vec<Option<Vec<u8>>> = encoded.iter().cloned().map(Some).collect();
         for &i in idx.iter().take(p) {
             shards[i] = None;
@@ -85,7 +83,7 @@ fn mlec_reconstruct_exactness() {
         let codec = MlecCodec::new(kn, pn, kl, pl).unwrap();
         let mut rng = ChaCha12Rng::seed_from_u64(seed);
         let data: Vec<Vec<u8>> = (0..kn * kl)
-            .map(|_| (0..8).map(|_| rand::Rng::gen(&mut rng)).collect())
+            .map(|_| (0..8).map(|_| rng.next_u64() as u8).collect())
             .collect();
         let stripe = codec.encode(&data).unwrap();
         let mut grid: Vec<Vec<Option<Vec<u8>>>> = stripe

@@ -1,8 +1,9 @@
 //! L1 `rng-confinement`: the hazard kernel (`crates/sim/src/kernel.rs`)
 //! is the only production code in the simulators allowed to touch RNG
-//! construction or likelihood accounting. Outside it, any mention of a
-//! `ChaCha` generator, `SeedableRng`, `sample_exponential`, or `PathWeight`
-//! in `crates/{sim,analysis,core}` is a violation: scattered RNG streams
+//! construction or likelihood accounting. Outside it, any mention of
+//! `ChaCha12Rng` (the workspace's one trial generator, `mlec_runner::rng`),
+//! `sample_exponential`, or `PathWeight` in
+//! `crates/{sim,analysis,core,store}` is a violation: scattered RNG streams
 //! are how draw-order (and with it every fixed-seed golden and the
 //! exactness of importance weights) silently breaks.
 //!
@@ -15,14 +16,7 @@ use crate::diag::Diagnostic;
 use crate::lexer::Tok;
 use crate::source::Workspace;
 
-const FORBIDDEN: &[&str] = &[
-    "ChaCha8Rng",
-    "ChaCha12Rng",
-    "ChaCha20Rng",
-    "SeedableRng",
-    "sample_exponential",
-    "PathWeight",
-];
+const FORBIDDEN: &[&str] = &["ChaCha12Rng", "sample_exponential", "PathWeight"];
 
 const SCOPE: &[&str] = &[
     "crates/sim/src/",
@@ -43,7 +37,7 @@ impl Lint for RngConfinement {
     }
 
     fn description(&self) -> &'static str {
-        "no ChaCha/SeedableRng/sample_exponential/PathWeight outside crates/sim/src/kernel.rs"
+        "no ChaCha12Rng/sample_exponential/PathWeight outside crates/sim/src/kernel.rs"
     }
 
     fn check(&self, ws: &Workspace, out: &mut Vec<Diagnostic>) {

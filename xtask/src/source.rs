@@ -136,10 +136,9 @@ fn scan_item(tokens: &[Token], start: usize) -> usize {
 }
 
 /// The workspace under analysis: every `.rs` file below `crates/*/src/`
-/// plus the root crate's `src/`. `compat/` (vendored offline stand-ins
-/// for crates.io) and `xtask/` itself are intentionally out of scope, as
-/// are test/bench/example targets — per-lint path scoping narrows
-/// further.
+/// plus the root crate's `src/`. `xtask/` itself is intentionally out
+/// of scope, as are test/bench/example targets — per-lint path scoping
+/// narrows further.
 #[derive(Debug)]
 pub struct Workspace {
     /// Root directory the `rel` paths are relative to.

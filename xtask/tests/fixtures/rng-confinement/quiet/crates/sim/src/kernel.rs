@@ -1,6 +1,5 @@
 //! Fixture: the kernel itself may construct RNGs (exempt by path).
 
 pub fn from_seed(seed: u64) -> ChaCha12Rng {
-    use rand::SeedableRng as _;
     ChaCha12Rng::seed_from_u64(seed)
 }
