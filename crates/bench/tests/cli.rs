@@ -813,15 +813,33 @@ fn fig10_require_events_gate_exits_1() {
 /// chain (`mlec-core` and `mlec-ec` forward it to `mlec-gf`; this crate
 /// asks for it nowhere). A dropped link costs 10x+ encode throughput and
 /// changes no output, so it is pinned here, where the chain ends, instead
-/// of behind a timing threshold.
+/// of behind a timing threshold. Likewise the Reed–Solomon product: on an
+/// AVX2 host the multi-output entry must take the fused kernel, not the
+/// blocked loop over single-coefficient cores every other kernel gets.
 #[test]
 #[cfg(not(miri))]
 fn default_features_dispatch_to_a_vector_kernel() {
     #[cfg(target_arch = "x86_64")]
-    let has_vector_unit = std::arch::is_x86_feature_detected!("ssse3");
+    let (has_vector_unit, has_avx2) = (
+        std::arch::is_x86_feature_detected!("ssse3"),
+        std::arch::is_x86_feature_detected!("avx2"),
+    );
     #[cfg(not(target_arch = "x86_64"))]
-    let has_vector_unit = cfg!(target_arch = "aarch64");
+    let (has_vector_unit, has_avx2) = (cfg!(target_arch = "aarch64"), false);
     if has_vector_unit {
         assert_ne!(mlec_gf::simd::kernel_name(), "scalar");
     }
+    let dot = mlec_gf::simd::dot_kernel_name();
+    assert_eq!(dot == "avx2-fused", has_avx2, "{dot}");
+    // The fig11 header names both, so a run says which encoder it timed.
+    let out = stdout(&mlec(&[
+        "run",
+        "fig11",
+        "kmax=2",
+        "pmax=1",
+        "chunk_kb=4",
+        "mb=1",
+    ]));
+    let kernels = format!("(kernel: {}, product: {dot})", mlec_gf::simd::kernel_name());
+    assert!(out.contains(&kernels), "{out}");
 }

@@ -917,8 +917,9 @@ fn run_fig11(_ctx: &ExperimentCtx, p: &Fig11Params) -> Result<ExperimentOutput, 
     let mut out = ExperimentOutput::new();
     w!(
         out.text,
-        "grid: k in {ks:?}\n      p in {ps:?}\n      threads = {threads} (kernel: {})\n",
-        mlec_gf::simd::kernel_name()
+        "grid: k in {ks:?}\n      p in {ps:?}\n      threads = {threads} (kernel: {}, product: {})\n",
+        mlec_gf::simd::kernel_name(),
+        mlec_gf::simd::dot_kernel_name()
     );
 
     let cells = fig11_encoding_throughput(&ks, &ps, chunk, min_bytes, threads);

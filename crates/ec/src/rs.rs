@@ -8,11 +8,15 @@
 //! are linearly independent (the MDS property). The all-ones first parity
 //! row makes the `p = 1` code exactly RAID-5 XOR parity — which is also what
 //! gives the MLEC grid its both-ways parity consistency for XOR levels.
+//!
+//! Every product here — encode, verify, both halves of reconstruct, the
+//! single-shard repair — is one `mlec_gf::slice::dot_many_into`: all outputs
+//! from one pass over the inputs, the parity block's tables built once.
 
 use crate::EcError;
-use mlec_gf::field::{gf_div, gf_inv};
+use mlec_gf::field::{gf_div, gf_inv, gf_mul};
 use mlec_gf::matrix::Matrix;
-use mlec_gf::slice::{dot_into, mul_add_slice};
+use mlec_gf::slice::{dot_into, dot_many_into, dot_tables, NibbleTable};
 
 /// Segment size of the multi-worker schedule of
 /// [`ReedSolomon::encode_into_parallel`]. 64 KiB keeps a segment's working
@@ -31,6 +35,8 @@ pub struct ReedSolomon {
     p: usize,
     /// Full `(k+p) x k` generator matrix, top block = identity.
     generator: Matrix,
+    /// Split tables of the `p x k` parity block.
+    parity_tables: Vec<NibbleTable>,
 }
 
 impl ReedSolomon {
@@ -62,7 +68,19 @@ impl ReedSolomon {
             }
         }
         let generator = Matrix::identity(k).stack(&parity);
-        Ok(ReedSolomon { k, p, generator })
+        let parity_tables = Self::tables_of(&generator, k..k + p);
+        Ok(ReedSolomon {
+            k,
+            p,
+            generator,
+            parity_tables,
+        })
+    }
+
+    /// Split tables of the listed rows of `matrix`, one output per row.
+    fn tables_of(matrix: &Matrix, rows: impl IntoIterator<Item = usize>) -> Vec<NibbleTable> {
+        let rows: Vec<&[u8]> = rows.into_iter().map(|r| matrix.row(r)).collect();
+        dot_tables(&rows)
     }
 
     /// Number of data shards.
@@ -78,12 +96,6 @@ impl ReedSolomon {
     /// Total shards (`k + p`).
     pub fn total_shards(&self) -> usize {
         self.k + self.p
-    }
-
-    /// Borrow the parity block (`p x k`) rows of the generator matrix.
-    pub fn parity_row(&self, parity_index: usize) -> &[u8] {
-        assert!(parity_index < self.p, "parity index out of range");
-        self.generator.row(self.k + parity_index)
     }
 
     fn check_data_shape<T: AsRef<[u8]>>(&self, data: &[T]) -> Result<usize, EcError> {
@@ -123,14 +135,19 @@ impl ReedSolomon {
     /// parities computed).
     pub fn encode<T: AsRef<[u8]>>(&self, data: &[T]) -> Result<Vec<Vec<u8>>, EcError> {
         let len = self.check_data_shape(data)?;
+        let mut parity = vec![vec![0u8; len]; self.p];
+        self.encode_into(data, &mut parity)?;
         let mut shards: Vec<Vec<u8>> = data.iter().map(|d| d.as_ref().to_vec()).collect();
-        let refs: Vec<&[u8]> = data.iter().map(std::convert::AsRef::as_ref).collect();
-        for pi in 0..self.p {
-            let mut parity = vec![0u8; len];
-            dot_into(self.parity_row(pi), &refs, &mut parity);
-            shards.push(parity);
-        }
+        shards.append(&mut parity);
         Ok(shards)
+    }
+
+    /// All `p` parities of `data` into `parity` (overwritten), one pass over
+    /// the data: the slice-level encoder under every method here and under
+    /// [`crate::MlecCodec`]'s segment walk. Panics unless `data` is `k` and
+    /// `parity` is `p` slices of one length.
+    pub(crate) fn encode_slices(&self, data: &[&[u8]], parity: &mut [&mut [u8]]) {
+        dot_many_into(&self.parity_tables, data, parity);
     }
 
     /// Compute parities into caller-provided buffers without allocating —
@@ -180,30 +197,21 @@ impl ReedSolomon {
         } else {
             PARALLEL_SEGMENT_BYTES
         };
-        // Regroup the parity buffers into per-segment bundles: segment
-        // `si` owns bytes `si * seg_bytes ..` of every parity buffer.
-        let mut per_seg: Vec<Vec<&mut [u8]>> = (0..len.div_ceil(seg_bytes))
-            .map(|_| Vec::with_capacity(self.p))
-            .collect();
-        for buf in parity.iter_mut() {
-            for (si, seg) in buf.chunks_mut(seg_bytes).enumerate() {
-                per_seg[si].push(seg);
-            }
-        }
-        // Static round-robin assignment: worker `w` owns segments
-        // `w, w + workers, …` — disjoint buffers, no locking.
+        // Segment `si` owns bytes `si * seg_bytes ..` of every parity buffer,
+        // worker `w` owns segments `w, w + workers, …` — disjoint buffers,
+        // no locking.
+        let mut steps: Vec<_> = parity.iter_mut().map(|b| b.chunks_mut(seg_bytes)).collect();
         let mut assignments: Vec<SegmentWork> = (0..workers).map(|_| Vec::new()).collect();
-        for (si, segs) in per_seg.into_iter().enumerate() {
-            assignments[si % workers].push((si * seg_bytes, segs));
+        for (si, start) in (0..len).step_by(seg_bytes).enumerate() {
+            let segs = steps.iter_mut().filter_map(Iterator::next).collect();
+            assignments[si % workers].push((start, segs));
         }
         let encode_segments = |mine: SegmentWork| {
             for (start, mut segs) in mine {
                 let seg_len = segs[0].len();
                 let seg_refs: Vec<&[u8]> =
                     refs.iter().map(|d| &d[start..start + seg_len]).collect();
-                for (pi, seg) in segs.iter_mut().enumerate() {
-                    dot_into(self.generator.row(self.k + pi), &seg_refs, seg);
-                }
+                self.encode_slices(&seg_refs, &mut segs);
             }
         };
         if workers == 1 {
@@ -228,17 +236,11 @@ impl ReedSolomon {
                 shards.len()
             )));
         }
-        let data = &shards[..self.k];
+        let (data, parity) = shards.split_at(self.k);
         let len = self.check_data_shape(data)?;
-        let refs: Vec<&[u8]> = data.iter().map(std::vec::Vec::as_slice).collect();
-        let mut scratch = vec![0u8; len];
-        for pi in 0..self.p {
-            dot_into(self.parity_row(pi), &refs, &mut scratch);
-            if scratch != shards[self.k + pi] {
-                return Ok(false);
-            }
-        }
-        Ok(true)
+        let mut expected = vec![vec![0u8; len]; self.p];
+        self.encode_into(data, &mut expected)?;
+        Ok(expected == parity)
     }
 
     /// Reconstruct all missing shards in place. `shards[i] == None` marks an
@@ -281,83 +283,133 @@ impl ReedSolomon {
             .invert()
             .expect("any k rows of an MDS generator are independent");
 
-        // data_j = sum_i inv[j][i] * surviving_i  — computed shard-wise so we
-        // only materialize the data shards that are actually missing, then
-        // re-encode the missing parities.
-        let surviving: Vec<&[u8]> = rows
-            .iter()
-            .map(|&i| shards[i].as_deref().unwrap())
-            .collect();
-
-        let missing_data: Vec<usize> = (0..self.k).filter(|&i| shards[i].is_none()).collect();
-        let mut rebuilt_data: Vec<(usize, Vec<u8>)> = Vec::with_capacity(missing_data.len());
-        for &d in &missing_data {
-            let mut out = vec![0u8; len];
-            dot_into(inv.row(d), &surviving, &mut out);
-            rebuilt_data.push((d, out));
-        }
-        for (d, buf) in rebuilt_data {
-            shards[d] = Some(buf);
-        }
-
-        // All data shards are now present; rebuild any missing parity.
-        let missing_parity: Vec<usize> = (self.k..self.total_shards())
-            .filter(|&i| shards[i].is_none())
-            .collect();
-        let mut rebuilt_parity: Vec<(usize, Vec<u8>)> = Vec::with_capacity(missing_parity.len());
-        {
-            let data_refs: Vec<&[u8]> = (0..self.k)
-                .map(|i| shards[i].as_deref().expect("data rebuilt above"))
-                .collect();
-            for &pi in &missing_parity {
-                let mut out = vec![0u8; len];
-                dot_into(self.generator.row(pi), &data_refs, &mut out);
-                rebuilt_parity.push((pi, out));
-            }
-        }
-        for (pi, buf) in rebuilt_parity {
-            shards[pi] = Some(buf);
-        }
+        // data_j = sum_i inv[j][i] * surviving_i — only the data shards that
+        // are actually missing, then the missing parities from the data.
+        let missing: Vec<usize> = (0..shards.len()).filter(|&i| shards[i].is_none()).collect();
+        let (data, parity) = missing.split_at(missing.partition_point(|&i| i < self.k));
+        Self::rebuild(shards, &inv, &rows, data, len);
+        let data_rows: Vec<usize> = (0..self.k).collect();
+        Self::rebuild(shards, &self.generator, &data_rows, parity, len);
         Ok(())
     }
 
+    /// Fill the empty slots `targets`, all from one pass over the shards
+    /// `from`: slot `t` is row `t` of `matrix` applied to them.
+    fn rebuild(
+        shards: &mut [Option<Vec<u8>>],
+        matrix: &Matrix,
+        from: &[usize],
+        targets: &[usize],
+        len: usize,
+    ) {
+        if targets.is_empty() {
+            return;
+        }
+        let tables = Self::tables_of(matrix, targets.iter().copied());
+        let inputs: Vec<&[u8]> = from
+            .iter()
+            .map(|&i| {
+                shards[i]
+                    .as_deref()
+                    .expect("a product reads present shards")
+            })
+            .collect();
+        let mut outs = vec![vec![0u8; len]; targets.len()];
+        let mut views: Vec<&mut [u8]> = outs.iter_mut().map(Vec::as_mut_slice).collect();
+        dot_many_into(&tables, &inputs, &mut views);
+        for (&t, buf) in targets.iter().zip(outs) {
+            shards[t] = Some(buf);
+        }
+    }
+
     /// Decode with an explicit helper set: reconstruct shard `target` using
-    /// exactly the shards listed in `helpers` (must contain at least `k`
-    /// live shards). Returns the rebuilt shard. This models repair methods
-    /// that choose *which* chunks to read (e.g. `R_MIN`'s stage 1).
+    /// exactly the first `k` shards listed in `helpers`. Returns the rebuilt
+    /// shard. This models repair methods that choose *which* chunks to read
+    /// (e.g. `R_MIN`'s stage 1).
+    ///
+    /// # Errors
+    /// [`EcError::TooManyErasures`] for fewer than `k` helpers;
+    /// [`EcError::ShapeMismatch`] for a wrong slot count, a `target` or
+    /// helper outside the stripe, a helper missing or listed twice, or
+    /// helpers of different lengths.
     pub fn reconstruct_one(
         &self,
         shards: &[Option<Vec<u8>>],
         target: usize,
         helpers: &[usize],
     ) -> Result<Vec<u8>, EcError> {
+        let n = self.total_shards();
+        if shards.len() != n {
+            return Err(EcError::ShapeMismatch(format!(
+                "expected {n} shard slots, got {}",
+                shards.len()
+            )));
+        }
+        let picked = helpers
+            .iter()
+            .take(self.k)
+            .map(|&h| {
+                let bytes = shards.get(h).and_then(Option::as_deref);
+                bytes.map(|b| (h, b)).ok_or_else(|| {
+                    EcError::ShapeMismatch(format!(
+                        "helper shard {h} is missing or outside the {n}-shard stripe"
+                    ))
+                })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        self.reconstruct_one_from(target, &picked)
+    }
+
+    /// [`ReedSolomon::reconstruct_one`] over borrowed `(shard index, bytes)`
+    /// helpers, so that a column of the MLEC grid is gathered by reference.
+    /// Helper indices must be inside the stripe.
+    pub(crate) fn reconstruct_one_from(
+        &self,
+        target: usize,
+        helpers: &[(usize, &[u8])],
+    ) -> Result<Vec<u8>, EcError> {
+        let n = self.total_shards();
+        if target >= n {
+            return Err(EcError::ShapeMismatch(format!(
+                "target shard {target} is outside the {n}-shard stripe"
+            )));
+        }
         if helpers.len() < self.k {
             return Err(EcError::TooManyErasures {
                 present: helpers.len(),
                 needed: self.k,
             });
         }
-        let rows: Vec<usize> = helpers.iter().copied().take(self.k).collect();
-        if rows.iter().any(|&h| shards[h].is_none()) {
-            return Err(EcError::ShapeMismatch("helper shard is missing".into()));
+        let (rows, inputs): (Vec<usize>, Vec<&[u8]>) = helpers[..self.k].iter().copied().unzip();
+        if let Some(i) = (1..rows.len()).find(|&i| rows[..i].contains(&rows[i])) {
+            return Err(EcError::ShapeMismatch(format!(
+                "helper shard {} is listed twice",
+                rows[i]
+            )));
         }
-        let sub = self.generator.select_rows(&rows);
-        let inv = sub
+        let len = inputs[0].len();
+        if inputs.iter().any(|s| s.len() != len) {
+            return Err(EcError::ShapeMismatch(
+                "helper shards differ in length".into(),
+            ));
+        }
+        let inv = self
+            .generator
+            .select_rows(&rows)
             .invert()
-            .expect("any k rows of an MDS generator are independent");
+            .expect("any k distinct rows of an MDS generator are independent");
         // Row of G for the target, composed with the inverse, gives the
-        // coefficients applying directly to the helper shards.
-        let target_row = self.generator.row(target).to_vec();
-        let len = shards[rows[0]].as_ref().unwrap().len();
+        // coefficients applying directly to the helper shards:
+        // coeff_h = sum_j target_row[j] * inv[j][h].
+        let target_row = self.generator.row(target);
+        let coeffs: Vec<u8> = (0..self.k)
+            .map(|h| {
+                let terms = target_row.iter().enumerate();
+                terms.fold(0, |c, (j, &t)| c ^ gf_mul(t, inv.get(j, h)))
+            })
+            .collect();
         let mut out = vec![0u8; len];
-        for (hi, &h) in rows.iter().enumerate() {
-            // coeff = sum_j target_row[j] * inv[j][hi]
-            let mut coeff = 0u8;
-            for (j, &t) in target_row.iter().enumerate() {
-                coeff ^= mlec_gf::field::gf_mul(t, inv.get(j, hi));
-            }
-            mul_add_slice(coeff, shards[h].as_deref().unwrap(), &mut out);
-        }
+        dot_into(&coeffs, &inputs, &mut out);
         Ok(out)
     }
 }
@@ -532,6 +584,74 @@ mod tests {
         // Rebuild parity shard 5 from the data shards.
         let rebuilt = rs.reconstruct_one(&shards, 5, &[0, 1, 2, 3]).unwrap();
         assert_eq!(rebuilt, encoded[5]);
+    }
+
+    /// A (4+3) stripe for the hostile-argument tests of `reconstruct_one`.
+    fn hostile_fixture() -> (ReedSolomon, Vec<Option<Vec<u8>>>) {
+        let rs = ReedSolomon::new(4, 3).unwrap();
+        let encoded = rs.encode(&sample_data(4, 24)).unwrap();
+        (rs, encoded.into_iter().map(Some).collect())
+    }
+
+    fn assert_shape_error(result: Result<Vec<u8>, EcError>, names: &str) {
+        match result {
+            Err(EcError::ShapeMismatch(msg)) => assert!(msg.contains(names), "{msg}"),
+            other => panic!("expected a shape error naming `{names}`, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn reconstruct_one_rejects_a_target_outside_the_stripe() {
+        let (rs, shards) = hostile_fixture();
+        assert_shape_error(rs.reconstruct_one(&shards, 7, &[0, 1, 2, 3]), "shard 7");
+        assert_shape_error(
+            rs.reconstruct_one(&shards, usize::MAX, &[0, 1, 2, 3]),
+            "target",
+        );
+    }
+
+    #[test]
+    fn reconstruct_one_rejects_a_helper_outside_the_stripe() {
+        let (rs, shards) = hostile_fixture();
+        assert_shape_error(rs.reconstruct_one(&shards, 2, &[0, 1, 9, 3]), "shard 9");
+    }
+
+    #[test]
+    fn reconstruct_one_rejects_duplicate_helpers() {
+        let (rs, shards) = hostile_fixture();
+        assert_shape_error(rs.reconstruct_one(&shards, 2, &[0, 4, 0, 5]), "shard 0");
+        let rs2 = ReedSolomon::new(2, 1).unwrap();
+        let two: Vec<Option<Vec<u8>>> = rs2
+            .encode(&sample_data(2, 8))
+            .unwrap()
+            .into_iter()
+            .map(Some)
+            .collect();
+        assert_shape_error(rs2.reconstruct_one(&two, 1, &[0, 0]), "listed twice");
+    }
+
+    #[test]
+    fn reconstruct_one_rejects_a_wrong_slot_count() {
+        let (rs, mut shards) = hostile_fixture();
+        shards.pop();
+        assert_shape_error(
+            rs.reconstruct_one(&shards, 2, &[0, 1, 4, 5]),
+            "7 shard slots",
+        );
+        shards.extend([None, None]);
+        assert_shape_error(rs.reconstruct_one(&shards, 2, &[0, 1, 4, 5]), "got 8");
+    }
+
+    #[test]
+    fn reconstruct_one_rejects_ragged_and_missing_helpers() {
+        let (rs, mut shards) = hostile_fixture();
+        shards[4].as_mut().unwrap().pop();
+        assert_shape_error(
+            rs.reconstruct_one(&shards, 2, &[0, 1, 4, 5]),
+            "differ in length",
+        );
+        shards[1] = None;
+        assert_shape_error(rs.reconstruct_one(&shards, 2, &[0, 1, 5, 6]), "shard 1");
     }
 
     #[test]

@@ -1,10 +1,14 @@
 //! Encoding-throughput measurement (paper Fig. 11).
 //!
 //! The paper measured Intel ISA-L on a Xeon Gold 6240R. We measure our own
-//! GF(2^8) kernels instead (see DESIGN.md substitution table) — since the
-//! SIMD dispatch layer (`mlec_gf::simd`) they are the same split-table
-//! `pshufb` technique ISA-L uses, so both the *shape* of the `(k, p)`
-//! surface and the absolute order of magnitude are comparable.
+//! GF(2^8) kernels instead (see DESIGN.md substitution table): the same
+//! split-table `pshufb` technique in the same loop shape — on AVX2 one
+//! fused kernel loads each data block once and accumulates up to four
+//! parities in registers, as ISA-L's `gf_Nvect_dot_prod` does — so both the
+//! *shape* of the `(k, p)` surface and the absolute order of magnitude are
+//! comparable. The fused kernel bends the surface: a stripe costs one pass
+//! over its data per group of four parities, not one per parity
+//! (EXPERIMENTS.md Fig 11 has the measured steps).
 //!
 //! Measurement discipline: wall-clock timing of repeated
 //! `encode_into_parallel` calls over pre-allocated buffers (no allocation

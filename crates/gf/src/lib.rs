@@ -9,16 +9,19 @@
 //! - [`field`]: scalar arithmetic (add/sub = XOR, log/exp-table multiply,
 //!   inverse, power).
 //! - [`tables`]: compile-time-generated exponent/logarithm tables.
-//! - [`mod@slice`]: the throughput-critical bulk kernels
-//!   ([`slice::mul_slice`], [`slice::mul_add_slice`]) that the encoding
-//!   throughput experiment (paper Fig. 11) measures. They use per-coefficient
-//!   split nibble tables so each output byte costs two table lookups and one
-//!   XOR — or, via [`mod@simd`], two vector table shuffles per 16/32 bytes.
+//! - [`mod@slice`]: the throughput-critical bulk kernels — the
+//!   matrix-by-shards product [`slice::dot_many_into`] that the encoding
+//!   throughput experiment (paper Fig. 11) measures, and the
+//!   single-coefficient [`slice::mul_slice`] / [`slice::mul_add_slice`].
+//!   They use per-coefficient split nibble tables so each output byte costs
+//!   two table lookups and one XOR — or, via [`mod@simd`], two vector table
+//!   shuffles per 16/32 bytes.
 //! - [`mod@simd`]: runtime-dispatched SIMD versions of the slice kernels
 //!   (AVX2 / SSSE3 `pshufb` on `x86_64`, NEON on `aarch64`), detected once and
-//!   cached, with the portable u64 loop as the universal fallback. Gated
-//!   behind the on-by-default `simd` crate feature;
-//!   `--no-default-features` forces the scalar path on every target.
+//!   cached, with the portable u64 loop as the universal fallback; on AVX2
+//!   the product is one fused multi-output kernel. Gated behind the
+//!   on-by-default `simd` crate feature; `--no-default-features` forces the
+//!   scalar path on every target.
 //! - [`matrix`]: dense matrices over GF(2^8) with Gauss–Jordan inversion,
 //!   rank, and the Vandermonde/Cauchy constructions used to build systematic
 //!   generator matrices.

@@ -8,6 +8,13 @@
 //! coefficient at once — two shuffles and two XORs per vector versus two
 //! scalar table lookups and an XOR *per byte* in the fallback.
 //!
+//! The single-coefficient cores (`out (^)= c * input`) exist for every
+//! kernel family; the multi-output core (`dot_avx2`, ISA-L's
+//! `gf_Nvect_dot_prod`) for AVX2 only. Everywhere else the multi-output
+//! entry ([`crate::slice::dot_many_into`]) runs a safe cache-blocked loop
+//! over the single-coefficient cores — one kernel to audit, and no leg that
+//! CI cannot execute.
+//!
 //! Dispatch policy:
 //! - **`x86_64`** (with the `simd` crate feature, on by default): AVX2
 //!   (32-byte blocks) when the CPU has it, else SSSE3 (16-byte blocks),
@@ -21,13 +28,15 @@
 //!   interpret) get interpreted coverage.
 //!
 //! Every SIMD core is `unsafe fn` solely because of its `target_feature`
-//! contract plus raw-pointer loads/stores; the dispatcher is the single
-//! call site and upholds the CPU-feature precondition by construction.
+//! contract plus raw-pointer loads/stores; the dispatchers are the only
+//! call sites and uphold the CPU-feature precondition by construction.
 //! Equivalence with the scalar fallback is enforced by the exhaustive
 //! property tests at the bottom of this file (all 256 coefficients ×
-//! unaligned offsets × lengths straddling every vector-width boundary).
+//! unaligned offsets × lengths straddling every vector-width boundary; the
+//! multi-output entry adds output and input counts to the sweep).
 
-use crate::slice::NibbleTable;
+use crate::slice::{mul_table, NibbleTable};
+use std::ops::Range;
 
 /// The kernel family selected for this process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,18 +99,9 @@ pub fn kernel_name() -> &'static str {
     active_kernel().name()
 }
 
-/// `out[i] = t.mul(input[i])` via the active kernel.
-pub(crate) fn mul_dispatch(t: &NibbleTable, input: &[u8], out: &mut [u8]) {
-    dispatch::<false>(t, input, out);
-}
-
-/// `out[i] ^= t.mul(input[i])` via the active kernel.
-pub(crate) fn mul_add_dispatch(t: &NibbleTable, input: &[u8], out: &mut [u8]) {
-    dispatch::<true>(t, input, out);
-}
-
-/// Shared dispatcher: `ACC` selects accumulate (`^=`) vs overwrite (`=`).
-fn dispatch<const ACC: bool>(t: &NibbleTable, input: &[u8], out: &mut [u8]) {
+/// `out[i] = t.mul(input[i])` (`ACC = false`) or `out[i] ^= t.mul(input[i])`
+/// (`ACC = true`) via the active kernel.
+pub(crate) fn dispatch<const ACC: bool>(t: &NibbleTable, input: &[u8], out: &mut [u8]) {
     debug_assert_eq!(input.len(), out.len());
     match active_kernel() {
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
@@ -117,7 +117,8 @@ fn dispatch<const ACC: bool>(t: &NibbleTable, input: &[u8], out: &mut [u8]) {
         // SAFETY: NEON is an architectural baseline on aarch64, so the
         // target-feature contract holds on every aarch64 CPU.
         Kernel::Neon => unsafe { neon::mul_neon::<ACC>(t, input, out) },
-        _ => scalar::<ACC>(t, input, out),
+        _ if ACC => crate::slice::mul_add_scalar(t, input, out),
+        _ => crate::slice::mul_scalar(t, input, out),
     }
 }
 
@@ -135,12 +136,59 @@ pub(crate) fn xor_dispatch(input: &[u8], out: &mut [u8]) {
     }
 }
 
-/// Scalar leg of the dispatcher.
-fn scalar<const ACC: bool>(t: &NibbleTable, input: &[u8], out: &mut [u8]) {
-    if ACC {
-        crate::slice::mul_add_scalar(t, input, out);
+/// Which path [`crate::slice::dot_many_into`] takes in this process: the
+/// fused multi-output kernel, or the blocked loop over the active kernel's
+/// single-coefficient cores. For run headers and the dispatch test.
+pub fn dot_kernel_name() -> &'static str {
+    if active_kernel() == Kernel::Avx2 {
+        "avx2-fused"
     } else {
-        crate::slice::mul_scalar(t, input, out);
+        "blocked"
+    }
+}
+
+/// Bytes `block` of every output of [`crate::slice::dot_many_into`], which
+/// has checked the shapes: `tables` holds `outs.len()` tables per input, all
+/// slices are equally long and hold `block`, and there is at least one input.
+pub(crate) fn dot_block_dispatch(
+    tables: &[NibbleTable],
+    inputs: &[&[u8]],
+    outs: &mut [&mut [u8]],
+    block: Range<usize>,
+) {
+    let per_input = tables.chunks_exact(outs.len());
+    match active_kernel() {
+        // Groups of four outputs: 8 accumulators, 4 nibble-index vectors,
+        // the mask and a table pair are the 16 `ymm` registers.
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        Kernel::Avx2 => {
+            for (g, group) in outs.chunks_mut(4).enumerate() {
+                let kernel = match group.len() {
+                    1 => x86::dot_avx2::<1>,
+                    2 => x86::dot_avx2::<2>,
+                    3 => x86::dot_avx2::<3>,
+                    _ => x86::dot_avx2::<4>,
+                };
+                // SAFETY: `Avx2` is only selected after runtime detection;
+                // `group` is the `N` outputs from `4 * g` on, and the
+                // caller checked the rest of the kernel's contract (above).
+                unsafe { kernel(per_input.clone(), 4 * g, inputs, group, block.clone()) }
+            }
+        }
+        // One pass per output over the block's inputs, which the first pass
+        // leaves in L1: overwrite from input 0, accumulate the rest.
+        _ => {
+            for (j, (input, tabs)) in inputs.iter().zip(per_input).enumerate() {
+                for (out, t) in outs.iter_mut().zip(tabs) {
+                    let (src, dst) = (&input[block.clone()], &mut out[block.clone()]);
+                    if j == 0 {
+                        mul_table::<false>(t, src, dst);
+                    } else {
+                        mul_table::<true>(t, src, dst);
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -149,6 +197,7 @@ mod x86 {
     use crate::slice::NibbleTable;
     #[allow(clippy::wildcard_imports)]
     use std::arch::x86_64::*;
+    use std::ops::Range;
 
     /// SSSE3 split-table multiply over 16-byte blocks: `pshufb` looks up
     /// both nibbles of 16 input bytes in one instruction each.
@@ -241,6 +290,77 @@ mod x86 {
             }
         }
         tail::<ACC>(t, input, out, blocks * 32);
+    }
+
+    /// The fused multi-output kernel (ISA-L's `gf_Nvect_dot_prod` shape):
+    /// bytes `block` of the `N` outputs whose tables are `first..first + N`
+    /// of each input's (`tables` yields them per input), into `outs`. Per
+    /// 64-byte step every input is loaded once, its nibble indices are
+    /// derived once, and all `N` products accumulate in registers; outputs
+    /// are stored, never read.
+    ///
+    /// # Safety
+    /// Caller must guarantee the CPU supports AVX2, `outs.len() == N`, and
+    /// that every slice of `inputs` and `outs` is at least `block.end` long.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn dot_avx2<const N: usize>(
+        tables: std::slice::ChunksExact<'_, NibbleTable>,
+        first: usize,
+        inputs: &[&[u8]],
+        outs: &mut [&mut [u8]],
+        block: Range<usize>,
+    ) {
+        debug_assert_eq!(outs.len(), N);
+        let per_input = || inputs.iter().zip(tables.clone());
+        let mask = _mm256_set1_epi8(0x0f);
+        let zero = _mm256_setzero_si256();
+        let steps = block.len() / 64;
+        for off in (0..steps).map(|s| block.start + s * 64) {
+            // Bounds invariant: the step touches bytes `off..off + 64` of
+            // every slice, and `off + 64 <= block.start + steps * 64 <=
+            // block.end`, which no slice is shorter than.
+            debug_assert!(off + 64 <= block.end, "avx2 step out of bounds");
+            let mut acc = [[zero; 2]; N];
+            for (input, tabs) in per_input() {
+                debug_assert!(block.end <= input.len());
+                let (mut lo, mut hi) = ([zero; 2], [zero; 2]);
+                for v in 0..2 {
+                    // SAFETY: `off + 32 * v + 32 <= off + 64 <= input.len()`
+                    // (invariant above) keeps the unaligned load in bounds.
+                    let x = unsafe { _mm256_loadu_si256(input.as_ptr().add(off + 32 * v).cast()) };
+                    lo[v] = _mm256_and_si256(x, mask);
+                    hi[v] = _mm256_and_si256(_mm256_srli_epi64(x, 4), mask);
+                }
+                for (a, t) in acc.iter_mut().zip(&tabs[first..first + N]) {
+                    // SAFETY: `[u8; 16]` and `__m128i` have identical size
+                    // with no padding; `loadu` imposes no alignment.
+                    let (lo_t, hi_t) = unsafe {
+                        (
+                            _mm256_broadcastsi128_si256(_mm_loadu_si128(t.lo.as_ptr().cast())),
+                            _mm256_broadcastsi128_si256(_mm_loadu_si128(t.hi.as_ptr().cast())),
+                        )
+                    };
+                    for v in 0..2 {
+                        let lo_p = _mm256_shuffle_epi8(lo_t, lo[v]);
+                        let hi_p = _mm256_shuffle_epi8(hi_t, hi[v]);
+                        a[v] = _mm256_xor_si256(a[v], _mm256_xor_si256(lo_p, hi_p));
+                    }
+                }
+            }
+            for (out, a) in outs.iter_mut().zip(&acc) {
+                debug_assert!(block.end <= out.len());
+                for (v, &sum) in a.iter().enumerate() {
+                    // SAFETY: same bounds as the loads, on `out`, an
+                    // exclusive borrow disjoint from every input.
+                    unsafe { _mm256_storeu_si256(out.as_mut_ptr().add(off + 32 * v).cast(), sum) };
+                }
+            }
+        }
+        for i in block.start + steps * 64..block.end {
+            for (n, out) in outs.iter_mut().enumerate() {
+                out[i] = per_input().fold(0, |y, (input, tabs)| y ^ tabs[first + n].mul(input[i]));
+            }
+        }
     }
 
     /// AVX2 XOR over 32-byte blocks.
@@ -344,7 +464,9 @@ mod neon {
 mod tests {
     use super::*;
     use crate::field::gf_mul;
-    use crate::slice::{mul_add_slice, mul_add_slice_scalar, mul_slice, xor_slice};
+    use crate::slice::{
+        dot_many_into, dot_tables, mul_add_slice, mul_add_slice_scalar, mul_slice, xor_slice,
+    };
 
     /// Coefficient sweep: every coefficient natively; a structurally
     /// interesting subset under Miri (the interpreter is ~1000× slower,
@@ -392,6 +514,102 @@ mod tests {
         if cfg!(miri) || cfg!(not(feature = "simd")) {
             assert_eq!(k, Kernel::Scalar);
         }
+        // The multi-output entry fuses on AVX2 and only there.
+        assert_eq!(dot_kernel_name() == "avx2-fused", k == Kernel::Avx2);
+    }
+
+    /// One case of the multi-output sweep: `outputs x inputs` random
+    /// coefficients — every row seeded with a 0 and a 1, the table-free
+    /// shortcuts — over `len`-byte inputs starting `start` bytes into their
+    /// backing buffers, into `0xff`-dirty outputs. The dispatched entry
+    /// must equal the `gf_mul` byte reference and the forced-scalar
+    /// per-coefficient path.
+    fn check_dot_many(outputs: usize, inputs: usize, len: usize, start: usize) {
+        let case = format!("outputs={outputs} inputs={inputs} len={len} start={start}");
+        let seed = (outputs * 31 + inputs) as u64 * 131 + len as u64 * 7 + start as u64;
+        let mut coeffs: Vec<Vec<u8>> = (0..outputs)
+            .map(|i| fill(seed + 1000 * i as u64, inputs))
+            .collect();
+        for (i, row) in coeffs.iter_mut().enumerate() {
+            row[i % inputs] = 0;
+            row[(i + 1) % inputs] = 1;
+        }
+        let backing: Vec<Vec<u8>> = (0..inputs)
+            .map(|j| fill(seed ^ (j as u64 + 1) << 20, start + len))
+            .collect();
+        let shards: Vec<&[u8]> = backing.iter().map(|b| &b[start..]).collect();
+        let rows: Vec<&[u8]> = coeffs.iter().map(Vec::as_slice).collect();
+
+        let mut dispatched = vec![vec![0xffu8; len]; outputs];
+        let mut views: Vec<&mut [u8]> = dispatched.iter_mut().map(Vec::as_mut_slice).collect();
+        dot_many_into(&dot_tables(&rows), &shards, &mut views);
+
+        for (i, got) in dispatched.iter().enumerate() {
+            let reference: Vec<u8> = (0..len)
+                .map(|b| (0..inputs).fold(0, |y, j| y ^ gf_mul(coeffs[i][j], shards[j][b])))
+                .collect();
+            assert_eq!(got, &reference, "{case} output {i} vs gf_mul");
+            let mut scalar = vec![0u8; len];
+            for (j, shard) in shards.iter().enumerate() {
+                mul_add_slice_scalar(coeffs[i][j], shard, &mut scalar);
+            }
+            assert_eq!(got, &scalar, "{case} output {i} vs forced scalar");
+        }
+    }
+
+    /// The multi-output equivalence sweep: output counts across the fused
+    /// kernel's group width (4), input counts up to a wide stripe, lengths
+    /// around every vector width and the entry's cache block, every input
+    /// misalignment.
+    #[test]
+    fn dot_many_matches_reference_and_scalar() {
+        let (max_outputs, max_inputs) = if cfg!(miri) { (5, 3) } else { (6, 20) };
+        let mut lens = sweep_lens();
+        // The entry walks 2 KiB blocks (`slice::DOT_BLOCK_BYTES`).
+        lens.extend(if cfg!(miri) {
+            vec![2049]
+        } else {
+            vec![2047, 2048, 2049, 2048 + 63, 2 * 2048 + 65]
+        });
+        for outputs in 1..=max_outputs {
+            for inputs in 1..=max_inputs {
+                for &len in &lens {
+                    check_dot_many(outputs, inputs, len, (outputs + inputs + len) % 9);
+                }
+            }
+        }
+        for start in 0..9 {
+            for (outputs, inputs) in [(1, 1), (2, 10), (3, 17), (4, 4), (5, 3), (6, 20)] {
+                if cfg!(miri) && inputs > 4 {
+                    continue;
+                }
+                for len in [63, 64, 65, 130] {
+                    check_dot_many(outputs, inputs, len, start);
+                }
+            }
+        }
+        if !cfg!(miri) {
+            check_dot_many(3, 17, (128 << 10) + 13, 5);
+            check_dot_many(6, 10, (128 << 10) + 13, 0);
+        }
+    }
+
+    #[test]
+    fn dot_many_degenerate_shapes() {
+        // No inputs: every output is the empty sum.
+        let mut out = [0xffu8; 5];
+        dot_many_into(&dot_tables(&[&[]]), &[], &mut [&mut out[..]]);
+        assert_eq!(out, [0; 5]);
+        // No outputs: nothing to do.
+        dot_many_into(&dot_tables(&[]), &[], &mut []);
+    }
+
+    #[test]
+    #[should_panic(expected = "slice length mismatch")]
+    fn dot_many_rejects_ragged_shards() {
+        let mut out = [0u8; 4];
+        let tables = dot_tables(&[&[2, 3]]);
+        dot_many_into(&tables, &[&[1, 2, 3, 4], &[1, 2, 3]], &mut [&mut out[..]]);
     }
 
     /// The headline equivalence sweep: the dispatched kernel must agree

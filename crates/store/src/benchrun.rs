@@ -31,7 +31,7 @@
 use crate::backend::{ChunkBackend, FileBackend, MemBackend};
 use crate::epoch::{EpochQueues, SubAction, SubOp};
 use crate::histogram::LatencyHistogram;
-use crate::iocore::{batches, par_map};
+use crate::iocore::{batches, par_chunks_mut};
 use crate::loadgen::{KillSpec, LoadGen, LoadSpec, OpKind, TraceOp};
 use crate::oplog::{OpLog, OpRecord};
 use crate::store::{MlecStore, StoreConfig};
@@ -196,31 +196,41 @@ impl StoreBenchReport {
 /// The object payload for `(obj, version)` — a pure function, so
 /// verification regenerates expected bytes instead of storing them.
 pub fn payload_for(stream: &SeedStream, obj: u64, version: u64, len: usize) -> Vec<u8> {
-    let mut rng = SplitMix64::new(stream.derive(&[obj, version]));
     let mut out = Vec::with_capacity(len);
+    payload_into(stream, obj, version, len, &mut out);
+    out
+}
+
+/// [`payload_for`] into a buffer the caller reuses.
+fn payload_into(stream: &SeedStream, obj: u64, version: u64, len: usize, out: &mut Vec<u8>) {
+    let mut rng = SplitMix64::new(stream.derive(&[obj, version]));
+    out.clear();
     while out.len() + 8 <= len {
         out.extend_from_slice(&rng.next_u64().to_le_bytes());
     }
     while out.len() < len {
         out.push(rng.next_u64() as u8);
     }
-    out
 }
 
-/// One op with its serially-assigned context, ready for parallel prepare.
-struct PrepIn {
+/// One op of a batch: its serially-assigned context going into the parallel
+/// prepare pass, the pure prepare results coming out.
+struct Prep<'p> {
     op: TraceOp,
-    /// Version a put will be assigned (predicted serially).
-    put_version: Option<u64>,
+    /// For a put: the version it will be assigned (predicted serially) and
+    /// the recycled grid prepare encodes its stripe into.
+    put: Option<(u64, &'p mut MlecStripe)>,
     /// Version to verify a get against, when sampled for verification.
     verify_version: Option<u64>,
+    /// The bytes that version reads back as, once prepared.
+    expected: Option<Vec<u8>>,
 }
 
-/// The pure prepare result for one op.
-struct Prep {
-    op: TraceOp,
-    stripe: Option<MlecStripe>,
-    expected: Option<Vec<u8>>,
+impl Prep<'_> {
+    /// A put's encoded stripe.
+    fn stripe(&self) -> Option<&MlecStripe> {
+        self.put.as_ref().map(|(_, grid)| &**grid)
+    }
 }
 
 /// What one applied op measured; stitched into histograms and the op log
@@ -278,7 +288,7 @@ pub fn run_store_bench(spec: &BenchSpec) -> Result<StoreBenchReport, StoreError>
 /// `shards == 0`, and for barrier ops under the epoch scheduler.
 fn apply_serial_op<B: ChunkBackend>(
     store: &mut MlecStore<B>,
-    prep: &Prep,
+    prep: &Prep<'_>,
     kill_time_us: Option<u64>,
     overhead: u64,
     tally: &mut Tally,
@@ -290,7 +300,7 @@ fn apply_serial_op<B: ChunkBackend>(
         OpKind::Put => {
             tally.puts += 1;
             // PANICS: the prepare pass builds a stripe for every Put before replay starts.
-            let stripe = prep.stripe.as_ref().expect("puts are prepared");
+            let stripe = prep.stripe().expect("puts are prepared");
             let res = store.put_encoded(op.object, stripe, op.at_us)?;
             (res.latency_us, false, 0)
         }
@@ -340,7 +350,7 @@ fn apply_serial_op<B: ChunkBackend>(
 /// The epoch state of one prepared batch: the open epoch's rack queues,
 /// the ops waiting on them, and every op's resolved outcome.
 struct Epoch<'a> {
-    prepared: &'a [Prep],
+    prepared: &'a [Prep<'a>],
     /// One slot per prepared op, filled exactly once.
     outcomes: Vec<Option<Outcome>>,
     queues: EpochQueues<'a>,
@@ -355,7 +365,7 @@ struct Epoch<'a> {
 }
 
 impl<'a> Epoch<'a> {
-    fn new(prepared: &'a [Prep], racks: usize) -> Epoch<'a> {
+    fn new(prepared: &'a [Prep<'a>], racks: usize) -> Epoch<'a> {
         Epoch {
             prepared,
             outcomes: vec![None; prepared.len()],
@@ -451,23 +461,35 @@ fn run_inner<B: ChunkBackend + Send>(
     let chunk_bytes = store.config().chunk_bytes;
     // Cloned so prepare threads can encode without touching the store.
     let codec = store.codec().clone();
-    let encode = |payload: &[u8]| -> MlecStripe {
+    // The prepare work of one stripe, into buffers the caller recycles:
+    // synthesize the payload of `(obj, version)`, encode it into `grid`.
+    let encode = |obj: u64, version: u64, payload: &mut Vec<u8>, grid: &mut MlecStripe| {
+        payload_into(&pay_stream, obj, version, plen, payload);
         let chunks: Vec<&[u8]> = payload.chunks(chunk_bytes).collect();
         codec
-            .encode(&chunks)
+            .encode_into(&chunks, grid)
             // PANICS: the chunk split uses the codec's exact payload geometry; encode cannot reject it.
-            .expect("payload length is exact by construction")
+            .expect("payload length is exact by construction");
     };
     let stopwatch = spec.timing.then(crate::stopwatch::Stopwatch::start);
+    // Every stripe the driver encodes lands in a grid of this pool: slot `n`
+    // holds the `n`-th stripe of the batch in flight and is re-encoded in
+    // place by the next batch, which empties the slots it has no put for. So
+    // the pool never holds more than one batch of stripes, and a run of
+    // steady batches allocates no stripe memory.
+    let mut pool: Vec<MlecStripe> = Vec::new();
 
     // Pre-load every object at version 0 (uncharged: data that existed
     // before the measured window).
     let preload_batch = 512u64;
     for (lo, hi) in batches(spec.load.objects, preload_batch) {
-        let objs: Vec<u64> = (lo..hi).collect();
-        let encoded: Vec<(u64, MlecStripe)> = par_map(&objs, spec.threads, |&obj| {
-            let payload = payload_for(&pay_stream, obj, 0, plen);
-            (obj, encode(&payload))
+        pool.resize_with(pool.len().max((hi - lo) as usize), MlecStripe::new);
+        let mut encoded: Vec<(u64, &mut MlecStripe)> = (lo..hi).zip(&mut pool).collect();
+        par_chunks_mut(&mut encoded, spec.threads, |mine| {
+            let mut payload = Vec::with_capacity(plen);
+            for (obj, grid) in mine {
+                encode(*obj, 0, &mut payload, grid);
+            }
         });
         for (obj, stripe) in &encoded {
             store.preload_encoded(*obj, stripe)?;
@@ -496,15 +518,18 @@ fn run_inner<B: ChunkBackend + Send>(
     let mut serial_window = false;
 
     for (lo, hi) in batches(gen.len(), spec.batch as u64) {
-        // Serial pre-pass: predict versions so prepare can be pure.
-        let mut inputs: Vec<PrepIn> = Vec::with_capacity((hi - lo) as usize);
+        // Serial pre-pass: predict versions so prepare can be pure, and
+        // hand each put its grid.
+        pool.resize_with(pool.len().max((hi - lo) as usize), MlecStripe::new);
+        let mut grids = pool.iter_mut();
+        let mut prepared: Vec<Prep> = Vec::with_capacity((hi - lo) as usize);
         for index in lo..hi {
             let op = gen.op(index);
-            let (put_version, verify_version) = match op.kind {
+            let (put, verify_version) = match op.kind {
                 OpKind::Put => {
                     let v = expected_versions.get(&op.object).map_or(0, |v| v + 1);
                     expected_versions.insert(op.object, v);
-                    (Some(v), None)
+                    (grids.next().map(|grid| (v, grid)), None)
                 }
                 OpKind::Get => {
                     let live = expected_versions.get(&op.object).copied();
@@ -516,26 +541,27 @@ fn run_inner<B: ChunkBackend + Send>(
                     (None, None)
                 }
             };
-            inputs.push(PrepIn {
+            prepared.push(Prep {
                 op,
-                put_version,
+                put,
                 verify_version,
+                expected: None,
             });
         }
 
-        // Parallel prepare: pure payload synthesis + encode.
-        let prepared: Vec<Prep> = par_map(&inputs, spec.threads, |inp| {
-            let stripe = inp.put_version.map(|v| {
-                let payload = payload_for(&pay_stream, inp.op.object, v, plen);
-                encode(&payload)
-            });
-            let expected = inp
-                .verify_version
-                .map(|v| payload_for(&pay_stream, inp.op.object, v, plen));
-            Prep {
-                op: inp.op,
-                stripe,
-                expected,
+        grids.for_each(Vec::clear);
+
+        // Parallel prepare, in place: pure payload synthesis + encode.
+        par_chunks_mut(&mut prepared, spec.threads, |mine| {
+            let mut payload = Vec::with_capacity(plen);
+            for prep in mine {
+                let obj = prep.op.object;
+                if let Some((version, grid)) = &mut prep.put {
+                    encode(obj, *version, &mut payload, grid);
+                }
+                prep.expected = prep
+                    .verify_version
+                    .map(|v| payload_for(&pay_stream, obj, v, plen));
             }
         });
 
@@ -589,7 +615,7 @@ fn run_inner<B: ChunkBackend + Send>(
                     tally.puts += 1;
                     store.commit_put_version(op.object);
                     // PANICS: the prepare pass builds a stripe for every Put before replay starts.
-                    let stripe = prep.stripe.as_ref().expect("puts are prepared");
+                    let stripe = prep.stripe().expect("puts are prepared");
                     epoch.queue_rows(&store, slot, nw, start, |row| {
                         // PANICS: `row < nw`, the stripe's row count.
                         SubAction::Put(&stripe[row as usize])
@@ -650,6 +676,8 @@ fn run_inner<B: ChunkBackend + Send>(
             log.log_batch(&records, spec.threads)?;
         }
     }
+    // The final sweep fills the chunk cache; let it have the pool's memory.
+    drop(pool);
 
     // Drain outstanding rebuilds, then verify every live object end to end
     // (repair has given up on dead ones; `unrecoverable_stripes` counts them).

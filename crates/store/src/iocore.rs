@@ -5,60 +5,55 @@
 //! a pure function of the trace. What *can* run on many threads is the
 //! pure per-op work: synthesizing put payloads, erasure-encoding stripes,
 //! and verifying read-back bytes. This module provides that split:
-//! [`par_map`] fans a batch of items over a scoped thread pool in
-//! contiguous slices and reassembles results in input order, so the output
-//! is identical for any thread count — including 1 — which is exactly the
-//! property the op-log determinism test pins down.
+//! [`par_chunks_mut`] fans a batch of items over scoped threads in
+//! contiguous slices, in place, and [`par_map`] collects results through it
+//! in input order, so the output is identical for any thread count —
+//! including 1 — which is exactly the property the op-log determinism test
+//! pins down.
 
 /// Map `f` over `items` on up to `threads` scoped threads, preserving
-/// input order exactly.
-///
-/// Items are split into contiguous slices (one per thread); each thread
-/// writes its results straight into the pre-sized output slots for its
-/// slice, so there is no per-thread intermediate `Vec` and no re-extend
-/// pass. `f` must be pure for the thread-count invariance to mean
-/// anything — nothing enforces that here beyond the `Fn(&T)` signature.
+/// input order exactly: slot `i` always receives `f(items[i])` no matter
+/// which thread computes it. `f` must be pure for the thread-count
+/// invariance to mean anything — nothing enforces that here beyond the
+/// `Fn(&T)` signature.
 pub fn par_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
+    let mut slots: Vec<(&T, Option<R>)> = items.iter().map(|item| (item, None)).collect();
+    par_chunks_mut(&mut slots, threads, |mine| {
+        for (item, slot) in mine {
+            *slot = Some(f(item));
+        }
+    });
+    slots.into_iter().filter_map(|(_, result)| result).collect()
+}
+
+/// Run `f` over `items` in place on up to `threads` scoped threads: items
+/// are split into contiguous slices, one per thread, and each thread is
+/// handed its whole slice, so it can keep scratch buffers across its items.
+/// For work that fills buffers the items already own. A slot is only ever
+/// touched by the call that received it, so the result is identical for
+/// any thread count — including 1 — if `f` treats its items independently.
+pub fn par_chunks_mut<T, F>(items: &mut [T], threads: usize, f: F)
+where
+    T: Send,
+    F: Fn(&mut [T]) + Sync,
+{
     let threads = threads.max(1);
     if threads == 1 || items.len() <= 1 {
-        return items.iter().map(&f).collect();
+        return f(items);
     }
     let chunk = items.len().div_ceil(threads);
-    let mut out: Vec<R> = Vec::with_capacity(items.len());
-    let slots = out.spare_capacity_mut();
-    // Pair each input slice with the output slot slice it will fill; the
-    // split is positional, so slot i always receives f(items[i]) no matter
-    // which thread computes it.
-    let mut rest = slots;
+    // The scope joins every thread, propagating panics.
     std::thread::scope(|scope| {
-        for slice in items.chunks(chunk) {
-            let (head, tail) = rest.split_at_mut(slice.len());
-            rest = tail;
+        for slice in items.chunks_mut(chunk) {
             let f = &f;
-            scope.spawn(move || {
-                for (item, slot) in slice.iter().zip(head.iter_mut()) {
-                    slot.write(f(item));
-                }
-            });
+            scope.spawn(move || f(slice));
         }
-        // The scope joins every thread (propagating panics) before we
-        // assert initialization below.
     });
-    // SAFETY: the slices handed to the threads partition slots 0..len
-    // exactly (chunks() covers items exactly, and each thread writes one
-    // slot per item via MaybeUninit::write). The scope above has joined
-    // every worker, so all len slots are initialized; a worker panic
-    // propagates out of scope() before set_len runs, leaving out at its
-    // original length 0 with no elements to drop.
-    unsafe {
-        out.set_len(items.len());
-    }
-    out
 }
 
 /// Batch boundaries for a trace of `total` ops in batches of `batch`:
@@ -101,13 +96,38 @@ mod tests {
 
     #[test]
     fn par_map_results_are_dropped_exactly_once() {
-        // Heap-owning results exercise the MaybeUninit path: a double
-        // drop or a leak would trip ASan/Miri and usually crashes plain
-        // test runs too.
+        // Heap-owning results: every slot filled once, none lost on the way
+        // out of the scratch pairs.
         let items: Vec<u64> = (0..100).collect();
         let got = par_map(&items, 8, |&x| vec![x; 3]);
         assert_eq!(got.len(), 100);
         assert!(got.iter().enumerate().all(|(i, v)| v == &vec![i as u64; 3]));
+    }
+
+    #[test]
+    fn par_chunks_mut_visits_every_slot_once_for_any_thread_count() {
+        for threads in [0usize, 1, 2, 3, 7, 64] {
+            for len in [0usize, 1, 2, 10, 1000] {
+                let mut items: Vec<(usize, Vec<u8>)> = (0..len).map(|i| (i, vec![9; 3])).collect();
+                par_chunks_mut(&mut items, threads, |mine| {
+                    // Scratch kept across a thread's items, as the driver does.
+                    let mut scratch = Vec::new();
+                    for (i, buf) in mine {
+                        scratch.clear();
+                        scratch.extend_from_slice(&(*i as u32).to_le_bytes());
+                        buf.clear();
+                        buf.extend_from_slice(&scratch);
+                    }
+                });
+                for (i, buf) in &items {
+                    assert_eq!(
+                        buf,
+                        &(*i as u32).to_le_bytes(),
+                        "threads={threads} len={len}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

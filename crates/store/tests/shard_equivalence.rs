@@ -85,3 +85,51 @@ fn sharded_apply_reproduces_the_serial_path_exactly() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The driver's stripe grids outlive a batch — a put is encoded into the
+/// grid some earlier batch's put left behind — so how the trace is cut into
+/// batches, and over how many prepare threads, must change nothing: not
+/// one op per batch, not a size that leaves a ragged tail, not the whole
+/// trace in one.
+#[test]
+fn batch_size_and_prepare_threads_never_change_the_report() {
+    // A directory of its own: `scratch()` wipes the one the test above is
+    // writing to on another thread.
+    let dir = std::env::temp_dir()
+        .join("mlec-store-tests")
+        .join(format!("batch-equivalence-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut base = BenchSpec::small(900);
+    base.load.objects = 48;
+    base.load.put_pct = 40;
+    base.load.delete_pct = 5;
+    base.verify_every = 4;
+    base.kill = Some(KillSpec {
+        at_op: 300,
+        racks: 1,
+        disks: 0,
+    });
+    let mut reference = None;
+    for shards in [0usize, 2] {
+        for batch in [1usize, 7, 1024] {
+            for threads in [1usize, 3] {
+                let log = dir.join(format!("s{shards}-b{batch}-t{threads}.jsonl"));
+                let mut spec = base.clone();
+                (spec.shards, spec.batch, spec.threads) = (shards, batch, threads);
+                spec.oplog = Some(log.clone());
+                let run = (
+                    run_store_bench(&spec).unwrap(),
+                    std::fs::read(&log).unwrap(),
+                );
+                assert!(run.0.puts > 200 && run.0.verified_final > 0);
+                let reference = reference.get_or_insert_with(|| run.clone());
+                assert!(
+                    run == *reference,
+                    "report or op log diverged at shards={shards} batch={batch} threads={threads}"
+                );
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
