@@ -14,6 +14,7 @@
 //! always recoverable) and the probabilistic ones the paper's PDL analysis
 //! relies on.
 
+use crate::rs::DecodePlan;
 use crate::EcError;
 use mlec_gf::field::gf_inv;
 use mlec_gf::matrix::Matrix;
@@ -338,36 +339,8 @@ impl Lrc {
             }
         }
         debug_assert_eq!(chosen.len(), self.k, "decodable pattern must yield k rows");
-        let sub = self.generator.select_rows(&chosen);
-        let inv = sub.invert().expect("chosen rows are independent");
-        let len = chunks[chosen[0]].as_ref().unwrap().len();
-        let helper_refs: Vec<&[u8]> = chosen
-            .iter()
-            .map(|&i| chunks[i].as_deref().unwrap())
-            .collect();
-        // Rebuild the data chunks first.
-        let mut data: Vec<Vec<u8>> = Vec::with_capacity(self.k);
-        for (d, chunk) in chunks.iter().enumerate().take(self.k) {
-            if let Some(buf) = chunk {
-                data.push(buf.clone());
-            } else {
-                let mut out = vec![0u8; len];
-                dot_into(inv.row(d), &helper_refs, &mut out);
-                data.push(out);
-            }
-        }
-        let data_refs: Vec<&[u8]> = data.iter().map(std::vec::Vec::as_slice).collect();
-        for i in 0..self.total_chunks() {
-            if chunks[i].is_none() {
-                if i < self.k {
-                    chunks[i] = Some(data[i].clone());
-                } else {
-                    let mut out = vec![0u8; len];
-                    dot_into(self.generator.row(i), &data_refs, &mut out);
-                    chunks[i] = Some(out);
-                }
-            }
-        }
+        let lost = (0..chunks.len()).filter(|&i| erased[i]).collect();
+        DecodePlan::new(&self.generator, &chosen, lost)?.fill(chunks);
         Ok(())
     }
 }

@@ -17,9 +17,16 @@
 //! A crucial structural property (paper §5.2.1 difference (c)): local
 //! parities of the network-parity rows equal network parities of the local
 //! parities — the grid is consistent both ways. This is tested.
+//!
+//! Repair relies on it: the grid is a product code, every column (local
+//! parities included) a network codeword. `reconstruct` takes one local
+//! decode plan per damaged-row pattern, then one network plan per
+//! damaged-column pattern; `read_degraded` decodes a lost row's chunk, data
+//! or parity, down its own column.
 
-use crate::rs::{ReedSolomon, PARALLEL_SEGMENT_BYTES};
+use crate::rs::{DecodePlan, ReedSolomon, PARALLEL_SEGMENT_BYTES};
 use crate::EcError;
+use std::borrow::Borrow;
 
 /// Bytes of every chunk one step of the encode walk covers: a step brings
 /// that range of the data chunks into the grid and computes it for every
@@ -258,9 +265,10 @@ impl MlecCodec {
     ///
     /// 1. the chunk itself if present (zero extra reads);
     /// 2. local decode within its row when the row is locally recoverable
-    ///    (`<= k_l` reads, no cross-rack traffic);
-    /// 3. network decode of the column (`k_n` cross-rack reads) plus, for a
-    ///    parity column of a lost row, a local re-encode.
+    ///    (`k_l` reads, no cross-rack traffic);
+    /// 3. for a chunk of a lost row, data or parity, network decode down its
+    ///    own column (`k_n` cross-rack reads), a helper the column lacks
+    ///    first decoded in its own row (`k_l` reads each).
     ///
     /// Returns `(bytes, chunks_read)`.
     ///
@@ -280,44 +288,43 @@ impl MlecCodec {
                 "chunk ({row}, {col}) is outside the {nn} x {nl} grid"
             )));
         }
-        // Fast path: the chunk survived.
         if let Some(chunk) = &stripe[row][col] {
             return Ok((chunk.clone(), 0));
         }
-        // Local path: decode within the row.
-        let kl = self.local.data_shards();
-        let missing_in_row = stripe[row].iter().filter(|c| c.is_none()).count();
-        if missing_in_row <= self.local.parity_shards() {
-            let helpers: Vec<usize> = (0..nl)
-                .filter(|&i| stripe[row][i].is_some())
-                .take(kl)
-                .collect();
-            let rebuilt = self.local.reconstruct_one(&stripe[row], col, &helpers)?;
-            return Ok((rebuilt, helpers.len()));
+        if let Some(read) = self.read_in_row(&stripe[row], col) {
+            return read;
         }
-        // Network path: decode column `col` across rows. Parity columns of
-        // lost rows need the row's data columns first, so recurse per data
-        // column and re-encode.
-        if col < kl {
-            let helpers: Vec<(usize, &[u8])> = stripe
-                .iter()
-                .enumerate()
-                .filter_map(|(j, r)| Some((j, r[col].as_deref()?)))
-                .collect();
-            let rebuilt = self.network.reconstruct_one_from(row, &helpers)?;
-            Ok((rebuilt, self.network.data_shards()))
-        } else {
-            let mut data = Vec::with_capacity(kl);
-            let mut reads = 0usize;
-            for c in 0..kl {
-                let (chunk, r) = self.read_degraded(stripe, row, c)?;
-                data.push(chunk);
-                reads += r.max(1);
-            }
-            let mut parity = vec![vec![0u8; data[0].len()]; self.local.parity_shards()];
-            self.local.encode_into(&data, &mut parity)?;
-            Ok((parity.swap_remove(col - kl), reads))
-        }
+        let kn = self.network.data_shards();
+        let mut helpers: Vec<(usize, &[u8])> = (0..nn)
+            .filter_map(|j| Some((j, stripe[j][col].as_deref()?)))
+            .take(kn)
+            .collect();
+        // `row` itself is lost, so `read_in_row` passes over it.
+        let produced = (0..nn)
+            .filter(|&j| stripe[j][col].is_none())
+            .filter_map(|j| Some((j, self.read_in_row(&stripe[j], col)?)))
+            .take(kn - helpers.len())
+            .map(|(j, read)| read.map(|(bytes, reads)| (j, bytes, reads)))
+            .collect::<Result<Vec<_>, _>>()?;
+        let reads = helpers.len() + produced.iter().map(|p| p.2).sum::<usize>();
+        helpers.extend(produced.iter().map(|(j, bytes, _)| (*j, bytes.as_slice())));
+        let rebuilt = self.network.reconstruct_one_from(row, &helpers)?;
+        Ok((rebuilt, reads))
+    }
+
+    /// Chunk `col` of `row` decoded inside the row from its first `k_l`
+    /// survivors, with the chunks read; `None` when the row has lost more
+    /// than `p_l` chunks.
+    fn read_in_row(
+        &self,
+        row: &[Option<Vec<u8>>],
+        col: usize,
+    ) -> Option<Result<(Vec<u8>, usize), EcError>> {
+        let helpers: Vec<usize> = (0..row.len()).filter(|&i| row[i].is_some()).collect();
+        (row.len() - helpers.len() <= self.local.parity_shards()).then(|| {
+            let rebuilt = self.local.reconstruct_one(row, col, &helpers);
+            rebuilt.map(|bytes| (bytes, self.local.data_shards()))
+        })
     }
 
     /// `(k_n + p_n, k_l + p_l)`, or the shape error if `stripe` is not a
@@ -347,15 +354,17 @@ impl MlecCodec {
         &self,
         stripe: &mut [Vec<Option<Vec<u8>>>],
     ) -> Result<(usize, usize), EcError> {
-        let (nn, _) = self.check_grid(stripe)?;
-        let (kl, pl) = (self.local.data_shards(), self.local.parity_shards());
+        let (nn, nl) = self.check_grid(stripe)?;
+        let pl = self.local.parity_shards();
         // Everything that can fail is decided before the first repair, so a
-        // refused grid is never left half-repaired.
+        // refused grid is never left half-repaired: past these checks every
+        // row below takes a local plan with `k_l` survivors, and every column
+        // then has at most `p_n` losses, so its network plan exists too.
         let missing_in = |row: &[Option<Vec<u8>>]| row.iter().filter(|c| c.is_none()).count();
-        let lost_rows: Vec<usize> = (0..nn).filter(|&j| missing_in(&stripe[j]) > pl).collect();
-        if lost_rows.len() > self.network.parity_shards() {
+        let lost_rows = stripe.iter().filter(|row| missing_in(row) > pl).count();
+        if lost_rows > self.network.parity_shards() {
             return Err(EcError::TooManyErasures {
-                present: nn - lost_rows.len(),
+                present: nn - lost_rows,
                 needed: self.network.data_shards(),
             });
         }
@@ -366,50 +375,53 @@ impl MlecCodec {
                 "surviving chunks differ in length".into(),
             ));
         }
-        let mut local_repaired = 0usize;
-        let mut network_repaired = 0usize;
 
-        // Pass 1: repair every locally-recoverable row.
+        // Rows with 1..=p_l losses, one local plan per erasure pattern.
+        let mut local_repaired = 0usize;
+        let mut plans = Vec::new();
         for row in stripe.iter_mut() {
             let missing = missing_in(row);
-            if missing > 0 && missing <= pl {
-                self.local.reconstruct(row)?;
+            if (1..=pl).contains(&missing) {
+                plan_for(&mut plans, &self.local, row)?.fill(row);
                 local_repaired += missing;
             }
         }
-
-        // Pass 2: lost rows are repaired over the network, chunk position by
-        // chunk position: column `i` of all rows is moved out of the grid as
-        // a network-level stripe, decoded, and moved back — whatever the
-        // decoder answered.
-        if lost_rows.is_empty() {
-            return Ok((local_repaired, network_repaired));
-        }
-        for i in 0..kl {
-            let mut column: Vec<Option<Vec<u8>>> =
-                stripe.iter_mut().map(|row| row[i].take()).collect();
-            let missing = missing_in(&column);
-            let decoded = self.network.reconstruct(&mut column);
-            for (row, chunk) in stripe.iter_mut().zip(column) {
-                row[i] = chunk;
+        // The lost rows are left; every column with a loss, local-parity
+        // columns included, takes one network plan per erasure pattern.
+        let mut network_repaired = 0usize;
+        let mut plans = Vec::new();
+        for i in 0..nl {
+            let mut column: Vec<_> = stripe.iter_mut().map(|row| &mut row[i]).collect();
+            if column.iter().all(|c| c.is_some()) {
+                continue;
             }
-            decoded?;
-            network_repaired += missing;
-        }
-        // Re-encode the local parities the formerly-lost rows are missing.
-        for &j in &lost_rows {
-            let (data, parity) = stripe[j].split_at_mut(kl);
-            let data: Vec<&[u8]> = data.iter().flatten().map(Vec::as_slice).collect();
-            let mut encoded = vec![vec![0u8; len]; pl];
-            self.local.encode_into(&data, &mut encoded)?;
-            for (slot, chunk) in parity.iter_mut().zip(encoded) {
-                if slot.is_none() {
-                    *slot = Some(chunk);
-                    network_repaired += 1;
-                }
-            }
+            let plan = plan_for(&mut plans, &self.network, &column)?;
+            plan.fill(&mut column);
+            network_repaired += plan.targets.len();
         }
         Ok((local_repaired, network_repaired))
+    }
+}
+
+/// The plan filling the empty `slots`, built the first time their erasure
+/// pattern turns up in `plans`: a plan's targets are exactly its pattern's
+/// empty slots, so they are the key.
+fn plan_for<'p, S: Borrow<Option<Vec<u8>>>>(
+    plans: &'p mut Vec<DecodePlan>,
+    code: &ReedSolomon,
+    slots: &[S],
+) -> Result<&'p DecodePlan, EcError> {
+    let present: Vec<bool> = slots.iter().map(|s| s.borrow().is_some()).collect();
+    let absent = (0..slots.len()).filter(|&i| !present[i]);
+    match plans
+        .iter()
+        .position(|p| p.targets.iter().copied().eq(absent.clone()))
+    {
+        Some(index) => Ok(&plans[index]),
+        None => {
+            plans.push(DecodePlan::for_erasures(code, &present)?);
+            Ok(&plans[plans.len() - 1])
+        }
     }
 }
 
@@ -640,12 +652,52 @@ mod tests {
         assert_eq!(bytes, stripe[0][0]);
         assert_eq!(reads, 3);
 
-        // Erased parity column of the lost row: rebuild the data columns
-        // first, then locally re-encode.
+        // Erased parity column of the lost row: network decode down that
+        // column too, k_n = 3 reads.
         grid[0][5] = None;
         let (bytes, reads) = codec.read_degraded(&grid, 0, 5).unwrap();
         assert_eq!(bytes, stripe[0][5]);
-        assert!(reads >= 4, "reads={reads}");
+        assert_eq!(reads, 3);
+    }
+
+    /// Lose `lost_row` whole and the listed chunks elsewhere, then read
+    /// chunk `(lost_row, col)`: it must come back although its column is
+    /// short of survivors, the missing helpers decoded in their own rows.
+    fn read_through_short_column(
+        codec: &MlecCodec,
+        lost_row: usize,
+        also: &[(usize, usize)],
+        col: usize,
+    ) -> usize {
+        let (kn, kl) = (codec.network().data_shards(), codec.local().data_shards());
+        let stripe = codec.encode(&sample_data(kn * kl, 24)).unwrap();
+        let mut grid = erase(&stripe);
+        grid[lost_row].iter_mut().for_each(|c| *c = None);
+        for &(j, i) in also {
+            grid[j][i] = None;
+        }
+        let mut repaired = grid.clone();
+        assert!(codec.reconstruct(&mut repaired).is_ok());
+        let (bytes, reads) = codec.read_degraded(&grid, lost_row, col).unwrap();
+        assert_eq!(bytes, stripe[lost_row][col]);
+        reads
+    }
+
+    #[test]
+    fn degraded_read_decodes_a_missing_helper_in_its_row() {
+        // (2+1)/(2+1), row 0 lost and (1, 0): column 0 holds one survivor of
+        // the two it needs; (1, 0) comes from row 1 (k_l = 2 reads).
+        let small = MlecCodec::new(2, 1, 2, 1).unwrap();
+        assert_eq!(read_through_short_column(&small, 0, &[(1, 0)], 0), 1 + 2);
+    }
+
+    #[test]
+    fn degraded_read_decodes_a_missing_helper_at_paper_scale() {
+        // (10+2)/(17+3), row 0 lost and (1, 5), (2, 5): nine survivors in
+        // column 5 where ten are needed; one helper is decoded in its row.
+        let paper = MlecCodec::new(10, 2, 17, 3).unwrap();
+        let reads = read_through_short_column(&paper, 0, &[(1, 5), (2, 5)], 5);
+        assert_eq!(reads, 9 + 17);
     }
 
     #[test]

@@ -9,14 +9,19 @@
 //! row makes the `p = 1` code exactly RAID-5 XOR parity — which is also what
 //! gives the MLEC grid its both-ways parity consistency for XOR levels.
 //!
-//! Every product here — encode, verify, both halves of reconstruct, the
-//! single-shard repair — is one `mlec_gf::slice::dot_many_into`: all outputs
-//! from one pass over the inputs, the parity block's tables built once.
+//! Every product here is one `mlec_gf::slice::dot_many_into`: all outputs
+//! from one pass over the inputs. Encode and verify use the parity block's
+//! tables, built once in `new`. Decoding is one linear map per erasure
+//! pattern, a `DecodePlan`: it inverts the `k x k` submatrix of `k`
+//! survivors once and composes `G[targets] · inv`. Every missing shard,
+//! data or parity, then comes from one pass over the same `k` survivors.
+//! `reconstruct` and the single-shard repair are each a plan and one pass.
 
 use crate::EcError;
-use mlec_gf::field::{gf_div, gf_inv, gf_mul};
+use mlec_gf::field::{gf_div, gf_inv};
 use mlec_gf::matrix::Matrix;
-use mlec_gf::slice::{dot_into, dot_many_into, dot_tables, NibbleTable};
+use mlec_gf::slice::{dot_many_into, dot_tables, NibbleTable};
+use std::borrow::BorrowMut;
 
 /// Segment size of the multi-worker schedule of
 /// [`ReedSolomon::encode_into_parallel`]. 64 KiB keeps a segment's working
@@ -256,70 +261,20 @@ impl ReedSolomon {
                 shards.len()
             )));
         }
-        let present: Vec<usize> = (0..shards.len()).filter(|&i| shards[i].is_some()).collect();
-        if present.len() < self.k {
-            return Err(EcError::TooManyErasures {
-                present: present.len(),
-                needed: self.k,
-            });
-        }
-        if present.len() == shards.len() {
+        let present: Vec<bool> = shards.iter().map(Option::is_some).collect();
+        if !present.contains(&false) {
             return Ok(());
         }
-        let len = shards[present[0]].as_ref().unwrap().len();
-        if present
-            .iter()
-            .any(|&i| shards[i].as_ref().unwrap().len() != len)
-        {
+        let plan = DecodePlan::for_erasures(self, &present)?;
+        let mut survivors = shards.iter().flatten();
+        let len = survivors.next().map_or(0, Vec::len);
+        if survivors.any(|s| s.len() != len) {
             return Err(EcError::ShapeMismatch(
                 "surviving shards differ in length".into(),
             ));
         }
-
-        // Decode matrix: rows of G for the first k surviving shards.
-        let rows: Vec<usize> = present.iter().copied().take(self.k).collect();
-        let sub = self.generator.select_rows(&rows);
-        let inv = sub
-            .invert()
-            .expect("any k rows of an MDS generator are independent");
-
-        // data_j = sum_i inv[j][i] * surviving_i — only the data shards that
-        // are actually missing, then the missing parities from the data.
-        let missing: Vec<usize> = (0..shards.len()).filter(|&i| shards[i].is_none()).collect();
-        let (data, parity) = missing.split_at(missing.partition_point(|&i| i < self.k));
-        Self::rebuild(shards, &inv, &rows, data, len);
-        let data_rows: Vec<usize> = (0..self.k).collect();
-        Self::rebuild(shards, &self.generator, &data_rows, parity, len);
+        plan.fill(shards);
         Ok(())
-    }
-
-    /// Fill the empty slots `targets`, all from one pass over the shards
-    /// `from`: slot `t` is row `t` of `matrix` applied to them.
-    fn rebuild(
-        shards: &mut [Option<Vec<u8>>],
-        matrix: &Matrix,
-        from: &[usize],
-        targets: &[usize],
-        len: usize,
-    ) {
-        if targets.is_empty() {
-            return;
-        }
-        let tables = Self::tables_of(matrix, targets.iter().copied());
-        let inputs: Vec<&[u8]> = from
-            .iter()
-            .map(|&i| {
-                shards[i]
-                    .as_deref()
-                    .expect("a product reads present shards")
-            })
-            .collect();
-        let mut outs = vec![vec![0u8; len]; targets.len()];
-        let mut views: Vec<&mut [u8]> = outs.iter_mut().map(Vec::as_mut_slice).collect();
-        dot_many_into(&tables, &inputs, &mut views);
-        for (&t, buf) in targets.iter().zip(outs) {
-            shards[t] = Some(buf);
-        }
     }
 
     /// Decode with an explicit helper set: reconstruct shard `target` using
@@ -360,57 +315,118 @@ impl ReedSolomon {
         self.reconstruct_one_from(target, &picked)
     }
 
-    /// [`ReedSolomon::reconstruct_one`] over borrowed `(shard index, bytes)`
-    /// helpers, so that a column of the MLEC grid is gathered by reference.
-    /// Helper indices must be inside the stripe.
+    /// [`ReedSolomon::reconstruct_one`] as a one-target [`DecodePlan`] over
+    /// borrowed `(shard index, bytes)` helpers inside the stripe, so that a
+    /// column of the MLEC grid is gathered by reference.
     pub(crate) fn reconstruct_one_from(
         &self,
         target: usize,
         helpers: &[(usize, &[u8])],
     ) -> Result<Vec<u8>, EcError> {
-        let n = self.total_shards();
-        if target >= n {
-            return Err(EcError::ShapeMismatch(format!(
-                "target shard {target} is outside the {n}-shard stripe"
-            )));
-        }
-        if helpers.len() < self.k {
-            return Err(EcError::TooManyErasures {
-                present: helpers.len(),
-                needed: self.k,
-            });
-        }
-        let (rows, inputs): (Vec<usize>, Vec<&[u8]>) = helpers[..self.k].iter().copied().unzip();
-        if let Some(i) = (1..rows.len()).find(|&i| rows[..i].contains(&rows[i])) {
-            return Err(EcError::ShapeMismatch(format!(
-                "helper shard {} is listed twice",
-                rows[i]
-            )));
-        }
-        let len = inputs[0].len();
-        if inputs.iter().any(|s| s.len() != len) {
+        let (rows, inputs): (Vec<usize>, Vec<&[u8]>) = helpers.iter().take(self.k).copied().unzip();
+        let plan = DecodePlan::new(&self.generator, &rows, vec![target])?;
+        if inputs.iter().any(|s| s.len() != inputs[0].len()) {
             return Err(EcError::ShapeMismatch(
                 "helper shards differ in length".into(),
             ));
         }
-        let inv = self
-            .generator
-            .select_rows(&rows)
+        Ok(plan.decode(&inputs).swap_remove(0))
+    }
+}
+
+/// One erasure pattern's decoder: the `targets` as one linear map of `k`
+/// `survivors`, the split tables of `G[targets] · inv(G[survivors])`. Every
+/// target, data or parity, comes from one [`dot_many_into`] pass over the
+/// same `k` inputs, into a buffer allocated once and written once. It
+/// decodes for [`ReedSolomon`], [`crate::MlecCodec`] and [`crate::Lrc`].
+pub(crate) struct DecodePlan {
+    /// The `k` shards the plan reads, in the order it takes their bytes.
+    survivors: Vec<usize>,
+    /// The shards it produces, in the order it returns them.
+    pub(crate) targets: Vec<usize>,
+    tables: Vec<NibbleTable>,
+}
+
+impl DecodePlan {
+    /// The plan producing `targets` from the first `k` of `survivors`, for
+    /// the code whose `n x k` generator is `generator`. The survivors are
+    /// shards of the stripe whose rows are independent: any distinct ones of
+    /// a Reed–Solomon code, ones chosen by rank for an LRC.
+    ///
+    /// # Errors
+    /// [`EcError::TooManyErasures`] for fewer than `k` survivors;
+    /// [`EcError::ShapeMismatch`] for a target outside the stripe or a
+    /// survivor listed twice.
+    pub(crate) fn new(
+        generator: &Matrix,
+        survivors: &[usize],
+        targets: Vec<usize>,
+    ) -> Result<DecodePlan, EcError> {
+        let (k, n) = (generator.cols(), generator.rows());
+        if let Some(t) = targets.iter().find(|&&t| t >= n) {
+            return Err(EcError::ShapeMismatch(format!(
+                "target shard {t} is outside the {n}-shard stripe"
+            )));
+        }
+        if survivors.len() < k {
+            return Err(EcError::TooManyErasures {
+                present: survivors.len(),
+                needed: k,
+            });
+        }
+        let survivors = survivors[..k].to_vec();
+        if let Some(i) = (1..k).find(|&i| survivors[..i].contains(&survivors[i])) {
+            return Err(EcError::ShapeMismatch(format!(
+                "helper shard {} is listed twice",
+                survivors[i]
+            )));
+        }
+        let inv = generator
+            .select_rows(&survivors)
             .invert()
-            .expect("any k distinct rows of an MDS generator are independent");
-        // Row of G for the target, composed with the inverse, gives the
-        // coefficients applying directly to the helper shards:
-        // coeff_h = sum_j target_row[j] * inv[j][h].
-        let target_row = self.generator.row(target);
-        let coeffs: Vec<u8> = (0..self.k)
-            .map(|h| {
-                let terms = target_row.iter().enumerate();
-                terms.fold(0, |c, (j, &t)| c ^ gf_mul(t, inv.get(j, h)))
-            })
-            .collect();
-        let mut out = vec![0u8; len];
-        dot_into(&coeffs, &inputs, &mut out);
-        Ok(out)
+            .expect("callers pick survivors with independent rows");
+        let composed = generator.select_rows(&targets).mul(&inv);
+        let tables = ReedSolomon::tables_of(&composed, 0..targets.len());
+        Ok(DecodePlan {
+            survivors,
+            targets,
+            tables,
+        })
+    }
+
+    /// The plan filling every absent shard of `present` from the first `k`
+    /// present ones.
+    pub(crate) fn for_erasures(
+        code: &ReedSolomon,
+        present: &[bool],
+    ) -> Result<DecodePlan, EcError> {
+        let (survivors, targets): (Vec<usize>, Vec<usize>) =
+            (0..present.len()).partition(|&i| present[i]);
+        DecodePlan::new(&code.generator, &survivors, targets)
+    }
+
+    /// Every target from the survivors' bytes, given in `survivors` order.
+    /// Panics unless they are `k` slices of one length.
+    fn decode(&self, inputs: &[&[u8]]) -> Vec<Vec<u8>> {
+        let len = inputs.first().map_or(0, |s| s.len());
+        let mut outs: Vec<Vec<u8>> = self.targets.iter().map(|_| vec![0u8; len]).collect();
+        let mut views: Vec<&mut [u8]> = outs.iter_mut().map(Vec::as_mut_slice).collect();
+        dot_many_into(&self.tables, inputs, &mut views);
+        outs
+    }
+
+    /// Decode the targets among `slots` (a stripe's own, or references
+    /// gathered from a grid) from the survivors there. Panics unless every
+    /// survivor's slot holds a shard, all of one length.
+    pub(crate) fn fill<S: BorrowMut<Option<Vec<u8>>>>(&self, slots: &mut [S]) {
+        let read = |&s: &usize| {
+            let slot: &Option<Vec<u8>> = slots[s].borrow();
+            slot.as_deref().expect("a plan reads present shards")
+        };
+        let outs = self.decode(&self.survivors.iter().map(read).collect::<Vec<_>>());
+        for (&t, out) in self.targets.iter().zip(outs) {
+            *slots[t].borrow_mut() = Some(out);
+        }
     }
 }
 

@@ -172,6 +172,72 @@ fn mlec_double_parity_commutes() {
     }
 }
 
+/// MLEC decode over random erasure patterns: `reconstruct` succeeds exactly
+/// when at most `p_n` rows have lost more than `p_l` chunks (leaving a
+/// refused grid as it was), and then equals `encode`; `read_degraded`
+/// returns every chunk of such a stripe; and every column of the repaired
+/// grid, local-parity columns included, is a network codeword.
+#[test]
+fn mlec_decodes_exactly_the_decodable_patterns() {
+    let mut decodable_cases = [0usize; 2];
+    for (kn, pn, kl, pl) in [(2, 1, 2, 1), (3, 2, 4, 2), (4, 2, 5, 3)] {
+        let codec = MlecCodec::new(kn, pn, kl, pl).unwrap();
+        for case in 0..CASES {
+            let mut r = case_rng(&format!("mlec-decode-{kn}+{pn}/{kl}+{pl}"), case);
+            let salt = r.next_u64();
+            let stripe = codec
+                .encode(&deterministic_data(kn * kl, 16, salt))
+                .unwrap();
+            let percent = in_range(&mut r, 5, 60) as u64;
+            let mut grid: Vec<Vec<Option<Vec<u8>>>> = stripe
+                .iter()
+                .map(|row| {
+                    row.iter()
+                        .map(|c| (r.next_u64() % 100 >= percent).then(|| c.clone()))
+                        .collect()
+                })
+                .collect();
+            if r.next_u64().is_multiple_of(3) {
+                let j = in_range(&mut r, 0, kn + pn);
+                grid[j].iter_mut().for_each(|c| *c = None);
+            }
+            let lost_rows = grid
+                .iter()
+                .filter(|row| row.iter().filter(|c| c.is_none()).count() > pl)
+                .count();
+            let decodable = lost_rows <= pn;
+            decodable_cases[usize::from(decodable)] += 1;
+
+            let mut repaired = grid.clone();
+            let result = codec.reconstruct(&mut repaired);
+            assert_eq!(result.is_ok(), decodable, "case {case}: {result:?}");
+            if !decodable {
+                assert_eq!(repaired, grid, "case {case}: a refused grid is untouched");
+                continue;
+            }
+            let repaired: Vec<Vec<Vec<u8>>> = repaired
+                .into_iter()
+                .map(|row| row.into_iter().map(Option::unwrap).collect())
+                .collect();
+            assert_eq!(repaired, stripe, "case {case}");
+            for i in 0..kl + pl {
+                let column: Vec<Vec<u8>> = repaired.iter().map(|row| row[i].clone()).collect();
+                assert!(codec.network().verify(&column).unwrap(), "column {i}");
+            }
+            for (j, row) in stripe.iter().enumerate() {
+                for (i, chunk) in row.iter().enumerate() {
+                    let (bytes, _) = codec.read_degraded(&grid, j, i).unwrap();
+                    assert_eq!(&bytes, chunk, "case {case}: chunk ({j}, {i})");
+                }
+            }
+        }
+    }
+    assert!(
+        decodable_cases.iter().all(|&n| n > 0),
+        "refused/decoded cases drawn: {decodable_cases:?}"
+    );
+}
+
 /// Erasures beyond p always error rather than fabricate data.
 #[test]
 fn rs_never_fabricates() {

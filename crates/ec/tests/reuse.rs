@@ -1,8 +1,9 @@
-//! Allocation counts of the two-level encoder, through a counting
+//! Allocation counts of the two-level codec, through a counting
 //! `#[global_allocator]` (hence a test binary of its own): `encode` makes
-//! exactly one chunk-sized allocation per chunk of the grid, and
-//! `encode_into` into a grid that already holds a stripe makes none. A count
-//! repeats exactly, so it can gate where a timing cannot.
+//! exactly one chunk-sized allocation per chunk of the grid, `encode_into`
+//! into a grid that already holds a stripe makes none, `reconstruct` makes
+//! one per missing chunk and `read_degraded` one for the chunk it returns.
+//! A count repeats exactly, so it can gate where a timing cannot.
 
 use mlec_ec::mlec::MlecStripe;
 use mlec_ec::MlecCodec;
@@ -90,4 +91,30 @@ fn encode_allocates_one_chunk_per_chunk_and_encode_into_reuses_them() {
     let regrown = chunk_sized_allocations(|| codec.encode_into(&stripes[0], &mut grid).unwrap());
     assert_eq!(regrown, (kl + pl) + (kn + pn - 1));
     assert_eq!(grid, codec.encode(&stripes[0]).unwrap());
+
+    // Row 1 is lost (four of six chunks) but kept its local parity (1, 5);
+    // row 3 lost one chunk. Decoding allocates each missing chunk once, and
+    // reading the lost row's parity chunk (1, 4) down its column allocates
+    // only that chunk.
+    let mut damaged: Vec<Vec<Option<Vec<u8>>>> = grid
+        .iter()
+        .map(|row| row.iter().cloned().map(Some).collect())
+        .collect();
+    let lost = [(1, 0), (1, 1), (1, 2), (1, 4), (3, 1)];
+    for (j, i) in lost {
+        damaged[j][i] = None;
+    }
+    let mut read = Vec::new();
+    let one = chunk_sized_allocations(|| read = codec.read_degraded(&damaged, 1, 4).unwrap().0);
+    assert_eq!(one, 1, "read_degraded of a lost row's parity chunk");
+    assert_eq!(read, grid[1][4]);
+    let decoded = chunk_sized_allocations(|| {
+        codec.reconstruct(&mut damaged).unwrap();
+    });
+    assert_eq!(decoded, lost.len(), "reconstruct: one per missing chunk");
+    let repaired: Vec<Vec<Vec<u8>>> = damaged
+        .into_iter()
+        .map(|row| row.into_iter().map(Option::unwrap).collect())
+        .collect();
+    assert_eq!(repaired, grid);
 }

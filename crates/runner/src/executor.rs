@@ -1,10 +1,14 @@
 //! The batched parallel executor.
 //!
 //! Trials are partitioned into fixed-size batches by trial index alone;
-//! worker threads claim batches from an atomic counter, accumulate each
-//! batch locally, and the round's batch accumulators merge in batch-index
-//! order. Stopping rules and checkpoints apply only at round boundaries
-//! (a round is a fixed number of batches). Consequences, by construction:
+//! worker threads, the calling thread among them, claim batches from an
+//! atomic counter and accumulate each batch locally, and the calling thread
+//! merges the batch accumulators in batch-index order. Stopping rules and
+//! checkpoints apply only at round boundaries (a round is a fixed number of
+//! batches). Only a run with a precision target waits for every worker at
+//! each boundary; a fixed budget is one pass whose workers never wait, and
+//! it still checkpoints the merged state at each boundary. Consequences, by
+//! construction:
 //!
 //! * results are bit-identical for any worker-thread count;
 //! * a resumed run continues at the recorded trial count with the same
@@ -13,6 +17,7 @@
 //! * adaptive stopping decisions are themselves deterministic, because
 //!   they observe only round-boundary states.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -216,6 +221,10 @@ pub fn run_with<T: Trial>(
     let resumed_trials = acc.trials();
 
     let threads = spec.effective_threads();
+    // Without a precision target no round boundary can stop the run, so the
+    // rest of the budget is one pass whose workers never wait; with one,
+    // every round is a pass and the stop rule sees the state between them.
+    let adaptive = spec.stop.target_rel_err.is_some() || spec.stop.target_ci_half_width.is_some();
     loop {
         let done = acc.trials();
         if done >= spec.stop.max_trials {
@@ -233,45 +242,68 @@ pub fn run_with<T: Trial>(
         // bit-identical; a ragged resume shifts the merge tree only (same
         // observations — seeds depend on the trial index alone).
         let max_batches = (spec.stop.max_trials - done).div_ceil(spec.batch_size);
-        let round_batches = spec.batches_per_round.min(max_batches);
+        let batches = if adaptive {
+            spec.batches_per_round.min(max_batches)
+        } else {
+            max_batches
+        };
 
-        let slots: Vec<Mutex<Option<T::Acc>>> =
-            (0..round_batches).map(|_| Mutex::new(None)).collect();
         let claim = AtomicU64::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(round_batches as usize) {
-                scope.spawn(|| loop {
-                    let slot = claim.fetch_add(1, Ordering::Relaxed);
-                    if slot >= round_batches {
-                        break;
-                    }
-                    let lo = done + slot * spec.batch_size;
-                    let hi = (lo + spec.batch_size).min(spec.stop.max_trials);
-                    let mut local = empty.clone();
-                    for index in lo..hi {
-                        trial.run(index, stream.trial_seed(index), &mut local);
-                    }
-                    *slots[slot as usize].lock().unwrap() = Some(local);
-                });
+        let finished = Mutex::new(BTreeMap::new());
+        // Claim and run one batch of the pass; false once none is left.
+        let work = || {
+            let _stop = StopOnPanic(&claim, batches);
+            let slot = claim.fetch_add(1, Ordering::Relaxed);
+            if slot >= batches {
+                return false;
             }
-        });
+            let lo = done + slot * spec.batch_size;
+            let hi = (lo + spec.batch_size).min(spec.stop.max_trials);
+            let mut local = empty.clone();
+            for index in lo..hi {
+                trial.run(index, stream.trial_seed(index), &mut local);
+            }
+            finished.lock().unwrap().insert(slot, local);
+            true
+        };
         // Merge in batch order: the only order-sensitive step, and it is
-        // fixed regardless of which thread ran which batch.
-        for slot in &slots {
-            let batch_acc = slot.lock().unwrap().take().expect("batch not run");
-            acc.merge(&batch_acc);
-        }
-
-        if let Some(manifest) = manifest.as_mut() {
-            let session_elapsed = start.elapsed().as_secs_f64();
-            let session_trials = acc.trials() - resumed_trials;
-            manifest.checkpoint(&Checkpoint {
-                trials: acc.trials(),
-                acc_state: acc.save(),
-                elapsed_s: prior_elapsed + session_elapsed,
-                trials_per_sec: session_trials as f64 / session_elapsed.max(1e-9),
-            })?;
-        }
+        // fixed regardless of which thread ran which batch. The calling
+        // thread merges between its own batches and after the pass, and
+        // checkpoints at every round boundary.
+        let mut merged = 0;
+        let mut merge_ready = |acc: &mut T::Acc| -> std::io::Result<()> {
+            loop {
+                let next = finished.lock().unwrap().remove(&merged);
+                let Some(batch) = next else { return Ok(()) };
+                acc.merge(&batch);
+                merged += 1;
+                let boundary = merged % spec.batches_per_round == 0 || merged == batches;
+                if let Some(manifest) = manifest.as_mut().filter(|_| boundary) {
+                    let session_elapsed = start.elapsed().as_secs_f64();
+                    let session_trials = acc.trials() - resumed_trials;
+                    manifest.checkpoint(&Checkpoint {
+                        trials: acc.trials(),
+                        acc_state: acc.save(),
+                        elapsed_s: prior_elapsed + session_elapsed,
+                        trials_per_sec: session_trials as f64 / session_elapsed.max(1e-9),
+                    })?;
+                }
+            }
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..threads.min(batches as usize) {
+                scope.spawn(|| while work() {});
+            }
+            while work() {
+                if let Err(e) = merge_ready(&mut acc) {
+                    // No other batch starts: the run has failed.
+                    claim.store(batches, Ordering::Relaxed);
+                    return Err(e);
+                }
+            }
+            Ok(())
+        })?;
+        merge_ready(&mut acc)?;
     }
 
     let elapsed_s = start.elapsed().as_secs_f64();
@@ -292,9 +324,22 @@ pub fn run_with<T: Trial>(
     })
 }
 
+/// Exhausts a pass's batch counter when a panicking worker drops it, so no
+/// other batch starts and the panic surfaces without waiting out the pass.
+struct StopOnPanic<'a>(&'a AtomicU64, u64);
+
+impl Drop for StopOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(self.1, Ordering::Relaxed);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
     use crate::rng::SplitMix64;
     use crate::trial::{FnTrial, HitTrial, MeanAcc};
 
@@ -467,6 +512,54 @@ mod tests {
         // partition, so the resumed run must equal a fresh one bit for bit.
         let fresh = run(&trial, &spec(200)).unwrap();
         assert_eq!(resumed.acc, fresh.acc);
+    }
+
+    #[test]
+    fn fixed_budget_checkpoints_every_round_on_any_thread_count() {
+        // A fixed budget is one pass with no barrier between its rounds; it
+        // still checkpoints the merged state at every round boundary, the
+        // same states whatever the thread count.
+        let dir = std::env::temp_dir().join("mlec-runner-exec-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let trial = noisy_mean_trial();
+        let checkpoints = |threads: usize| {
+            let path = dir.join(format!("rounds-{threads}.jsonl"));
+            let _ = std::fs::remove_file(&path);
+            let spec = RunSpec::new("exec/rounds", 4, StopRule::fixed(1100))
+                .batches_per_round(4)
+                .threads(threads)
+                .manifest(&path);
+            run(&trial, &spec).unwrap();
+            let text = std::fs::read_to_string(&path).unwrap();
+            text.lines()
+                .map(|line| Json::parse(line).unwrap())
+                .filter(|line| line.get("kind").and_then(Json::as_str) == Some("checkpoint"))
+                .map(|cp| {
+                    let trials = cp.get("trials").and_then(Json::as_u64).unwrap();
+                    (trials, cp.get("acc").unwrap().to_string_compact())
+                })
+                .collect::<Vec<_>>()
+        };
+        let one = checkpoints(1);
+        let trials: Vec<u64> = one.iter().map(|&(trials, _)| trials).collect();
+        assert_eq!(trials, [256, 512, 768, 1024, 1100]);
+        assert_eq!(checkpoints(3), one);
+    }
+
+    #[test]
+    fn a_panicking_trial_stops_the_pass() {
+        // The panic surfaces once the batches already running end (and the
+        // panic hook has printed), not after the rest of a ~30 s budget.
+        static RUN: AtomicU64 = AtomicU64::new(0);
+        let trial = FnTrial(|_| {
+            assert_ne!(RUN.fetch_add(1, Ordering::Relaxed), 100, "trial 100 fails");
+            std::thread::sleep(std::time::Duration::from_micros(20));
+            0.0
+        });
+        let spec = RunSpec::new("exec/panic", 1, StopRule::fixed(1_000_000)).threads(2);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&trial, &spec)));
+        assert!(outcome.is_err());
+        assert!(RUN.load(Ordering::Relaxed) < 100_000, "{RUN:?} trials ran");
     }
 
     #[test]
