@@ -144,18 +144,16 @@ fn strategy_repair_rates_match_occupancy_chain() {
 
         let injected = inject_catastrophic(&dep);
         let rall_traffic = RepairMethod::All
-            .strategy()
             .plan(&dep, &injected)
             .cross_rack_traffic_tb;
         for method in RepairMethod::EXTENDED {
-            let strategy = method.strategy();
-            let plan = strategy.plan(&dep, &injected);
+            let plan = method.plan(&dep, &injected);
             let t_s = plan.network_time_h;
 
             let trial = SystemTrial {
                 dep: &dep,
                 model: &model,
-                strategy,
+                strategy: method,
                 years: 1.0,
                 opts: SystemSimOptions::default(),
                 event_log: None,

@@ -573,6 +573,35 @@ fn malformed_value_exits_2() {
 }
 
 #[test]
+fn method_list_mixes_groups_and_labels() {
+    // Each comma-separated entry is a group (`paper`, `all`, any case,
+    // expanded in place) or a label; these three used to exit 2 with the
+    // group word suggested back as its own correction.
+    let dir = scratch("fig08-methods");
+    let out_arg = format!("out={}", dir.display());
+    for (method, want) in [
+        ("paper,R_LAYER", "R_ALL R_FCO R_HYB R_MIN R_LAYER"),
+        ("PAPER", "R_ALL R_FCO R_HYB R_MIN"),
+        ("All", "R_ALL R_FCO R_HYB R_MIN R_LAYER R_PIGGY"),
+    ] {
+        let out = mlec(&["run", "fig08", &format!("method={method}"), &out_arg]);
+        assert_eq!(status(&out), 0, "{method}: {}", stderr(&out));
+        let mut seen: Vec<String> = Vec::new();
+        for word in stdout(&out).split_whitespace() {
+            if word.starts_with("R_") && !seen.iter().any(|s| s == word) {
+                seen.push(word.to_string());
+            }
+        }
+        assert_eq!(seen.join(" "), want, "{method}");
+    }
+    let out = mlec(&["run", "fig08", "method=R_NOPE", &out_arg]);
+    assert_eq!(status(&out), 2);
+    let err = stderr(&out);
+    assert!(err.contains("invalid value `R_NOPE` for `method`"), "{err}");
+    assert!(err.contains("hint: `mlec info fig08`"), "{err}");
+}
+
+#[test]
 fn unsupported_mode_exits_2() {
     let out = mlec(&["run", "fig06", "mode=sim"]);
     assert_eq!(status(&out), 2);

@@ -473,15 +473,10 @@ pub struct RepairMethodCell {
     pub local_time_h: f64,
 }
 
-/// Fig 8 + Fig 9: repair traffic and times for the paper's methods ×
-/// schemes (the exact paper reproduction).
-pub fn fig8_fig9_repair_methods() -> Vec<RepairMethodCell> {
-    fig8_fig9_repair_methods_for(&RepairMethod::PAPER)
-}
-
-/// [`fig8_fig9_repair_methods`] for an explicit method list (the `method=`
-/// registry parameter; includes the beyond-the-paper strategies).
-pub fn fig8_fig9_repair_methods_for(methods: &[RepairMethod]) -> Vec<RepairMethodCell> {
+/// Fig 8 + Fig 9: repair traffic and times for `methods` × schemes
+/// (`&RepairMethod::PAPER` is the exact paper reproduction; the `method=`
+/// registry parameter may add the beyond-the-paper methods).
+pub fn fig8_fig9_repair_methods(methods: &[RepairMethod]) -> Vec<RepairMethodCell> {
     let mut out = Vec::new();
     for scheme in MlecScheme::ALL {
         let dep = paper_deployment(scheme);
@@ -548,7 +543,7 @@ pub fn fig8_fig9_repair_methods_sim(
             let trial = mlec_sim::trials::SystemTrial {
                 dep: &dep,
                 model: &model,
-                strategy: method.strategy(),
+                strategy: method,
                 years: years_per_trial,
                 opts: mlec_sim::system_sim::SystemSimOptions::default(),
                 event_log: None,
@@ -1159,7 +1154,7 @@ mod tests {
 
     #[test]
     fn fig8_matrix_shape_and_headline_cells() {
-        let cells = fig8_fig9_repair_methods();
+        let cells = fig8_fig9_repair_methods(&RepairMethod::PAPER);
         assert_eq!(cells.len(), 16);
         let rall_cd = cells
             .iter()

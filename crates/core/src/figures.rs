@@ -13,8 +13,8 @@ use crate::experiments::{
     fig10_durability, fig10_durability_sim, fig11_encoding_throughput, fig12_mlec_vs_slec,
     fig12_mlec_vs_slec_sim, fig13_slec_burst_with, fig15_mlec_vs_lrc, fig15_mlec_vs_lrc_sim,
     fig16_lrc_burst_with, fig5_mlec_burst_with, fig7_catastrophic_prob, fig7_catastrophic_prob_sim,
-    fig8_fig9_repair_methods, fig8_fig9_repair_methods_for, fig8_fig9_repair_methods_sim,
-    repair_traffic_comparison, table2_and_fig6, HeatmapRunOpts, HeatmapSpec, RepairMethodSimCell,
+    fig8_fig9_repair_methods, fig8_fig9_repair_methods_sim, repair_traffic_comparison,
+    table2_and_fig6, HeatmapRunOpts, HeatmapSpec, RepairMethodSimCell,
 };
 use crate::figdata;
 use crate::registry::{
@@ -531,7 +531,7 @@ fn run_fig08(
     }
     let methods = parse_methods(&p.method)?;
     let mut out = ExperimentOutput::new();
-    let cells = fig8_fig9_repair_methods_for(&methods);
+    let cells = fig8_fig9_repair_methods(&methods);
     let table = method_by_scheme_table(
         &methods,
         &cells,
@@ -599,7 +599,7 @@ fn run_fig09(
     }
     let methods = parse_methods(&p.method)?;
     let mut out = ExperimentOutput::new();
-    let cells = fig8_fig9_repair_methods_for(&methods);
+    let cells = fig8_fig9_repair_methods(&methods);
     let rows: Vec<Vec<String>> = cells
         .iter()
         .map(|c| {
@@ -659,19 +659,21 @@ fn repair_methods_sim_campaign(
     Ok((cells, out))
 }
 
-/// Parse the `method=` parameter of fig08/fig09: `paper` (the four §2.4
-/// methods), `all` (paper plus `R_LAYER`/`R_PIGGY`), or a comma-separated
-/// list of labels (case-insensitive, deduplicated, order preserved).
+/// Parse the `method=` parameter of fig08/fig09: a comma-separated list
+/// whose every entry is a group — `paper` (the four §2.4 methods) or `all`
+/// (paper plus `R_LAYER`/`R_PIGGY`), expanded in place — or a label. Both
+/// are case-insensitive; the result is deduplicated, order preserved.
 /// Unknown labels get a `suggest_among` did-you-mean hint.
 fn parse_methods(raw: &str) -> Result<Vec<RepairMethod>, ExperimentError> {
-    match raw {
-        "paper" => return Ok(RepairMethod::PAPER.to_vec()),
-        "all" => return Ok(RepairMethod::EXTENDED.to_vec()),
-        _ => {}
-    }
     let mut methods: Vec<RepairMethod> = Vec::new();
     for label in raw.split(',').map(str::trim).filter(|l| !l.is_empty()) {
-        let Some(method) = RepairMethod::parse(label) else {
+        let group: &[RepairMethod] = if label.eq_ignore_ascii_case("paper") {
+            &RepairMethod::PAPER
+        } else if label.eq_ignore_ascii_case("all") {
+            &RepairMethod::EXTENDED
+        } else if let Some(method) = RepairMethod::parse(label) {
+            &[method]
+        } else {
             let mut candidates: Vec<&str> = RepairMethod::EXTENDED
                 .iter()
                 .map(mlec_sim::RepairMethod::name)
@@ -690,8 +692,10 @@ fn parse_methods(raw: &str) -> Result<Vec<RepairMethod>, ExperimentError> {
                 ),
             });
         };
-        if !methods.contains(&method) {
-            methods.push(method);
+        for &method in group {
+            if !methods.contains(&method) {
+                methods.push(method);
+            }
         }
     }
     if methods.is_empty() {
@@ -1450,7 +1454,7 @@ fn run_paper_summary(
         format!("{:.5}%/yr", p("C/D") * 100.0),
     );
 
-    let f8 = fig8_fig9_repair_methods();
+    let f8 = fig8_fig9_repair_methods(&RepairMethod::PAPER);
     let traffic_of = |s: &str, m: &str| {
         f8.iter()
             .find(|c| c.scheme == s && c.method == m)
@@ -1660,7 +1664,7 @@ fn run_validation(
         let trial = SystemTrial {
             dep: &dep,
             model: &model,
-            strategy: RepairMethod::Fco.strategy(),
+            strategy: RepairMethod::Fco,
             years,
             opts: SystemSimOptions::default(),
             event_log: None,

@@ -16,12 +16,10 @@
 //! - [`census`]: the stripe-census model for declustered pools — expected
 //!   stripe counts by failure multiplicity, updated on failure/repair events
 //!   (this is what lets us track 10^9 stripes without materializing them).
-//! - [`repair`]: repair-method selectors (`R_ALL` / `R_FCO` / `R_HYB` /
-//!   `R_MIN` plus the beyond-the-paper `R_LAYER` / `R_PIGGY`) with
-//!   cross-rack traffic and network/local repair-time accounting (Fig 8, 9).
-//! - [`strategy`]: the pluggable [`strategy::RepairStrategy`] trait layer
-//!   that owns each method's volume split and staged accounting; the paper's
-//!   four are bit-exact ports, and layered/piggybacked repair plug in here.
+//! - [`repair`]: the one repair type, [`RepairMethod`] (`R_ALL` / `R_FCO` /
+//!   `R_HYB` / `R_MIN` plus the beyond-the-paper `R_LAYER` / `R_PIGGY`):
+//!   each method's volume split and the shared cross-rack traffic and
+//!   network/local repair-time accounting (Fig 8, 9).
 //! - [`importance`]: forced-failure importance sampling — state-dependent
 //!   rate multipliers with exact likelihood-ratio weights, so `pool_sim`
 //!   observes catastrophes at the paper's true 1% AFR.
@@ -48,7 +46,6 @@ pub mod importance;
 pub mod kernel;
 pub mod pool_sim;
 pub mod repair;
-pub mod strategy;
 pub mod system_sim;
 pub mod trace;
 pub mod traffic;
@@ -56,4 +53,3 @@ pub mod trials;
 
 pub use config::SimConfig;
 pub use repair::RepairMethod;
-pub use strategy::{RepairStrategy, STRATEGIES};

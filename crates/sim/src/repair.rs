@@ -10,18 +10,37 @@
 //! - *cross-rack traffic*: `wire volume × (k_n reads + 1 write)`;
 //! - times from the Table 2 bandwidth model.
 //!
-//! [`RepairMethod`] is the lightweight `Copy` selector used by the CLI and
-//! the figure registry; the accounting itself lives in the pluggable
-//! [`crate::strategy::RepairStrategy`] layer, to which everything here
-//! delegates.
+//! [`RepairMethod`] is the one repair type: a closed set of six methods.
+//! Each method differs only in how it splits one repair's volume
+//! (`RepairMethod::split`, one `match`); [`RepairMethod::plan`] turns any
+//! split into traffic and staged times through one shared tail.
+//!
+//! Beyond the paper's four, two traffic-reduced methods:
+//!
+//! - `R_LAYER` — repair layering à la Hu et al. ("Optimal Repair Layering
+//!   for Erasure-Coded Data Centers"): surviving chunks of a lost stripe are
+//!   gathered *within* each layer (rack) and only the minimal decoded
+//!   partial crosses the rack boundary; the rest of the lost stripe is
+//!   re-expanded locally, while recoverable failed chunks stream directly
+//!   (R_FCO-style) so no local rebuild of them is needed. On clustered
+//!   local placement every stripe is lost, so `R_LAYER` degenerates to
+//!   `R_MIN`'s traffic.
+//! - `R_PIGGY` — piggybacked sub-stripe scheduling in the spirit of
+//!   Rashmi et al.'s Facebook-warehouse study: the repair of a lost chunk is
+//!   split into `f` sub-stripes and companion reads are piggybacked so only
+//!   a `γ = 1/2 + 1/(2f)` fraction of the helper bytes crosses racks, at
+//!   the cost of `(1 − γ) · k_n` same-rack reads per rebuilt byte.
+//!   Recoverable failed chunks stream at full wire volume; there is no
+//!   local phase.
 
+use crate::bandwidth::{catastrophic_pool_repair_bw, local_repair_bw, time_to_move};
 use crate::census::prob_cover_all;
 use crate::config::MlecDeployment;
 use mlec_topology::Placement;
 use mlec_units::Volume;
 
-/// Repair-method selectors: the paper's four (§2.4) plus the two
-/// beyond-the-paper strategies layered on the [`crate::strategy`] seam.
+/// Repair methods: the paper's four (§2.4) plus the two beyond-the-paper
+/// methods `R_LAYER` and `R_PIGGY`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RepairMethod {
     /// `R_ALL`: rebuild the entire local pool over the network. Black-box
@@ -54,8 +73,8 @@ impl RepairMethod {
         RepairMethod::Min,
     ];
 
-    /// Every selector, paper methods first, then the beyond-the-paper
-    /// strategies (`R_LAYER`, `R_PIGGY`).
+    /// Every method, paper methods first, then the beyond-the-paper
+    /// `R_LAYER` and `R_PIGGY`.
     pub const EXTENDED: [RepairMethod; 6] = [
         RepairMethod::All,
         RepairMethod::Fco,
@@ -89,7 +108,103 @@ impl RepairMethod {
     /// chunk knowledge lets the system survive `p_n + 1` catastrophic pools
     /// with no actually-lost network stripe.
     pub fn has_chunk_knowledge(&self) -> bool {
-        self.strategy().has_chunk_knowledge()
+        *self != RepairMethod::All
+    }
+
+    /// Identity. Only `benchmark/src/campaign.rs` calls it, to fill
+    /// `SystemTrial::strategy`; no workspace code does.
+    #[doc(hidden)]
+    pub fn strategy(self) -> RepairMethod {
+        self
+    }
+
+    /// The method's volume split of one catastrophic-pool repair.
+    fn split(self, dep: &MlecDeployment, injected: &InjectedFailure) -> RepairSplit {
+        match self {
+            RepairMethod::All => {
+                let pool_capacity = Volume::from_tb(dep.local_pools().pool_capacity_tb());
+                full_wire(pool_capacity, Volume::ZERO, 0)
+            }
+            RepairMethod::Fco => full_wire(injected.failed_volume, Volume::ZERO, 0),
+            RepairMethod::Hyb => full_wire(
+                injected.lost_chunk_volume,
+                injected.failed_volume - injected.lost_chunk_volume,
+                1,
+            ),
+            RepairMethod::Min => {
+                let network = min_stage1_network(dep, injected);
+                full_wire(
+                    network,
+                    injected.failed_volume - network,
+                    dep.params.local.p as u32,
+                )
+            }
+            RepairMethod::Layer => {
+                let kn = dep.params.network.k as f64;
+                // Aggregated partials for lost stripes: the minimal
+                // decode-across volume, produced by in-rack gather of the
+                // k_n helper reads.
+                let aggregated = min_stage1_network(dep, injected);
+                // Recoverable failed chunks ship directly (their stripes
+                // still have ≤ p_l failures, but streaming them network-side
+                // frees the local repairer for the lost-stripe re-expansion).
+                let direct = injected.failed_volume - injected.lost_chunk_volume;
+                let network = aggregated + direct;
+                RepairSplit {
+                    network_volume: network,
+                    wire_volume: network,
+                    local_volume: injected.lost_chunk_volume - aggregated,
+                    local_chunks_per_stripe: dep.params.local.p as u32,
+                    // The in-rack gather still reads k_n helper bytes per
+                    // aggregated byte; they just never cross a rack boundary.
+                    local_read_extra: aggregated * kn,
+                }
+            }
+            RepairMethod::Piggy => {
+                let kn = dep.params.network.k as f64;
+                let f = injected.failed_disks as f64;
+                // Piggyback savings factor over the lost-chunk helper
+                // traffic: γ = 1/2 + 1/(2f) of the helper bytes still cross
+                // racks. With the injected f = p_l + 1 failures this is
+                // always ≥ 1/f, so R_PIGGY never undercuts R_MIN's minimal
+                // decode volume.
+                let gamma = 0.5 + 1.0 / (2.0 * f);
+                let direct = injected.failed_volume - injected.lost_chunk_volume;
+                let wire = gamma * injected.lost_chunk_volume + direct;
+                RepairSplit {
+                    network_volume: injected.failed_volume,
+                    wire_volume: wire,
+                    local_volume: Volume::ZERO,
+                    local_chunks_per_stripe: 0,
+                    local_read_extra: (1.0 - gamma) * kn * injected.lost_chunk_volume,
+                }
+            }
+        }
+    }
+
+    /// The full repair plan for the given failure census: the method's
+    /// volume split, then the shared accounting tail — `k_n` helper reads
+    /// plus one rebuilt-chunk write per wire byte, and staged times under
+    /// the Table 2 bandwidth model.
+    pub fn plan(self, dep: &MlecDeployment, injected: &InjectedFailure) -> CatastrophicRepairPlan {
+        let split = self.split(dep, injected);
+        let cross_rack_traffic = split.wire_volume * (dep.params.network.k as f64 + 1.0);
+        let network_time = dep.config.detection()
+            + time_to_move(split.wire_volume, catastrophic_pool_repair_bw(dep));
+        let local_bw = local_repair_bw(
+            dep,
+            split.local_chunks_per_stripe.max(1),
+            injected.failed_disks,
+        );
+        let local_time = time_to_move(split.local_volume, local_bw);
+        CatastrophicRepairPlan {
+            network_volume_tb: split.network_volume.to_tb(),
+            local_volume_tb: split.local_volume.to_tb(),
+            cross_rack_traffic_tb: cross_rack_traffic.to_tb(),
+            network_time_h: network_time.to_hours(),
+            local_time_h: local_time.to_hours(),
+            local_read_extra_tb: split.local_read_extra.to_tb(),
+        }
     }
 }
 
@@ -101,11 +216,11 @@ impl std::fmt::Display for RepairMethod {
 
 /// Volumes and timings of one catastrophic-pool repair.
 ///
-/// This is the *rendering boundary* of the strategy layer: the fields are
+/// This is the *rendering boundary* of the repair model: the fields are
 /// suffixed `f64`s (not [`Volume`]/[`mlec_units::Duration`] newtypes) because
 /// the plan feeds straight into figure JSON and CLI tables. All arithmetic that
 /// produces these numbers happens in typed quantities inside
-/// [`crate::strategy::RepairStrategy::plan`].
+/// [`RepairMethod::plan`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CatastrophicRepairPlan {
     /// Bytes (TB) reconstructed via network-level parity.
@@ -113,7 +228,7 @@ pub struct CatastrophicRepairPlan {
     /// Bytes (TB) reconstructed by the local repairer.
     pub local_volume_tb: f64,
     /// Cross-rack bytes moved: `wire volume * (k_n + 1)`. The wire volume
-    /// equals the network volume for every strategy that ships full helper
+    /// equals the network volume for every method that ships full helper
     /// chunks; piggybacked schedules move less.
     pub cross_rack_traffic_tb: f64,
     /// Network-phase repair time, hours (includes detection).
@@ -170,17 +285,60 @@ pub fn inject_catastrophic(dep: &MlecDeployment) -> InjectedFailure {
     }
 }
 
-/// Plan a catastrophic-pool repair under the given method (Fig 8 / Fig 9).
-///
-/// Convenience wrapper over the strategy layer: computes the census and
-/// delegates to [`RepairMethod::strategy`]'s
-/// [`plan`](crate::strategy::RepairStrategy::plan).
+/// Plan a catastrophic-pool repair under the given method (Fig 8 / Fig 9):
+/// [`RepairMethod::plan`] over the [`inject_catastrophic`] census.
 pub fn plan_catastrophic_repair(
     dep: &MlecDeployment,
     method: RepairMethod,
 ) -> CatastrophicRepairPlan {
     let injected = inject_catastrophic(dep);
-    method.strategy().plan(dep, &injected)
+    method.plan(dep, &injected)
+}
+
+/// The volume split a method assigns to one catastrophic-pool repair;
+/// [`RepairMethod::plan`] derives traffic and times from it.
+struct RepairSplit {
+    /// Bytes reconstructed via network-level parity.
+    network_volume: Volume,
+    /// Bytes that cross rack boundaries per `(k_n reads + 1 write)`
+    /// accounting unit. Equal to `network_volume` for every method that
+    /// ships full helper chunks (the four paper methods and `R_LAYER`);
+    /// smaller for piggybacked schedules.
+    wire_volume: Volume,
+    /// Bytes reconstructed by the local repairer.
+    local_volume: Volume,
+    /// Failed chunks per stripe the local repairer rebuilds (drives the
+    /// Table 2 local-bandwidth model; `0` means "no local phase").
+    local_chunks_per_stripe: u32,
+    /// Extra same-rack companion reads (beyond the cross-rack helper
+    /// bytes) the method spends to reduce wire volume. Zero for the
+    /// four paper methods.
+    local_read_extra: Volume,
+}
+
+/// A split where every helper byte crosses racks (paper methods).
+fn full_wire(
+    network_volume: Volume,
+    local_volume: Volume,
+    local_chunks_per_stripe: u32,
+) -> RepairSplit {
+    RepairSplit {
+        network_volume,
+        wire_volume: network_volume,
+        local_volume,
+        local_chunks_per_stripe,
+        local_read_extra: Volume::ZERO,
+    }
+}
+
+/// `R_MIN`'s stage-1 network volume: the minimal decode-across bytes that
+/// make every lost stripe locally recoverable (`f − p_l` chunks per lost
+/// stripe). Shared by `R_MIN` and `R_LAYER`.
+fn min_stage1_network(dep: &MlecDeployment, injected: &InjectedFailure) -> Volume {
+    let chunk = Volume::from_kb(dep.geometry.chunk_kb);
+    let pl = dep.params.local.p as f64;
+    let per_stripe = (injected.failed_disks as f64 - pl).max(0.0);
+    injected.lost_stripes * per_stripe * chunk
 }
 
 #[cfg(test)]
@@ -332,5 +490,84 @@ mod tests {
             );
         }
         assert_eq!(RepairMethod::parse("R_NOPE"), None);
+    }
+
+    #[test]
+    fn layer_traffic_between_min_and_fco() {
+        for scheme in MlecScheme::ALL {
+            let dep = dep(scheme);
+            let min = plan_catastrophic_repair(&dep, RepairMethod::Min);
+            let fco = plan_catastrophic_repair(&dep, RepairMethod::Fco);
+            let layer = plan_catastrophic_repair(&dep, RepairMethod::Layer);
+            assert!(
+                layer.cross_rack_traffic_tb >= min.cross_rack_traffic_tb,
+                "{scheme}"
+            );
+            assert!(
+                layer.cross_rack_traffic_tb < fco.cross_rack_traffic_tb + 1e-9,
+                "{scheme}"
+            );
+        }
+        // Clustered locals: every stripe is lost, so R_LAYER degenerates to
+        // R_MIN's wire volume — 220 TB on C/C (paper Fig 8 scale).
+        let cc = plan_catastrophic_repair(&dep(MlecScheme::CC), RepairMethod::Layer);
+        assert!((cc.cross_rack_traffic_tb - 220.0).abs() < 0.5);
+    }
+
+    #[test]
+    fn piggy_traffic_gamma_of_fco() {
+        // On C/C everything is lost-chunk volume: wire = γ · 80 TB with
+        // γ = 1/2 + 1/(2·4) = 0.625 → 550 TB of cross-rack traffic.
+        let cc = plan_catastrophic_repair(&dep(MlecScheme::CC), RepairMethod::Piggy);
+        assert!((cc.cross_rack_traffic_tb - 550.0).abs() < 0.5);
+        // And the shed helper bytes show up as same-rack companion reads.
+        assert!(cc.local_read_extra_tb > 0.0);
+        assert!((cc.local_read_extra_tb - 0.375 * 10.0 * 80.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn new_strategies_strictly_beat_rall_on_paper_deployments() {
+        for scheme in MlecScheme::ALL {
+            let dep = dep(scheme);
+            let all = plan_catastrophic_repair(&dep, RepairMethod::All);
+            for method in [RepairMethod::Layer, RepairMethod::Piggy] {
+                let plan = plan_catastrophic_repair(&dep, method);
+                assert!(
+                    plan.cross_rack_traffic_tb < all.cross_rack_traffic_tb,
+                    "{scheme} {method}: {} !< {}",
+                    plan.cross_rack_traffic_tb,
+                    all.cross_rack_traffic_tb
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn new_strategies_conserve_failed_volume() {
+        for scheme in MlecScheme::ALL {
+            let dep = dep(scheme);
+            let injected = inject_catastrophic(&dep);
+            for method in [RepairMethod::Layer, RepairMethod::Piggy] {
+                let plan = plan_catastrophic_repair(&dep, method);
+                let total = plan.network_volume_tb + plan.local_volume_tb;
+                assert!(
+                    (total - injected.failed_volume.to_tb()).abs() < 1e-6,
+                    "{scheme} {method}: {total}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn piggy_network_time_below_fco() {
+        // Fewer wire bytes through the same bottleneck: the network phase
+        // finishes sooner than R_FCO on every paper deployment.
+        for scheme in MlecScheme::ALL {
+            let dep = dep(scheme);
+            let fco = plan_catastrophic_repair(&dep, RepairMethod::Fco);
+            let piggy = plan_catastrophic_repair(&dep, RepairMethod::Piggy);
+            assert!(piggy.network_time_h < fco.network_time_h, "{scheme}");
+            assert!(piggy.local_time_h == 0.0, "{scheme}");
+        }
     }
 }

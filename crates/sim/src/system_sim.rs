@@ -36,7 +36,6 @@ use crate::kernel::{
 };
 use crate::pool_sim::{ClusteredParams, ClusteredPolicy, DeclusteredParams, DeclusteredPolicy};
 use crate::repair::{inject_catastrophic, RepairMethod};
-use crate::strategy::RepairStrategy;
 use mlec_topology::Placement;
 use std::collections::BTreeMap;
 
@@ -83,7 +82,7 @@ pub struct SystemSimOptions {
 /// What a mission fixes before its first event.
 struct Mission<'a> {
     dep: &'a MlecDeployment,
-    strategy: &'a dyn RepairStrategy,
+    method: RepairMethod,
     years: f64,
     seed: u64,
     opts: SystemSimOptions,
@@ -101,7 +100,7 @@ pub fn simulate_system_trace(
 ) -> SystemSimResult {
     let mission = Mission {
         dep,
-        strategy: method.strategy(),
+        method,
         years: (trace.span_h() / HOURS_PER_YEAR).max(f64::MIN_POSITIVE),
         seed,
         opts: SystemSimOptions::default(),
@@ -126,7 +125,7 @@ pub fn simulate_system_opts(
     simulate_system_observed(
         dep,
         failure_model,
-        method.strategy(),
+        method,
         years,
         seed,
         opts,
@@ -134,15 +133,14 @@ pub fn simulate_system_opts(
     )
 }
 
-/// [`simulate_system_opts`] with a [`SimObserver`] attached and the repair
-/// behaviour supplied as a [`RepairStrategy`] object: per-event
+/// [`simulate_system_opts`] with a [`SimObserver`] attached: per-event
 /// callbacks for disk failures, catastrophic pools, network-repair
 /// completions, and data-loss events, plus degraded-interval accounting of
 /// each pool's network-repair sojourn.
 pub fn simulate_system_observed<O: SimObserver>(
     dep: &MlecDeployment,
     failure_model: &FailureModel,
-    strategy: &dyn RepairStrategy,
+    method: RepairMethod,
     years: f64,
     seed: u64,
     opts: SystemSimOptions,
@@ -154,7 +152,7 @@ pub fn simulate_system_observed<O: SimObserver>(
     };
     let mission = Mission {
         dep,
-        strategy,
+        method,
         years,
         seed,
         opts,
@@ -233,7 +231,7 @@ fn run_pools<P: PoolPolicy, O: SimObserver>(
 ) -> SystemSimResult {
     let &Mission {
         dep,
-        strategy,
+        method,
         years,
         seed,
         opts,
@@ -252,11 +250,11 @@ fn run_pools<P: PoolPolicy, O: SimObserver>(
     let pn1 = dep.params.network.p as u32 + 1;
     let horizon = kernel.horizon();
 
-    // Repair plan for the configured strategy (identical for every pool).
+    // Repair plan for the configured method (identical for every pool).
     let injected = inject_catastrophic(dep);
-    let plan = strategy.plan(dep, &injected);
+    let plan = method.plan(dep, &injected);
     let sojourn_h = plan.network_time_h;
-    let lost_frac = if strategy.has_chunk_knowledge() {
+    let lost_frac = if method.has_chunk_knowledge() {
         (injected.lost_stripes / injected.total_stripes).min(1.0)
     } else {
         1.0

@@ -13,8 +13,7 @@
 //! are unrepresentable.
 
 use crate::config::{MlecDeployment, SimConfig};
-use crate::repair::{inject_catastrophic, RepairMethod};
-use crate::strategy::RepairStrategy;
+use crate::repair::{plan_catastrophic_repair, RepairMethod};
 use mlec_ec::LrcParams;
 use mlec_topology::Geometry;
 use mlec_units::{Rate, Volume};
@@ -55,19 +54,7 @@ pub fn mlec_yearly_traffic(
     method: RepairMethod,
     catastrophic_rate: Rate,
 ) -> Volume {
-    mlec_yearly_traffic_strategy(dep, method.strategy(), catastrophic_rate)
-}
-
-/// [`mlec_yearly_traffic`] with the repair behaviour supplied as a
-/// [`RepairStrategy`] object (pluggable strategies, e.g. from
-/// [`crate::strategy::STRATEGIES`]).
-pub fn mlec_yearly_traffic_strategy(
-    dep: &MlecDeployment,
-    strategy: &dyn RepairStrategy,
-    catastrophic_rate: Rate,
-) -> Volume {
-    let injected = inject_catastrophic(dep);
-    let per_event = Volume::from_tb(strategy.plan(dep, &injected).cross_rack_traffic_tb);
+    let per_event = Volume::from_tb(plan_catastrophic_repair(dep, method).cross_rack_traffic_tb);
     catastrophic_rate.to_per_year() * per_event
 }
 

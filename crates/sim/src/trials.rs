@@ -12,7 +12,7 @@ use crate::failure::FailureModel;
 use crate::importance::FailureBias;
 use crate::kernel::SimObserver;
 use crate::pool_sim::{simulate_pool_observed, PoolSimResult};
-use crate::strategy::RepairStrategy;
+use crate::repair::RepairMethod;
 use crate::system_sim::{simulate_system_observed, SystemSimOptions};
 use mlec_runner::{
     Accumulator, Json, Proportion, Summary, Trial, WeightedRate, WeightedWelford, Welford,
@@ -350,9 +350,8 @@ impl Accumulator for PoolAcc {
 pub struct SystemTrial<'a> {
     pub dep: &'a MlecDeployment,
     pub model: &'a FailureModel,
-    /// Catastrophic-repair behaviour for the mission; use
-    /// [`crate::RepairMethod::strategy`] to select a built-in one.
-    pub strategy: &'a dyn RepairStrategy,
+    /// Catastrophic-repair method for the mission.
+    pub strategy: RepairMethod,
     pub years: f64,
     pub opts: SystemSimOptions,
     /// Optional per-trial JSONL event log (`None` = no logging; the
@@ -619,7 +618,7 @@ mod tests {
         let trial = SystemTrial {
             dep: &dep,
             model: &model,
-            strategy: crate::RepairMethod::Fco.strategy(),
+            strategy: RepairMethod::Fco,
             years: 0.5,
             opts: SystemSimOptions::default(),
             event_log: None,

@@ -66,11 +66,10 @@ fn strategies_stay_inside_traffic_envelope_and_conserve_volume() {
                 let injected = inject_catastrophic(&dep);
                 let ctx = format!("case {case} variant {variant} {scheme} {params:?}");
 
-                let all = RepairMethod::All.strategy().plan(&dep, &injected);
-                let min = RepairMethod::Min.strategy().plan(&dep, &injected);
+                let all = RepairMethod::All.plan(&dep, &injected);
+                let min = RepairMethod::Min.plan(&dep, &injected);
                 for method in RepairMethod::EXTENDED {
-                    let strategy = method.strategy();
-                    let plan = strategy.plan(&dep, &injected);
+                    let plan = method.plan(&dep, &injected);
 
                     // Every field is finite and non-negative (up to the
                     // census's float noise, ~1e-15 of the failed volume);
@@ -106,7 +105,7 @@ fn strategies_stay_inside_traffic_envelope_and_conserve_volume() {
 
                     // Chunk-aware strategies repair exactly the failed bytes:
                     // the network/local split conserves the injected volume.
-                    if strategy.has_chunk_knowledge() {
+                    if method.has_chunk_knowledge() {
                         let total = plan.network_volume_tb + plan.local_volume_tb;
                         assert!(
                             (total - injected.failed_volume.to_tb()).abs()
@@ -145,13 +144,13 @@ fn staged_time_accounting_matches_volume_over_bandwidth() {
     let dep = MlecDeployment::paper_default(MlecScheme::CC);
     let injected = inject_catastrophic(&dep);
 
-    let all = RepairMethod::All.strategy().plan(&dep, &injected);
+    let all = RepairMethod::All.plan(&dep, &injected);
     assert!((all.network_volume_tb - 400.0).abs() < 1e-9);
     assert!((all.network_time_h - (0.5 + 400.0 / 0.9)).abs() < 1e-9);
     assert!((all.network_time_h - 444.944).abs() < 1e-2);
     assert_eq!(all.local_time_h, 0.0);
 
-    let layer = RepairMethod::Layer.strategy().plan(&dep, &injected);
+    let layer = RepairMethod::Layer.plan(&dep, &injected);
     assert!((layer.network_volume_tb - 20.0).abs() < 1e-9);
     assert!((layer.local_volume_tb - 60.0).abs() < 1e-9);
     assert!((layer.network_time_h - (0.5 + 20.0 / 0.9)).abs() < 1e-9);

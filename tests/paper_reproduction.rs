@@ -61,7 +61,7 @@ fn fig6_repair_time_orderings() {
 
 #[test]
 fn fig8_traffic_exact_cells() {
-    let cells = fig8_fig9_repair_methods();
+    let cells = fig8_fig9_repair_methods(&RepairMethod::PAPER);
     let get = |s: &str, m: &str| {
         cells
             .iter()
@@ -149,7 +149,7 @@ fn facade_end_to_end_consistency() {
     // The facade and the experiment runners must agree.
     let system = MlecSystem::paper_default(MlecScheme::CD);
     let plan = system.plan_catastrophic_repair(RepairMethod::Hyb);
-    let cells = fig8_fig9_repair_methods();
+    let cells = fig8_fig9_repair_methods(&RepairMethod::PAPER);
     let cell = cells
         .iter()
         .find(|c| c.scheme == "C/D" && c.method == "R_HYB")

@@ -29,7 +29,7 @@ fn system_campaign_is_thread_count_invariant() {
     let trial = SystemTrial {
         dep: &dep,
         model: &model,
-        strategy: RepairMethod::Fco.strategy(),
+        strategy: RepairMethod::Fco,
         years: 0.25,
         opts: SystemSimOptions::default(),
         event_log: None,
