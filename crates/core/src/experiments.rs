@@ -1,5 +1,5 @@
-//! One runner per paper table/figure. Each returns a result the
-//! `mlec-bench` binaries print (and dump as JSON under `target/figures/`),
+//! One runner per paper table/figure. Each returns a result the `mlec`
+//! driver prints (and dumps as JSON under `target/figures/`),
 //! and that EXPERIMENTS.md's paper-vs-measured records come from.
 //!
 //! Every Monte Carlo surface here executes through `mlec-runner`: a heatmap

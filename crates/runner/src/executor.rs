@@ -37,8 +37,6 @@ pub struct StopRule {
     /// Stop once |`std_err/mean`| (or relative CI half-width for
     /// proportions) drops below this.
     pub target_rel_err: Option<f64>,
-    /// Stop once the absolute 95% CI half-width drops below this.
-    pub target_ci_half_width: Option<f64>,
 }
 
 impl StopRule {
@@ -48,7 +46,6 @@ impl StopRule {
             min_trials: n,
             max_trials: n,
             target_rel_err: None,
-            target_ci_half_width: None,
         }
     }
 
@@ -59,26 +56,12 @@ impl StopRule {
             min_trials,
             max_trials,
             target_rel_err: Some(rel_err),
-            target_ci_half_width: None,
         }
     }
 
     fn precision_reached(&self, summary: &Summary) -> bool {
-        let rel_ok = match self.target_rel_err {
-            Some(target) => summary.rel_err <= target,
-            None => false,
-        };
-        let ci_ok = match self.target_ci_half_width {
-            Some(target) => (summary.ci_high - summary.ci_low) / 2.0 <= target,
-            None => false,
-        };
-        match (self.target_rel_err, self.target_ci_half_width) {
-            (None, None) => false,
-            _ => {
-                (self.target_rel_err.is_none() || rel_ok)
-                    && (self.target_ci_half_width.is_none() || ci_ok)
-            }
-        }
+        self.target_rel_err
+            .is_some_and(|target| summary.rel_err <= target)
     }
 }
 
@@ -224,7 +207,7 @@ pub fn run_with<T: Trial>(
     // Without a precision target no round boundary can stop the run, so the
     // rest of the budget is one pass whose workers never wait; with one,
     // every round is a pass and the stop rule sees the state between them.
-    let adaptive = spec.stop.target_rel_err.is_some() || spec.stop.target_ci_half_width.is_some();
+    let adaptive = spec.stop.target_rel_err.is_some();
     loop {
         let done = acc.trials();
         if done >= spec.stop.max_trials {
@@ -439,12 +422,7 @@ mod tests {
         let spec = RunSpec::new(
             "exec/rare",
             13,
-            StopRule {
-                min_trials: 1000,
-                max_trials: 200_000,
-                target_rel_err: Some(0.25),
-                target_ci_half_width: None,
-            },
+            StopRule::until_rel_err(0.25, 1000, 200_000),
         );
         let report = run(&trial, &spec).unwrap();
         assert!(report.summary.ci_low <= 0.01 && 0.01 <= report.summary.ci_high);

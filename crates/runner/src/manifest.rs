@@ -98,15 +98,16 @@ pub struct Opened {
 
 impl Manifest {
     /// Open `path` for this run. A fresh file gets the header written; an
-    /// existing file is validated against `header` and scanned for its last
-    /// checkpoint.
+    /// existing file is cut back to its last complete line, then validated
+    /// against `header` and scanned for its last checkpoint. A file with no
+    /// complete line (killed while writing its header) starts fresh.
     pub fn open(path: &Path, header: &ManifestHeader) -> std::io::Result<Opened> {
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent)?;
             }
         }
-        let resume = if path.exists() {
+        let resume = if path.exists() && cut_torn_tail(path)? > 0 {
             let existing = read_manifest(path)?;
             let found = existing.header.ok_or_else(|| {
                 bad_data(format!("{}: manifest has no header line", path.display()))
@@ -212,6 +213,21 @@ pub fn read_manifest(path: &Path) -> std::io::Result<ManifestContents> {
     Ok(contents)
 }
 
+/// Truncate `path` after its last newline, dropping a tail torn by a kill
+/// mid-write so the next append starts a line of its own. Returns the
+/// length kept (0 when no line was complete).
+fn cut_torn_tail(path: &Path) -> std::io::Result<u64> {
+    let bytes = std::fs::read(path)?;
+    let keep = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+    if keep < bytes.len() {
+        OpenOptions::new()
+            .write(true)
+            .open(path)?
+            .set_len(keep as u64)?;
+    }
+    Ok(keep as u64)
+}
+
 fn bad_data(message: String) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, message)
 }
@@ -291,8 +307,32 @@ mod tests {
         write!(file, "{{\"kind\":\"checkpoint\",\"trials\":128,\"acc").unwrap();
         drop(file);
 
-        let reopened = Manifest::open(&path, &header()).unwrap();
+        let mut reopened = Manifest::open(&path, &header()).unwrap();
         assert_eq!(reopened.resume.unwrap().trials, 64);
+        // The resumed session's first checkpoint must land on a line of
+        // its own, not be glued onto the torn fragment.
+        reopened
+            .manifest
+            .checkpoint(&Checkpoint {
+                trials: 128,
+                acc_state: Json::Null,
+                elapsed_s: 2.0,
+                trials_per_sec: 64.0,
+            })
+            .unwrap();
+        drop(reopened.manifest);
+        let again = Manifest::open(&path, &header()).unwrap();
+        assert_eq!(again.resume.unwrap().trials, 128);
+    }
+
+    #[test]
+    fn torn_header_starts_fresh() {
+        let path = tmp("torn-header.jsonl");
+        std::fs::write(&path, "{\"kind\":\"header\",\"lab").unwrap();
+        let opened = Manifest::open(&path, &header()).unwrap();
+        assert!(opened.resume.is_none());
+        drop(opened);
+        assert_eq!(read_manifest(&path).unwrap().header, Some(header()));
     }
 
     #[test]

@@ -16,14 +16,13 @@
 //! "repair traffic capped at 20%" semantics.
 //!
 //! The state is split along rack boundaries: every disk clock and the
-//! uplink clock of rack `r` live together in one [`RackClock`] domain, and
+//! uplink clock of rack `r` live together in one `RackClock` domain, and
 //! nothing else. A charge against rack `r` reads and writes only domain
 //! `r`, so charges against distinct racks commute — the invariant the
-//! epoch-sharded apply in [`crate::epoch`] is built on. [`ShardedArbiter`]
-//! is the facade over the domain vector: single-threaded callers keep the
-//! exact `disk_io`/`rack_xfer` API the old monolithic arbiter had, while
-//! the epoch executor borrows the domains mutably, disjointly, one per
-//! shard, via [`ShardedArbiter::split`].
+//! epoch-sharded apply in [`crate::epoch`] is built on. Every store path,
+//! serial or sharded, charges a domain it borrowed through
+//! `ShardedArbiter::split`; the store's chunk path pairs each domain with
+//! its rack's lane.
 //!
 //! All arithmetic on the virtual clocks is integer/deterministic: virtual
 //! time is a pure function of the op trace, never of the machine running
@@ -48,7 +47,7 @@ pub enum Lane {
 /// The immutable rate environment every clock domain shares: transfer
 /// rates, seek cost, and the repair throttle as an exact rational.
 #[derive(Debug, Clone, Copy)]
-pub struct RateCard {
+pub(crate) struct RateCard {
     /// Disk throughput; MB/s is numerically bytes per virtual microsecond.
     disk_rate: Bandwidth,
     /// Rack uplink throughput.
@@ -69,7 +68,7 @@ fn gcd(mut a: u64, mut b: u64) -> u64 {
 
 impl RateCard {
     /// Rates from the §3 bandwidth parameters plus a per-I/O seek cost.
-    pub fn new(sim: &SimConfig, seek_us: u64) -> RateCard {
+    fn new(sim: &SimConfig, seek_us: u64) -> RateCard {
         // The throttle fraction arrives as an f64 config knob; snap it to
         // a rational with a fixed 1e9 denominator once, here, so every
         // downstream pacing computation is exact integer arithmetic.
@@ -86,12 +85,12 @@ impl RateCard {
     }
 
     /// Duration of one disk I/O of `bytes`, µs (seek + transfer).
-    pub fn disk_io_us(&self, bytes: usize) -> u64 {
+    fn disk_io_us(&self, bytes: usize) -> u64 {
         self.seek_us + (bytes as f64 / self.disk_rate.bytes_per_us()).ceil() as u64
     }
 
     /// Duration of one uplink transfer of `bytes`, µs.
-    pub fn rack_xfer_us(&self, bytes: usize) -> u64 {
+    fn rack_xfer_us(&self, bytes: usize) -> u64 {
         (bytes as f64 / self.rack_rate.bytes_per_us()).ceil() as u64
     }
 
@@ -99,7 +98,7 @@ impl RateCard {
     /// device for `busy_us`, so repair consumes at most its throttle
     /// fraction `f = num/den` of the device: `ceil(busy * (den-num)/num)`,
     /// the exact integer form of `busy * (1/f - 1)`.
-    pub fn repair_pacing_gap_us(&self, busy_us: u64) -> u64 {
+    fn repair_pacing_gap_us(&self, busy_us: u64) -> u64 {
         if self.repair_num >= self.repair_den {
             return 0;
         }
@@ -112,11 +111,6 @@ impl RateCard {
         let gap = idle.div_ceil(u128::from(self.repair_num));
         u64::try_from(gap).unwrap_or(u64::MAX)
     }
-
-    /// The repair throttle as its reduced rational `(num, den)`.
-    pub fn repair_fraction(&self) -> (u64, u64) {
-        (self.repair_num, self.repair_den)
-    }
 }
 
 /// One rack's clock domain: the uplink clock, the clocks of every disk in
@@ -126,7 +120,7 @@ impl RateCard {
 /// charges against different racks can run on different threads and still
 /// produce bit-identical virtual time.
 #[derive(Debug, Default)]
-pub struct RackClock {
+pub(crate) struct RackClock {
     uplink_busy_until: u64,
     disk_busy_until: BTreeMap<DiskId, u64>,
     foreground_ios: u64,
@@ -138,7 +132,7 @@ pub struct RackClock {
 impl RackClock {
     /// Reserve a disk I/O starting no earlier than `now`; returns the
     /// completion time. The disk is busy until then.
-    pub fn disk_io(
+    pub(crate) fn disk_io(
         &mut self,
         rates: &RateCard,
         disk: DiskId,
@@ -165,7 +159,7 @@ impl RackClock {
 
     /// Reserve a cross-rack transfer of `bytes` on this rack's uplink
     /// starting no earlier than `now`; returns the completion time.
-    pub fn rack_xfer(&mut self, rates: &RateCard, bytes: usize, now: u64) -> u64 {
+    pub(crate) fn rack_xfer(&mut self, rates: &RateCard, bytes: usize, now: u64) -> u64 {
         let start = self.uplink_busy_until.max(now);
         let end = start + rates.rack_xfer_us(bytes);
         self.uplink_busy_until = end;
@@ -173,13 +167,11 @@ impl RackClock {
     }
 }
 
-/// Per-device virtual-time bandwidth accounting, sharded by rack.
-///
-/// The facade preserves the old monolithic arbiter's API — `disk_io`
-/// routes to the owning rack's domain by integer division — so the
-/// single-threaded store paths (degraded reads, rebuild, the reference
-/// serial apply) are unchanged callers. The epoch executor instead takes
-/// the domains apart with [`ShardedArbiter::split`].
+/// Per-device virtual-time bandwidth accounting, sharded by rack: one
+/// clock domain per rack over a shared rate card. The store charges the
+/// domains it borrows through `split`; [`ShardedArbiter::disk_io`] charges
+/// one disk directly (a standalone arbiter, as the benchmark measures it),
+/// and the lane totals sum every domain.
 #[derive(Debug)]
 pub struct ShardedArbiter {
     rates: RateCard,
@@ -201,29 +193,20 @@ impl ShardedArbiter {
     }
 
     /// The rack whose clock domain owns `disk`.
-    pub fn rack_of(&self, disk: DiskId) -> RackId {
+    fn rack_of(&self, disk: DiskId) -> RackId {
         (disk / self.disks_per_rack).min(self.clocks.len() as u32 - 1)
     }
 
     /// Number of rack clock domains.
-    pub fn racks(&self) -> usize {
+    pub(crate) fn racks(&self) -> usize {
         self.clocks.len()
     }
 
-    /// The shared rate environment.
-    pub fn rates(&self) -> &RateCard {
-        &self.rates
-    }
-
-    /// Split into the shared rates and the per-rack clock domains — the
-    /// epoch executor hands disjoint `&mut RackClock`s to its shards.
-    pub fn split(&mut self) -> (&RateCard, &mut [RackClock]) {
+    /// Split into the shared rates and the per-rack clock domains: the
+    /// store borrows one domain per rack context, and the epoch executor
+    /// hands disjoint `&mut RackClock`s to its shards.
+    pub(crate) fn split(&mut self) -> (&RateCard, &mut [RackClock]) {
         (&self.rates, &mut self.clocks)
-    }
-
-    /// Duration of one disk I/O of `bytes`, µs (seek + transfer).
-    pub fn disk_io_us(&self, bytes: usize) -> u64 {
-        self.rates.disk_io_us(bytes)
     }
 
     /// Reserve a disk I/O starting no earlier than `now`; returns the
@@ -234,17 +217,9 @@ impl ShardedArbiter {
         self.clocks[rack].disk_io(&self.rates, disk, bytes, now, lane)
     }
 
-    /// Reserve a cross-rack transfer of `bytes` on `rack`'s uplink
-    /// starting no earlier than `now`; returns the completion time.
-    pub fn rack_xfer(&mut self, rack: RackId, bytes: usize, now: u64) -> u64 {
-        let rack = (rack as usize).min(self.clocks.len() - 1);
-        // PANICS: the index was just clamped to `clocks.len() - 1`, and the arbiter always has at least one rack clock.
-        self.clocks[rack].rack_xfer(&self.rates, bytes, now)
-    }
-
     /// Exact integer pacing gap for a repair that occupied a device for
-    /// `busy_us` (see [`RateCard::repair_pacing_gap_us`]).
-    pub fn repair_pacing_gap_us(&self, busy_us: u64) -> u64 {
+    /// `busy_us` (see `RateCard::repair_pacing_gap_us`).
+    pub(crate) fn repair_pacing_gap_us(&self, busy_us: u64) -> u64 {
         self.rates.repair_pacing_gap_us(busy_us)
     }
 
@@ -290,10 +265,11 @@ mod tests {
     #[test]
     fn rack_uplink_shares_one_clock() {
         let mut a = arbiter();
+        let (rates, clocks) = a.split();
         // 10 Gbps = 1250 bytes/µs: 125_000 bytes take 100 µs.
-        let end1 = a.rack_xfer(0, 125_000, 0);
+        let end1 = clocks[0].rack_xfer(rates, 125_000, 0);
         assert_eq!(end1, 100);
-        let end2 = a.rack_xfer(0, 125_000, 0);
+        let end2 = clocks[0].rack_xfer(rates, 125_000, 0);
         assert_eq!(end2, 200);
     }
 
@@ -317,8 +293,9 @@ mod tests {
         let per_rack = Geometry::small_test().disks_per_rack();
         // Same-rack disks share totals through one domain; a disk in the
         // next rack must not see the first rack's uplink queueing.
-        a.rack_xfer(0, 1_250_000, 0); // rack 0 uplink busy until 1000
-        assert_eq!(a.rack_xfer(1, 1_250, 0), 1); // rack 1 idle
+        let (rates, clocks) = a.split();
+        clocks[0].rack_xfer(rates, 1_250_000, 0); // rack 0 uplink busy until 1000
+        assert_eq!(clocks[1].rack_xfer(rates, 1_250, 0), 1); // rack 1 idle
         assert_eq!(a.rack_of(0), 0);
         assert_eq!(a.rack_of(per_rack), 1);
         assert_eq!(a.racks(), Geometry::small_test().racks as usize);
@@ -329,7 +306,7 @@ mod tests {
         // The paper's default throttle: f = 0.2 = 1/5 exactly.
         let sim = SimConfig::paper_default();
         let rates = RateCard::new(&sim, 400);
-        assert_eq!(rates.repair_fraction(), (1, 5));
+        assert_eq!((rates.repair_num, rates.repair_den), (1, 5));
         assert_eq!(rates.repair_pacing_gap_us(100), 400);
         assert_eq!(rates.repair_pacing_gap_us(1), 4);
         assert_eq!(rates.repair_pacing_gap_us(0), 0);
@@ -339,7 +316,7 @@ mod tests {
         let mut sim3 = sim;
         sim3.repair_fraction = 0.3;
         let rates3 = RateCard::new(&sim3, 400);
-        assert_eq!(rates3.repair_fraction(), (3, 10));
+        assert_eq!((rates3.repair_num, rates3.repair_den), (3, 10));
         assert_eq!(rates3.repair_pacing_gap_us(100), 234);
         assert_eq!(rates3.repair_pacing_gap_us(3), 7);
         // f = 0.25 → 1/4: gap is exactly 3× busy.

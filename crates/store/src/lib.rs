@@ -1,7 +1,6 @@
-//! `mlec-store` — the serving path on top of the MLEC two-level codec
-//! (ROADMAP item 3): an object store whose degraded reads and repair
-//! traffic compete with foreground I/O for the same bandwidth model the
-//! system simulator uses.
+//! `mlec-store` — the serving path on top of the MLEC two-level codec: an
+//! object store whose degraded reads and repair traffic compete with
+//! foreground I/O for the same bandwidth model the system simulator uses.
 //!
 //! The paper evaluates MLEC as a data-center storage *design*; this crate
 //! promotes the reproduction into a *system*. Objects map 1:1 onto network
@@ -43,7 +42,7 @@ pub mod repair;
 pub mod stopwatch;
 pub mod store;
 
-pub use arbiter::{Lane, RackClock, RateCard, ShardedArbiter};
+pub use arbiter::{Lane, ShardedArbiter};
 pub use backend::{ChunkBackend, ChunkKey, FileBackend, MemBackend};
 pub use benchrun::{
     payload_for, run_store_bench, BackendChoice, BenchSpec, PhaseSummary, StoreBenchReport,

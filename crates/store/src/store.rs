@@ -14,11 +14,12 @@
 //! rack-local by construction, for every placement scheme), so a row is
 //! the natural unit of rack-confined work: all of its backend chunks, its
 //! cache entries, its disk clocks, and its uplink clock live in that
-//! rack's `RackLane` + [`crate::arbiter::RackClock`] pair. The row
-//! helpers on `RackCtx` are the single implementation of per-row
-//! charging — the monolithic `put`/`get`/`delete` methods drive them row
-//! by row, and the epoch executor ([`crate::epoch`]) drives the *same*
-//! helpers from per-rack shard queues, which is what makes the parallel
+//! rack's `RackLane` + `RackClock` pair, borrowed together as a `RackCtx`.
+//! Its `read` and `write` are the one chunk path: every chunk a get,
+//! degraded get, rebuild or put moves goes through them. The row helpers
+//! built on them are driven row by row by the monolithic
+//! `put`/`get`/`delete` methods and from per-rack shard queues by the
+//! epoch executor ([`crate::epoch`]), which is what makes the parallel
 //! apply bit-identical to the serial one.
 //!
 //! Failure model: killing a disk (or a whole rack) *loses* its chunks —
@@ -36,14 +37,14 @@
 //! them as barriers.
 
 use crate::arbiter::{Lane, RackClock, RateCard, ShardedArbiter};
-use crate::backend::{chunk_key, ChunkBackend, ChunkKey};
+use crate::backend::{chunk_key, key_parts, ChunkBackend, ChunkKey};
 use crate::cache::ChunkCache;
 use crate::repair::RepairScheduler;
 use crate::StoreError;
 use mlec_ec::mlec::MlecStripe;
 use mlec_ec::MlecCodec;
 use mlec_sim::SimConfig;
-use mlec_topology::objectmap::{ChunkLocation, MapperCode, ObjectMapper};
+use mlec_topology::objectmap::{MapperCode, ObjectMapper};
 use mlec_topology::{DiskId, Geometry, MlecScheme, RackId};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -143,8 +144,9 @@ pub(crate) struct RackLane<B> {
 
 /// A borrowed single-rack execution context: the shared rate card, the
 /// rack's clock domain, its lane, and the (immutable) placement mapper.
-/// The row helpers below are the one implementation of per-row charging;
-/// both the monolithic store methods and the epoch shards go through them.
+/// [`RackCtx::read`] and [`RackCtx::write`] are the store's one chunk path:
+/// every get, degraded get, rebuild and put moves its chunks through them,
+/// from the monolithic store methods and the epoch shards alike.
 pub(crate) struct RackCtx<'a, B> {
     pub(crate) rates: &'a RateCard,
     pub(crate) clock: &'a mut RackClock,
@@ -153,16 +155,71 @@ pub(crate) struct RackCtx<'a, B> {
 }
 
 impl<B: ChunkBackend> RackCtx<'_, B> {
-    /// Disk read then cross-rack hop; returns the delivery time.
-    fn charge_read(&mut self, loc: &ChunkLocation, bytes: usize, start: u64, lane: Lane) -> u64 {
-        let read_done = self.clock.disk_io(self.rates, loc.disk, bytes, start, lane);
-        self.clock.rack_xfer(self.rates, bytes, read_done)
+    /// Read chunk `key` on `lane` and hand its bytes to `deliver`; `false`
+    /// when the backend has no such chunk. A backend read charges the disk,
+    /// then the rack uplink, from `start`, max-joining into `end`.
+    ///
+    /// Cache policy: the foreground lane consults the rack cache (a hit
+    /// costs no virtual time) and fills it on a miss; the repair lane
+    /// bypasses it both ways, so a rebuild neither counts as a cache access
+    /// nor evicts the chunks foreground reads keep hot.
+    fn read(
+        &mut self,
+        key: ChunkKey,
+        lane: Lane,
+        start: u64,
+        end: &mut u64,
+        deliver: impl FnOnce(&[u8]) -> Result<(), StoreError>,
+    ) -> Result<bool, StoreError> {
+        let foreground = lane == Lane::Foreground;
+        if foreground {
+            if let Some(bytes) = self.lane.cache.get(key) {
+                deliver(bytes)?;
+                return Ok(true);
+            }
+        }
+        let rack = &mut *self.lane;
+        if !rack.backend.read_chunk(key, &mut rack.read_buf)? {
+            return Ok(false);
+        }
+        let (obj, row, col) = key_parts(key);
+        let disk = self.mapper.chunk_at(obj, row, col).disk;
+        let len = rack.read_buf.len();
+        let read_done = self.clock.disk_io(self.rates, disk, len, start, lane);
+        *end = (*end).max(self.clock.rack_xfer(self.rates, len, read_done));
+        if foreground {
+            rack.cache.insert(key, &rack.read_buf);
+        }
+        deliver(&rack.read_buf)?;
+        Ok(true)
     }
 
-    /// Write one row's chunks: each travels the rack uplink, then lands on
-    /// its disk. Returns the completion time of the slowest chunk. Does
-    /// not touch the (store-global) `lost` set — the monolithic caller
-    /// heals it; epoch callers only run while it is empty.
+    /// Write chunk `key`: store it, drop any cached copy, index it under
+    /// its disk. A `charge` of `(lane, start, end)` first moves the bytes
+    /// over the rack uplink, then onto the disk, max-joining into `end`,
+    /// whether or not the backend write then succeeds.
+    fn write(
+        &mut self,
+        key: ChunkKey,
+        data: &[u8],
+        charge: Option<(Lane, u64, &mut u64)>,
+    ) -> Result<(), StoreError> {
+        let (obj, row, col) = key_parts(key);
+        let disk = self.mapper.chunk_at(obj, row, col).disk;
+        if let Some((lane, start, end)) = charge {
+            let len = data.len();
+            let arrived = self.clock.rack_xfer(self.rates, len, start);
+            *end = (*end).max(self.clock.disk_io(self.rates, disk, len, arrived, lane));
+        }
+        self.lane.backend.write_chunk(key, data)?;
+        self.lane.cache.invalidate(key);
+        self.lane.by_disk.entry(disk).or_default().insert(key);
+        Ok(())
+    }
+
+    /// Write one row's chunks on the foreground lane; returns when the
+    /// slowest lands. The store-global `lost` set is the caller's: the
+    /// monolithic path heals it, and epochs run only while it is empty.
     pub(crate) fn put_row(
         &mut self,
         obj: u64,
@@ -171,31 +228,17 @@ impl<B: ChunkBackend> RackCtx<'_, B> {
         start: u64,
     ) -> Result<u64, StoreError> {
         let mut end = start;
-        for (col, data) in chunks.iter().enumerate() {
-            let col = col as u32;
-            let loc = self.mapper.chunk_at(obj, row, col);
-            let key = chunk_key(obj, row, col);
-            let arrived = self.clock.rack_xfer(self.rates, data.len(), start);
-            end = end.max(self.clock.disk_io(
-                self.rates,
-                loc.disk,
-                data.len(),
-                arrived,
-                Lane::Foreground,
-            ));
-            self.lane.backend.write_chunk(key, data)?;
-            self.lane.cache.invalidate(key);
-            self.lane.by_disk.entry(loc.disk).or_default().insert(key);
+        for (col, data) in (0u32..).zip(chunks) {
+            let charge = Some((Lane::Foreground, start, &mut end));
+            self.write(chunk_key(obj, row, col), data, charge)?;
         }
         Ok(end)
     }
 
-    /// Read one healthy row's data chunks. Cache hits cost no virtual
-    /// time; misses charge disk + uplink and populate the cache. When
-    /// `out` is `None` the payload bytes are not materialized (replay
-    /// mode: latency depends only on hit/miss and the clocks, so skipping
-    /// the copies cannot change the op log). `verify` carries this row's
-    /// expected bytes and is checked hit or miss.
+    /// Read one healthy row's data chunks on the foreground lane. With
+    /// `out` `None` the payload is not materialized (replay mode: latency
+    /// depends only on hit/miss and the clocks, so skipping the copies
+    /// cannot change the op log). `verify` holds the row's expected bytes.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn get_row(
         &mut self,
@@ -209,39 +252,24 @@ impl<B: ChunkBackend> RackCtx<'_, B> {
     ) -> Result<u64, StoreError> {
         let mut end = start;
         for col in 0..kl {
-            let key = chunk_key(obj, row, col);
             // PANICS: the verify buffer spans `k_l * chunk_bytes` by construction, covering every column slice.
             let expected =
                 verify.map(|v| &v[col as usize * chunk_bytes..(col as usize + 1) * chunk_bytes]);
-            if let Some(bytes) = self.lane.cache.get(key) {
-                if let Some(exp) = expected {
-                    if bytes != exp {
-                        return Err(StoreError::CorruptPayload(obj));
-                    }
+            let deliver = |bytes: &[u8]| {
+                if expected.is_some_and(|exp| bytes != exp) {
+                    return Err(StoreError::CorruptPayload(obj));
                 }
                 if let Some(dst) = out.as_deref_mut() {
                     dst.extend_from_slice(bytes);
                 }
-                continue;
-            }
-            let loc = self.mapper.chunk_at(obj, row, col);
-            let lane = &mut *self.lane;
-            if !lane.backend.read_chunk(key, &mut lane.read_buf)? {
+                Ok(())
+            };
+            let key = chunk_key(obj, row, col);
+            if !self.read(key, Lane::Foreground, start, &mut end, deliver)? {
                 return Err(StoreError::Unrecoverable {
                     object: obj,
                     detail: format!("chunk ({row}, {col}) missing without a recorded loss"),
                 });
-            }
-            let bytes = self.lane.read_buf.len();
-            end = end.max(self.charge_read(&loc, bytes, start, Lane::Foreground));
-            self.lane.cache.insert(key, &self.lane.read_buf);
-            if let Some(exp) = expected {
-                if self.lane.read_buf.as_slice() != exp {
-                    return Err(StoreError::CorruptPayload(obj));
-                }
-            }
-            if let Some(dst) = out.as_deref_mut() {
-                dst.extend_from_slice(&self.lane.read_buf);
             }
         }
         Ok(end)
@@ -371,9 +399,10 @@ impl<B: ChunkBackend> MlecStore<B> {
         self.mapper.rack_of(&self.mapper.chunk_at(obj, row, 0))
     }
 
-    /// Borrow the single-rack context for `rack`: its clock domain, its
-    /// lane, and the shared rates/mapper.
-    pub(crate) fn rack_ctx(&mut self, rack: RackId) -> RackCtx<'_, B> {
+    /// Borrow the context of the rack hosting row `row` of `obj`: its
+    /// clock domain, its lane, and the shared rates/mapper.
+    fn row_ctx(&mut self, obj: u64, row: u32) -> RackCtx<'_, B> {
+        let rack = self.rack_of_row(obj, row);
         let (rates, clocks) = self.arbiter.split();
         RackCtx {
             rates,
@@ -450,16 +479,11 @@ impl<B: ChunkBackend> MlecStore<B> {
         stripe: &MlecStripe,
         now: u64,
     ) -> Result<PutResult, StoreError> {
-        let (nw, lw) = self.check_writable(obj, stripe)?;
+        let (_, lw) = self.check_writable(obj, stripe)?;
         let start = now + self.cfg.overhead_us;
         let mut end = start;
-        for row in 0..nw {
-            let rack = self.rack_of_row(obj, row);
-            let row_end = self
-                .rack_ctx(rack)
-                // PANICS: `row < n_w`, the stripe's row count (encoded by this store's own codec).
-                .put_row(obj, row, &stripe[row as usize], start)?;
-            end = end.max(row_end);
+        for (row, chunks) in (0u32..).zip(stripe) {
+            end = end.max(self.row_ctx(obj, row).put_row(obj, row, chunks, start)?);
             // Overwriting heals any lost chunks of this row.
             for col in 0..lw {
                 self.lost.remove(&chunk_key(obj, row, col));
@@ -483,18 +507,11 @@ impl<B: ChunkBackend> MlecStore<B> {
     /// before the measured window opened. Indistinguishable from a put at
     /// version 0 in every other respect.
     pub fn preload_encoded(&mut self, obj: u64, stripe: &MlecStripe) -> Result<(), StoreError> {
-        let (nw, lw) = self.check_writable(obj, stripe)?;
-        for row in 0..nw {
-            let rack = self.rack_of_row(obj, row) as usize;
-            for col in 0..lw {
-                let loc = self.mapper.chunk_at(obj, row, col);
-                let key = chunk_key(obj, row, col);
-                // PANICS: `rack_of_row` maps into `0..racks`; `row`/`col` are bounded by the stripe geometry.
-                let lane = &mut self.lanes[rack];
-                lane.backend
-                    // PANICS: `row < n_w` and `col < k_l`, the encoded stripe's dimensions.
-                    .write_chunk(key, &stripe[row as usize][col as usize])?;
-                lane.by_disk.entry(loc.disk).or_default().insert(key);
+        self.check_writable(obj, stripe)?;
+        for (row, chunks) in (0u32..).zip(stripe) {
+            let mut ctx = self.row_ctx(obj, row);
+            for (col, data) in (0u32..).zip(chunks) {
+                ctx.write(chunk_key(obj, row, col), data, None)?;
             }
         }
         self.versions.insert(obj, 0);
@@ -510,30 +527,18 @@ impl<B: ChunkBackend> MlecStore<B> {
         let start = now + self.cfg.overhead_us;
         let any_lost =
             (0..kn).any(|row| (0..kl).any(|col| self.lost.contains(&chunk_key(obj, row, col))));
-        if !any_lost {
-            return self.get_healthy(obj, now, start);
+        if any_lost {
+            self.degraded_reads += 1;
+            return self.get_degraded(obj, now, start);
         }
-        self.degraded_reads += 1;
-        self.get_degraded(obj, now, start)
-    }
-
-    /// Fast path: every data chunk is present.
-    fn get_healthy(&mut self, obj: u64, now: u64, start: u64) -> Result<GetResult, StoreError> {
-        let (kn, kl) = (self.cfg.code.kn, self.cfg.code.kl);
+        // Fast path: every data chunk is present.
         let chunk_bytes = self.cfg.chunk_bytes;
         let mut payload = Vec::with_capacity(self.cfg.payload_bytes());
         let mut end = start;
         for row in 0..kn {
-            let rack = self.rack_of_row(obj, row);
-            let row_end = self.rack_ctx(rack).get_row(
-                obj,
-                row,
-                kl,
-                chunk_bytes,
-                start,
-                None,
-                Some(&mut payload),
-            )?;
+            let mut ctx = self.row_ctx(obj, row);
+            let row_end =
+                ctx.get_row(obj, row, kl, chunk_bytes, start, None, Some(&mut payload))?;
             end = end.max(row_end);
         }
         Ok(GetResult {
@@ -598,26 +603,18 @@ impl<B: ChunkBackend> MlecStore<B> {
         let mut end = start;
         let mut fetched = 0u64;
         for &(row, col) in &need {
+            // PANICS: `grid` is an `n_w x w_l` matrix indexed by the same code geometry as the loop bounds.
+            let cell = &mut grid[row as usize][col as usize];
+            let deliver = |bytes: &[u8]| {
+                *cell = Some(bytes.to_vec());
+                Ok(())
+            };
+            // A survivor the backend lacks stays `None`: the decoder decides.
             let key = chunk_key(obj, row, col);
-            let rack = self.rack_of_row(obj, row);
-            let mut ctx = self.rack_ctx(rack);
-            if let Some(bytes) = ctx.lane.cache.get(key) {
-                // PANICS: `grid` is an `n_w x w_l` matrix indexed by the same code geometry as the loop bounds.
-                grid[row as usize][col as usize] = Some(bytes.to_vec());
+            let mut ctx = self.row_ctx(obj, row);
+            if ctx.read(key, Lane::Foreground, start, &mut end, deliver)? {
                 fetched += 1;
-                continue;
             }
-            let loc = ctx.mapper.chunk_at(obj, row, col);
-            let lane = &mut *ctx.lane;
-            if !lane.backend.read_chunk(key, &mut lane.read_buf)? {
-                continue; // inconsistent survivor: let the decoder decide
-            }
-            let bytes = ctx.lane.read_buf.len();
-            end = end.max(ctx.charge_read(&loc, bytes, start, Lane::Foreground));
-            ctx.lane.cache.insert(key, &ctx.lane.read_buf);
-            // PANICS: same grid bounds: `row < k_n`, `col < k_l` within the code geometry.
-            grid[row as usize][col as usize] = Some(ctx.lane.read_buf.clone());
-            fetched += 1;
         }
 
         if !simple {
@@ -670,9 +667,7 @@ impl<B: ChunkBackend> MlecStore<B> {
         let start = now + self.cfg.overhead_us;
         let mut end = start;
         for row in 0..nw {
-            let rack = self.rack_of_row(obj, row);
-            let row_end = self.rack_ctx(rack).delete_row(obj, row, lw, start)?;
-            end = end.max(row_end);
+            end = end.max(self.row_ctx(obj, row).delete_row(obj, row, lw, start)?);
             for col in 0..lw {
                 self.lost.remove(&chunk_key(obj, row, col));
             }
@@ -744,26 +739,19 @@ impl<B: ChunkBackend> MlecStore<B> {
         // Read every survivor (R_FCO-style full-grid rebuild).
         let mut grid: Vec<Vec<Option<Vec<u8>>>> = vec![vec![None; lw as usize]; nw as usize];
         let mut read_end = start;
-        for row in 0..nw {
-            let rack = self.rack_of_row(stripe, row);
-            for col in 0..lw {
+        for (row, cells) in (0u32..).zip(&mut grid) {
+            for (col, cell) in (0u32..).zip(cells) {
                 let key = chunk_key(stripe, row, col);
                 if self.lost.contains(&key) {
                     continue;
                 }
-                let mut ctx = self.rack_ctx(rack);
-                let loc = ctx.mapper.chunk_at(stripe, row, col);
-                let lane = &mut *ctx.lane;
-                if lane
-                    .backend
-                    .read_chunk(key, &mut lane.read_buf)
-                    .unwrap_or(false)
-                {
-                    let bytes = ctx.lane.read_buf.len();
-                    read_end = read_end.max(ctx.charge_read(&loc, bytes, start, Lane::Repair));
-                    // PANICS: `row`/`col` come from `chunk_at` locations within the code geometry, matching the grid dimensions.
-                    grid[row as usize][col as usize] = Some(ctx.lane.read_buf.clone());
-                }
+                let deliver = |bytes: &[u8]| {
+                    *cell = Some(bytes.to_vec());
+                    Ok(())
+                };
+                // A backend error counts as a missing survivor.
+                let mut ctx = self.row_ctx(stripe, row);
+                let _ = ctx.read(key, Lane::Repair, start, &mut read_end, deliver);
             }
         }
         match self.codec.reconstruct(&mut grid) {
@@ -786,22 +774,13 @@ impl<B: ChunkBackend> MlecStore<B> {
         // Write the rebuilt chunks after the decode fan-in completes.
         let mut end = read_end;
         for key in lost_keys {
-            let (_, row, col) = crate::backend::key_parts(key);
+            let (_, row, col) = key_parts(key);
             // PANICS: `key_parts` round-trips keys this store minted, so `row`/`col` sit inside the grid.
             let Some(bytes) = grid[row as usize][col as usize].take() else {
                 continue;
             };
-            let rack = self.rack_of_row(stripe, row);
-            let ctx = self.rack_ctx(rack);
-            let loc = ctx.mapper.chunk_at(stripe, row, col);
-            let arrived = ctx.clock.rack_xfer(ctx.rates, bytes.len(), read_end);
-            end =
-                end.max(
-                    ctx.clock
-                        .disk_io(ctx.rates, loc.disk, bytes.len(), arrived, Lane::Repair),
-                );
-            if ctx.lane.backend.write_chunk(key, &bytes).is_ok() {
-                ctx.lane.by_disk.entry(loc.disk).or_default().insert(key);
+            let charge = Some((Lane::Repair, read_end, &mut end));
+            if self.row_ctx(stripe, row).write(key, &bytes, charge).is_ok() {
                 self.lost.remove(&key);
             }
         }
@@ -990,6 +969,49 @@ mod tests {
             assert_eq!(got.payload, p);
             assert!(!got.degraded, "object {obj} should be healed");
         }
+    }
+
+    #[test]
+    fn rebuild_bypasses_the_cache_and_foreground_reads_fill_it() {
+        let mut s = store();
+        let p = payload(s.config(), 8);
+        for obj in 0..8u64 {
+            s.put(obj, &p, obj * 1_000).unwrap();
+            s.get(obj, 50_000).unwrap(); // warm the caches
+        }
+        s.kill_racks(1, 100_000);
+        let (kn, kl) = (s.config().code.kn, s.config().code.kl);
+        let lost: Vec<ChunkKey> = s.lost.iter().copied().collect();
+        // A data chunk the rebuild restores: the get below reads it.
+        let &data_key = lost
+            .iter()
+            .find(|&&k| matches!(key_parts(k), (_, r, c) if r < kn && c < kl))
+            .expect("a rack kill loses some data chunk");
+        let counters = |s: &MlecStore<MemBackend>| -> Vec<_> {
+            s.lanes
+                .iter()
+                .map(|l| (l.cache.accesses(), l.cache.stats()))
+                .collect()
+        };
+        let before = counters(&s);
+        s.pump_repairs(u64::MAX);
+        assert_eq!(s.lost_chunks(), 0);
+        assert_eq!(counters(&s), before, "the rebuild touched a cache");
+        let resident = |s: &mut MlecStore<MemBackend>, key: ChunkKey| {
+            let rack = s.rack_of_row(key_parts(key).0, key_parts(key).1);
+            s.lanes[rack as usize].cache.get(key).is_some()
+        };
+        for &key in &lost {
+            assert!(!resident(&mut s, key), "rebuilt chunk {key:#x} cached");
+        }
+
+        let before = counters(&s);
+        let t = s.repair().done_at().unwrap() + 1;
+        assert_eq!(s.get(key_parts(data_key).0, t).unwrap().payload, p);
+        let after = counters(&s);
+        let consulted: u64 = before.iter().zip(&after).map(|(b, a)| a.0 - b.0).sum();
+        assert_eq!(consulted, u64::from(kn * kl), "one lookup per data chunk");
+        assert!(resident(&mut s, data_key), "the get filled the cache");
     }
 
     #[test]
