@@ -537,6 +537,22 @@ fn malformed_value_exits_2() {
             ["run", "store_bench", "put_pct=100", "delete_pct=100"],
             "for `delete_pct`: expected put_pct + delete_pct (here 200) to be at most 100",
         ),
+        // Kills the 6-rack, 24-disks-per-rack store cannot hold used to be
+        // clamped: 9 racks lost what 6 did, 500 disks ran as 24, and disks
+        // after 6 dead racks landed in a dead one.
+        (
+            ["run", "store_bench", "kill_racks=9", "kill_disks=0"],
+            "invalid value `9` for `kill_racks`: expected kill_racks <= 6",
+        ),
+        (
+            ["run", "store_bench", "kill_racks=1", "kill_disks=500"],
+            "invalid value `500` for `kill_disks`: expected kill_disks <= 24",
+        ),
+        (
+            ["run", "store_bench", "kill_racks=6", "kill_disks=4"],
+            "for `kill_disks`: expected kill_disks <= 24 (one rack's disks), in a rack that \
+             survives kill_racks (here 6 of 6)",
+        ),
     ] {
         let out = mlec(&args);
         assert_eq!(status(&out), 2, "{args:?}");

@@ -1933,6 +1933,29 @@ fn store_bench_spec(
             expected: format!("put_pct + delete_pct (here {mix}) to be at most 100"),
         });
     }
+    // Reject a kill the geometry cannot hold: the injection would clamp it
+    // silently (extra racks kill nothing, extra disks are dropped or land in
+    // a rack already dead) and report a smaller failure than asked for.
+    let store = StoreConfig::small_test();
+    let (racks, rack_disks) = (store.geometry.racks, store.geometry.disks_per_rack());
+    if p.kill_racks > racks {
+        return Err(ExperimentError::BadValue {
+            name: "kill_racks".to_string(),
+            value: p.kill_racks.to_string(),
+            expected: format!("kill_racks <= {racks}, the store's rack count"),
+        });
+    }
+    if p.kill_disks > 0 && (p.kill_racks >= racks || p.kill_disks > rack_disks) {
+        return Err(ExperimentError::BadValue {
+            name: "kill_disks".to_string(),
+            value: p.kill_disks.to_string(),
+            expected: format!(
+                "kill_disks <= {rack_disks} (one rack's disks), in a rack that survives \
+                 kill_racks (here {} of {racks})",
+                p.kill_racks
+            ),
+        });
+    }
     let backend = match p.backend.as_str() {
         "mem" => BackendChoice::Mem,
         "file" if p.dir.is_empty() => BackendChoice::File(ctx.out_dir.join("store_chunks")),
@@ -1951,7 +1974,7 @@ fn store_bench_spec(
         Some(std::fs::read_to_string(&p.trace)?)
     };
     Ok(BenchSpec {
-        store: StoreConfig::small_test(),
+        store,
         load: LoadSpec {
             ops: p.ops,
             objects: u64::from(p.objects.get()),

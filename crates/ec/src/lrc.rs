@@ -221,87 +221,6 @@ impl Lrc {
         remaining_data <= self.r - globals_lost.min(self.r)
     }
 
-    /// Plan the minimal-read repair of an erasure pattern: which surviving
-    /// chunks each lost chunk should be decoded from. Local-group decodes
-    /// (group-size reads, the LRC selling point) are used wherever a group
-    /// has exactly one erasure and a surviving parity; everything else falls
-    /// back to a shared global decode reading `k` independent survivors.
-    ///
-    /// Returns `(per-chunk plans, total distinct chunks read)` or `None`
-    /// when the pattern is undecodable.
-    pub fn plan_repair(&self, erased: &[bool]) -> Option<(Vec<RepairPlanEntry>, usize)> {
-        assert_eq!(erased.len(), self.total_chunks(), "erasure mask length");
-        if !self.decodable(erased) {
-            return None;
-        }
-        let mut plans = Vec::new();
-        let mut global_targets: Vec<usize> = Vec::new();
-
-        // Group-local repairs: one erasure within a group whose other
-        // members (incl. parity) survive.
-        for (g, members) in self.groups.iter().enumerate() {
-            let parity = self.k + g;
-            let mut lost: Vec<usize> = members.iter().copied().filter(|&m| erased[m]).collect();
-            if erased[parity] {
-                lost.push(parity);
-            }
-            match lost.len() {
-                0 => {}
-                1 => {
-                    let target = lost[0];
-                    let reads: Vec<usize> = members
-                        .iter()
-                        .copied()
-                        .chain(std::iter::once(parity))
-                        .filter(|&c| c != target)
-                        .collect();
-                    plans.push(RepairPlanEntry {
-                        target,
-                        reads,
-                        local: true,
-                    });
-                }
-                _ => global_targets.extend(lost),
-            }
-        }
-        // Global parities are re-encoded from data; lost globals join the
-        // global phase.
-        for gi in 0..self.r {
-            if erased[self.k + self.l + gi] {
-                global_targets.push(self.k + self.l + gi);
-            }
-        }
-
-        if !global_targets.is_empty() {
-            // One shared global decode: k independent surviving rows.
-            let surviving: Vec<usize> = (0..self.total_chunks()).filter(|&i| !erased[i]).collect();
-            let mut chosen: Vec<usize> = Vec::with_capacity(self.k);
-            for &s in &surviving {
-                if chosen.len() == self.k {
-                    break;
-                }
-                let mut cand = chosen.clone();
-                cand.push(s);
-                if self.generator.select_rows(&cand).rank() == cand.len() {
-                    chosen = cand;
-                }
-            }
-            debug_assert_eq!(chosen.len(), self.k);
-            for &target in &global_targets {
-                plans.push(RepairPlanEntry {
-                    target,
-                    reads: chosen.clone(),
-                    local: false,
-                });
-            }
-        }
-
-        let mut read_set: Vec<usize> = plans.iter().flat_map(|p| p.reads.clone()).collect();
-        read_set.sort_unstable();
-        read_set.dedup();
-        Some((plans, read_set.len()))
-    }
-
     /// Reconstruct all missing chunks in place, or report failure.
     ///
     /// # Errors
@@ -349,17 +268,6 @@ impl std::fmt::Debug for Lrc {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Lrc({},{},{})", self.k, self.l, self.r)
     }
-}
-
-/// One step of an LRC repair plan (see [`Lrc::plan_repair`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RepairPlanEntry {
-    /// The lost chunk to rebuild.
-    pub target: usize,
-    /// Chunks to read.
-    pub reads: Vec<usize>,
-    /// True for a group-local decode (cheap), false for a global decode.
-    pub local: bool,
 }
 
 fn mask_words(erased: &[bool]) -> Vec<u64> {
@@ -519,60 +427,6 @@ mod tests {
             all3,
             "every 3-failure pattern must be decodable for (12,2,2)"
         );
-    }
-
-    #[test]
-    fn repair_plan_uses_local_groups_for_single_failures() {
-        let lrc = Lrc::new(14, 2, 4).unwrap();
-        let mut erased = vec![false; 20];
-        erased[0] = true; // one data chunk in group 0
-        let (plans, total_reads) = lrc.plan_repair(&erased).unwrap();
-        assert_eq!(plans.len(), 1);
-        assert!(plans[0].local);
-        assert_eq!(plans[0].reads.len(), 7, "group-size reads");
-        assert_eq!(total_reads, 7);
-        // Paper §5.2.4: far fewer than the k = 14 a global decode needs.
-        assert!(total_reads < 14);
-    }
-
-    #[test]
-    fn repair_plan_escalates_multi_failure_groups() {
-        let lrc = Lrc::new(14, 2, 4).unwrap();
-        let mut erased = vec![false; 20];
-        erased[0] = true;
-        erased[1] = true; // two failures in group 0: local parity can't fix
-        let (plans, total_reads) = lrc.plan_repair(&erased).unwrap();
-        assert_eq!(plans.len(), 2);
-        assert!(plans.iter().all(|p| !p.local));
-        assert_eq!(total_reads, 14, "one shared global decode");
-    }
-
-    #[test]
-    fn repair_plan_mixes_local_and_global() {
-        let lrc = Lrc::new(14, 2, 4).unwrap();
-        let mut erased = vec![false; 20];
-        erased[0] = true; // group 0: single -> local
-        erased[7] = true;
-        erased[8] = true; // group 1: double -> global
-        let (plans, _) = lrc.plan_repair(&erased).unwrap();
-        let locals = plans.iter().filter(|p| p.local).count();
-        let globals = plans.iter().filter(|p| !p.local).count();
-        assert_eq!((locals, globals), (1, 2));
-        // Plans never read erased chunks.
-        for p in &plans {
-            assert!(p.reads.iter().all(|&r| !erased[r]), "{p:?}");
-        }
-    }
-
-    #[test]
-    fn repair_plan_rejects_undecodable() {
-        let lrc = Lrc::new(4, 2, 2).unwrap();
-        let mut erased = vec![false; 8];
-        erased[0] = true;
-        erased[1] = true;
-        erased[4] = true;
-        erased[6] = true;
-        assert!(lrc.plan_repair(&erased).is_none());
     }
 
     #[test]

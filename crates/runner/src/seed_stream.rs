@@ -50,18 +50,11 @@ impl SeedStream {
         )
     }
 
-    /// Seed for a 2-D cell, e.g. a heatmap coordinate. Unlike
-    /// `(y << 32) | x` packing, both coordinates pass through a full
-    /// avalanche before combining, so grids of any shape get distinct,
-    /// decorrelated seeds.
-    #[inline]
-    pub fn cell_seed(&self, x: u64, y: u64) -> u64 {
-        self.derive(&[x, y])
-    }
-
-    /// Seed derived from an arbitrary word tuple (a generalized
-    /// `cell_seed`). The words are folded left-to-right through the mix,
-    /// each offset by its position so `[a, b]` and `[b, a]` differ.
+    /// Seed derived from a word tuple, e.g. a heatmap cell `[x, y]`. The
+    /// words are folded left-to-right through the mix, each offset by its
+    /// position so `[a, b]` and `[b, a]` differ. Unlike `(y << 32) | x`
+    /// packing, every word passes through a full avalanche before
+    /// combining, so grids of any shape get distinct, decorrelated seeds.
     pub fn derive(&self, words: &[u64]) -> u64 {
         let mut h = self.base;
         for (i, &w) in words.iter().enumerate() {
@@ -120,7 +113,7 @@ mod tests {
         let mut seen = HashSet::new();
         for y in 0..50u64 {
             for x in 0..50u64 {
-                assert!(seen.insert(s.cell_seed(x, y)), "collision at ({x}, {y})");
+                assert!(seen.insert(s.derive(&[x, y])), "collision at ({x}, {y})");
             }
         }
         assert_eq!(seen.len(), 2500);

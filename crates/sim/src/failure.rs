@@ -5,6 +5,12 @@
 //! a 1% annual failure rate; Weibull is provided for infant-mortality /
 //! wear-out sensitivity studies and trace playback for replaying recorded
 //! failure logs.
+//!
+//! Failure-arrival times are not sampled here: the inverse-CDF exponential
+//! sampler is private to [`crate::kernel`], so every arrival is drawn
+//! through a [`HazardKernel`](crate::kernel::HazardKernel). This module
+//! keeps the models and the Poisson sampler of the pools' rare-stripe
+//! thinning, a draw that is identical under the true and biased measures.
 
 use mlec_runner::TrialRng;
 
@@ -60,16 +66,6 @@ impl FailureModel {
         };
         mlec_units::Duration::from_hours(hours)
     }
-}
-
-/// Sample an exponential variate with the given rate (events/hour).
-#[inline]
-pub fn sample_exponential(rng: &mut TrialRng, rate_per_hour: f64) -> f64 {
-    if rate_per_hour <= 0.0 {
-        return f64::INFINITY;
-    }
-    let u = rng.gen_f64(f64::MIN_POSITIVE, 1.0);
-    -u.ln() / rate_per_hour
 }
 
 /// Sample a Poisson variate (Knuth's method for small means, normal
@@ -144,21 +140,6 @@ pub(crate) fn gamma_fn(x: f64) -> f64 {
 mod tests {
     use super::*;
     use mlec_runner::rng::ChaCha12Rng;
-
-    #[test]
-    fn exponential_mean_matches_afr() {
-        let expected = crate::config::HOURS_PER_YEAR / 0.5;
-        let mut rng = ChaCha12Rng::seed_from_u64(1);
-        let n = 20_000;
-        let mean: f64 = (0..n)
-            .map(|_| sample_exponential(&mut rng, 1.0 / expected))
-            .sum::<f64>()
-            / n as f64;
-        assert!(
-            (mean - expected).abs() / expected < 0.03,
-            "mean={mean} expected={expected}"
-        );
-    }
 
     #[test]
     fn weibull_shape_one_is_exponential() {
@@ -239,11 +220,5 @@ mod tests {
                 "mean={mean} empirical={empirical}"
             );
         }
-    }
-
-    #[test]
-    fn exponential_zero_rate_never_fires() {
-        let mut rng = ChaCha12Rng::seed_from_u64(5);
-        assert_eq!(sample_exponential(&mut rng, 0.0), f64::INFINITY);
     }
 }

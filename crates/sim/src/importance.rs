@@ -21,11 +21,12 @@
 //! L  =  Π_i 1/b(t_i)  ×  exp( ∫ (b(t) − 1) r(t) dt )
 //! ```
 //!
-//! [`PathWeight`] accumulates `ln L` in two moves that mirror the
-//! simulator's event loop exactly: [`PathWeight::exposure`] adds
-//! `(b−1) r Δt` for every elapsed interval, [`PathWeight::event`]
-//! subtracts `ln b` at every failure arrival. Repairs, detection delays,
-//! and the Poisson rare-stripe draws are identical under both measures and
+//! The hazard kernel accumulates `ln L` in two moves that mirror the
+//! simulator's event loop exactly: an *exposure* adds `(b−1) r Δt` for
+//! every elapsed interval ([`HazardKernel::advance_to`]), an *event*
+//! subtracts `ln b` at every failure arrival
+//! ([`HazardKernel::record_failure`]). Repairs, detection delays, and the
+//! Poisson rare-stripe draws are identical under both measures and
 //! contribute nothing.
 //!
 //! ## Regeneration: weights reset at every return to healthy
@@ -45,10 +46,15 @@
 //! 0.0, and the biased simulator is bit-identical to the direct one (the
 //! RNG consumes the same draws).
 //!
-//! Simulators do not drive [`PathWeight`] directly: the
-//! [`crate::kernel::HazardKernel`] is the single owner of the
-//! exposure/event calls (and of the RNG stream they must stay in lockstep
-//! with), so the likelihood-ratio bookkeeping lives in exactly one place.
+//! This module holds only the measure change, [`FailureBias`]. The running
+//! weight is private to [`crate::kernel`]: the [`HazardKernel`] is the
+//! single owner of the exposure/event moves (and of the RNG stream they
+//! must stay in lockstep with), so the likelihood-ratio bookkeeping lives
+//! in exactly one place, and the compiler keeps it there.
+//!
+//! [`HazardKernel`]: crate::kernel::HazardKernel
+//! [`HazardKernel::advance_to`]: crate::kernel::HazardKernel::advance_to
+//! [`HazardKernel::record_failure`]: crate::kernel::HazardKernel::record_failure
 
 use crate::config::MlecDeployment;
 use crate::failure::FailureModel;
@@ -129,77 +135,10 @@ impl Default for FailureBias {
     }
 }
 
-/// Running log-likelihood-ratio of the current excursion (see the module
-/// docs for the exact formula it accumulates).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct PathWeight {
-    log_w: f64,
-}
-
-impl PathWeight {
-    pub fn new() -> PathWeight {
-        PathWeight::default()
-    }
-
-    /// Account an interval of length `dt` hours during which the true
-    /// failure intensity was `rate` (events/hour, all surviving disks
-    /// pooled) and the multiplier was `mult`.
-    #[inline]
-    pub fn exposure(&mut self, mult: f64, rate: f64, dt: f64) {
-        if mult != 1.0 {
-            self.log_w += (mult - 1.0) * rate * dt;
-        }
-    }
-
-    /// Account one failure arrival sampled under multiplier `mult`.
-    #[inline]
-    pub fn event(&mut self, mult: f64) {
-        if mult != 1.0 {
-            self.log_w -= mult.ln();
-        }
-    }
-
-    /// The excursion's likelihood ratio so far (exactly 1.0 while
-    /// unbiased).
-    #[inline]
-    pub fn weight(&self) -> f64 {
-        self.log_w.exp()
-    }
-
-    /// Start a fresh excursion (regeneration point reached).
-    #[inline]
-    pub fn reset(&mut self) {
-        self.log_w = 0.0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mlec_topology::MlecScheme;
-
-    #[test]
-    fn unbiased_weight_is_exactly_one() {
-        let mut w = PathWeight::new();
-        w.exposure(1.0, 0.3, 1234.5);
-        w.event(1.0);
-        w.event(1.0);
-        assert_eq!(w.weight(), 1.0, "log-weight must stay exactly 0.0");
-    }
-
-    #[test]
-    fn weight_matches_closed_form() {
-        // One interval of exposure then one event under bias b: the LR is
-        // exp((b-1) r dt) / b.
-        let (b, r, dt) = (50.0, 2e-6, 40.0);
-        let mut w = PathWeight::new();
-        w.exposure(b, r, dt);
-        w.event(b);
-        let expect = ((b - 1.0) * r * dt).exp() / b;
-        assert!((w.weight() - expect).abs() / expect < 1e-12);
-        w.reset();
-        assert_eq!(w.weight(), 1.0);
-    }
 
     #[test]
     fn auto_bias_is_large_at_paper_afr_and_unity_when_saturated() {

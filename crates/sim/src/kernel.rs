@@ -3,7 +3,7 @@
 //! Before this module existed, `simulate_clustered_pool`,
 //! `simulate_declustered_pool`, and the [`crate::system_sim`] loop each
 //! hand-rolled the same four concerns: biased-exponential failure-arrival
-//! sampling, exact likelihood-ratio [`PathWeight`] exposure accounting,
+//! sampling, exact likelihood-ratio exposure accounting,
 //! excursion/regeneration bookkeeping, and horizon censoring. The
 //! [`HazardKernel`] owns all of them — plus the `ChaCha12` RNG stream they
 //! draw from — so the simulators reduce to *policies over the kernel*:
@@ -15,12 +15,20 @@
 //!   [`crate::engine::EventQueue`], draws failure arrivals from the kernel
 //!   (via [`ArrivalSource`] — stochastic or trace-replay), and advances one
 //!   of the same [`PoolPolicy`] objects per touched pool lazily to each
-//!   arrival.
+//!   arrival;
+//! - trace synthesis ([`crate::trace`]) draws its exponential gaps from an
+//!   unbiased kernel too.
+//!
+//! The likelihood-ratio accumulator (`PathWeight`) and the inverse-CDF
+//! exponential sampler (`sample_exponential`) are private to this module:
+//! outside it, a failure arrival can only be sampled — and a weight only
+//! charged — through a [`HazardKernel`], so the rare-event estimator's
+//! weights are charged in exactly one place by construction.
 //!
 //! Every RNG draw the kernel makes mirrors the original hand-rolled loops
 //! operation for operation, so fixed-seed results are bit-identical — the
-//! `golden_*` tests in [`crate::pool_sim`], [`crate::system_sim`], and
-//! `tests/pool_goldens.rs` pin this.
+//! `golden_*` tests in [`crate::pool_sim`], [`crate::system_sim`],
+//! `tests/pool_goldens.rs` and `tests/trace_goldens.rs` pin this.
 //!
 //! [`SimObserver`] is the uniform hook layer: per-event callbacks for
 //! failure/repair/catastrophe/data-loss plus degraded-interval accounting,
@@ -28,8 +36,7 @@
 //! empty and [`NoopObserver`] is a zero-sized type, so the monomorphized
 //! unobserved simulators compile to exactly the pre-observer code.
 
-use crate::failure::sample_exponential;
-use crate::importance::{FailureBias, PathWeight};
+use crate::importance::FailureBias;
 use crate::pool_sim::CatastrophicEvent;
 use mlec_runner::{trial_rng, TrialRng};
 
@@ -103,14 +110,14 @@ impl HazardKernel {
     /// bit-identical to pre-kernel code.
     ///
     /// This and [`Self::from_seed_stream`] are the only ways to make a
-    /// kernel, which keeps every generator the simulators draw from inside
-    /// this module — the `rng-confinement` lint (`cargo xtask lint`)
-    /// rejects `ChaCha12Rng` anywhere else in them.
+    /// kernel, and the exponential sampler and likelihood-ratio accumulator
+    /// are private to this module, so every failure-arrival draw and weight
+    /// charge goes through one of these kernels.
     pub fn from_seed(seed: u64, bias: FailureBias, horizon_h: f64) -> HazardKernel {
         HazardKernel {
             rng: trial_rng(seed),
             bias,
-            pw: PathWeight::new(),
+            pw: PathWeight::default(),
             now: 0.0,
             horizon: horizon_h,
             mult: 1.0,
@@ -237,6 +244,57 @@ impl HazardKernel {
         self.now = self.horizon;
         self.regenerate();
     }
+}
+
+/// Running log-likelihood-ratio of the current excursion: `ln L` of the
+/// formula in [`crate::importance`], in its two moves.
+#[derive(Debug, Clone, Default)]
+struct PathWeight {
+    log_w: f64,
+}
+
+impl PathWeight {
+    /// Account an interval of length `dt` hours during which the true
+    /// failure intensity was `rate` (events/hour, all surviving disks
+    /// pooled) and the multiplier was `mult`.
+    #[inline]
+    fn exposure(&mut self, mult: f64, rate: f64, dt: f64) {
+        if mult != 1.0 {
+            self.log_w += (mult - 1.0) * rate * dt;
+        }
+    }
+
+    /// Account one failure arrival sampled under multiplier `mult`.
+    #[inline]
+    fn event(&mut self, mult: f64) {
+        if mult != 1.0 {
+            self.log_w -= mult.ln();
+        }
+    }
+
+    /// The excursion's likelihood ratio so far (exactly 1.0 while
+    /// unbiased).
+    #[inline]
+    fn weight(&self) -> f64 {
+        self.log_w.exp()
+    }
+
+    /// Start a fresh excursion (regeneration point reached).
+    #[inline]
+    fn reset(&mut self) {
+        self.log_w = 0.0;
+    }
+}
+
+/// Sample an exponential variate with the given rate (events/hour) by
+/// inverse CDF; infinite for a non-positive rate.
+#[inline]
+fn sample_exponential(rng: &mut TrialRng, rate_per_hour: f64) -> f64 {
+    if rate_per_hour <= 0.0 {
+        return f64::INFINITY;
+    }
+    let u = rng.gen_f64(f64::MIN_POSITIVE, 1.0);
+    -u.ln() / rate_per_hour
 }
 
 /// Where the system simulator's disk-failure arrivals come from. Trace
@@ -444,6 +502,50 @@ mod tests {
     }
 
     #[test]
+    fn unbiased_weight_is_exactly_one() {
+        let mut w = PathWeight::default();
+        w.exposure(1.0, 0.3, 1234.5);
+        w.event(1.0);
+        w.event(1.0);
+        assert_eq!(w.weight(), 1.0, "log-weight must stay exactly 0.0");
+    }
+
+    #[test]
+    fn weight_matches_closed_form() {
+        // One interval of exposure then one event under bias b: the LR is
+        // exp((b-1) r dt) / b.
+        let (b, r, dt) = (50.0, 2e-6, 40.0);
+        let mut w = PathWeight::default();
+        w.exposure(b, r, dt);
+        w.event(b);
+        let expect = ((b - 1.0) * r * dt).exp() / b;
+        assert!((w.weight() - expect).abs() / expect < 1e-12);
+        w.reset();
+        assert_eq!(w.weight(), 1.0);
+    }
+
+    #[test]
+    fn exponential_mean_matches_afr() {
+        let expected = crate::config::HOURS_PER_YEAR / 0.5;
+        let mut rng = trial_rng(1);
+        let n = 20_000;
+        let mean: f64 = (0..n)
+            .map(|_| sample_exponential(&mut rng, 1.0 / expected))
+            .sum::<f64>()
+            / n as f64;
+        assert!(
+            (mean - expected).abs() / expected < 0.03,
+            "mean={mean} expected={expected}"
+        );
+    }
+
+    #[test]
+    fn exponential_zero_rate_never_fires() {
+        let mut rng = trial_rng(5);
+        assert_eq!(sample_exponential(&mut rng, 0.0), f64::INFINITY);
+    }
+
+    #[test]
     fn unbiased_kernel_weight_stays_exactly_one() {
         let mut k = kernel(FailureBias::NONE);
         let t = k.sample_next_failure(0, 0.01);
@@ -482,7 +584,7 @@ mod tests {
         let dt = t - k.now();
         k.advance_to(t);
         k.record_failure();
-        let mut pw = PathWeight::new();
+        let mut pw = PathWeight::default();
         pw.exposure(50.0, r, dt);
         pw.event(50.0);
         assert_eq!(k.weight().to_bits(), pw.weight().to_bits());

@@ -3,9 +3,15 @@
 //! proprietary (see DESIGN.md substitutions), so this module synthesizes
 //! equivalent ones: steady Poisson background failures plus correlated
 //! bursts, which exercises the same trace-replay code path.
+//!
+//! Both synthesizers draw through an unbiased [`HazardKernel`] seeded from
+//! their own labeled stream: exponential gaps from
+//! [`HazardKernel::sample_gap`], disk picks and burst placement from
+//! [`HazardKernel::rng`].
 
 use crate::config::HOURS_PER_YEAR;
-use mlec_runner::rng::ChaCha12Rng;
+use crate::importance::FailureBias;
+use crate::kernel::HazardKernel;
 use mlec_topology::burst::{sample_burst, validate, BurstError};
 use mlec_topology::{DiskId, Geometry};
 
@@ -155,23 +161,22 @@ pub fn synthesize(
     if spec.bursts_per_year > 0.0 {
         validate(geometry, spec.burst_size, spec.burst_racks)?;
     }
-    let mut rng = ChaCha12Rng::seed_from_u64(
-        mlec_runner::SeedStream::new(seed, "trace/synthesize").trial_seed(0),
-    );
     let span_h = spec.years * HOURS_PER_YEAR;
+    let mut kernel =
+        HazardKernel::from_seed_stream(seed, "trace/synthesize", FailureBias::NONE, span_h);
     let mut events = Vec::new();
 
     // Background: thinned Poisson process over the whole fleet.
     let bg_rate = geometry.total_disks() as f64 * spec.background_afr / HOURS_PER_YEAR;
     let mut t = 0.0;
     loop {
-        t += crate::failure::sample_exponential(&mut rng, bg_rate);
+        t += kernel.sample_gap(0, bg_rate);
         if t > span_h {
             break;
         }
         events.push(TraceEvent {
             time_h: t,
-            disk: rng.gen_below(u64::from(geometry.total_disks())) as DiskId,
+            disk: kernel.rng().gen_below(u64::from(geometry.total_disks())) as DiskId,
         });
     }
 
@@ -179,14 +184,14 @@ pub fn synthesize(
     let burst_rate = spec.bursts_per_year / HOURS_PER_YEAR;
     let mut t = 0.0;
     loop {
-        t += crate::failure::sample_exponential(&mut rng, burst_rate);
+        t += kernel.sample_gap(0, burst_rate);
         if t > span_h {
             break;
         }
-        let layout = sample_burst(geometry, spec.burst_size, spec.burst_racks, &mut rng)?;
+        let layout = sample_burst(geometry, spec.burst_size, spec.burst_racks, kernel.rng())?;
         for &disk in layout.disks() {
             // Jitter failures across a 10-minute window.
-            let jitter = rng.gen_f64(0.0, 1.0 / 6.0);
+            let jitter = kernel.rng().gen_f64(0.0, 1.0 / 6.0);
             events.push(TraceEvent {
                 time_h: t + jitter,
                 disk,
@@ -240,8 +245,11 @@ pub struct FailureRule {
 
 /// Generate a trace from a set of additive failure rules.
 pub fn synthesize_rules(geometry: &Geometry, rules: &[FailureRule], seed: u64) -> FailureTrace {
-    let mut rng = ChaCha12Rng::seed_from_u64(
-        mlec_runner::SeedStream::new(seed, "trace/synthesize_rules").trial_seed(0),
+    let mut kernel = HazardKernel::from_seed_stream(
+        seed,
+        "trace/synthesize_rules",
+        FailureBias::NONE,
+        f64::INFINITY,
     );
     let mut events = Vec::new();
     for rule in rules {
@@ -253,7 +261,7 @@ pub fn synthesize_rules(geometry: &Geometry, rules: &[FailureRule], seed: u64) -
         let rate = disks.len() as f64 * rule.afr / HOURS_PER_YEAR;
         let mut t = rule.start_h;
         loop {
-            t += crate::failure::sample_exponential(&mut rng, rate);
+            t += kernel.sample_gap(0, rate);
             if t >= rule.end_h {
                 break;
             }
@@ -261,7 +269,7 @@ pub fn synthesize_rules(geometry: &Geometry, rules: &[FailureRule], seed: u64) -
                 time_h: t,
                 disk: *disks
                     // PANICS: `gen_below(disks.len())` requires a non-empty selection and yields an in-range index.
-                    .get(rng.gen_below(disks.len() as u64) as usize)
+                    .get(kernel.rng().gen_below(disks.len() as u64) as usize)
                     .expect("non-empty selection"),
             });
         }

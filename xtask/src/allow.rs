@@ -1,13 +1,19 @@
 //! The checked-in suppression file `lints.allow.toml`: every entry names
 //! a lint, a path (exact file, or a `/`-terminated directory prefix) and
 //! a mandatory reason. Suppressions that match nothing are themselves
-//! diagnostics, so the file can only shrink as violations are fixed.
+//! diagnostics, and the engine refuses a file with more than
+//! [`ALLOW_CEILING`] entries, so the file can only shrink as violations
+//! are fixed.
 //!
 //! The format is a deliberately tiny TOML subset (the build environment
 //! has no `toml` crate): `[[allow]]` tables with `key = "value"` string
 //! pairs and `#` comments.
 
 use crate::diag::Diagnostic;
+
+/// The most entries `lints.allow.toml` may hold. Lower it whenever an
+/// entry goes; never raise it.
+pub const ALLOW_CEILING: usize = 8;
 
 /// One suppression entry.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -5,7 +5,7 @@ use std::fmt;
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Lint name (`rng-confinement`, …).
+    /// Lint name (`no-wall-clock`, …).
     pub lint: &'static str,
     /// Workspace-relative `/`-separated path.
     pub path: String,

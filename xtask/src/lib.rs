@@ -1,8 +1,10 @@
 //! In-tree static analysis for the mlec workspace.
 //!
-//! `cargo xtask lint` runs a registry of architectural lints (L1–L8, see
-//! DESIGN.md "Enforced invariants") over the production sources and fails
-//! on any finding not suppressed — with a reason — in `lints.allow.toml`.
+//! `cargo xtask lint` runs a registry of architectural lints (L2–L4, L7
+//! and L8; see DESIGN.md "Enforced invariants" for the retired numbers)
+//! over the production sources and fails on any finding not suppressed —
+//! with a reason — in `lints.allow.toml`, which may hold at most
+//! [`allow::ALLOW_CEILING`] entries.
 //!
 //! The engine is dependency-free by necessity (the build environment has
 //! no crates.io registry): a minimal hand-rolled lexer ([`lexer`]) stands
@@ -42,8 +44,8 @@ pub fn run_lints(root: &Path) -> Result<Vec<Diagnostic>, EngineError> {
 pub struct LintRun {
     /// Surviving findings, sorted by path, line, and lint name.
     pub diagnostics: Vec<Diagnostic>,
-    /// `lint-name: note` lines the lints print whether or not they fired
-    /// (L8's `// PANICS:` count).
+    /// `name: note` lines printed whether or not anything fired (L8's
+    /// `// PANICS:` count, the allow-entry count).
     pub notes: Vec<String>,
 }
 
@@ -74,6 +76,18 @@ pub fn run_lints_scoped(
     } else {
         allow::AllowFile::default()
     };
+    let entries = allow.entries.len();
+    if entries > allow::ALLOW_CEILING {
+        return Err(EngineError(format!(
+            "{} has {entries} entries, ceiling {}: fix the finding instead of allowing it",
+            allow_path.display(),
+            allow::ALLOW_CEILING
+        )));
+    }
+    notes.push(format!(
+        "allow: {entries} lints.allow.toml entries (ceiling {})",
+        allow::ALLOW_CEILING
+    ));
     let mut kept = allow.apply(diags);
     if let Some(files) = only_files {
         kept.retain(|d| d.lint != "unused-allow" && files.iter().any(|f| f == &d.path));

@@ -1,11 +1,14 @@
 //! The architectural lint registry. Each lint encodes one invariant of
 //! DESIGN.md's "Enforced invariants" section; `cargo xtask lint` runs all
 //! of them over the workspace and fails on any un-suppressed finding.
+//!
+//! A lint retires when the compiler can hold its invariant instead: L1
+//! (the hazard kernel's sampler and likelihood weight) and L6 (the store's
+//! rack clocks) went once the items they guarded became private to one
+//! module; L5 went when typed parameter structs replaced by-name reads.
 
-mod clock_confinement;
 mod det_iter;
 mod panic_freedom;
-mod rng_confinement;
 mod safety;
 mod unit_discipline;
 mod wall_clock;
@@ -13,10 +16,8 @@ mod wall_clock;
 use crate::diag::Diagnostic;
 use crate::source::Workspace;
 
-pub use clock_confinement::ClockConfinement;
 pub use det_iter::DeterministicIteration;
 pub use panic_freedom::PanicFreedom;
-pub use rng_confinement::RngConfinement;
 pub use safety::SafetyComments;
 pub use unit_discipline::UnitDiscipline;
 pub use wall_clock::NoWallClock;
@@ -35,15 +36,14 @@ pub trait Lint {
     }
 }
 
-/// Every registered lint, in documentation order (L1–L4, L6–L8: numbers
-/// are stable references into DESIGN.md §7, and L5 is unassigned).
+/// Every registered lint, in documentation order (L2–L4, L7, L8: numbers
+/// are stable references into DESIGN.md §7, and L1, L5 and L6 are
+/// retired, never reassigned).
 pub fn all() -> Vec<Box<dyn Lint>> {
     vec![
-        Box::new(RngConfinement),
         Box::new(NoWallClock),
         Box::new(DeterministicIteration),
         Box::new(SafetyComments),
-        Box::new(ClockConfinement),
         Box::new(UnitDiscipline),
         Box::new(PanicFreedom),
     ]
