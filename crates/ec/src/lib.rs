@@ -39,7 +39,7 @@ pub mod scheme;
 pub mod throughput;
 
 pub use lrc::Lrc;
-pub use mlec::MlecCodec;
+pub use mlec::{MlecCodec, ReadSet};
 pub use rs::ReedSolomon;
 pub use scheme::{EcScheme, LrcParams, MlecParams, SlecParams};
 

@@ -19,14 +19,14 @@
 //! parities — the grid is consistent both ways. This is tested.
 //!
 //! Repair relies on it: the grid is a product code, every column (local
-//! parities included) a network codeword. `reconstruct` takes one local
-//! decode plan per damaged-row pattern, then one network plan per
-//! damaged-column pattern; `read_degraded` decodes a lost row's chunk, data
-//! or parity, down its own column.
+//! parities included) a network codeword. One planner, `read_set`, serves
+//! every decode: a lost chunk decodes in its row when the row lost at most
+//! `p_l`, else down its own column. `reconstruct` is the read set of every
+//! lost chunk, `read_degraded` that of one.
 
 use crate::rs::{DecodePlan, ReedSolomon, PARALLEL_SEGMENT_BYTES};
 use crate::EcError;
-use std::borrow::Borrow;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Bytes of every chunk one step of the encode walk covers: a step brings
 /// that range of the data chunks into the grid and computes it for every
@@ -259,18 +259,89 @@ impl MlecCodec {
         }
     }
 
-    /// Degraded read: return the content of chunk `(row, col)` from a
-    /// stripe with erasures, touching as few chunks as possible — the read
-    /// path equivalent of `R_MIN`'s repair planning. Preference order:
+    /// Plan a degraded read of the chunks `targets` of a grid whose
+    /// survivors are the `true` cells of `present`, reading as few as
+    /// possible (`R_MIN`'s planning on the read path). A target comes from
+    /// itself; else from `k_l` survivors of its row, if the row lost at most
+    /// `p_l`; else down its column from `k_n` rows, a helper the column
+    /// lacks decoded in its own row. Each decode is one plan per erasure
+    /// pattern. When some target cannot be decoded, the set reads every
+    /// survivor (as a store learns a stripe is dead) and decoding refuses.
     ///
-    /// 1. the chunk itself if present (zero extra reads);
-    /// 2. local decode within its row when the row is locally recoverable
-    ///    (`k_l` reads, no cross-rack traffic);
-    /// 3. for a chunk of a lost row, data or parity, network decode down its
-    ///    own column (`k_n` cross-rack reads), a helper the column lacks
-    ///    first decoded in its own row (`k_l` reads each).
-    ///
-    /// Returns `(bytes, chunks_read)`.
+    /// # Errors
+    /// [`EcError::ShapeMismatch`] when `present` is not `(k_n+p_n) x
+    /// (k_l+p_l)`, or a target lies outside it or is listed twice.
+    pub fn read_set(
+        &self,
+        present: &[Vec<bool>],
+        targets: &[(usize, usize)],
+    ) -> Result<ReadSet, EcError> {
+        let (nn, nl) = self.check_grid(present)?;
+        for (n, &(j, i)) in targets.iter().enumerate() {
+            if j >= nn || i >= nl || targets[..n].contains(&(j, i)) {
+                return Err(EcError::ShapeMismatch(format!(
+                    "chunk ({j}, {i}) is outside the {nn} x {nl} grid or listed twice"
+                )));
+            }
+        }
+        let (kn, pl) = (self.network.data_shards(), self.local.parity_shards());
+        let lost = |j: usize| present[j].iter().filter(|&&p| !p).count() > pl;
+        let targets = targets.to_vec();
+        let mut set = ReadSet {
+            targets,
+            ..ReadSet::default()
+        };
+        // The cells each row decodes; per column, its helper rows and the
+        // lost rows it decodes.
+        let mut rows: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
+        let mut columns: BTreeMap<usize, (Vec<usize>, Vec<usize>)> = BTreeMap::new();
+        for &(row, col) in &set.targets {
+            if present[row][col] {
+                set.reads.insert((row, col));
+                continue;
+            }
+            if !lost(row) {
+                rows.entry(row).or_default().insert(col);
+                continue;
+            }
+            let present_at = (0..nn).filter(|&j| present[j][col]);
+            let decodable = (0..nn).filter(|&j| !present[j][col] && !lost(j));
+            let mut helpers: Vec<usize> = present_at.chain(decodable).take(kn).collect();
+            if helpers.len() < kn {
+                let cells = (0..nn).flat_map(|j| (0..nl).map(move |i| (j, i)));
+                set.reads = cells.filter(|&(j, i)| present[j][i]).collect();
+                let (present, needed) = (helpers.len(), kn);
+                set.refused = Some(EcError::TooManyErasures { present, needed });
+                return Ok(set);
+            }
+            helpers.sort_unstable();
+            for &j in helpers.iter().filter(|&&j| !present[j][col]) {
+                rows.entry(j).or_default().insert(col);
+            }
+            let (_, lost_rows) = columns.entry(col).or_insert((helpers, Vec::new()));
+            lost_rows.push(row);
+        }
+        for (j, wanted) in rows {
+            let survivors = (0..nl).filter(|&i| present[j][i]).take(nl - pl);
+            let survivors: Vec<usize> = survivors.collect();
+            set.reads.extend(survivors.iter().map(|&i| (j, i)));
+            let wanted: Vec<usize> = wanted.into_iter().collect();
+            let plan = plan_for(&mut set.plans[0], &self.local, &survivors, &wanted)?;
+            set.steps.push((false, j, plan));
+        }
+        for (i, (helpers, mut lost_rows)) in columns {
+            lost_rows.sort_unstable();
+            set.reads
+                .extend(helpers.iter().filter(|&&j| present[j][i]).map(|&j| (j, i)));
+            let plan = plan_for(&mut set.plans[1], &self.network, &helpers, &lost_rows)?;
+            set.steps.push((true, i, plan));
+        }
+        Ok(set)
+    }
+
+    /// Degraded read of the one chunk `(row, col)` of a stripe with
+    /// erasures: its [`MlecCodec::read_set`], decoded. Returns `(bytes,
+    /// chunks_read)`, the reads other than the chunk itself.
     ///
     /// # Errors
     /// [`EcError::TooManyErasures`] when the stripe cannot produce the
@@ -282,57 +353,17 @@ impl MlecCodec {
         row: usize,
         col: usize,
     ) -> Result<(Vec<u8>, usize), EcError> {
-        let (nn, nl) = self.check_grid(stripe)?;
-        if row >= nn || col >= nl {
-            return Err(EcError::ShapeMismatch(format!(
-                "chunk ({row}, {col}) is outside the {nn} x {nl} grid"
-            )));
-        }
-        if let Some(chunk) = &stripe[row][col] {
-            return Ok((chunk.clone(), 0));
-        }
-        if let Some(read) = self.read_in_row(&stripe[row], col) {
-            return read;
-        }
-        let kn = self.network.data_shards();
-        let mut helpers: Vec<(usize, &[u8])> = (0..nn)
-            .filter_map(|j| Some((j, stripe[j][col].as_deref()?)))
-            .take(kn)
-            .collect();
-        // `row` itself is lost, so `read_in_row` passes over it.
-        let produced = (0..nn)
-            .filter(|&j| stripe[j][col].is_none())
-            .filter_map(|j| Some((j, self.read_in_row(&stripe[j], col)?)))
-            .take(kn - helpers.len())
-            .map(|(j, read)| read.map(|(bytes, reads)| (j, bytes, reads)))
-            .collect::<Result<Vec<_>, _>>()?;
-        let reads = helpers.len() + produced.iter().map(|p| p.2).sum::<usize>();
-        helpers.extend(produced.iter().map(|(j, bytes, _)| (*j, bytes.as_slice())));
-        let rebuilt = self.network.reconstruct_one_from(row, &helpers)?;
-        Ok((rebuilt, reads))
+        let set = self.read_set(&present_in(stripe), &[(row, col)])?;
+        let reads = set.reads().len() - usize::from(set.reads().contains(&(row, col)));
+        Ok((set.decode(stripe)?.swap_remove(0), reads))
     }
 
-    /// Chunk `col` of `row` decoded inside the row from its first `k_l`
-    /// survivors, with the chunks read; `None` when the row has lost more
-    /// than `p_l` chunks.
-    fn read_in_row(
-        &self,
-        row: &[Option<Vec<u8>>],
-        col: usize,
-    ) -> Option<Result<(Vec<u8>, usize), EcError>> {
-        let helpers: Vec<usize> = (0..row.len()).filter(|&i| row[i].is_some()).collect();
-        (row.len() - helpers.len() <= self.local.parity_shards()).then(|| {
-            let rebuilt = self.local.reconstruct_one(row, col, &helpers);
-            rebuilt.map(|bytes| (bytes, self.local.data_shards()))
-        })
-    }
-
-    /// `(k_n + p_n, k_l + p_l)`, or the shape error if `stripe` is not a
+    /// `(k_n + p_n, k_l + p_l)`, or the shape error if `grid` is not a
     /// grid of exactly that many slots.
-    fn check_grid(&self, stripe: &[Vec<Option<Vec<u8>>>]) -> Result<(usize, usize), EcError> {
+    fn check_grid<T>(&self, grid: &[Vec<T>]) -> Result<(usize, usize), EcError> {
         let nn = self.network.total_shards();
         let nl = self.local.total_shards();
-        if stripe.len() != nn || stripe.iter().any(|r| r.len() != nl) {
+        if grid.len() != nn || grid.iter().any(|r| r.len() != nl) {
             return Err(EcError::ShapeMismatch(format!(
                 "expected a {nn} x {nl} grid"
             )));
@@ -356,10 +387,8 @@ impl MlecCodec {
     ) -> Result<(usize, usize), EcError> {
         let (nn, nl) = self.check_grid(stripe)?;
         let pl = self.local.parity_shards();
-        // Everything that can fail is decided before the first repair, so a
-        // refused grid is never left half-repaired: past these checks every
-        // row below takes a local plan with `k_l` survivors, and every column
-        // then has at most `p_n` losses, so its network plan exists too.
+        // Refusals come first, so a refused grid is left as found; with at
+        // most `p_n` lost rows every lost chunk decodes.
         let missing_in = |row: &[Option<Vec<u8>>]| row.iter().filter(|c| c.is_none()).count();
         let lost_rows = stripe.iter().filter(|row| missing_in(row) > pl).count();
         if lost_rows > self.network.parity_shards() {
@@ -375,54 +404,102 @@ impl MlecCodec {
                 "surviving chunks differ in length".into(),
             ));
         }
-
-        // Rows with 1..=p_l losses, one local plan per erasure pattern.
-        let mut local_repaired = 0usize;
-        let mut plans = Vec::new();
-        for row in stripe.iter_mut() {
-            let missing = missing_in(row);
-            if (1..=pl).contains(&missing) {
-                plan_for(&mut plans, &self.local, row)?.fill(row);
-                local_repaired += missing;
-            }
+        // Every lost chunk, data or parity, is a target of one read set.
+        let present = present_in(stripe);
+        let cells = (0..nn).flat_map(|j| (0..nl).map(move |i| (j, i)));
+        let lost: Vec<(usize, usize)> = cells.filter(|&(j, i)| !present[j][i]).collect();
+        let chunks = self.read_set(&present, &lost)?.decode(stripe)?;
+        let local = lost.iter().filter(|&&(j, _)| missing_in(&stripe[j]) <= pl);
+        let local = local.count();
+        for (&(j, i), chunk) in lost.iter().zip(chunks) {
+            stripe[j][i] = Some(chunk);
         }
-        // The lost rows are left; every column with a loss, local-parity
-        // columns included, takes one network plan per erasure pattern.
-        let mut network_repaired = 0usize;
-        let mut plans = Vec::new();
-        for i in 0..nl {
-            let mut column: Vec<_> = stripe.iter_mut().map(|row| &mut row[i]).collect();
-            if column.iter().all(|c| c.is_some()) {
-                continue;
-            }
-            let plan = plan_for(&mut plans, &self.network, &column)?;
-            plan.fill(&mut column);
-            network_repaired += plan.targets.len();
-        }
-        Ok((local_repaired, network_repaired))
+        Ok((local, lost.len() - local))
     }
 }
 
-/// The plan filling the empty `slots`, built the first time their erasure
-/// pattern turns up in `plans`: a plan's targets are exactly its pattern's
-/// empty slots, so they are the key.
-fn plan_for<'p, S: Borrow<Option<Vec<u8>>>>(
-    plans: &'p mut Vec<DecodePlan>,
-    code: &ReedSolomon,
-    slots: &[S],
-) -> Result<&'p DecodePlan, EcError> {
-    let present: Vec<bool> = slots.iter().map(|s| s.borrow().is_some()).collect();
-    let absent = (0..slots.len()).filter(|&i| !present[i]);
-    match plans
-        .iter()
-        .position(|p| p.targets.iter().copied().eq(absent.clone()))
-    {
-        Some(index) => Ok(&plans[index]),
-        None => {
-            plans.push(DecodePlan::for_erasures(code, &present)?);
-            Ok(&plans[plans.len() - 1])
-        }
+/// Which cells of `grid` hold a chunk.
+fn present_in(grid: &[Vec<Option<Vec<u8>>>]) -> Vec<Vec<bool>> {
+    let row = |cells: &Vec<Option<Vec<u8>>>| cells.iter().map(Option::is_some).collect();
+    grid.iter().map(row).collect()
+}
+
+/// A degraded read planned by [`MlecCodec::read_set`]: the survivors it
+/// fetches, and the decode that turns them into its targets.
+#[derive(Default)]
+pub struct ReadSet {
+    reads: BTreeSet<(usize, usize)>,
+    targets: Vec<(usize, usize)>,
+    /// Why some target cannot be decoded.
+    refused: Option<EcError>,
+    /// `(down a column?, row or column, plan)`, the row decodes first: a
+    /// column decode may take their outputs as helpers.
+    steps: Vec<(bool, usize, usize)>,
+    /// The local plans, then the network plans, that the steps index.
+    plans: [Vec<DecodePlan>; 2],
+}
+
+impl ReadSet {
+    /// The survivor cells to fetch, in ascending `(row, col)` order.
+    pub fn reads(&self) -> &BTreeSet<(usize, usize)> {
+        &self.reads
     }
+
+    /// The targets' bytes, in target order, from a grid holding at least
+    /// the cells of [`ReadSet::reads`].
+    ///
+    /// # Errors
+    /// [`EcError::TooManyErasures`] when some target cannot be decoded or
+    /// the grid lacks a planned read; [`EcError::ShapeMismatch`] for planned
+    /// reads of different lengths.
+    pub fn decode(&self, grid: &[Vec<Option<Vec<u8>>>]) -> Result<Vec<Vec<u8>>, EcError> {
+        if let Some(refusal) = &self.refused {
+            return Err(refusal.clone());
+        }
+        let read = |(j, i): (usize, usize)| grid.get(j).and_then(|row| row.get(i)?.as_deref());
+        let fetched: Vec<&[u8]> = self.reads.iter().filter_map(|&cell| read(cell)).collect();
+        let (present, needed) = (fetched.len(), self.reads.len());
+        if present < needed {
+            return Err(EcError::TooManyErasures { present, needed });
+        }
+        if fetched.iter().any(|c| c.len() != fetched[0].len()) {
+            return Err(EcError::ShapeMismatch("reads differ in length".into()));
+        }
+        let mut decoded: BTreeMap<(usize, usize), Vec<u8>> = BTreeMap::new();
+        for &(down, line, plan) in &self.steps {
+            let plan = &self.plans[usize::from(down)][plan];
+            let cell = |k: usize| if down { (k, line) } else { (line, k) };
+            let input = |&k: &usize| match decoded.get(&cell(k)) {
+                Some(bytes) => bytes.as_slice(),
+                None => read(cell(k)).unwrap_or_default(),
+            };
+            let outputs = plan.decode(&plan.survivors.iter().map(input).collect::<Vec<_>>());
+            decoded.extend(plan.targets.iter().map(|&k| cell(k)).zip(outputs));
+        }
+        let target = |&cell: &(usize, usize)| match decoded.remove(&cell) {
+            Some(bytes) => bytes,
+            None => read(cell).unwrap_or_default().to_vec(),
+        };
+        Ok(self.targets.iter().map(target).collect())
+    }
+}
+
+/// Index in `plans` of the plan decoding `targets` from the first `k` of
+/// `survivors`, slots of one row or column, built the first time that
+/// pattern turns up.
+fn plan_for(
+    plans: &mut Vec<DecodePlan>,
+    code: &ReedSolomon,
+    survivors: &[usize],
+    targets: &[usize],
+) -> Result<usize, EcError> {
+    let known = |p: &DecodePlan| p.targets == targets && survivors.starts_with(&p.survivors);
+    if let Some(index) = plans.iter().position(known) {
+        return Ok(index);
+    }
+    let generator = &code.generator;
+    plans.push(DecodePlan::new(generator, survivors, targets.to_vec())?);
+    Ok(plans.len() - 1)
 }
 
 #[cfg(test)]

@@ -39,7 +39,7 @@ pub struct ReedSolomon {
     k: usize,
     p: usize,
     /// Full `(k+p) x k` generator matrix, top block = identity.
-    generator: Matrix,
+    pub(crate) generator: Matrix,
     /// Split tables of the `p x k` parity block.
     parity_tables: Vec<NibbleTable>,
 }
@@ -261,11 +261,12 @@ impl ReedSolomon {
                 shards.len()
             )));
         }
-        let present: Vec<bool> = shards.iter().map(Option::is_some).collect();
-        if !present.contains(&false) {
+        let (survivors, absent): (Vec<usize>, Vec<usize>) =
+            (0..shards.len()).partition(|&i| shards[i].is_some());
+        if absent.is_empty() {
             return Ok(());
         }
-        let plan = DecodePlan::for_erasures(self, &present)?;
+        let plan = DecodePlan::new(&self.generator, &survivors, absent)?;
         let mut survivors = shards.iter().flatten();
         let len = survivors.next().map_or(0, Vec::len);
         if survivors.any(|s| s.len() != len) {
@@ -312,18 +313,7 @@ impl ReedSolomon {
                 })
             })
             .collect::<Result<Vec<_>, _>>()?;
-        self.reconstruct_one_from(target, &picked)
-    }
-
-    /// [`ReedSolomon::reconstruct_one`] as a one-target [`DecodePlan`] over
-    /// borrowed `(shard index, bytes)` helpers inside the stripe, so that a
-    /// column of the MLEC grid is gathered by reference.
-    pub(crate) fn reconstruct_one_from(
-        &self,
-        target: usize,
-        helpers: &[(usize, &[u8])],
-    ) -> Result<Vec<u8>, EcError> {
-        let (rows, inputs): (Vec<usize>, Vec<&[u8]>) = helpers.iter().take(self.k).copied().unzip();
+        let (rows, inputs): (Vec<usize>, Vec<&[u8]>) = picked.into_iter().unzip();
         let plan = DecodePlan::new(&self.generator, &rows, vec![target])?;
         if inputs.iter().any(|s| s.len() != inputs[0].len()) {
             return Err(EcError::ShapeMismatch(
@@ -341,7 +331,7 @@ impl ReedSolomon {
 /// decodes for [`ReedSolomon`], [`crate::MlecCodec`] and [`crate::Lrc`].
 pub(crate) struct DecodePlan {
     /// The `k` shards the plan reads, in the order it takes their bytes.
-    survivors: Vec<usize>,
+    pub(crate) survivors: Vec<usize>,
     /// The shards it produces, in the order it returns them.
     pub(crate) targets: Vec<usize>,
     tables: Vec<NibbleTable>,
@@ -394,20 +384,9 @@ impl DecodePlan {
         })
     }
 
-    /// The plan filling every absent shard of `present` from the first `k`
-    /// present ones.
-    pub(crate) fn for_erasures(
-        code: &ReedSolomon,
-        present: &[bool],
-    ) -> Result<DecodePlan, EcError> {
-        let (survivors, targets): (Vec<usize>, Vec<usize>) =
-            (0..present.len()).partition(|&i| present[i]);
-        DecodePlan::new(&code.generator, &survivors, targets)
-    }
-
     /// Every target from the survivors' bytes, given in `survivors` order.
     /// Panics unless they are `k` slices of one length.
-    fn decode(&self, inputs: &[&[u8]]) -> Vec<Vec<u8>> {
+    pub(crate) fn decode(&self, inputs: &[&[u8]]) -> Vec<Vec<u8>> {
         let len = inputs.first().map_or(0, |s| s.len());
         let mut outs: Vec<Vec<u8>> = self.targets.iter().map(|_| vec![0u8; len]).collect();
         let mut views: Vec<&mut [u8]> = outs.iter_mut().map(Vec::as_mut_slice).collect();

@@ -5,8 +5,9 @@
 //! substream per property, one seed per case), so every run exercises the
 //! same inputs.
 
-use mlec_ec::{Lrc, MlecCodec, ReedSolomon};
+use mlec_ec::{EcError, Lrc, MlecCodec, ReedSolomon};
 use mlec_runner::{SeedStream, SplitMix64};
+use std::collections::BTreeSet;
 
 // Scaled down under Miri: the interpreter is ~1000x slower than native.
 const CASES: u64 = if cfg!(miri) { 4 } else { 48 };
@@ -172,15 +173,147 @@ fn mlec_double_parity_commutes() {
     }
 }
 
+/// The store's degraded-read planner from before the codec planned every
+/// degraded read, as a pure function of the erasure mask: the survivors it
+/// fetched for the `k_n * k_l` data chunks, whether it fell back to the
+/// full grid, and whether some column offered more than `k_n` survivors.
+fn reference_reads(
+    mask: &[Vec<bool>],
+    kn: usize,
+    kl: usize,
+) -> (BTreeSet<(usize, usize)>, bool, bool) {
+    let (nw, lw) = (mask.len(), mask[0].len());
+    let mut need: BTreeSet<(usize, usize)> = BTreeSet::new();
+    let (mut simple, mut wide) = (true, false);
+    for row in 0..kn {
+        for col in 0..kl {
+            if mask[row][col] {
+                need.insert((row, col));
+                continue;
+            }
+            let row_missing = (0..lw).filter(|&c| !mask[row][c]).count();
+            if lw - row_missing >= kl {
+                // Local path: any kl survivors of the row suffice.
+                let survivors = (0..lw).filter(|&c| mask[row][c]);
+                need.extend(survivors.take(kl).map(|c| (row, c)));
+            } else {
+                // Network path: the column's survivors across all rows.
+                let col_present: Vec<usize> = (0..nw).filter(|&r| mask[r][col]).collect();
+                if col_present.len() >= kn {
+                    wide |= col_present.len() > kn;
+                    need.extend(col_present.iter().map(|&r| (r, col)));
+                } else {
+                    simple = false;
+                }
+            }
+        }
+    }
+    if !simple {
+        // Worst case: fetch every survivor and reconstruct the grid.
+        need = (0..nw)
+            .flat_map(|r| (0..lw).map(move |c| (r, c)))
+            .filter(|&(r, c)| mask[r][c])
+            .collect();
+    }
+    (need, !simple, wide)
+}
+
+fn mask_of(grid: &[Vec<Option<Vec<u8>>>]) -> Vec<Vec<bool>> {
+    grid.iter()
+        .map(|row| row.iter().map(Option::is_some).collect())
+        .collect()
+}
+
+/// `read_set` for the data chunks of `stripe` under `grid`'s erasures,
+/// checked against the parent planner and `reconstruct`'s verdict
+/// `decodable`: (c) its reads are ascending and distinct; (d) they are a
+/// subset of the reference's, equal unless the reference fell back to the
+/// full grid or read a column wider than `k_n`; (a) decoding a grid that
+/// holds only those reads returns exactly the data bytes whenever
+/// `reconstruct` succeeds, and never other bytes; (b) a refusal reads
+/// every survivor. Returns whether it decoded.
+fn check_read_set(
+    codec: &MlecCodec,
+    stripe: &[Vec<Vec<u8>>],
+    grid: &[Vec<Option<Vec<u8>>>],
+    decodable: bool,
+) -> bool {
+    let (kn, kl) = (codec.network().data_shards(), codec.local().data_shards());
+    let mask = mask_of(grid);
+    let targets: Vec<(usize, usize)> = (0..kn).flat_map(|j| (0..kl).map(move |i| (j, i))).collect();
+    let set = codec.read_set(&mask, &targets).unwrap();
+    let reads = set.reads();
+    // (c) holds by type: `reads()` is a `BTreeSet`.
+    let (reference, fell_back, wide) = reference_reads(&mask, kn, kl);
+    assert!(
+        reads.iter().all(|c| reference.contains(c)),
+        "{reads:?} vs {reference:?}"
+    );
+    if !fell_back && !wide {
+        assert_eq!(reads, &reference);
+    }
+    let mut fetched: Vec<Vec<Option<Vec<u8>>>> = vec![vec![None; mask[0].len()]; mask.len()];
+    for &(j, i) in reads {
+        fetched[j][i] = grid[j][i].clone();
+    }
+    match set.decode(&fetched) {
+        Ok(chunks) => {
+            let data = stripe.iter().take(kn).flat_map(|row| &row[..kl]);
+            assert!(chunks.iter().eq(data), "decoded bytes differ from encode's");
+            true
+        }
+        Err(err) => {
+            assert!(!decodable, "reconstruct succeeds where read_set refuses");
+            assert!(matches!(err, EcError::TooManyErasures { .. }), "{err:?}");
+            let cells = (0..mask.len()).flat_map(|j| (0..mask[j].len()).map(move |i| (j, i)));
+            let survivors: BTreeSet<(usize, usize)> = cells.filter(|&(j, i)| mask[j][i]).collect();
+            assert_eq!(reads, &survivors, "a refusal reads every survivor");
+            assert!(fell_back, "the reference decoded what read_set refuses");
+            false
+        }
+    }
+}
+
 /// MLEC decode over random erasure patterns: `reconstruct` succeeds exactly
 /// when at most `p_n` rows have lost more than `p_l` chunks (leaving a
 /// refused grid as it was), and then equals `encode`; `read_degraded`
-/// returns every chunk of such a stripe; and every column of the repaired
-/// grid, local-parity columns included, is a network codeword.
+/// returns every chunk of such a stripe and counts (e) the reads of its
+/// `read_set` other than the chunk itself; `read_set` for the data chunks
+/// passes [`check_read_set`]; and every column of the repaired grid,
+/// local-parity columns included, is a network codeword. At (2+1)/(4+2)
+/// every pattern a single rack kill leaves, any cells of one row, is
+/// checked too: there `read_set` reads exactly what the parent planner did.
 #[test]
 fn mlec_decodes_exactly_the_decodable_patterns() {
     let mut decodable_cases = [0usize; 2];
-    for (kn, pn, kl, pl) in [(2, 1, 2, 1), (3, 2, 4, 2), (4, 2, 5, 3)] {
+    let mut read_set_decoded = [0usize; 2];
+    // Every pattern a single failed rack leaves at (2+1)/(4+2): any
+    // subset of one row's cells.
+    let small = MlecCodec::new(2, 1, 4, 2).unwrap();
+    let stripe = small.encode(&deterministic_data(8, 16, 1)).unwrap();
+    for row in 0..3 {
+        for pattern in 0u32..64 {
+            let mut grid: Vec<Vec<Option<Vec<u8>>>> = stripe
+                .iter()
+                .map(|r| r.iter().cloned().map(Some).collect())
+                .collect();
+            for (i, cell) in grid[row].iter_mut().enumerate() {
+                if pattern & (1 << i) != 0 {
+                    *cell = None;
+                }
+            }
+            assert!(check_read_set(&small, &stripe, &grid, true));
+            let fell_back = reference_reads(&mask_of(&grid), 2, 4).1;
+            assert!(!fell_back, "row {row} pattern {pattern:#b}");
+        }
+    }
+    for (kn, pn, kl, pl) in [
+        (2, 1, 2, 1),
+        (2, 1, 4, 2),
+        (3, 2, 4, 2),
+        (4, 2, 5, 3),
+        (10, 2, 17, 3),
+    ] {
         let codec = MlecCodec::new(kn, pn, kl, pl).unwrap();
         for case in 0..CASES {
             let mut r = case_rng(&format!("mlec-decode-{kn}+{pn}/{kl}+{pl}"), case);
@@ -208,6 +341,9 @@ fn mlec_decodes_exactly_the_decodable_patterns() {
             let decodable = lost_rows <= pn;
             decodable_cases[usize::from(decodable)] += 1;
 
+            let decoded = check_read_set(&codec, &stripe, &grid, decodable);
+            read_set_decoded[usize::from(decoded)] += 1;
+
             let mut repaired = grid.clone();
             let result = codec.reconstruct(&mut repaired);
             assert_eq!(result.is_ok(), decodable, "case {case}: {result:?}");
@@ -224,10 +360,14 @@ fn mlec_decodes_exactly_the_decodable_patterns() {
                 let column: Vec<Vec<u8>> = repaired.iter().map(|row| row[i].clone()).collect();
                 assert!(codec.network().verify(&column).unwrap(), "column {i}");
             }
+            let mask = mask_of(&grid);
             for (j, row) in stripe.iter().enumerate() {
                 for (i, chunk) in row.iter().enumerate() {
-                    let (bytes, _) = codec.read_degraded(&grid, j, i).unwrap();
+                    let (bytes, reads) = codec.read_degraded(&grid, j, i).unwrap();
                     assert_eq!(&bytes, chunk, "case {case}: chunk ({j}, {i})");
+                    let set = codec.read_set(&mask, &[(j, i)]).unwrap();
+                    let others = set.reads().len() - usize::from(mask[j][i]);
+                    assert_eq!(reads, others, "case {case}: chunk ({j}, {i})");
                 }
             }
         }
@@ -235,6 +375,10 @@ fn mlec_decodes_exactly_the_decodable_patterns() {
     assert!(
         decodable_cases.iter().all(|&n| n > 0),
         "refused/decoded cases drawn: {decodable_cases:?}"
+    );
+    assert!(
+        read_set_decoded.iter().all(|&n| n > 0),
+        "read sets refused/decoded: {read_set_decoded:?}"
     );
 }
 

@@ -26,15 +26,15 @@
 //! they are removed from the backend and tracked in a `lost` set — and the
 //! disk is immediately replaced by an empty spare with the same id, so
 //! later writes land normally. Reads of a damaged stripe take a degraded
-//! path mirroring the codec's preference order: decode within the row
-//! when the row is locally recoverable (cheap, rack-local), else decode
-//! the column over the network, else fetch the whole surviving grid and
-//! reconstruct. Affected stripes are queued on the
-//! [`crate::repair::RepairScheduler`] and rebuilt in the background,
-//! competing with foreground traffic for the same bandwidth. Repair and
-//! degraded reads are inherently cross-rack (decode fan-in), so they stay
-//! on the monolithic single-threaded paths — the epoch scheduler treats
-//! them as barriers.
+//! path the codec plans ([`MlecCodec::read_set`]): each lost data chunk
+//! decodes within its row when the row is locally recoverable (cheap,
+//! rack-local), else down its column over the network, and the store
+//! fetches exactly the survivors the plan names. Affected stripes are
+//! queued on the [`crate::repair::RepairScheduler`] and rebuilt in the
+//! background, competing with foreground traffic for the same bandwidth.
+//! Repair and degraded reads are inherently cross-rack (decode fan-in), so
+//! they stay on the monolithic single-threaded paths — the epoch scheduler
+//! treats them as barriers.
 
 use crate::arbiter::{Lane, RackClock, RateCard, ShardedArbiter};
 use crate::backend::{chunk_key, key_parts, ChunkBackend, ChunkKey};
@@ -549,109 +549,52 @@ impl<B: ChunkBackend> MlecStore<B> {
         })
     }
 
-    /// Degraded path: plan the minimal survivor fetch, fall back to a full
-    /// grid reconstruct when the simple row/column paths don't suffice.
+    /// Degraded path: fetch the survivors [`MlecCodec::read_set`] names for
+    /// the data chunks and decode them. A stripe that cannot produce one, or
+    /// a planned survivor the backend lacks, fails as `Unrecoverable`.
     fn get_degraded(&mut self, obj: u64, now: u64, start: u64) -> Result<GetResult, StoreError> {
         let code = self.cfg.code;
         let (nw, lw) = (code.network_width(), code.local_width());
-        let lost_at = |lost: &BTreeSet<ChunkKey>, row: u32, col: u32| {
-            lost.contains(&chunk_key(obj, row, col))
-        };
-        // Survivors to fetch, beyond the present data chunks.
-        let mut need: BTreeSet<(u32, u32)> = BTreeSet::new();
-        let mut simple = true;
-        for row in 0..code.kn {
-            for col in 0..code.kl {
-                if !lost_at(&self.lost, row, col) {
-                    need.insert((row, col));
-                    continue;
-                }
-                let row_missing = (0..lw).filter(|&c| lost_at(&self.lost, row, c)).count() as u32;
-                if lw - row_missing >= code.kl {
-                    // Local path: any kl survivors of the row suffice.
-                    let mut taken = 0;
-                    for c in 0..lw {
-                        if !lost_at(&self.lost, row, c) && taken < code.kl {
-                            need.insert((row, c));
-                            taken += 1;
-                        }
-                    }
-                } else {
-                    // Network path: the column's survivors across all rows.
-                    let col_present: Vec<u32> =
-                        (0..nw).filter(|&r| !lost_at(&self.lost, r, col)).collect();
-                    if col_present.len() as u32 >= code.kn {
-                        for &r in &col_present {
-                            need.insert((r, col));
-                        }
-                    } else {
-                        simple = false;
-                    }
-                }
-            }
-        }
-        if !simple {
-            // Worst case: fetch every survivor and reconstruct the grid.
-            need = (0..nw)
-                .flat_map(|r| (0..lw).map(move |c| (r, c)))
-                .filter(|&(r, c)| !lost_at(&self.lost, r, c))
-                .collect();
-        }
+        let survives = |row, col| !self.lost.contains(&chunk_key(obj, row, col));
+        let row = |row| (0..lw).map(|col| survives(row, col)).collect();
+        let mask: Vec<Vec<bool>> = (0..nw).map(row).collect();
+        let data = |row| (0..code.kl as usize).map(move |col| (row, col));
+        let targets: Vec<(usize, usize)> = (0..code.kn as usize).flat_map(data).collect();
+        let set = self.codec.read_set(&mask, &targets)?;
 
-        // Fetch the survivors into a grid of Options.
-        let mut grid: Vec<Vec<Option<Vec<u8>>>> = vec![vec![None; lw as usize]; nw as usize];
+        let mut grid = vec![vec![None; lw as usize]; nw as usize];
         let mut end = start;
         let mut fetched = 0u64;
-        for &(row, col) in &need {
-            // PANICS: `grid` is an `n_w x w_l` matrix indexed by the same code geometry as the loop bounds.
-            let cell = &mut grid[row as usize][col as usize];
-            let deliver = |bytes: &[u8]| {
-                *cell = Some(bytes.to_vec());
-                Ok(())
-            };
-            // A survivor the backend lacks stays `None`: the decoder decides.
-            let key = chunk_key(obj, row, col);
-            let mut ctx = self.row_ctx(obj, row);
-            if ctx.read(key, Lane::Foreground, start, &mut end, deliver)? {
-                fetched += 1;
-            }
-        }
-
-        if !simple {
-            self.codec.reconstruct(&mut grid).map_err(|e| match e {
-                mlec_ec::EcError::TooManyErasures { present, needed } => {
-                    StoreError::Unrecoverable {
-                        object: obj,
-                        detail: format!("{present} survivors where {needed} are needed"),
-                    }
-                }
-                other => StoreError::Codec(other),
-            })?;
-        }
-
-        // Assemble the payload; decode what is missing.
-        let mut payload = Vec::with_capacity(self.cfg.payload_bytes());
-        for row in 0..code.kn {
-            for col in 0..code.kl {
-                // PANICS: same grid bounds as the fetch loop above.
-                if let Some(bytes) = &grid[row as usize][col as usize] {
-                    payload.extend_from_slice(bytes);
+        for (row, cells) in (0u32..).zip(&mut grid) {
+            for (col, cell) in (0u32..).zip(cells) {
+                // The row-major walk visits `reads()` in its ascending order.
+                if !set.reads().contains(&(row as usize, col as usize)) {
                     continue;
                 }
-                let (bytes, _) = self
-                    .codec
-                    .read_degraded(&grid, row as usize, col as usize)?;
-                payload.extend_from_slice(&bytes);
+                let deliver = |bytes: &[u8]| {
+                    *cell = Some(bytes.to_vec());
+                    Ok(())
+                };
+                // A survivor the backend lacks stays `None`: the decode refuses.
+                let key = chunk_key(obj, row, col);
+                let mut ctx = self.row_ctx(obj, row);
+                if ctx.read(key, Lane::Foreground, start, &mut end, deliver)? {
+                    fetched += 1;
+                }
             }
         }
+        let chunks = set.decode(&grid).map_err(|e| match e {
+            mlec_ec::EcError::TooManyErasures { present, needed } => StoreError::Unrecoverable {
+                object: obj,
+                detail: format!("{present} survivors where {needed} are needed"),
+            },
+            other => StoreError::Codec(other),
+        })?;
         // Extra survivors = everything fetched that is not the object's own
         // present data (those would have been read anyway).
-        let present_data = (0..code.kn)
-            .flat_map(|r| (0..code.kl).map(move |c| (r, c)))
-            .filter(|&(r, c)| !lost_at(&self.lost, r, c))
-            .count() as u64;
+        let present_data = targets.iter().filter(|t| set.reads().contains(t)).count() as u64;
         Ok(GetResult {
-            payload,
+            payload: chunks.concat(),
             latency_us: end - now,
             degraded: true,
             chunks_read: fetched.saturating_sub(present_data),
@@ -1076,6 +1019,30 @@ mod tests {
         s.kill_racks(s.config().geometry.racks, 1_000);
         match s.get(0, 2_000) {
             Err(StoreError::Unrecoverable { object, .. }) => assert_eq!(object, 0),
+            other => panic!("expected Unrecoverable, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn degraded_get_missing_a_planned_helper_is_unrecoverable() {
+        let mut s = store();
+        let p = payload(s.config(), 6);
+        for obj in 0..8u64 {
+            s.put(obj, &p, obj * 1_000).unwrap();
+        }
+        s.kill_racks(1, 100_000);
+        let kn = s.config().code.kn;
+        // An object whose lost row is a data row: its data chunks there
+        // decode down their columns, from the other data row and the
+        // network-parity row.
+        let obj = (0..8u64)
+            .find(|&o| (0..kn).any(|r| s.lost.contains(&chunk_key(o, r, 0))))
+            .expect("a rack loss reaches some data row");
+        let helper = chunk_key(obj, kn, 0);
+        let rack = s.rack_of_row(obj, kn) as usize;
+        assert!(s.lanes[rack].backend.delete_chunk(helper).unwrap());
+        match s.get(obj, 200_000) {
+            Err(StoreError::Unrecoverable { object, .. }) => assert_eq!(object, obj),
             other => panic!("expected Unrecoverable, got {other:?}"),
         }
     }

@@ -1,8 +1,8 @@
 //! Absolute op-log goldens: the FNV-1a of the JSONL op log plus the
-//! report's integer counters, pinned as literals for four small scenarios
+//! report's integer counters, pinned as literals for five small scenarios
 //! that together reach every chunk read and write the store makes — column
-//! and row decodes, network and local rebuilds, full-grid fetches of dead
-//! stripes, and deletes. Every other determinism test compares two runs of
+//! and row decodes, a column helper decoded in its own row, network and
+//! local rebuilds, full-grid fetches of dead stripes, and deletes. Every other determinism test compares two runs of
 //! the same build; these pin the bytes across commits, so a refactor of
 //! the chunk path that reorders one charge or one cache access fails here.
 //!
@@ -104,6 +104,29 @@ fn partial_rack_kill() {
             repaired_network_chunks: 50,
             unrecoverable_stripes: 0,
             verified_final: 256,
+        },
+    );
+}
+
+#[test]
+fn rack_kill_with_disks_of_the_next_rack() {
+    // Mixed damage: a lost row whose column is short a helper that another
+    // row decodes locally; the codec plans that read without a full-grid
+    // fetch. Stripes with two lost rows fail their gets and rebuilds.
+    check(
+        "mixed",
+        killed(2_400, 1, 4),
+        Golden {
+            oplog_fnv: 0x1d64c5213ff6e6ee,
+            foreground_ios: 8_446,
+            foreground_bytes: 34_594_816,
+            repair_ios: 2_240,
+            repair_bytes: 9_175_040,
+            degraded_reads: 299,
+            repaired_local_chunks: 52,
+            repaired_network_chunks: 585,
+            unrecoverable_stripes: 5,
+            verified_final: 251,
         },
     );
 }
