@@ -344,7 +344,7 @@ modes: sim (default: sim)
          kill_at              integer        0                                                                        inject the failure when this op index is reached (0 = never)
       kill_racks              integer        1                                                                                                 whole racks killed at the injection
       kill_disks              integer        0                                                                                       extra disks killed in the next surviving rack
-           batch              integer     1024                                                                                                     ops prepared per parallel batch
+           batch              integer     1024                                            most ops per in-flight window (a window also closes at a fixed budget of prepared bytes)
           shards              integer        0  apply-phase rack shards: 0 = monolithic serial apply, N >= 1 = epoch-sharded apply on N clock-domain shards (bit-identical output)
     verify_every              integer       64                                                                       verify read-back bytes on every Nth op (0 = final sweep only)
             seed              integer       42                                                                                          root seed for trace and payload derivation
@@ -528,6 +528,10 @@ fn malformed_value_exits_2() {
         (
             ["run", "store_bench", "ops=100", "objects=0"],
             "invalid value `0` for `objects`: expected integer in 1..=4294967295",
+        ),
+        (
+            ["run", "store_bench", "ops=100", "batch=0"],
+            "invalid value `0` for `batch`: expected integer in 1..=4294967295",
         ),
         (
             ["run", "store_bench", "ops=100", "ops_per_sec=0"],

@@ -1887,7 +1887,8 @@ declare_experiment! {
         kill_at: u64 = "0", "inject the failure when this op index is reached (0 = never)";
         kill_racks: u32 = "1", "whole racks killed at the injection";
         kill_disks: u32 = "0", "extra disks killed in the next surviving rack";
-        batch: u64 = "1024", "ops prepared per parallel batch";
+        batch: NonZeroU32 = "1024",
+            "most ops per in-flight window (a window also closes at a fixed budget of prepared bytes)";
         shards: u32 = "0",
             "apply-phase rack shards: 0 = monolithic serial apply, N >= 1 = epoch-sharded apply on N clock-domain shards (bit-identical output)";
         verify_every: u64 = "64", "verify read-back bytes on every Nth op (0 = final sweep only)";
@@ -1990,7 +1991,7 @@ fn store_bench_spec(
         }),
         threads: ctx.runner.threads.max(1),
         shards: p.shards as usize,
-        batch: p.batch.max(1) as usize,
+        batch: p.batch.get() as usize,
         verify_every: p.verify_every,
         seed: p.seed,
         backend,

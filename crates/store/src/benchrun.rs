@@ -1,13 +1,18 @@
-//! The trace-driven benchmark loop: batched prepare, epoch-sharded or
+//! The trace-driven benchmark loop: windowed prepare, epoch-sharded or
 //! serial apply, per-phase tail-latency accounting.
 //!
-//! Each batch of trace ops is *prepared* in parallel ([`crate::iocore`]):
-//! put payloads are synthesized and erasure-encoded, expected read-back
-//! bytes regenerated for verification — all pure functions of
-//! `(object, version)` via seed streams, so no payload is ever stored
-//! twice. The ops are then *applied* against the store, which advances
-//! virtual time, pumps the repair scheduler, and yields one latency
-//! sample per op.
+//! The trace runs through one *in-flight window* at a time: a run of
+//! consecutive ops that closes at `batch` ops or once its prepared bytes
+//! (put grids plus sampled-get expected buffers) reach a fixed budget,
+//! whichever comes first, so the driver never holds more than about one
+//! budget of coded stripes whatever `batch` is. A window's ops are
+//! *prepared* in parallel ([`crate::iocore`]): put payloads are
+//! synthesized and erasure-encoded, expected read-back bytes regenerated
+//! for verification — all pure functions of `(object, version)` via seed
+//! streams, so no payload is ever stored twice. The ops are then *applied*
+//! against the store, which advances virtual time, pumps the repair
+//! scheduler, and yields one latency sample per op. Where windows are cut
+//! changes no result: a window boundary is an epoch flush.
 //!
 //! Apply has two interchangeable engines, selected by `shards=`:
 //!
@@ -66,7 +71,9 @@ pub struct BenchSpec {
     /// path, `n >= 1` for the epoch scheduler with `n` clock-domain
     /// shards (never affects results, only speed).
     pub shards: usize,
-    /// Ops prepared per batch.
+    /// Most ops in one in-flight window: a window closes at `batch` ops or
+    /// at the driver's prepared-bytes budget, whichever comes first (never
+    /// affects results, only speed and memory).
     pub batch: usize,
     /// Verify read-back bytes on every op whose index is a multiple of
     /// this (0 disables inline verification; the final sweep always runs).
@@ -213,7 +220,34 @@ fn payload_into(stream: &SeedStream, obj: u64, version: u64, len: usize, out: &m
     }
 }
 
-/// One op of a batch: its serially-assigned context going into the parallel
+/// The prepared bytes — put grids plus sampled-get expected buffers — at
+/// which an in-flight window closes. A measured constant, not a parameter,
+/// like the codec's `SEGMENT_BYTES` (DESIGN.md has the sweep).
+const IN_FLIGHT_BYTES: usize = 4 << 20;
+
+/// The in-flight window rule: a window closes at `batch` ops, or once its
+/// prepared bytes reach [`IN_FLIGHT_BYTES`] and it holds at least `threads`
+/// prepared ops, so every prepare thread still gets work.
+struct Window {
+    batch: usize,
+    threads: usize,
+}
+
+impl Window {
+    /// Whether a window of `ops` ops, `prepared` of which carry `bytes`
+    /// prepared bytes between them, is closed.
+    fn full(&self, ops: usize, prepared: usize, bytes: usize) -> bool {
+        ops >= self.batch || (bytes >= IN_FLIGHT_BYTES && prepared >= self.threads)
+    }
+
+    /// The most puts of `grid_bytes` each that one window holds.
+    fn max_puts(&self, grid_bytes: usize) -> usize {
+        let by_bytes = IN_FLIGHT_BYTES.div_ceil(grid_bytes.max(1));
+        self.batch.min(self.threads.max(by_bytes))
+    }
+}
+
+/// One op of a window: its serially-assigned context going into the parallel
 /// prepare pass, the pure prepare results coming out.
 struct Prep<'p> {
     op: TraceOp,
@@ -347,14 +381,14 @@ fn apply_serial_op<B: ChunkBackend>(
     })
 }
 
-/// The epoch state of one prepared batch: the open epoch's rack queues,
+/// The epoch state of one prepared window: the open epoch's rack queues,
 /// the ops waiting on them, and every op's resolved outcome.
 struct Epoch<'a> {
     prepared: &'a [Prep<'a>],
     /// One slot per prepared op, filled exactly once.
     outcomes: Vec<Option<Outcome>>,
     queues: EpochQueues<'a>,
-    /// Batch slots of the ops queued in the open epoch, in queue order.
+    /// Window slots of the ops queued in the open epoch, in queue order.
     pending: Vec<usize>,
     /// Per pending op: its start time, max-joined by the flush into its
     /// completion time.
@@ -376,13 +410,13 @@ impl<'a> Epoch<'a> {
         }
     }
 
-    /// Record the outcome of the op in batch slot `slot`.
+    /// Record the outcome of the op in window slot `slot`.
     fn resolve(&mut self, slot: usize, outcome: Outcome) {
         // PANICS: `slot` enumerates `prepared`, and `outcomes` is sized to match.
         self.outcomes[slot] = Some(outcome);
     }
 
-    /// Queue the op in batch slot `slot` on the open epoch: one sub-op per
+    /// Queue the op in window slot `slot` on the open epoch: one sub-op per
     /// row in `0..rows`, each on the rack that owns the row.
     fn queue_rows<B: ChunkBackend>(
         &mut self,
@@ -427,7 +461,7 @@ impl<'a> Epoch<'a> {
         store.apply_epoch(&self.queues, shards, &mut self.ends)?;
         let done_at = store.repair().done_at();
         for (&slot, &end) in self.pending.iter().zip(&self.ends) {
-            // PANICS: `pending` holds batch slots, and `prepared`/`outcomes` are both sized to the batch.
+            // PANICS: `pending` holds window slots, and `prepared`/`outcomes` are both sized to the window.
             let op = self.prepared[slot].op;
             // PANICS: as above.
             self.outcomes[slot] = Some(Outcome {
@@ -472,18 +506,25 @@ fn run_inner<B: ChunkBackend + Send>(
             .expect("payload length is exact by construction");
     };
     let stopwatch = spec.timing.then(crate::stopwatch::Stopwatch::start);
-    // Every stripe the driver encodes lands in a grid of this pool: slot `n`
-    // holds the `n`-th stripe of the batch in flight and is re-encoded in
-    // place by the next batch, which empties the slots it has no put for. So
-    // the pool never holds more than one batch of stripes, and a run of
-    // steady batches allocates no stripe memory.
-    let mut pool: Vec<MlecStripe> = Vec::new();
+    let code = store.config().code;
+    let (nw, kn) = (code.network_width(), code.kn);
+    let grid_bytes = nw as usize * code.local_width() as usize * chunk_bytes;
+    let window = Window {
+        batch: spec.batch.max(1),
+        threads: spec.threads.max(1),
+    };
+    // Every stripe the driver encodes lands in a grid of this pool, one slot
+    // per put a window can hold: the `n`-th put of a window is encoded into
+    // slot `n`, in place over whatever stripe an earlier window left there.
+    // So the driver never holds more than one window of stripes, and once
+    // the slots are warm a run allocates no stripe memory.
+    let mut pool: Vec<MlecStripe> = std::iter::repeat_with(MlecStripe::new)
+        .take(window.max_puts(grid_bytes))
+        .collect();
 
     // Pre-load every object at version 0 (uncharged: data that existed
-    // before the measured window).
-    let preload_batch = 512u64;
-    for (lo, hi) in batches(spec.load.objects, preload_batch) {
-        pool.resize_with(pool.len().max((hi - lo) as usize), MlecStripe::new);
+    // before the measured window), one window of puts at a time.
+    for (lo, hi) in batches(spec.load.objects, pool.len() as u64) {
         let mut encoded: Vec<(u64, &mut MlecStripe)> = (lo..hi).zip(&mut pool).collect();
         par_chunks_mut(&mut encoded, spec.threads, |mine| {
             let mut payload = Vec::with_capacity(plen);
@@ -504,8 +545,6 @@ fn run_inner<B: ChunkBackend + Send>(
     let mut expected_versions: BTreeMap<u64, u64> =
         (0..spec.load.objects).map(|o| (o, 0)).collect();
     let overhead = store.config().overhead_us;
-    let code = store.config().code;
-    let (nw, kn) = (code.network_width(), code.kn);
     let row_bytes = code.kl as usize * chunk_bytes;
     let racks = store.arbiter().racks();
 
@@ -517,13 +556,16 @@ fn run_inner<B: ChunkBackend + Send>(
     // interleaving and must follow strict trace order.
     let mut serial_window = false;
 
-    for (lo, hi) in batches(gen.len(), spec.batch as u64) {
-        // Serial pre-pass: predict versions so prepare can be pure, and
-        // hand each put its grid.
-        pool.resize_with(pool.len().max((hi - lo) as usize), MlecStripe::new);
+    let mut next = 0u64;
+    while next < gen.len() {
+        // Serial pre-pass: predict versions so prepare can be pure, hand
+        // each put its grid, and close the window.
         let mut grids = pool.iter_mut();
-        let mut prepared: Vec<Prep> = Vec::with_capacity((hi - lo) as usize);
-        for index in lo..hi {
+        let mut prepared: Vec<Prep> = Vec::new();
+        let (mut carrying, mut bytes) = (0usize, 0usize);
+        while next < gen.len() && !window.full(prepared.len(), carrying, bytes) {
+            let index = next;
+            next += 1;
             let op = gen.op(index);
             let (put, verify_version) = match op.kind {
                 OpKind::Put => {
@@ -533,7 +575,7 @@ fn run_inner<B: ChunkBackend + Send>(
                 }
                 OpKind::Get => {
                     let live = expected_versions.get(&op.object).copied();
-                    let sampled = spec.verify_every > 0 && index % spec.verify_every == 0;
+                    let sampled = spec.verify_every > 0 && index.is_multiple_of(spec.verify_every);
                     (None, if sampled { live } else { None })
                 }
                 OpKind::Delete => {
@@ -541,6 +583,10 @@ fn run_inner<B: ChunkBackend + Send>(
                     (None, None)
                 }
             };
+            if put.is_some() || verify_version.is_some() {
+                carrying += 1;
+                bytes += if put.is_some() { grid_bytes } else { plen };
+            }
             prepared.push(Prep {
                 op,
                 put,
@@ -548,8 +594,6 @@ fn run_inner<B: ChunkBackend + Send>(
                 expected: None,
             });
         }
-
-        grids.for_each(Vec::clear);
 
         // Parallel prepare, in place: pure payload synthesis + encode.
         par_chunks_mut(&mut prepared, spec.threads, |mine| {
@@ -676,9 +720,6 @@ fn run_inner<B: ChunkBackend + Send>(
             log.log_batch(&records, spec.threads)?;
         }
     }
-    // The final sweep fills the chunk cache; let it have the pool's memory.
-    drop(pool);
-
     // Drain outstanding rebuilds, then verify every live object end to end
     // (repair has given up on dead ones; `unrecoverable_stripes` counts them).
     store.pump_repairs(u64::MAX);
@@ -769,6 +810,25 @@ fn inject_kill<B: ChunkBackend>(store: &mut MlecStore<B>, kill: &KillSpec, at: u
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_window_closes_on_ops_or_bytes_but_feeds_every_thread() {
+        let window = Window {
+            batch: 1024,
+            threads: 2,
+        };
+        // Grids a seventh of the budget: seven per window, not 1024.
+        let grid = IN_FLIGHT_BYTES.div_ceil(7);
+        assert_eq!(window.max_puts(grid), 7);
+        assert!(!window.full(6, 6, 6 * grid));
+        assert!(window.full(7, 7, 7 * grid));
+        // Grids larger than the budget: still one per prepare thread.
+        assert_eq!(window.max_puts(IN_FLIGHT_BYTES * 2), 2);
+        assert!(!window.full(1, 1, IN_FLIGHT_BYTES * 2));
+        // `batch` caps a window however little it has prepared.
+        assert_eq!(Window { batch: 3, ..window }.max_puts(1), 3);
+        assert!(window.full(1024, 0, 0));
+    }
 
     #[test]
     fn steady_run_completes_and_verifies() {
