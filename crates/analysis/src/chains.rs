@@ -6,8 +6,8 @@
 //! (equivalently, concurrent unrepaired failures for clustered pools).
 //! Absorption at `p_l + 1` is a catastrophic (locally-unrecoverable) pool.
 //!
-//! - **Clustered pools** repair each failed disk independently onto a spare
-//!   (rate `m / T_disk` out of state `m`): the classic RAID chain.
+//! - **Clustered pools** rebuild failed disks one at a time onto the
+//!   pool's spare (rate `1 / T_disk` out of every state).
 //! - **Declustered pools** repair by priority: the de-escalation rate out of
 //!   state `m ≥ 2` is the inverse of the time to drain the class-`m` stripe
 //!   census (tiny — this is why Dp pools are orders of magnitude more
@@ -24,7 +24,14 @@ use mlec_units::{Bandwidth, Duration, Rate, Volume};
 /// Build the catastrophic-failure chain of one local pool of `dep`.
 pub fn pool_chain(dep: &MlecDeployment) -> BirthDeathChain {
     match dep.scheme.local {
-        Placement::Clustered => clustered_pool_chain(dep),
+        Placement::Clustered => generic_clustered_chain(
+            dep.local_pools().pool_size(),
+            dep.params.local.p,
+            dep.config.disk_failure_rate(),
+            dep.config.detection()
+                + Volume::from_tb(dep.geometry.disk_capacity_tb)
+                    .transfer_time_mb(single_disk_repair_bw(dep)),
+        ),
         Placement::Declustered => declustered_pool_chain(dep),
     }
 }
@@ -38,23 +45,6 @@ pub fn pool_catastrophic_rate(dep: &MlecDeployment) -> Rate {
 /// is this expressed as a probability, identical for rare events).
 pub fn system_catastrophic_rate(dep: &MlecDeployment) -> Rate {
     pool_catastrophic_rate(dep) * dep.local_pools().num_pools() as f64
-}
-
-fn clustered_pool_chain(dep: &MlecDeployment) -> BirthDeathChain {
-    let d = dep.local_pools().pool_size() as f64;
-    let pl = dep.params.local.p;
-    let lambda = dep.config.disk_failure_rate().to_per_hour();
-    let t_disk = (dep.config.detection()
-        + Volume::from_tb(dep.geometry.disk_capacity_tb)
-            .transfer_time_mb(single_disk_repair_bw(dep)))
-    .to_hours();
-    let fail: Vec<f64> = (0..=pl).map(|m| (d - m as f64) * lambda).collect();
-    // Rebuilds serialize on the pool's spare disk (paper Fig 2d: "repair to
-    // spare disk" — one write target), so the de-escalation rate does not
-    // grow with the number of concurrent failures. This is exactly the
-    // repair-parallelism disadvantage that declustered placement removes.
-    let repair: Vec<f64> = (1..=pl).map(|_| 1.0 / t_disk).collect();
-    BirthDeathChain::new(fail, repair)
 }
 
 fn declustered_pool_chain(dep: &MlecDeployment) -> BirthDeathChain {
@@ -168,9 +158,13 @@ pub fn generic_declustered_chain(spec: &DeclusteredChainSpec) -> BirthDeathChain
 }
 
 /// Generic clustered-pool chain: `width` disks per pool, per-disk rebuild
-/// time `t_disk`, absorption at `tolerance + 1` concurrent failures.
-/// Rebuilds serialize on the single spare disk (see
-/// [`pool_chain`]'s clustered variant).
+/// time `t_disk`, absorption at `tolerance + 1` concurrent failures. It is
+/// also [`pool_chain`]'s clustered variant.
+///
+/// Rebuilds serialize on the pool's spare disk (paper Fig 2d: "repair to
+/// spare disk" — one write target), so the de-escalation rate does not
+/// grow with the number of concurrent failures. This is exactly the
+/// repair-parallelism disadvantage that declustered placement removes.
 pub fn generic_clustered_chain(
     width: u32,
     tolerance: usize,

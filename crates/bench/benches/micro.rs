@@ -9,31 +9,31 @@ use mlec_analysis::chains::pool_chain;
 use mlec_ec::Lrc;
 use mlec_gf::matrix::Matrix;
 use mlec_gf::slice::{mul_add_slice_scalar, mul_slice};
+use mlec_runner::clock::Stopwatch;
 use mlec_sim::config::MlecDeployment;
 use mlec_sim::engine::EventQueue;
 use mlec_topology::MlecScheme;
 use std::hint::black_box;
-use std::time::Instant;
 
 /// Median ns/iter of seven ~50 ms batches, after a warm-up that sizes them.
 fn bench(name: &str, mut f: impl FnMut()) {
     const BATCHES: usize = 7;
     const BATCH_SECONDS: f64 = 0.05;
-    let start = Instant::now();
+    let start = Stopwatch::start();
     let mut warmup = 0u64;
-    while start.elapsed().as_secs_f64() < BATCH_SECONDS / 2.0 || warmup < 3 {
+    while start.elapsed_s() < BATCH_SECONDS / 2.0 || warmup < 3 {
         f();
         warmup += 1;
     }
-    let est = start.elapsed().as_secs_f64() / warmup as f64;
+    let est = start.elapsed_s() / warmup as f64;
     let per_batch = ((BATCH_SECONDS / est) as u64).max(1);
     let mut samples: Vec<u64> = (0..BATCHES)
         .map(|_| {
-            let t = Instant::now();
+            let t = Stopwatch::start();
             for _ in 0..per_batch {
                 f();
             }
-            t.elapsed().as_nanos() as u64 / per_batch
+            (t.elapsed_s() * 1e9) as u64 / per_batch
         })
         .collect();
     samples.sort_unstable();

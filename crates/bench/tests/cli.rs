@@ -477,11 +477,11 @@ fn malformed_value_exits_2() {
     for (args, needle) in [
         (
             ["run", "fig05", "step=4294967295"],
-            "invalid value `4294967295` for `step`: expected integer in 0..=4294967289",
+            "invalid value `4294967295` for `step`: expected integer in 1..=4294967289",
         ),
         (
             ["run", "fig05", "step=4294967297"],
-            "invalid value `4294967297` for `step`: expected integer in 0..=4294967289",
+            "invalid value `4294967297` for `step`: expected integer in 1..=4294967289",
         ),
         (
             ["run", "trace", "burst_racks=0"],
@@ -498,6 +498,45 @@ fn malformed_value_exits_2() {
         (
             ["run", "fig11", "kmax=1"],
             "invalid value `1` for `kmax`: expected integer in 2..=4294967295",
+        ),
+    ] {
+        let out = mlec(&args);
+        assert_eq!(status(&out), 2, "{args:?}");
+        assert!(stderr(&out).contains(needle), "{}", stderr(&out));
+    }
+    // Zero steps and sample counts that used to run silently as 1.
+    for (args, needle) in [
+        (
+            ["run", "fig05", "step=0"],
+            "invalid value `0` for `step`: expected integer in 1..=4294967289",
+        ),
+        (
+            ["run", "fig13", "step=0"],
+            "invalid value `0` for `step`: expected integer in 1..=4294967289",
+        ),
+        (
+            ["run", "fig16", "step=0"],
+            "invalid value `0` for `step`: expected integer in 1..=4294967289",
+        ),
+        (
+            ["run", "fig05", "samples=0"],
+            "invalid value `0` for `samples`: expected integer in 1..=4294967295",
+        ),
+        (
+            ["run", "fig13", "samples=0"],
+            "invalid value `0` for `samples`: expected integer in 1..=4294967295",
+        ),
+        (
+            ["run", "fig16", "samples=0"],
+            "invalid value `0` for `samples`: expected integer in 1..=4294967295",
+        ),
+        (
+            ["run", "fig11", "kstep=0"],
+            "invalid value `0` for `kstep`: expected integer in 1..=4294967295",
+        ),
+        (
+            ["run", "fig11", "pstep=0"],
+            "invalid value `0` for `pstep`: expected integer in 1..=4294967295",
         ),
     ] {
         let out = mlec(&args);

@@ -73,8 +73,8 @@ const HEATMAP_FAST: &[(&str, &str)] = &[("max", "12"), ("samples", "8")];
 fn heatmap_spec(p: &HeatmapParams) -> HeatmapSpec {
     HeatmapSpec {
         max: p.max.get(),
-        step: p.step.get().max(1),
-        samples: p.samples.max(1),
+        step: p.step.get(),
+        samples: p.samples.get(),
         seed: p.seed,
         rel_err: (p.rel_err > 0.0).then_some(p.rel_err),
         min_samples: p.min_samples,
@@ -210,8 +210,8 @@ declare_experiment! {
     FIG05(run_fig05, HeatmapParams {
         max: NonZeroU32 = "60", "largest failures/racks grid line (paper: 60)";
         // `6 + step` is the first stepped grid line; the bound keeps it a `u32`.
-        step: Bounded<0, { u32::MAX - 6 }> = "6", "grid step above 6 (1 = the paper's full grid)";
-        samples: u32 = "60",
+        step: Bounded<1, { u32::MAX - 6 }> = "6", "grid step above 6 (1 = the paper's full grid)";
+        samples: NonZeroU32 = "60",
             "conditional-MC samples per cell (the budget cap when rel_err is set)";
         seed: u64 = "42", "root RNG seed";
         rel_err: f64 = "0",
@@ -883,8 +883,8 @@ declare_experiment! {
     FIG11(run_fig11, Fig11Params {
         kmax: Bounded<2, { u32::MAX }> = "50", "largest data-chunk count";
         pmax: NonZeroU32 = "15", "largest parity count";
-        kstep: u32 = "4", "k grid step";
-        pstep: u32 = "2", "p grid step";
+        kstep: NonZeroU32 = "4", "k grid step";
+        pstep: NonZeroU32 = "2", "p grid step";
         chunk_kb: NonZeroU32 = "128", "chunk size in KiB";
         mb: u32 = "64", "minimum MiB encoded per cell";
         threads: u32 = "1", "worker threads per stripe encode (1 = paper's single-core setup)";
@@ -906,8 +906,8 @@ fn run_fig11(_ctx: &ExperimentCtx, p: &Fig11Params) -> Result<ExperimentOutput, 
     // The grids stop at the last stepped value at or below kmax / pmax.
     // GF(2^8) has no code wider than 256 chunks (`measure_slec` would
     // panic), which also bounds the grids before they are materialised.
-    let (kmax, kstep) = (p.kmax.get(), p.kstep.max(1));
-    let (pmax, pstep) = (p.pmax.get(), p.pstep.max(1));
+    let (kmax, kstep) = (p.kmax.get(), p.kstep.get());
+    let (pmax, pstep) = (p.pmax.get(), p.pstep.get());
     let widest = u64::from(kmax - (kmax - 2) % kstep) + u64::from(pmax - (pmax - 1) % pstep);
     if widest > 256 {
         return Err(ExperimentError::BadValue {
@@ -1989,7 +1989,7 @@ fn store_bench_spec(
             racks: p.kill_racks,
             disks: p.kill_disks,
         }),
-        threads: ctx.runner.threads.max(1),
+        threads: mlec_runner::executor::resolve_threads(ctx.runner.threads),
         shards: p.shards as usize,
         batch: p.batch.get() as usize,
         verify_every: p.verify_every,

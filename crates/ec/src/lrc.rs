@@ -19,7 +19,7 @@ use crate::EcError;
 use mlec_gf::field::gf_inv;
 use mlec_gf::matrix::Matrix;
 use mlec_gf::slice::dot_into;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 /// A `(k, l, r)` LRC codec with exact decodability testing.
@@ -32,7 +32,7 @@ pub struct Lrc {
     /// Data-chunk indices of each local group.
     groups: Vec<Vec<usize>>,
     /// Memoized decodability verdicts keyed by erasure bitmask words.
-    memo: Mutex<HashMap<Vec<u64>, bool>>,
+    memo: Mutex<BTreeMap<Vec<u64>, bool>>,
 }
 
 impl Clone for Lrc {
@@ -43,7 +43,7 @@ impl Clone for Lrc {
             r: self.r,
             generator: self.generator.clone(),
             groups: self.groups.clone(),
-            memo: Mutex::new(HashMap::new()),
+            memo: Mutex::new(BTreeMap::new()),
         }
     }
 }
@@ -112,7 +112,7 @@ impl Lrc {
             r,
             generator,
             groups,
-            memo: Mutex::new(HashMap::new()),
+            memo: Mutex::new(BTreeMap::new()),
         })
     }
 

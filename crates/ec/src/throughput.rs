@@ -17,7 +17,7 @@
 
 use crate::rs::ReedSolomon;
 use crate::scheme::{EcScheme, SlecParams};
-use std::time::Instant;
+use mlec_runner::clock::Stopwatch;
 
 /// One measured point of the throughput surface.
 #[derive(Debug, Clone, Copy)]
@@ -61,12 +61,12 @@ pub fn measure_slec(
 
     let stripe_data_bytes = k * chunk_bytes;
     let iters = (min_bytes / stripe_data_bytes).max(1);
-    let start = Instant::now();
+    let start = Stopwatch::start();
     for _ in 0..iters {
         rs.encode_into_parallel(&data, &mut parity, threads)
             .unwrap();
     }
-    let elapsed = start.elapsed().as_secs_f64();
+    let elapsed = start.elapsed_s();
     std::hint::black_box(&parity);
     ThroughputPoint {
         k,

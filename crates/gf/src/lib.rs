@@ -40,16 +40,13 @@
 //! The only `unsafe` in the workspace lives in [`mod@slice`] and
 //! [`mod@simd`]: the u64-batched fallback loops use unaligned pointer
 //! reads/writes, and the SIMD kernels add `target_feature` contracts plus
-//! vector loads/stores. Every block carries a `// SAFETY:` comment and a
-//! `debug_assert!` bounds invariant (both enforced by `cargo xtask lint`),
-//! the dispatcher only selects a SIMD kernel after runtime feature
-//! detection, and the scalar cores run under Miri in CI (`cargo miri test
-//! -p mlec-gf`, where dispatch always picks the fallback) with
+//! vector loads/stores. Every block carries a `// SAFETY:` comment (held
+//! by clippy's `undocumented_unsafe_blocks`) and a `debug_assert!` bounds
+//! invariant, `unsafe_op_in_unsafe_fn` is denied workspace-wide, the
+//! dispatcher only selects a SIMD kernel after runtime feature detection,
+//! and the scalar cores run under Miri in CI (`cargo miri test -p
+//! mlec-gf`, where dispatch always picks the fallback) with
 //! `#[cfg(miri)]`-scaled exhaustive tests.
-
-// Unsafe hygiene: every unsafe operation inside an unsafe fn still needs
-// its own unsafe block (and its own SAFETY comment).
-#![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod field;
 pub mod matrix;

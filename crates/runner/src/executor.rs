@@ -21,8 +21,8 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
+use crate::clock::Stopwatch;
 use crate::manifest::{Checkpoint, Manifest, ManifestHeader};
 use crate::seed_stream::SeedStream;
 use crate::trial::{Accumulator, Summary, Trial};
@@ -130,13 +130,15 @@ impl RunSpec {
         self.manifest_path = Some(path.into());
         self
     }
+}
 
-    fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
-        }
+/// `threads`, or every available core when it is 0: what a thread count
+/// of 0 means throughout the workspace.
+pub fn resolve_threads(threads: usize) -> usize {
+    if threads > 0 {
+        threads
+    } else {
+        std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
     }
 }
 
@@ -173,7 +175,7 @@ pub fn run_with<T: Trial>(
     spec: &RunSpec,
     empty: T::Acc,
 ) -> std::io::Result<RunReport<T::Acc>> {
-    let start = Instant::now();
+    let start = Stopwatch::start();
     let stream = SeedStream::new(spec.root_seed, &spec.label);
 
     let mut manifest = None;
@@ -203,7 +205,7 @@ pub fn run_with<T: Trial>(
     }
     let resumed_trials = acc.trials();
 
-    let threads = spec.effective_threads();
+    let threads = resolve_threads(spec.threads);
     // Without a precision target no round boundary can stop the run, so the
     // rest of the budget is one pass whose workers never wait; with one,
     // every round is a pass and the stop rule sees the state between them.
@@ -262,7 +264,7 @@ pub fn run_with<T: Trial>(
                 merged += 1;
                 let boundary = merged % spec.batches_per_round == 0 || merged == batches;
                 if let Some(manifest) = manifest.as_mut().filter(|_| boundary) {
-                    let session_elapsed = start.elapsed().as_secs_f64();
+                    let session_elapsed = start.elapsed_s();
                     let session_trials = acc.trials() - resumed_trials;
                     manifest.checkpoint(&Checkpoint {
                         trials: acc.trials(),
@@ -289,7 +291,7 @@ pub fn run_with<T: Trial>(
         merge_ready(&mut acc)?;
     }
 
-    let elapsed_s = start.elapsed().as_secs_f64();
+    let elapsed_s = start.elapsed_s();
     let summary = acc.summary();
     let session_trials = acc.trials() - resumed_trials;
     let trials_per_sec = session_trials as f64 / elapsed_s.max(1e-9);

@@ -14,12 +14,14 @@
 //! * [`json`] — the self-contained JSON layer used by manifests and figure
 //!   dumps;
 //! * [`rng`] — the workspace's only generators: `SplitMix64` for seed
-//!   derivation and the `ChaCha12` every trial draws from.
+//!   derivation and the `ChaCha12` every trial draws from;
+//! * [`clock`] — the workspace's only wall clock, for reporting only.
 //!
 //! The crate is foundational (std-only, no dependencies): simulation and
 //! analysis crates depend on it and implement [`trial::Trial`] for their
 //! own types.
 
+pub mod clock;
 pub mod executor;
 pub mod json;
 pub mod manifest;

@@ -230,7 +230,7 @@ mod tests {
 
     #[test]
     fn mix64_is_injective_on_a_sample() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for i in 0..100_000u64 {
             assert!(seen.insert(mix64(i)));
         }

@@ -79,13 +79,13 @@ impl SeedStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn trial_seeds_are_distinct_and_order_free() {
         let s = SeedStream::new(42, "fig07/CD");
         let forward: Vec<u64> = (0..10_000).map(|i| s.trial_seed(i)).collect();
-        let mut set = HashSet::new();
+        let mut set = BTreeSet::new();
         for &v in &forward {
             assert!(set.insert(v));
         }
@@ -110,7 +110,7 @@ mod tests {
         // cells share low bits. Every cell of a 50x50 grid must get its own
         // seed.
         let s = SeedStream::new(7, "heatmap");
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for y in 0..50u64 {
             for x in 0..50u64 {
                 assert!(seen.insert(s.derive(&[x, y])), "collision at ({x}, {y})");

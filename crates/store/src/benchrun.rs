@@ -505,7 +505,7 @@ fn run_inner<B: ChunkBackend + Send>(
             // PANICS: the chunk split uses the codec's exact payload geometry; encode cannot reject it.
             .expect("payload length is exact by construction");
     };
-    let stopwatch = spec.timing.then(crate::stopwatch::Stopwatch::start);
+    let stopwatch = spec.timing.then(mlec_runner::clock::Stopwatch::start);
     let code = store.config().code;
     let (nw, kn) = (code.network_width(), code.kn);
     let grid_bytes = nw as usize * code.local_width() as usize * chunk_bytes;
@@ -787,7 +787,7 @@ fn run_inner<B: ChunkBackend + Send>(
         repair_ios,
         repair_bytes,
         oplog_records,
-        wall_secs: stopwatch.map(|sw| sw.elapsed_secs()),
+        wall_secs: stopwatch.map(|sw| sw.elapsed_s()),
     })
 }
 

@@ -27,8 +27,6 @@
 //! Facebook-warehouse study, made concrete. `mlec run store_bench` is the
 //! registry entry point.
 
-#![deny(unsafe_op_in_unsafe_fn)]
-
 pub mod arbiter;
 pub mod backend;
 pub mod benchrun;
@@ -39,7 +37,6 @@ pub mod iocore;
 pub mod loadgen;
 pub mod oplog;
 pub mod repair;
-pub mod stopwatch;
 pub mod store;
 
 pub use arbiter::{Lane, ShardedArbiter};

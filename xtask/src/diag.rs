@@ -5,7 +5,7 @@ use std::fmt;
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Lint name (`no-wall-clock`, …).
+    /// Lint name (`unit-discipline`, …).
     pub lint: &'static str,
     /// Workspace-relative `/`-separated path.
     pub path: String,
@@ -67,7 +67,7 @@ mod tests {
     #[test]
     fn json_is_escaped_and_counted() {
         let diags = vec![Diagnostic {
-            lint: "no-wall-clock",
+            lint: "unit-discipline",
             path: "crates/sim/src/a.rs".to_string(),
             line: 3,
             message: "found \"Instant\"\nhere".to_string(),

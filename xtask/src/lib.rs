@@ -1,10 +1,11 @@
 //! In-tree static analysis for the mlec workspace.
 //!
-//! `cargo xtask lint` runs a registry of architectural lints (L2–L4, L7
-//! and L8; see DESIGN.md "Enforced invariants" for the retired numbers)
-//! over the production sources and fails on any finding not suppressed —
-//! with a reason — in `lints.allow.toml`, which may hold at most
-//! [`allow::ALLOW_CEILING`] entries.
+//! `cargo xtask lint` runs a registry of architectural lints (L7 and L8;
+//! see DESIGN.md "Enforced invariants" for the retired numbers, whose
+//! invariants the compiler and clippy now hold) over the production
+//! sources and fails on any finding not suppressed — with a reason — in
+//! `lints.allow.toml`, which may hold at most [`allow::ALLOW_CEILING`]
+//! entries.
 //!
 //! The engine is dependency-free by necessity (the build environment has
 //! no crates.io registry): a minimal hand-rolled lexer ([`lexer`]) stands

@@ -2,25 +2,22 @@
 //! DESIGN.md's "Enforced invariants" section; `cargo xtask lint` runs all
 //! of them over the workspace and fails on any un-suppressed finding.
 //!
-//! A lint retires when the compiler can hold its invariant instead: L1
+//! A lint retires when the toolchain can hold its invariant instead: L1
 //! (the hazard kernel's sampler and likelihood weight) and L6 (the store's
 //! rack clocks) went once the items they guarded became private to one
-//! module; L5 went when typed parameter structs replaced by-name reads.
+//! module; L5 went when typed parameter structs replaced by-name reads;
+//! L2 (wall clock and environment reads), L3 (hash-ordered collections)
+//! and L4 (`// SAFETY:` comments) went to clippy, configured by the root
+//! `clippy.toml` and `[workspace.lints]`.
 
-mod det_iter;
 mod panic_freedom;
-mod safety;
 mod unit_discipline;
-mod wall_clock;
 
 use crate::diag::Diagnostic;
 use crate::source::Workspace;
 
-pub use det_iter::DeterministicIteration;
 pub use panic_freedom::PanicFreedom;
-pub use safety::SafetyComments;
 pub use unit_discipline::UnitDiscipline;
-pub use wall_clock::NoWallClock;
 
 /// One architectural lint.
 pub trait Lint {
@@ -36,17 +33,11 @@ pub trait Lint {
     }
 }
 
-/// Every registered lint, in documentation order (L2–L4, L7, L8: numbers
-/// are stable references into DESIGN.md §7, and L1, L5 and L6 are
-/// retired, never reassigned).
+/// Every registered lint, in documentation order (L7, L8: numbers are
+/// stable references into DESIGN.md §7, and L1–L6 are retired, never
+/// reassigned).
 pub fn all() -> Vec<Box<dyn Lint>> {
-    vec![
-        Box::new(NoWallClock),
-        Box::new(DeterministicIteration),
-        Box::new(SafetyComments),
-        Box::new(UnitDiscipline),
-        Box::new(PanicFreedom),
-    ]
+    vec![Box::new(UnitDiscipline), Box::new(PanicFreedom)]
 }
 
 /// Names of every registered lint plus the engine-internal

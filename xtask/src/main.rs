@@ -7,7 +7,7 @@
 //! Exit codes: 0 = clean, 1 = lint violations, 2 = usage or engine error
 //! (unreadable tree, malformed `lints.allow.toml`).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: cargo xtask lint [--json] [--list] [--changed] [--root DIR]
@@ -68,17 +68,13 @@ fn lint(args: &[String]) -> ExitCode {
         return ExitCode::SUCCESS;
     }
     // When run as `cargo xtask …`, cwd is wherever the user invoked
-    // cargo; the workspace root is the parent of this crate's manifest.
+    // cargo; the workspace root is the parent of this crate's manifest
+    // directory, fixed at build time.
     let root = root.unwrap_or_else(|| {
-        std::env::var_os("CARGO_MANIFEST_DIR")
-            .map(|d| {
-                PathBuf::from(d)
-                    .parent()
-                    .map(PathBuf::from)
-                    .unwrap_or_default()
-            })
+        Path::new(env!("CARGO_MANIFEST_DIR"))
+            .parent()
             .filter(|p| p.join("Cargo.toml").is_file())
-            .unwrap_or_else(|| PathBuf::from("."))
+            .map_or_else(|| PathBuf::from("."), PathBuf::from)
     });
     let scope = if changed {
         match xtask::git_changed_files(&root) {

@@ -175,11 +175,6 @@ impl Workspace {
             files,
         })
     }
-
-    /// The loaded file at exactly this relative path, if any.
-    pub fn file(&self, rel: &str) -> Option<&SourceFile> {
-        self.files.iter().find(|f| f.rel == rel)
-    }
 }
 
 fn sorted_dir(dir: &Path) -> io::Result<Vec<PathBuf>> {

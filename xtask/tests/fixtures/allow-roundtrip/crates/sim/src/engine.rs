@@ -1,5 +1,6 @@
 //! Fixture: a real violation suppressed by the adjacent allow file.
 
-pub fn simulate() -> u64 {
-    std::time::Instant::now().elapsed().as_nanos() as u64
+/// Suffixed fn name returning bare f64.
+pub fn horizon_hours() -> f64 {
+    8766.0
 }
