@@ -18,7 +18,9 @@ use mlec_runner::{run, RunReport, RunSpec};
 use mlec_sim::config::MlecDeployment;
 use mlec_sim::failure::FailureModel;
 use mlec_sim::importance::FailureBias;
-use mlec_sim::repair::{inject_catastrophic, plan_catastrophic_repair, RepairMethod};
+use mlec_sim::repair::{
+    chunk_knowledge_survival, inject_catastrophic, plan_catastrophic_repair, RepairMethod,
+};
 use mlec_sim::trials::{PoolAcc, PoolTrial};
 use mlec_topology::Placement;
 use mlec_units::{Duration, Rate};
@@ -121,43 +123,11 @@ pub fn catastrophic_sojourn(dep: &MlecDeployment, method: RepairMethod) -> Durat
     Duration::from_hours(plan_catastrophic_repair(dep, method).network_time_h)
 }
 
-/// The chunk-knowledge survival factor: probability that an overlap of
+/// The chunk-knowledge survival factor of stage 1's mean lost stripes:
+/// [`chunk_knowledge_survival`], the probability that an overlap of
 /// `p_n + 1` catastrophic pools actually loses a network stripe.
-///
-/// Methods without chunk knowledge (`R_ALL`) must assume every stripe of a
-/// catastrophic pool is lost → factor 1. With knowledge, only the pools'
-/// actually-lost local stripes matter; for declustered local pools those are
-/// a ~`6e-4` fraction, making a real loss spectacularly unlikely (the
-/// paper's "as low as 0.03%" for D/D).
 pub fn knowledge_survival_factor(dep: &MlecDeployment, method: RepairMethod, s1: &Stage1) -> f64 {
-    let pn1 = dep.params.network.p as u32 + 1;
-    let g = dep.network_width() as f64;
-    let lost_frac = if method.has_chunk_knowledge() {
-        (s1.lost_stripes / s1.stripes_per_pool).min(1.0)
-    } else {
-        1.0
-    };
-    match dep.scheme.network {
-        Placement::Clustered => {
-            // Network stripes pair up same-position local stripes across the
-            // group: S per network pool; loss needs the same network stripe
-            // lost in all p_n+1 overlapping pools.
-            let expected = s1.stripes_per_pool * lost_frac.powi(pn1 as i32);
-            -(-expected).exp_m1()
-        }
-        Placement::Declustered => {
-            // Network stripes pick `g` of all P pools (distinct racks);
-            // count those covering the p_n+1 specific overlapping pools.
-            let p_total = dep.local_pools().num_pools() as f64;
-            let n_net_stripes = p_total * s1.stripes_per_pool / g;
-            let mut cover = 1.0;
-            for i in 0..pn1 {
-                cover *= (g - i as f64) / (p_total - i as f64);
-            }
-            let expected = n_net_stripes * cover * lost_frac.powi(pn1 as i32);
-            -(-expected).exp_m1()
-        }
-    }
+    chunk_knowledge_survival(dep, method, s1.lost_stripes, s1.stripes_per_pool)
 }
 
 /// Stage 2: probability of data loss over the `mission` span, combining

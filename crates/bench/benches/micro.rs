@@ -1,4 +1,4 @@
-//! The ten micro rows no `BENCHMARK.json` metric covers, kept measurable
+//! The nine micro rows no `BENCHMARK.json` metric covers, kept measurable
 //! but ungated: `cargo bench -p mlec-bench` prints ns/iter for each and
 //! exits 0. No flags, no baseline, no file written — a number worth
 //! gating belongs in the ledger (`benchmark/`), and this list is the
@@ -11,7 +11,6 @@ use mlec_gf::matrix::Matrix;
 use mlec_gf::slice::{mul_add_slice_scalar, mul_slice};
 use mlec_runner::clock::Stopwatch;
 use mlec_sim::config::MlecDeployment;
-use mlec_sim::engine::EventQueue;
 use mlec_topology::MlecScheme;
 use std::hint::black_box;
 
@@ -65,17 +64,6 @@ fn main() {
         black_box(black_box(&m).rank());
     });
 
-    bench("event_queue_push_pop_10k", || {
-        let mut q = EventQueue::new();
-        for i in 0..10_000u32 {
-            q.schedule(((i * 2654435761) % 100_000) as f64, i);
-        }
-        let mut count = 0;
-        while q.pop().is_some() {
-            count += 1;
-        }
-        black_box(count);
-    });
     let cd = MlecDeployment::paper_default(MlecScheme::CD);
     bench("pool_chain_hazard", || {
         black_box(pool_chain(&cd).absorb_hazard().to_per_hour());

@@ -3,8 +3,8 @@
 //!
 //! The paper's durability results use independent exponential failures with
 //! a 1% annual failure rate; Weibull is provided for infant-mortality /
-//! wear-out sensitivity studies and trace playback for replaying recorded
-//! failure logs.
+//! wear-out sensitivity studies. Recorded failure logs replay through
+//! [`crate::trace::FailureTrace`] instead.
 //!
 //! Failure-arrival times are not sampled here: the inverse-CDF exponential
 //! sampler is private to [`crate::kernel`], so every arrival is drawn
@@ -29,11 +29,6 @@ pub enum FailureModel {
         /// Scale parameter in hours (the 63.2% life quantile).
         scale_hours: f64,
     },
-    /// Replay an explicit list of failure times (hours, ascending).
-    Trace {
-        /// Failure timestamps in hours.
-        times: Vec<f64>,
-    },
 }
 
 impl FailureModel {
@@ -42,26 +37,12 @@ impl FailureModel {
         FailureModel::Exponential { afr: 0.01 }
     }
 
-    /// Mean time to failure (infinite for an exhausted trace).
+    /// Mean time to failure.
     pub fn mttf(&self) -> mlec_units::Duration {
         let hours = match self {
             FailureModel::Exponential { afr } => crate::config::HOURS_PER_YEAR / afr,
             FailureModel::Weibull { shape, scale_hours } => {
                 scale_hours * gamma_fn(1.0 + 1.0 / shape)
-            }
-            FailureModel::Trace { times } => {
-                if times.is_empty() {
-                    f64::INFINITY
-                } else {
-                    // Mean inter-arrival spacing of the trace.
-                    // PANICS: the enclosing branch established the trace has events.
-                    let span = times.last().unwrap() - times.first().unwrap();
-                    if times.len() > 1 {
-                        span / (times.len() - 1) as f64
-                    } else {
-                        f64::INFINITY
-                    }
-                }
             }
         };
         mlec_units::Duration::from_hours(hours)

@@ -11,11 +11,10 @@
 //! - the pool simulators implement [`PoolPolicy`] (state transitions, loss
 //!   detection, and the repair-time model) and run under the shared
 //!   next-event loop [`run_pool_policy`];
-//! - the system simulator schedules network repairs on
-//!   [`crate::engine::EventQueue`], draws failure arrivals from the kernel
-//!   (via [`ArrivalSource`] — stochastic or trace-replay), and advances one
-//!   of the same [`PoolPolicy`] objects per touched pool lazily to each
-//!   arrival;
+//! - the system simulator races each failure arrival, drawn from the
+//!   kernel via [`ArrivalSource`] (stochastic or trace-replay), against its
+//!   earliest network repair in flight, and advances one of the same
+//!   [`PoolPolicy`] objects per touched pool lazily to each arrival;
 //! - trace synthesis ([`crate::trace`]) draws its exponential gaps from an
 //!   unbiased kernel too.
 //!

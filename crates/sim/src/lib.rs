@@ -6,10 +6,8 @@
 //!
 //! - [`config`]: the §3 reference setup (bandwidths, throttles, detection
 //!   time, AFR) and scheme/geometry bundles.
-//! - [`engine`]: a deterministic discrete-event queue with stable FIFO
-//!   tie-breaking.
 //! - [`failure`]: time-to-failure models — exponential (the paper's default,
-//!   AFR 1%), Weibull (infant-mortality/wear-out studies), and trace-driven.
+//!   AFR 1%) and Weibull (infant-mortality/wear-out studies).
 //! - [`bandwidth`]: the analytic available-repair-bandwidth model that
 //!   reproduces Table 2 exactly (participating devices × throttled bandwidth
 //!   ÷ IO amplification).
@@ -32,6 +30,12 @@
 //!   (most-failed-first) rebuild — the clustered/declustered pool policies
 //!   driven by the kernel — produces catastrophic-failure rates (Fig 7) and
 //!   the samples consumed by the splitting estimator (Fig 10).
+//! - [`system_sim`]: the whole deployment in one mission — the same pool
+//!   policies plus network repair of catastrophic pools and data-loss
+//!   detection; like `pool_sim`, it picks each next event by racing the
+//!   pending failure against the earliest repair.
+//! - [`trace`]: failure traces — synthesis, burst detection and the
+//!   replay source `system_sim` draws recorded failures from.
 //! - [`traffic`]: yearly repair network traffic for SLEC / LRC / MLEC
 //!   (§5.1.4, §5.2.4).
 //! - [`trials`]: [`mlec_runner::Trial`] adapters so pool/system simulations
@@ -40,7 +44,6 @@
 pub mod bandwidth;
 pub mod census;
 pub mod config;
-pub mod engine;
 pub mod failure;
 pub mod importance;
 pub mod kernel;

@@ -176,21 +176,17 @@ fn run_pool<P: PoolPolicy, O: SimObserver>(
     }
 }
 
-/// Per-disk failure rate (events/hour) implied by the model; traces are not
-/// supported by the closed-loop pool simulator (they drive the burst and
-/// system paths instead).
+/// Per-disk failure rate (events/hour) implied by the model, for the pool
+/// and system simulators alike.
 ///
 /// For Weibull this is the renewal rate `1 / MTTF` with the MTTF computed by
 /// the Lanczos gamma in [`crate::failure`] — an earlier truncated-Stirling
 /// shortcut here was ~0.2% off near shape 1, silently biasing every Weibull
 /// per-disk rate.
-fn per_disk_rate(model: &FailureModel) -> f64 {
+pub(crate) fn per_disk_rate(model: &FailureModel) -> f64 {
     match model {
         FailureModel::Exponential { afr } => afr / HOURS_PER_YEAR,
         FailureModel::Weibull { .. } => 1.0 / model.mttf().to_hours(),
-        FailureModel::Trace { .. } => {
-            panic!("trace-driven failures are not supported by the pool simulator")
-        }
     }
 }
 

@@ -285,6 +285,53 @@ pub fn inject_catastrophic(dep: &MlecDeployment) -> InjectedFailure {
     }
 }
 
+/// The chunk-knowledge survival factor: the probability that an overlap of
+/// `p_n + 1` catastrophic pools, each with `lost_stripes` of its
+/// `stripes_per_pool` local stripes lost, actually loses a network stripe.
+///
+/// Methods without chunk knowledge (`R_ALL`) must assume every stripe of a
+/// catastrophic pool is lost → factor 1. With knowledge, only the pools'
+/// actually-lost local stripes matter; for declustered local pools those
+/// are a ~`6e-4` fraction, making a real loss spectacularly unlikely (the
+/// paper's "as low as 0.03%" for D/D, §4.2.3 F#1). The system simulator
+/// draws its data-loss coin from this, and the splitting estimator's stage
+/// 2 scales its overlap rate by it.
+pub fn chunk_knowledge_survival(
+    dep: &MlecDeployment,
+    method: RepairMethod,
+    lost_stripes: f64,
+    stripes_per_pool: f64,
+) -> f64 {
+    let pn1 = dep.params.network.p as u32 + 1;
+    let g = dep.network_width() as f64;
+    let lost_frac = if method.has_chunk_knowledge() {
+        (lost_stripes / stripes_per_pool).min(1.0)
+    } else {
+        1.0
+    };
+    match dep.scheme.network {
+        Placement::Clustered => {
+            // Network stripes pair up same-position local stripes across the
+            // group: S per network pool; loss needs the same network stripe
+            // lost in all p_n+1 overlapping pools.
+            let expected = stripes_per_pool * lost_frac.powi(pn1 as i32);
+            -(-expected).exp_m1()
+        }
+        Placement::Declustered => {
+            // Network stripes pick `g` of all P pools (distinct racks);
+            // count those covering the p_n+1 specific overlapping pools.
+            let p_total = dep.local_pools().num_pools() as f64;
+            let n_net_stripes = p_total * stripes_per_pool / g;
+            let mut cover = 1.0;
+            for i in 0..pn1 {
+                cover *= (g - i as f64) / (p_total - i as f64);
+            }
+            let expected = n_net_stripes * cover * lost_frac.powi(pn1 as i32);
+            -(-expected).exp_m1()
+        }
+    }
+}
+
 /// Plan a catastrophic-pool repair under the given method (Fig 8 / Fig 9):
 /// [`RepairMethod::plan`] over the [`inject_catastrophic`] census.
 pub fn plan_catastrophic_repair(

@@ -18,24 +18,27 @@
 //! position overlap, a data-loss event is recorded (with rare-stripe
 //! thinning for chunk-knowledge methods on declustered locals).
 //!
-//! Next-event selection runs on [`crate::engine::EventQueue`]: disk-failure
-//! arrivals and network-repair completions are scheduled events, with FIFO
-//! tie-breaking at equal timestamps. Failure arrivals come from the shared
-//! [`crate::kernel::HazardKernel`] through a [`ArrivalSource`] (stochastic
+//! The next event is a race of two times, as in the pool simulators'
+//! [`crate::kernel::run_pool_policy`]: the one pending failure arrival and
+//! the earliest network repair in flight. A completion at or before the
+//! arrival's time goes first, and completions that tie go in admission
+//! order. Failure arrivals come from the shared
+//! [`crate::kernel::HazardKernel`] through an [`ArrivalSource`] (stochastic
 //! or trace-replay); the RNG draw order (inter-arrival gap, then disk
 //! index, then per-pool processing draws) matches the original hand-rolled
 //! loop exactly, so fixed-seed results are bit-identical — see the
 //! `golden_*` tests below.
 
 use crate::config::{MlecDeployment, HOURS_PER_YEAR};
-use crate::engine::EventQueue;
 use crate::failure::FailureModel;
 use crate::importance::FailureBias;
 use crate::kernel::{
     ArrivalSource, FailureOutcome, HazardKernel, NoopObserver, PoolPolicy, SimObserver,
 };
-use crate::pool_sim::{ClusteredParams, ClusteredPolicy, DeclusteredParams, DeclusteredPolicy};
-use crate::repair::{inject_catastrophic, RepairMethod};
+use crate::pool_sim::{
+    per_disk_rate, ClusteredParams, ClusteredPolicy, DeclusteredParams, DeclusteredPolicy,
+};
+use crate::repair::{chunk_knowledge_survival, inject_catastrophic, RepairMethod};
 use mlec_topology::Placement;
 use std::collections::BTreeMap;
 
@@ -146,10 +149,7 @@ pub fn simulate_system_observed<O: SimObserver>(
     opts: SystemSimOptions,
     observer: &mut O,
 ) -> SystemSimResult {
-    let rate = match failure_model {
-        FailureModel::Exponential { afr } => afr / HOURS_PER_YEAR,
-        _ => panic!("system simulation drives exponential failures; use simulate_system_trace"),
-    };
+    let rate = per_disk_rate(failure_model);
     let mission = Mission {
         dep,
         method,
@@ -166,31 +166,10 @@ pub fn simulate_system_observed<O: SimObserver>(
     )
 }
 
-/// Events driving the system simulation.
-enum Event {
-    /// A disk failure. `disk` is pre-recorded for trace arrivals and drawn
-    /// at pop time for stochastic ones (preserving the RNG draw order of
-    /// the pre-event-queue implementation: gap, then disk).
-    Arrival { disk: Option<u32> },
-    /// A catastrophic pool's network reconstruction completed.
-    NetworkRepairDone { pool: u32 },
-}
-
-/// Schedule the next failure arrival from the kernel-backed source: a fresh
-/// exponential gap from `queue.now()` (one RNG draw through the kernel), or
-/// the next in-order trace record.
-fn schedule_next_arrival(
-    queue: &mut EventQueue<Event>,
-    arrivals: &mut ArrivalSource,
-    kernel: &mut HazardKernel,
-) {
-    if let Some((t, disk)) = arrivals.next_arrival(kernel, queue.now()) {
-        queue.schedule(t, Event::Arrival { disk });
-    }
-}
-
 /// A catastrophic pool's in-flight network reconstruction.
 struct RepairInFlight {
+    /// The pool under repair.
+    pool: u32,
     /// Scheduled completion time, hours.
     done_h: f64,
     /// Admission time, hours (for degraded-interval accounting).
@@ -246,19 +225,19 @@ fn run_pools<P: PoolPolicy, O: SimObserver>(
         years * HOURS_PER_YEAR,
     );
     let pools = dep.local_pools();
-    let num_pools = pools.num_pools();
     let pn1 = dep.params.network.p as u32 + 1;
     let horizon = kernel.horizon();
 
-    // Repair plan for the configured method (identical for every pool).
+    // Repair plan for the configured method (identical for every pool), and
+    // the chance that an overlap in loss position really loses a network
+    // stripe: with chunk knowledge only each pool's actually-lost stripes
+    // count, so the overlap may hold no lost network stripe (paper §4.2.3
+    // F#1).
     let injected = inject_catastrophic(dep);
     let plan = method.plan(dep, &injected);
     let sojourn_h = plan.network_time_h;
-    let lost_frac = if method.has_chunk_knowledge() {
-        (injected.lost_stripes / injected.total_stripes).min(1.0)
-    } else {
-        1.0
-    };
+    let survival =
+        chunk_knowledge_survival(dep, method, injected.lost_stripes, injected.total_stripes);
 
     // Touched pools not under network repair, each with the time its policy
     // was last advanced to. A pool is advanced only when a failure lands in
@@ -266,11 +245,8 @@ fn run_pools<P: PoolPolicy, O: SimObserver>(
     // never sees a rebuild that finished at its own timestamp, and the
     // drain guard and thresholds are the policy's own.
     let mut states: BTreeMap<u32, (f64, P)> = BTreeMap::new();
-    // Catastrophic pools under network repair. Entries are removed by their
-    // `NetworkRepairDone` event; at equal timestamps the completion pops
-    // before the arrival (FIFO tie-break on insertion order), so an arrival
-    // never sees a repair that finished at its own timestamp.
-    let mut catastrophic_until: BTreeMap<u32, RepairInFlight> = BTreeMap::new();
+    // Catastrophic pools under network repair, in admission order.
+    let mut in_flight: Vec<RepairInFlight> = Vec::new();
 
     let mut catastrophic_pools = 0u64;
     let mut data_loss_events = 0u64;
@@ -280,160 +256,137 @@ fn run_pools<P: PoolPolicy, O: SimObserver>(
 
     // Failure arrivals: stochastic (aggregate-rate exponential; the rate
     // reduction from <0.1% failed disks is negligible) or trace records.
-    let mut queue: EventQueue<Event> = EventQueue::new();
-    schedule_next_arrival(&mut queue, &mut arrivals, &mut kernel);
-
-    while let Some((now, event)) = queue.pop() {
-        let disk: u32 = match event {
-            Event::NetworkRepairDone { pool } => {
-                if let Some(repair) = catastrophic_until.remove(&pool) {
-                    observer.on_degraded_interval(repair.admitted_h, now, repair.concurrent);
-                    observer.on_repair(now, 0);
-                }
-                continue;
-            }
-            Event::Arrival { disk } => {
-                if now > horizon {
-                    break;
-                }
-                match disk {
-                    Some(d) => d,
-                    None => kernel
-                        .rng()
-                        .gen_below(u64::from(dep.geometry.total_disks()))
-                        as u32,
-                }
-            }
+    let mut pending = arrivals.next_arrival(&mut kernel, 0.0);
+    loop {
+        // Race the pending arrival against the earliest repair in flight. A
+        // completion at or before the arrival's time goes first, so an
+        // arrival never sees a repair that finished at its own timestamp;
+        // `min_by` keeps the first of tied completions, the earliest
+        // admitted. With no arrival left, every repair drains.
+        let due = in_flight
+            .iter()
+            .enumerate()
+            .min_by(|(_, a), (_, b)| a.done_h.total_cmp(&b.done_h))
+            .filter(|(_, r)| pending.is_none_or(|(t, _)| r.done_h <= t))
+            .map(|(i, _)| i);
+        if let Some(i) = due {
+            let repair = in_flight.remove(i);
+            observer.on_degraded_interval(repair.admitted_h, repair.done_h, repair.concurrent);
+            observer.on_repair(repair.done_h, 0);
+            continue;
+        }
+        // The mission ends at the first arrival past the horizon, or once a
+        // trace is exhausted and its repairs have drained.
+        let Some((now, disk)) = pending.filter(|&(t, _)| t <= horizon) else {
+            break;
         };
+        let disk = disk.unwrap_or_else(|| {
+            kernel
+                .rng()
+                .gen_below(u64::from(dep.geometry.total_disks())) as u32
+        });
         kernel.advance_to(now);
         kernel.record_failure();
 
         let pool = pools.pool_of(disk);
-        if catastrophic_until.contains_key(&pool) {
+        // The failed-disk count of a pool this failure sends catastrophic.
+        let catastrophe = if in_flight.iter().any(|r| r.pool == pool) {
             // Pool already under network reconstruction; the failure is
             // absorbed by that repair.
             observer.on_disk_failure(now, 0);
-            schedule_next_arrival(&mut queue, &mut arrivals, &mut kernel);
-            continue;
-        }
-
-        let (advanced_to, policy) = states.entry(pool).or_insert_with(|| (0.0, healthy_pool()));
-        let failed_before = policy.failed_disks();
-        policy.on_repair_progress(*advanced_to, now);
-        policy.on_repair_event(now, failed_before);
-        *advanced_to = now;
-        // The failed-disk count of the pool after this failure feeds the
-        // observer hooks.
-        let (went_catastrophic, pool_failed) = match policy.on_failure(&mut kernel) {
-            FailureOutcome::Catastrophic {
-                concurrent_failures,
-                ..
-            } => (true, concurrent_failures),
-            FailureOutcome::Continue | FailureOutcome::Regenerated => {
-                (false, policy.failed_disks())
-            }
-        };
-        observer.on_disk_failure(now, pool_failed);
-
-        if !went_catastrophic {
-            schedule_next_arrival(&mut queue, &mut arrivals, &mut kernel);
-            continue;
-        }
-        catastrophic_pools += 1;
-        cross_rack_traffic_tb += plan.cross_rack_traffic_tb;
-        observer.on_catastrophe(now, pool_failed, injected.lost_stripes, 1.0);
-        states.remove(&pool); // network repair rebuilds the pool
-
-        // Bandwidth contention: concurrent repairs sharing this repair's
-        // bottleneck stretch its sojourn (snapshot at admission).
-        let contention = if opts.shared_repair_bandwidth {
-            let sharing = match dep.scheme.network {
-                Placement::Clustered => {
-                    // Same target rack shares its ingress link.
-                    let rack = pools.rack_of_pool(pool);
-                    catastrophic_until
-                        .keys()
-                        .filter(|&&p| pools.rack_of_pool(p) == rack)
-                        .count()
-                }
-                // Declustered repairs all share the global fabric.
-                Placement::Declustered => catastrophic_until.len(),
-            };
-            (sharing + 1) as f64
+            None
         } else {
-            1.0
+            let (advanced_to, policy) = states.entry(pool).or_insert_with(|| (0.0, healthy_pool()));
+            let failed_before = policy.failed_disks();
+            policy.on_repair_progress(*advanced_to, now);
+            policy.on_repair_event(now, failed_before);
+            *advanced_to = now;
+            // The failed-disk count of the pool after this failure feeds the
+            // observer hooks.
+            let (catastrophe, pool_failed) = match policy.on_failure(&mut kernel) {
+                FailureOutcome::Catastrophic {
+                    concurrent_failures,
+                    ..
+                } => (Some(concurrent_failures), concurrent_failures),
+                FailureOutcome::Continue | FailureOutcome::Regenerated => {
+                    (None, policy.failed_disks())
+                }
+            };
+            observer.on_disk_failure(now, pool_failed);
+            catastrophe
         };
-        total_sojourn_h += sojourn_h * contention;
-        catastrophic_until.insert(
-            pool,
-            RepairInFlight {
+
+        if let Some(pool_failed) = catastrophe {
+            catastrophic_pools += 1;
+            cross_rack_traffic_tb += plan.cross_rack_traffic_tb;
+            observer.on_catastrophe(now, pool_failed, injected.lost_stripes, 1.0);
+            states.remove(&pool); // network repair rebuilds the pool
+
+            // Bandwidth contention: concurrent repairs sharing this repair's
+            // bottleneck stretch its sojourn (snapshot at admission).
+            let contention = if opts.shared_repair_bandwidth {
+                let sharing = match dep.scheme.network {
+                    Placement::Clustered => {
+                        // Same target rack shares its ingress link.
+                        let rack = pools.rack_of_pool(pool);
+                        in_flight
+                            .iter()
+                            .filter(|r| pools.rack_of_pool(r.pool) == rack)
+                            .count()
+                    }
+                    // Declustered repairs all share the global fabric.
+                    Placement::Declustered => in_flight.len(),
+                };
+                (sharing + 1) as f64
+            } else {
+                1.0
+            };
+            total_sojourn_h += sojourn_h * contention;
+            in_flight.push(RepairInFlight {
+                pool,
                 done_h: now + sojourn_h * contention,
                 admitted_h: now,
                 concurrent: pool_failed,
-            },
-        );
-        queue.schedule(
-            now + sojourn_h * contention,
-            Event::NetworkRepairDone { pool },
-        );
+            });
 
-        // Data-loss check: p_n+1 overlapping catastrophic pools in loss
-        // position.
-        let overlapping: Vec<u32> = catastrophic_until.keys().copied().collect();
-        let in_loss_position = match dep.scheme.network {
-            Placement::Clustered => {
-                let group_size = dep.network_width();
-                let mut slots: BTreeMap<(u32, u32), u32> = BTreeMap::new();
-                for &p in &overlapping {
-                    let key = (
-                        pools.rack_of_pool(p) / group_size,
-                        pools.position_in_rack(p),
-                    );
-                    *slots.entry(key).or_insert(0) += 1;
-                }
-                slots.values().any(|&n| n >= pn1)
-            }
-            Placement::Declustered => {
-                let mut racks: Vec<u32> =
-                    overlapping.iter().map(|&p| pools.rack_of_pool(p)).collect();
-                racks.sort_unstable();
-                racks.dedup();
-                racks.len() as u32 >= pn1
-            }
-        };
-        if in_loss_position {
-            // Chunk-knowledge thinning: with only a fraction of each pool's
-            // stripes actually lost, the overlap may contain no lost network
-            // stripe (paper §4.2.3 F#1).
-            let survival = match dep.scheme.network {
+            // Data-loss check: p_n+1 overlapping catastrophic pools in loss
+            // position.
+            let in_loss_position = match dep.scheme.network {
                 Placement::Clustered => {
-                    let expected = injected.total_stripes * lost_frac.powi(pn1 as i32);
-                    -(-expected).exp_m1()
+                    let group_size = dep.network_width();
+                    let mut slots: BTreeMap<(u32, u32), u32> = BTreeMap::new();
+                    for r in &in_flight {
+                        let key = (
+                            pools.rack_of_pool(r.pool) / group_size,
+                            pools.position_in_rack(r.pool),
+                        );
+                        *slots.entry(key).or_insert(0) += 1;
+                    }
+                    slots.values().any(|&n| n >= pn1)
                 }
                 Placement::Declustered => {
-                    let p_total = num_pools as f64;
-                    let g = dep.network_width() as f64;
-                    let n_net = p_total * injected.total_stripes / g;
-                    let mut cover = 1.0;
-                    for i in 0..pn1 {
-                        cover *= (g - i as f64) / (p_total - i as f64);
-                    }
-                    let expected = n_net * cover * lost_frac.powi(pn1 as i32);
-                    -(-expected).exp_m1()
+                    let mut racks: Vec<u32> = in_flight
+                        .iter()
+                        .map(|r| pools.rack_of_pool(r.pool))
+                        .collect();
+                    racks.sort_unstable();
+                    racks.dedup();
+                    racks.len() as u32 >= pn1
                 }
             };
-            if kernel.rng().gen_bool(survival.clamp(0.0, 1.0)) {
+            if in_loss_position && kernel.rng().gen_bool(survival.clamp(0.0, 1.0)) {
                 data_loss_events += 1;
                 first_loss_h.get_or_insert(now);
                 observer.on_data_loss(now);
             }
         }
-        schedule_next_arrival(&mut queue, &mut arrivals, &mut kernel);
+        pending = arrivals.next_arrival(&mut kernel, now);
     }
 
     // Censored degraded intervals for pools still under network repair at
-    // the end of the run.
-    for repair in catastrophic_until.values() {
+    // the end of the run, in pool order.
+    in_flight.sort_unstable_by_key(|r| r.pool);
+    for repair in &in_flight {
         observer.on_degraded_interval(
             repair.admitted_h,
             repair.done_h.min(horizon),
@@ -485,10 +438,9 @@ mod tests {
     }
 
     /// Kernel-invariance goldens: bit-identical values captured from the
-    /// original hand-rolled loop (pre-EventQueue, pre-HazardKernel). Every
-    /// structural port since — event-queue next-event selection, then the
-    /// shared hazard kernel with `ArrivalSource` — must reproduce every
-    /// counter and the exact f64 bits of the first-loss timestamp.
+    /// original hand-rolled loop. Every structural change to the mission
+    /// loop must reproduce every counter and the exact f64 bits of the
+    /// first-loss timestamp.
     #[test]
     fn golden_small_system_kernel_invariance() {
         // (seed, disk_failures, catastrophic, losses, first_loss bits,
@@ -756,6 +708,76 @@ mod tests {
         assert_eq!(r.data_loss_events, 0);
         assert_eq!(r.cross_rack_traffic_tb, 0.0);
         assert_eq!(r.total_sojourn_h, 0.0);
+
+        // The `trace` experiment's defaults: single-rack bursts drive pools
+        // catastrophic, so the replay reaches network repair.
+        let trace = crate::trace::synthesize(
+            &g,
+            &crate::trace::TraceSpec {
+                background_afr: 0.01,
+                bursts_per_year: 1.0,
+                burst_size: 60,
+                burst_racks: 1,
+                years: 5.0,
+            },
+            42,
+        )
+        .unwrap();
+        let expect: [(MlecScheme, Golden); 4] = [
+            (
+                MlecScheme::CC,
+                (3246, 9, 0, None, 4656422947538337792, 4641399220656406529),
+            ),
+            (
+                MlecScheme::CD,
+                (3246, 55, 0, None, 4631223181357346278, 4629651226824065253),
+            ),
+            (
+                MlecScheme::DC,
+                (3246, 9, 0, None, 4656422947538337792, 4630990510580127063),
+            ),
+            (
+                MlecScheme::DD,
+                (3246, 55, 0, None, 4631223181357346278, 4628656978210110714),
+            ),
+        ];
+        for (scheme, golden) in expect {
+            let r = simulate_system_trace(&dep(scheme), &trace, RepairMethod::Min, 1);
+            assert_eq!(golden_of(&r), golden, "{scheme}");
+        }
+    }
+
+    /// A completion is handled before an arrival at its own timestamp: the
+    /// second burst lands in the pool the instant its network repair
+    /// completes, so it finds a healthy pool and goes catastrophic again
+    /// instead of being absorbed by the finished repair.
+    #[test]
+    fn completion_precedes_arrival_at_the_same_time() {
+        let d = dep(MlecScheme::CC);
+        let pools = d.local_pools();
+        let sojourn_h = RepairMethod::All
+            .plan(&d, &inject_catastrophic(&d))
+            .network_time_h;
+        let burst = d.params.local.p + 1;
+        let mut events: Vec<crate::trace::TraceEvent> = [0.0, sojourn_h]
+            .into_iter()
+            .flat_map(|time_h| {
+                pools
+                    .disks_of_pool(3)
+                    .take(burst)
+                    .map(move |disk| crate::trace::TraceEvent { time_h, disk })
+            })
+            .collect();
+        // A later failure elsewhere puts the horizon past the tie.
+        let later = pools.disks_of_pool(40).next().unwrap();
+        events.push(crate::trace::TraceEvent {
+            time_h: 2.0 * sojourn_h,
+            disk: later,
+        });
+        let trace = crate::trace::FailureTrace::new(events);
+        let r = simulate_system_trace(&d, &trace, RepairMethod::All, 0);
+        assert_eq!(r.disk_failures, 2 * burst as u64 + 1);
+        assert_eq!(r.catastrophic_pools, 2, "{r:?}");
     }
 
     #[test]
@@ -773,6 +795,23 @@ mod tests {
         let r = simulate_system(&dep(MlecScheme::CC), &model, RepairMethod::All, 10.0, 7);
         assert!(
             (r.disk_failures as f64 - 5760.0).abs() < 400.0,
+            "failures={}",
+            r.disk_failures
+        );
+    }
+
+    #[test]
+    fn weibull_mission_runs_at_the_renewal_rate() {
+        // Shape 2 with a one-year MTTF: 57,600 disks over 1 year at the
+        // renewal rate 1 / MTTF ≈ 57,600 failures.
+        let shape = 2.0;
+        let model = FailureModel::Weibull {
+            shape,
+            scale_hours: HOURS_PER_YEAR / crate::failure::gamma_fn(1.0 + 1.0 / shape),
+        };
+        let r = simulate_system(&dep(MlecScheme::CC), &model, RepairMethod::All, 1.0, 7);
+        assert!(
+            (r.disk_failures as f64 - 57_600.0).abs() < 1_200.0,
             "failures={}",
             r.disk_failures
         );
