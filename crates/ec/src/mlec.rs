@@ -302,6 +302,7 @@ impl MlecCodec {
             }
             if !lost(row) {
                 rows.entry(row).or_default().insert(col);
+                set.local += 1;
                 continue;
             }
             let present_at = (0..nn).filter(|&j| present[j][col]);
@@ -371,10 +372,11 @@ impl MlecCodec {
         Ok((nn, nl))
     }
 
-    /// Repair a stripe grid with erasures (`None` entries), using local
-    /// repair where a row is locally recoverable and network repair for the
-    /// rest. Returns `(locally_repaired, network_repaired)` chunk counts —
-    /// the accounting that distinguishes R_FCO-style from hybrid repairs.
+    /// Repair a stripe grid with erasures (`None` entries): the
+    /// [`MlecCodec::read_set`] of every lost chunk, decoded, so a chunk
+    /// comes back in its row where the row is locally recoverable and down
+    /// its column otherwise. Returns `(locally_repaired, network_repaired)`
+    /// chunk counts, the first [`ReadSet::local`].
     ///
     /// # Errors
     /// [`EcError::TooManyErasures`] when more than `p_n` rows are lost
@@ -408,13 +410,11 @@ impl MlecCodec {
         let present = present_in(stripe);
         let cells = (0..nn).flat_map(|j| (0..nl).map(move |i| (j, i)));
         let lost: Vec<(usize, usize)> = cells.filter(|&(j, i)| !present[j][i]).collect();
-        let chunks = self.read_set(&present, &lost)?.decode(stripe)?;
-        let local = lost.iter().filter(|&&(j, _)| missing_in(&stripe[j]) <= pl);
-        let local = local.count();
-        for (&(j, i), chunk) in lost.iter().zip(chunks) {
+        let set = self.read_set(&present, &lost)?;
+        for (&(j, i), chunk) in lost.iter().zip(set.decode(stripe)?) {
             stripe[j][i] = Some(chunk);
         }
-        Ok((local, lost.len() - local))
+        Ok((set.local(), lost.len() - set.local()))
     }
 }
 
@@ -430,6 +430,8 @@ fn present_in(grid: &[Vec<Option<Vec<u8>>>]) -> Vec<Vec<bool>> {
 pub struct ReadSet {
     reads: BTreeSet<(usize, usize)>,
     targets: Vec<(usize, usize)>,
+    /// How many targets decode inside their own row.
+    local: usize,
     /// Why some target cannot be decoded.
     refused: Option<EcError>,
     /// `(down a column?, row or column, plan)`, the row decodes first: a
@@ -443,6 +445,13 @@ impl ReadSet {
     /// The survivor cells to fetch, in ascending `(row, col)` order.
     pub fn reads(&self) -> &BTreeSet<(usize, usize)> {
         &self.reads
+    }
+
+    /// How many targets a set that decodes produces inside their own row,
+    /// from `k_l` survivors of it: the local repairs. Every other absent
+    /// target goes down its column, a network repair.
+    pub fn local(&self) -> usize {
+        self.local
     }
 
     /// The targets' bytes, in target order, from a grid holding at least

@@ -277,51 +277,6 @@ impl ReedSolomon {
         plan.fill(shards);
         Ok(())
     }
-
-    /// Decode with an explicit helper set: reconstruct shard `target` using
-    /// exactly the first `k` shards listed in `helpers`. Returns the rebuilt
-    /// shard. This models repair methods that choose *which* chunks to read
-    /// (e.g. `R_MIN`'s stage 1).
-    ///
-    /// # Errors
-    /// [`EcError::TooManyErasures`] for fewer than `k` helpers;
-    /// [`EcError::ShapeMismatch`] for a wrong slot count, a `target` or
-    /// helper outside the stripe, a helper missing or listed twice, or
-    /// helpers of different lengths.
-    pub fn reconstruct_one(
-        &self,
-        shards: &[Option<Vec<u8>>],
-        target: usize,
-        helpers: &[usize],
-    ) -> Result<Vec<u8>, EcError> {
-        let n = self.total_shards();
-        if shards.len() != n {
-            return Err(EcError::ShapeMismatch(format!(
-                "expected {n} shard slots, got {}",
-                shards.len()
-            )));
-        }
-        let picked = helpers
-            .iter()
-            .take(self.k)
-            .map(|&h| {
-                let bytes = shards.get(h).and_then(Option::as_deref);
-                bytes.map(|b| (h, b)).ok_or_else(|| {
-                    EcError::ShapeMismatch(format!(
-                        "helper shard {h} is missing or outside the {n}-shard stripe"
-                    ))
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let (rows, inputs): (Vec<usize>, Vec<&[u8]>) = picked.into_iter().unzip();
-        let plan = DecodePlan::new(&self.generator, &rows, vec![target])?;
-        if inputs.iter().any(|s| s.len() != inputs[0].len()) {
-            return Err(EcError::ShapeMismatch(
-                "helper shards differ in length".into(),
-            ));
-        }
-        Ok(plan.decode(&inputs).swap_remove(0))
-    }
 }
 
 /// One erasure pattern's decoder: the `targets` as one linear map of `k`
@@ -565,88 +520,6 @@ mod tests {
         assert!(rs.encode_into_parallel(&data, &mut wrong_count, 4).is_err());
         let mut wrong_len = vec![vec![0u8; 16], vec![0u8; 15]];
         assert!(rs.encode_into_parallel(&data, &mut wrong_len, 4).is_err());
-    }
-
-    #[test]
-    fn reconstruct_one_with_chosen_helpers() {
-        let rs = ReedSolomon::new(4, 3).unwrap();
-        let data = sample_data(4, 24);
-        let encoded = rs.encode(&data).unwrap();
-        let shards: Vec<Option<Vec<u8>>> = encoded.iter().cloned().map(Some).collect();
-        // Rebuild data shard 2 from shards {0, 4, 5, 6} (one data, three parity).
-        let rebuilt = rs.reconstruct_one(&shards, 2, &[0, 4, 5, 6]).unwrap();
-        assert_eq!(rebuilt, encoded[2]);
-        // Rebuild parity shard 5 from the data shards.
-        let rebuilt = rs.reconstruct_one(&shards, 5, &[0, 1, 2, 3]).unwrap();
-        assert_eq!(rebuilt, encoded[5]);
-    }
-
-    /// A (4+3) stripe for the hostile-argument tests of `reconstruct_one`.
-    fn hostile_fixture() -> (ReedSolomon, Vec<Option<Vec<u8>>>) {
-        let rs = ReedSolomon::new(4, 3).unwrap();
-        let encoded = rs.encode(&sample_data(4, 24)).unwrap();
-        (rs, encoded.into_iter().map(Some).collect())
-    }
-
-    fn assert_shape_error(result: Result<Vec<u8>, EcError>, names: &str) {
-        match result {
-            Err(EcError::ShapeMismatch(msg)) => assert!(msg.contains(names), "{msg}"),
-            other => panic!("expected a shape error naming `{names}`, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn reconstruct_one_rejects_a_target_outside_the_stripe() {
-        let (rs, shards) = hostile_fixture();
-        assert_shape_error(rs.reconstruct_one(&shards, 7, &[0, 1, 2, 3]), "shard 7");
-        assert_shape_error(
-            rs.reconstruct_one(&shards, usize::MAX, &[0, 1, 2, 3]),
-            "target",
-        );
-    }
-
-    #[test]
-    fn reconstruct_one_rejects_a_helper_outside_the_stripe() {
-        let (rs, shards) = hostile_fixture();
-        assert_shape_error(rs.reconstruct_one(&shards, 2, &[0, 1, 9, 3]), "shard 9");
-    }
-
-    #[test]
-    fn reconstruct_one_rejects_duplicate_helpers() {
-        let (rs, shards) = hostile_fixture();
-        assert_shape_error(rs.reconstruct_one(&shards, 2, &[0, 4, 0, 5]), "shard 0");
-        let rs2 = ReedSolomon::new(2, 1).unwrap();
-        let two: Vec<Option<Vec<u8>>> = rs2
-            .encode(&sample_data(2, 8))
-            .unwrap()
-            .into_iter()
-            .map(Some)
-            .collect();
-        assert_shape_error(rs2.reconstruct_one(&two, 1, &[0, 0]), "listed twice");
-    }
-
-    #[test]
-    fn reconstruct_one_rejects_a_wrong_slot_count() {
-        let (rs, mut shards) = hostile_fixture();
-        shards.pop();
-        assert_shape_error(
-            rs.reconstruct_one(&shards, 2, &[0, 1, 4, 5]),
-            "7 shard slots",
-        );
-        shards.extend([None, None]);
-        assert_shape_error(rs.reconstruct_one(&shards, 2, &[0, 1, 4, 5]), "got 8");
-    }
-
-    #[test]
-    fn reconstruct_one_rejects_ragged_and_missing_helpers() {
-        let (rs, mut shards) = hostile_fixture();
-        shards[4].as_mut().unwrap().pop();
-        assert_shape_error(
-            rs.reconstruct_one(&shards, 2, &[0, 1, 4, 5]),
-            "differ in length",
-        );
-        shards[1] = None;
-        assert_shape_error(rs.reconstruct_one(&shards, 2, &[0, 1, 5, 6]), "shard 1");
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! that repair consumes at most the configured fraction of bandwidth
 //! (§3: "disk and network traffics are both capped at 20%"). The
 //! scheduler only decides *when and which stripe*; the store performs
-//! the actual grid rebuild and reports back the I/O span.
+//! the rebuild, reading the survivors the codec plans, and reports back
+//! the I/O span.
 
 use std::collections::BTreeSet;
 

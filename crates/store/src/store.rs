@@ -31,7 +31,8 @@
 //! rack-local), else down its column over the network, and the store
 //! fetches exactly the survivors the plan names. Affected stripes are
 //! queued on the [`crate::repair::RepairScheduler`] and rebuilt in the
-//! background, competing with foreground traffic for the same bandwidth.
+//! background from the same planner and fetch loop, competing with
+//! foreground traffic for the same bandwidth.
 //! Repair and degraded reads are inherently cross-rack (decode fan-in), so
 //! they stay on the monolithic single-threaded paths — the epoch scheduler
 //! treats them as barriers.
@@ -41,12 +42,15 @@ use crate::backend::{chunk_key, key_parts, ChunkBackend, ChunkKey};
 use crate::cache::ChunkCache;
 use crate::repair::RepairScheduler;
 use crate::StoreError;
-use mlec_ec::mlec::MlecStripe;
+use mlec_ec::mlec::{MlecStripe, ReadSet};
 use mlec_ec::MlecCodec;
 use mlec_sim::SimConfig;
 use mlec_topology::objectmap::{MapperCode, ObjectMapper};
 use mlec_topology::{DiskId, Geometry, MlecScheme, RackId};
 use std::collections::{BTreeMap, BTreeSet};
+
+/// A chunk's `(row, col)` in its stripe's grid, as the codec plans reads.
+type Cell = (usize, usize);
 
 /// Everything that shapes a store instance.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -559,30 +563,14 @@ impl<B: ChunkBackend> MlecStore<B> {
         let row = |row| (0..lw).map(|col| survives(row, col)).collect();
         let mask: Vec<Vec<bool>> = (0..nw).map(row).collect();
         let data = |row| (0..code.kl as usize).map(move |col| (row, col));
-        let targets: Vec<(usize, usize)> = (0..code.kn as usize).flat_map(data).collect();
+        let targets: Vec<Cell> = (0..code.kn as usize).flat_map(data).collect();
         let set = self.codec.read_set(&mask, &targets)?;
 
         let mut grid = vec![vec![None; lw as usize]; nw as usize];
         let mut end = start;
-        let mut fetched = 0u64;
-        for (row, cells) in (0u32..).zip(&mut grid) {
-            for (col, cell) in (0u32..).zip(cells) {
-                // The row-major walk visits `reads()` in its ascending order.
-                if !set.reads().contains(&(row as usize, col as usize)) {
-                    continue;
-                }
-                let deliver = |bytes: &[u8]| {
-                    *cell = Some(bytes.to_vec());
-                    Ok(())
-                };
-                // A survivor the backend lacks stays `None`: the decode refuses.
-                let key = chunk_key(obj, row, col);
-                let mut ctx = self.row_ctx(obj, row);
-                if ctx.read(key, Lane::Foreground, start, &mut end, deliver)? {
-                    fetched += 1;
-                }
-            }
-        }
+        // A survivor the backend lacks stays `None`: the decode refuses.
+        self.fetch(obj, &set, &mut grid, Lane::Foreground, start, &mut end)
+            .map_err(|(_, e)| e)?;
         let chunks = set.decode(&grid).map_err(|e| match e {
             mlec_ec::EcError::TooManyErasures { present, needed } => StoreError::Unrecoverable {
                 object: obj,
@@ -590,15 +578,49 @@ impl<B: ChunkBackend> MlecStore<B> {
             },
             other => StoreError::Codec(other),
         })?;
-        // Extra survivors = everything fetched that is not the object's own
-        // present data (those would have been read anyway).
-        let present_data = targets.iter().filter(|t| set.reads().contains(t)).count() as u64;
+        // Extra survivors = every read that is not the object's own present
+        // data (those would have been read anyway); a decode fetched them all.
+        let own = targets.iter().filter(|t| set.reads().contains(t)).count();
         Ok(GetResult {
             payload: chunks.concat(),
             latency_us: end - now,
             degraded: true,
-            chunks_read: fetched.saturating_sub(present_data),
+            chunks_read: (set.reads().len() - own) as u64,
         })
+    }
+
+    /// The one survivor loop of degraded gets and rebuilds: fetch into
+    /// `grid` each read of `set` it does not hold yet, in ascending order,
+    /// on `lane` from `start`, max-joining into `end`. Returns the cells the
+    /// backend lacks; a backend error ends the walk and comes back with the
+    /// cell it struck.
+    fn fetch(
+        &mut self,
+        obj: u64,
+        set: &ReadSet,
+        grid: &mut [Vec<Option<Vec<u8>>>],
+        lane: Lane,
+        start: u64,
+        end: &mut u64,
+    ) -> Result<Vec<Cell>, (Cell, StoreError)> {
+        let mut missing = Vec::new();
+        for &(row, col) in set.reads() {
+            let cell = grid.get_mut(row).and_then(|cells| cells.get_mut(col));
+            let Some(cell @ None) = cell else {
+                continue;
+            };
+            let deliver = |bytes: &[u8]| {
+                *cell = Some(bytes.to_vec());
+                Ok(())
+            };
+            let (r, key) = (row as u32, chunk_key(obj, row as u32, col as u32));
+            match self.row_ctx(obj, r).read(key, lane, start, end, deliver) {
+                Ok(true) => {}
+                Ok(false) => missing.push((row, col)),
+                Err(e) => return Err(((row, col), e)),
+            }
+        }
+        Ok(missing)
     }
 
     /// Remove object `obj`; returns the virtual latency.
@@ -665,8 +687,11 @@ impl<B: ChunkBackend> MlecStore<B> {
         }
     }
 
-    /// Rebuild one stripe: read the surviving grid, reconstruct, write the
-    /// lost chunks back to the replacement disks. Returns the finish time.
+    /// Rebuild one stripe: fetch the survivors [`MlecCodec::read_set`] names
+    /// for its lost chunks on the repair lane, decode them, and write them
+    /// back to the replacement disks after the decode fan-in completes. A
+    /// survivor the backend cannot return becomes one more erasure and the
+    /// rebuild plans again. Returns the finish time.
     fn repair_stripe(&mut self, stripe: u64, start: u64) -> u64 {
         let (nw, lw) = (self.cfg.code.network_width(), self.cfg.code.local_width());
         let lost_keys: Vec<ChunkKey> = self
@@ -679,49 +704,48 @@ impl<B: ChunkBackend> MlecStore<B> {
             self.repair.skipped_stripes += 1;
             return start;
         }
-        // Read every survivor (R_FCO-style full-grid rebuild).
-        let mut grid: Vec<Vec<Option<Vec<u8>>>> = vec![vec![None; lw as usize]; nw as usize];
-        let mut read_end = start;
-        for (row, cells) in (0u32..).zip(&mut grid) {
-            for (col, cell) in (0u32..).zip(cells) {
-                let key = chunk_key(stripe, row, col);
-                if self.lost.contains(&key) {
-                    continue;
-                }
-                let deliver = |bytes: &[u8]| {
-                    *cell = Some(bytes.to_vec());
-                    Ok(())
-                };
-                // A backend error counts as a missing survivor.
-                let mut ctx = self.row_ctx(stripe, row);
-                let _ = ctx.read(key, Lane::Repair, start, &mut read_end, deliver);
-            }
-        }
-        match self.codec.reconstruct(&mut grid) {
-            Ok((local, network)) => {
-                self.repaired_local_chunks += local as u64;
-                self.repaired_network_chunks += network as u64;
-            }
-            Err(_) => {
-                // Beyond tolerance: give up on this stripe for good. Reads
-                // of the object now fail until it is overwritten, and the
-                // epoch scheduler must barrier them — mark it dead.
-                self.repair.unrecoverable_stripes += 1;
-                self.dead_objects.insert(stripe);
-                for key in lost_keys {
-                    self.lost.remove(&key);
-                }
-                return read_end;
-            }
-        }
-        // Write the rebuilt chunks after the decode fan-in completes.
-        let mut end = read_end;
-        for key in lost_keys {
+        let cell = |&key: &ChunkKey| {
             let (_, row, col) = key_parts(key);
-            // PANICS: `key_parts` round-trips keys this store minted, so `row`/`col` sit inside the grid.
-            let Some(bytes) = grid[row as usize][col as usize].take() else {
-                continue;
+            (row as usize, col as usize)
+        };
+        let targets: Vec<Cell> = lost_keys.iter().map(cell).collect();
+        let mut erased: BTreeSet<Cell> = targets.iter().copied().collect();
+        let mut grid = vec![vec![None; lw as usize]; nw as usize];
+        let mut read_end = start;
+        // A pass that does not decode erases at least one more cell, so the
+        // re-planning ends.
+        let decoded = loop {
+            let survives = |row, col| !erased.contains(&(row, col));
+            let row = |row| (0..lw as usize).map(|col| survives(row, col)).collect();
+            let mask: Vec<Vec<bool>> = (0..nw as usize).map(row).collect();
+            let set = match self.codec.read_set(&mask, &targets) {
+                Ok(set) => set,
+                Err(e) => break Err(e),
             };
+            match self.fetch(stripe, &set, &mut grid, Lane::Repair, start, &mut read_end) {
+                Ok(missing) if missing.is_empty() => {
+                    break set.decode(&grid).map(|chunks| (set.local(), chunks));
+                }
+                Ok(missing) => erased.extend(missing),
+                Err((at, _)) => erased.extend([at]),
+            }
+        };
+        let Ok((local, chunks)) = decoded else {
+            // Beyond tolerance: give up on this stripe for good. Reads of
+            // the object now fail until it is overwritten, and the epoch
+            // scheduler must barrier them — mark it dead.
+            self.repair.unrecoverable_stripes += 1;
+            self.dead_objects.insert(stripe);
+            for key in lost_keys {
+                self.lost.remove(&key);
+            }
+            return read_end;
+        };
+        self.repaired_local_chunks += local as u64;
+        self.repaired_network_chunks += (lost_keys.len() - local) as u64;
+        let mut end = read_end;
+        for (key, bytes) in lost_keys.into_iter().zip(chunks) {
+            let (_, row, _) = key_parts(key);
             let charge = Some((Lane::Repair, read_end, &mut end));
             if self.row_ctx(stripe, row).write(key, &bytes, charge).is_ok() {
                 self.lost.remove(&key);
@@ -1063,5 +1087,114 @@ mod tests {
         assert!(!s.is_dead(0));
         let got = s.get(0, 3_000_000).unwrap();
         assert_eq!(got.payload, p);
+    }
+
+    /// A [`MemBackend`] whose reads of the keys in `failing` fail with an
+    /// I/O error.
+    #[derive(Debug, Default)]
+    struct FailingReads {
+        inner: MemBackend,
+        failing: BTreeSet<ChunkKey>,
+    }
+
+    impl ChunkBackend for FailingReads {
+        fn write_chunk(&mut self, key: ChunkKey, data: &[u8]) -> Result<(), StoreError> {
+            self.inner.write_chunk(key, data)
+        }
+        fn read_chunk(&mut self, key: ChunkKey, buf: &mut Vec<u8>) -> Result<bool, StoreError> {
+            if self.failing.contains(&key) {
+                return Err(StoreError::Io(std::io::Error::other(
+                    "injected read failure",
+                )));
+            }
+            self.inner.read_chunk(key, buf)
+        }
+        fn delete_chunk(&mut self, key: ChunkKey) -> Result<bool, StoreError> {
+            self.inner.delete_chunk(key)
+        }
+        fn contains(&self, key: ChunkKey) -> bool {
+            self.inner.contains(key)
+        }
+        fn chunk_count(&self) -> usize {
+            self.inner.chunk_count()
+        }
+    }
+
+    fn failing_store() -> MlecStore<FailingReads> {
+        MlecStore::new(StoreConfig::small_test(), |_| Ok(FailingReads::default())).unwrap()
+    }
+
+    /// Object 0 stored alone, then the disk holding its chunk (0, 0)
+    /// killed: one lost data chunk, in a row that can rebuild it locally.
+    fn one_chunk_lost<B: ChunkBackend>(mut s: MlecStore<B>) -> (MlecStore<B>, Vec<u8>) {
+        let p = payload(s.config(), 11);
+        s.put(0, &p, 0).unwrap();
+        let disk = s.mapper.chunk_at(0, 0, 0).disk;
+        assert_eq!(s.kill_disks(&[disk], 10_000), 1, "one chunk of the object");
+        (s, p)
+    }
+
+    /// Make the backend fail every read of object 0's chunks at `cells`.
+    fn fail_reads(s: &mut MlecStore<FailingReads>, cells: &[(u32, u32)]) {
+        for &(row, col) in cells {
+            let rack = s.rack_of_row(0, row) as usize;
+            s.lanes[rack].backend.failing.insert(chunk_key(0, row, col));
+        }
+    }
+
+    #[test]
+    fn rebuild_of_one_lost_chunk_reads_k_l_survivors_of_its_row() {
+        let (mut s, p) = one_chunk_lost(store());
+        s.pump_repairs(u64::MAX);
+        // k_l reads of row 0, then one write.
+        let kl = u64::from(s.config().code.kl);
+        assert_eq!(s.arbiter().repair_totals().0, kl + 1);
+        assert_eq!(s.repaired_chunks(), (1, 0));
+        let t = s.repair().done_at().unwrap() + 1;
+        assert_eq!(s.get(0, t).unwrap().payload, p);
+    }
+
+    #[test]
+    fn rebuild_plans_again_around_a_survivor_it_cannot_read() {
+        // Row 0 rebuilds (0, 0) from columns 1-4; column 4 is a local
+        // parity, which the get below never reads.
+        let (mut s, p) = one_chunk_lost(failing_store());
+        fail_reads(&mut s, &[(0, 4)]);
+        s.pump_repairs(u64::MAX);
+        assert_eq!(s.repair().repaired_stripes, 1);
+        assert_eq!(s.repair().unrecoverable_stripes, 0);
+        assert_eq!(s.repaired_chunks(), (1, 0));
+        assert_eq!(s.lost_chunks(), 0);
+        // Columns 1-3 are not read again and the failed read costs nothing:
+        // columns 1, 2, 3 and 5, then the write.
+        assert_eq!(s.arbiter().repair_totals().0, 4 + 1);
+        let t = s.repair().done_at().unwrap() + 1;
+        assert_eq!(s.get(0, t).unwrap().payload, p);
+    }
+
+    #[test]
+    fn rebuild_of_a_row_left_short_goes_down_the_column_or_refuses() {
+        // Two failed reads leave row 0 three chunks short, beyond p_l = 2:
+        // (0, 0) decodes down column 0 from rows 1 and 2.
+        let (mut s, p) = one_chunk_lost(failing_store());
+        fail_reads(&mut s, &[(0, 1), (0, 2)]);
+        s.pump_repairs(u64::MAX);
+        assert_eq!(s.repair().repaired_stripes, 1);
+        assert_eq!(s.repair().unrecoverable_stripes, 0);
+        assert_eq!(s.repaired_chunks(), (0, 1));
+        assert_eq!(s.arbiter().repair_totals().0, 2 + 1);
+        s.lanes.iter_mut().for_each(|l| l.backend.failing.clear());
+        let t = s.repair().done_at().unwrap() + 1;
+        assert_eq!(s.get(0, t).unwrap().payload, p);
+
+        // Row 1 failing too leaves column 0 short of k_n = 2 rows: the
+        // rebuild refuses, and the stripe is dead.
+        let (mut s, _) = one_chunk_lost(failing_store());
+        fail_reads(&mut s, &[(0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]);
+        s.pump_repairs(u64::MAX);
+        assert_eq!(s.repair().repaired_stripes, 0);
+        assert_eq!(s.repair().unrecoverable_stripes, 1);
+        assert!(s.is_dead(0));
+        assert_eq!(s.lost_chunks(), 0);
     }
 }

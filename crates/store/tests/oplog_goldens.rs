@@ -2,9 +2,12 @@
 //! report's integer counters, pinned as literals for five small scenarios
 //! that together reach every chunk read and write the store makes — column
 //! and row decodes, a column helper decoded in its own row, network and
-//! local rebuilds, full-grid fetches of dead stripes, and deletes. Every other determinism test compares two runs of
-//! the same build; these pin the bytes across commits, so a refactor of
-//! the chunk path that reorders one charge or one cache access fails here.
+//! local rebuilds (each reading only the survivors
+//! `MlecCodec::read_set` names, which `repair_ios`/`repair_bytes` pin),
+//! full-survivor fetches of dead stripes, and deletes. Every other
+//! determinism test compares two runs of the same build; these pin the
+//! bytes across commits, so a refactor of the chunk path that reorders one
+//! charge or one cache access fails here.
 //!
 //! Each scenario runs on the monolithic path (`shards = 0`) and on the
 //! epoch scheduler (`shards = 2`) against the same literal.
@@ -89,7 +92,8 @@ fn one_rack_kill() {
 
 #[test]
 fn partial_rack_kill() {
-    // Row decodes on the degraded path, a local rebuild.
+    // Row decodes on the degraded path and in the rebuild: a stripe that
+    // lost one chunk of a row reads `k_l` survivors of that row.
     check(
         "disks",
         killed(2_400, 0, 4),
@@ -97,8 +101,8 @@ fn partial_rack_kill() {
             oplog_fnv: 0x4937ab4c40d3a2cb,
             foreground_ios: 8_055,
             foreground_bytes: 32_993_280,
-            repair_ios: 1_080,
-            repair_bytes: 4_423_680,
+            repair_ios: 395,
+            repair_bytes: 1_617_920,
             degraded_reads: 114,
             repaired_local_chunks: 69,
             repaired_network_chunks: 50,
@@ -111,8 +115,9 @@ fn partial_rack_kill() {
 #[test]
 fn rack_kill_with_disks_of_the_next_rack() {
     // Mixed damage: a lost row whose column is short a helper that another
-    // row decodes locally; the codec plans that read without a full-grid
-    // fetch. Stripes with two lost rows fail their gets and rebuilds.
+    // row decodes locally; the codec plans that read, for gets and rebuilds
+    // alike, without a full-grid fetch. Stripes with two lost rows fail
+    // their gets and rebuilds, reading every survivor.
     check(
         "mixed",
         killed(2_400, 1, 4),
@@ -120,8 +125,8 @@ fn rack_kill_with_disks_of_the_next_rack() {
             oplog_fnv: 0x1d64c5213ff6e6ee,
             foreground_ios: 8_446,
             foreground_bytes: 34_594_816,
-            repair_ios: 2_240,
-            repair_bytes: 9_175_040,
+            repair_ios: 1_912,
+            repair_bytes: 7_831_552,
             degraded_reads: 299,
             repaired_local_chunks: 52,
             repaired_network_chunks: 585,

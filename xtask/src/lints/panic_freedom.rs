@@ -25,7 +25,7 @@ const SCOPES: &[&str] = &["crates/store/src/", "crates/sim/src/"];
 
 /// The most justified `// PANICS:` sites the data plane may carry. Lower
 /// it whenever the printed count falls; never raise it.
-const PANICS_CEILING: usize = 38;
+const PANICS_CEILING: usize = 37;
 
 /// `// PANICS:` comments outside test regions, per entry of [`SCOPES`].
 fn justified_sites(ws: &Workspace) -> [usize; SCOPES.len()] {
