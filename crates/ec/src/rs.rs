@@ -299,20 +299,18 @@ impl DecodePlan {
     /// a Reed–Solomon code, ones chosen by rank for an LRC.
     ///
     /// # Errors
-    /// [`EcError::TooManyErasures`] for fewer than `k` survivors;
-    /// [`EcError::ShapeMismatch`] for a target outside the stripe or a
-    /// survivor listed twice.
+    /// [`EcError::TooManyErasures`] for fewer than `k` survivors.
+    ///
+    /// # Panics
+    /// If a target is outside the stripe, or the first `k` survivors are
+    /// not independent (one listed twice, say). Every caller passes distinct
+    /// in-range shards.
     pub(crate) fn new(
         generator: &Matrix,
         survivors: &[usize],
         targets: Vec<usize>,
     ) -> Result<DecodePlan, EcError> {
-        let (k, n) = (generator.cols(), generator.rows());
-        if let Some(t) = targets.iter().find(|&&t| t >= n) {
-            return Err(EcError::ShapeMismatch(format!(
-                "target shard {t} is outside the {n}-shard stripe"
-            )));
-        }
+        let k = generator.cols();
         if survivors.len() < k {
             return Err(EcError::TooManyErasures {
                 present: survivors.len(),
@@ -320,12 +318,6 @@ impl DecodePlan {
             });
         }
         let survivors = survivors[..k].to_vec();
-        if let Some(i) = (1..k).find(|&i| survivors[..i].contains(&survivors[i])) {
-            return Err(EcError::ShapeMismatch(format!(
-                "helper shard {} is listed twice",
-                survivors[i]
-            )));
-        }
         let inv = generator
             .select_rows(&survivors)
             .invert()

@@ -67,7 +67,10 @@ pub fn ln_factorial(n: u32) -> f64 {
             }
             t
         });
-        // PANICS: the enclosing branch checks `n < TABLE_SIZE`, the table's exact length.
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the enclosing branch checks `n < TABLE_SIZE`, the table's exact length."
+        )]
         table[n as usize]
     } else {
         let x = n as f64 + 1.0;
@@ -96,8 +99,12 @@ impl StripeCensus {
     pub fn new(pool_disks: u32, stripe_width: u32, total_stripes: f64) -> StripeCensus {
         assert!(stripe_width >= 2 && stripe_width <= pool_disks);
         let mut counts = vec![0.0; stripe_width as usize + 1];
-        // PANICS: `counts` was just built with `stripe_width + 1 >= 3` entries.
-        counts[0] = total_stripes;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`counts` was just built with `stripe_width + 1 >= 3` entries."
+        )]
+        let healthy = &mut counts[0];
+        *healthy = total_stripes;
         StripeCensus {
             pool_disks,
             stripe_width,
@@ -149,12 +156,20 @@ impl StripeCensus {
         // Walk top-down so each class is promoted from its pre-update value.
         for m in (0..self.stripe_width as usize).rev() {
             let q = (self.stripe_width as f64 - m as f64) / survivors;
-            // PANICS: `m < stripe_width` and `counts.len() == stripe_width + 1`, so `m` is in bounds.
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "`m < stripe_width` and `counts.len() == stripe_width + 1`, so `m` is in bounds."
+            )]
             let moved = self.counts[m] * q;
-            // PANICS: same bound: `m < counts.len()`.
-            self.counts[m] -= moved;
-            // PANICS: `m + 1 <= stripe_width < counts.len()`.
-            self.counts[m + 1] += moved;
+            #[expect(clippy::indexing_slicing, reason = "same bound: `m < counts.len()`.")]
+            let from = &mut self.counts[m];
+            *from -= moved;
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "`m + 1 <= stripe_width < counts.len()`."
+            )]
+            let to = &mut self.counts[m + 1];
+            *to += moved;
         }
         self.failed_disks += 1;
     }
@@ -169,17 +184,28 @@ impl StripeCensus {
             if chunk_budget <= 0.0 {
                 break;
             }
-            // PANICS: loop bound `m <= stripe_width`, and `counts.len() == stripe_width + 1`.
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "loop bound `m <= stripe_width`, and `counts.len() == stripe_width + 1`."
+            )]
             let class_chunks = self.counts[m] * m as f64;
             if class_chunks <= 0.0 {
                 continue;
             }
             let take_chunks = class_chunks.min(chunk_budget);
             let take_stripes = take_chunks / m as f64;
-            // PANICS: same loop bound keeps `m` in range; index 0 always exists.
-            self.counts[m] -= take_stripes;
-            // PANICS: index 0 always exists (`counts` is never empty).
-            self.counts[0] += take_stripes;
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "same loop bound keeps `m` in range; index 0 always exists."
+            )]
+            let from = &mut self.counts[m];
+            *from -= take_stripes;
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "index 0 always exists (`counts` is never empty)."
+            )]
+            let healthy = &mut self.counts[0];
+            *healthy += take_stripes;
             chunk_budget -= take_chunks;
             repaired += take_chunks;
         }
@@ -192,8 +218,12 @@ impl StripeCensus {
             self.failed_disks = 0;
             let total = self.total_stripes();
             self.counts.fill(0.0);
-            // PANICS: index 0 always exists (`counts` is never empty).
-            self.counts[0] = total;
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "index 0 always exists (`counts` is never empty)."
+            )]
+            let healthy = &mut self.counts[0];
+            *healthy = total;
         }
         repaired
     }

@@ -6,8 +6,8 @@
 //!
 //! - [`config`]: the §3 reference setup (bandwidths, throttles, detection
 //!   time, AFR) and scheme/geometry bundles.
-//! - [`failure`]: time-to-failure models — exponential (the paper's default,
-//!   AFR 1%) and Weibull (infant-mortality/wear-out studies).
+//! - [`failure`]: the time-to-failure model — exponential at the paper's
+//!   AFR (1% by default) — and the Poisson sampler of rare-stripe thinning.
 //! - [`bandwidth`]: the analytic available-repair-bandwidth model that
 //!   reproduces Table 2 exactly (participating devices × throttled bandwidth
 //!   ÷ IO amplification).
@@ -40,6 +40,11 @@
 //!   (§5.1.4, §5.2.4).
 //! - [`trials`]: [`mlec_runner::Trial`] adapters so pool/system simulations
 //!   run through the deterministic batched executor (`mlec-runner`).
+
+#![cfg_attr(
+    not(test),
+    warn(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)
+)]
 
 pub mod bandwidth;
 pub mod census;

@@ -801,23 +801,6 @@ mod tests {
     }
 
     #[test]
-    fn weibull_mission_runs_at_the_renewal_rate() {
-        // Shape 2 with a one-year MTTF: 57,600 disks over 1 year at the
-        // renewal rate 1 / MTTF ≈ 57,600 failures.
-        let shape = 2.0;
-        let model = FailureModel::Weibull {
-            shape,
-            scale_hours: HOURS_PER_YEAR / crate::failure::gamma_fn(1.0 + 1.0 / shape),
-        };
-        let r = simulate_system(&dep(MlecScheme::CC), &model, RepairMethod::All, 1.0, 7);
-        assert!(
-            (r.disk_failures as f64 - 57_600.0).abs() < 1_200.0,
-            "failures={}",
-            r.disk_failures
-        );
-    }
-
-    #[test]
     fn no_loss_at_paper_afr_over_short_missions() {
         // At 1% AFR the system must survive a few years with overwhelming
         // probability (its durability is tens of nines).

@@ -265,10 +265,13 @@ pub fn synthesize_rules(geometry: &Geometry, rules: &[FailureRule], seed: u64) -
             if t >= rule.end_h {
                 break;
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "`gen_below(disks.len())` requires a non-empty selection and yields an in-range index."
+            )]
             events.push(TraceEvent {
                 time_h: t,
                 disk: *disks
-                    // PANICS: `gen_below(disks.len())` requires a non-empty selection and yields an in-range index.
                     .get(kernel.rng().gen_below(disks.len() as u64) as usize)
                     .expect("non-empty selection"),
             });
@@ -292,7 +295,10 @@ pub fn detect_bursts(
         if let Some(last) = current.last() {
             if e.time_h - last.time_h > window_h {
                 if current.len() >= min_size {
-                    // PANICS: guarded by `current.len() >= min_size` with `min_size >= 1` (a burst has at least one event).
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "guarded by `current.len() >= min_size` with `min_size >= 1` (a burst has at least one event)."
+                    )]
                     bursts.push((current[0].time_h, current.iter().map(|x| x.disk).collect()));
                 }
                 current.clear();
@@ -301,7 +307,10 @@ pub fn detect_bursts(
         current.push(e);
     }
     if current.len() >= min_size {
-        // PANICS: same guard as above: `current.len() >= min_size >= 1`.
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "same guard as above: `current.len() >= min_size >= 1`."
+        )]
         bursts.push((current[0].time_h, current.iter().map(|x| x.disk).collect()));
     }
     bursts

@@ -48,7 +48,10 @@ impl EventLogSink {
 
     fn append(&self, block: &str) {
         use std::io::Write;
-        // PANICS: lock poisoning only follows a panic on another worker; propagating the abort is correct.
+        #[expect(
+            clippy::expect_used,
+            reason = "lock poisoning only follows a panic on another worker; propagating the abort is correct."
+        )]
         let mut out = self.out.lock().expect("event log lock");
         // Log I/O failure must not abort a long simulation campaign; the
         // JSONL is diagnostics, the manifest is the durable result.

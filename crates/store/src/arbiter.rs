@@ -213,7 +213,10 @@ impl ShardedArbiter {
     /// completion time. The disk is busy until then.
     pub fn disk_io(&mut self, disk: DiskId, bytes: usize, now: u64, lane: Lane) -> u64 {
         let rack = self.rack_of(disk) as usize;
-        // PANICS: `rack_of` maps any disk id into `0..racks`, the clock-shard count.
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`rack_of` maps any disk id into `0..racks`, the clock-shard count."
+        )]
         self.clocks[rack].disk_io(&self.rates, disk, bytes, now, lane)
     }
 

@@ -251,20 +251,24 @@ impl Window {
 /// prepare pass, the pure prepare results coming out.
 struct Prep<'p> {
     op: TraceOp,
-    /// For a put: the version it will be assigned (predicted serially) and
-    /// the recycled grid prepare encodes its stripe into.
-    put: Option<(u64, &'p mut MlecStripe)>,
-    /// Version to verify a get against, when sampled for verification.
-    verify_version: Option<u64>,
-    /// The bytes that version reads back as, once prepared.
-    expected: Option<Vec<u8>>,
+    job: Job<'p>,
 }
 
-impl Prep<'_> {
-    /// A put's encoded stripe.
-    fn stripe(&self) -> Option<&MlecStripe> {
-        self.put.as_ref().map(|(_, grid)| &**grid)
-    }
+/// The prepare work of one op, by kind.
+enum Job<'p> {
+    Put {
+        /// The version the put will be assigned (predicted serially).
+        version: u64,
+        /// The recycled grid prepare encodes its stripe into.
+        grid: &'p mut MlecStripe,
+    },
+    Get {
+        /// Version to verify against, when sampled for verification.
+        verify_version: Option<u64>,
+        /// The bytes that version reads back as, once prepared.
+        expected: Option<Vec<u8>>,
+    },
+    Delete,
 }
 
 /// What one applied op measured; stitched into histograms and the op log
@@ -330,19 +334,17 @@ fn apply_serial_op<B: ChunkBackend>(
     let op = prep.op;
     store.pump_repairs(op.at_us);
     let phase = phase_of(kill_time_us, store.repair().done_at(), op.at_us);
-    let (latency_us, degraded, chunks_read) = match op.kind {
-        OpKind::Put => {
+    let (latency_us, degraded, chunks_read) = match &prep.job {
+        Job::Put { grid, .. } => {
             tally.puts += 1;
-            // PANICS: the prepare pass builds a stripe for every Put before replay starts.
-            let stripe = prep.stripe().expect("puts are prepared");
-            let res = store.put_encoded(op.object, stripe, op.at_us)?;
+            let res = store.put_encoded(op.object, grid, op.at_us)?;
             (res.latency_us, false, 0)
         }
-        OpKind::Get => {
+        Job::Get { expected, .. } => {
             tally.gets += 1;
             match store.get(op.object, op.at_us) {
                 Ok(got) => {
-                    if let Some(expected) = &prep.expected {
+                    if let Some(expected) = expected {
                         if &got.payload != expected {
                             return Err(StoreError::CorruptPayload(op.object));
                         }
@@ -361,7 +363,7 @@ fn apply_serial_op<B: ChunkBackend>(
                 Err(other) => return Err(other),
             }
         }
-        OpKind::Delete => {
+        Job::Delete => {
             tally.deletes += 1;
             match store.delete(op.object, op.at_us) {
                 Ok(latency) => (latency, false, 0),
@@ -412,8 +414,12 @@ impl<'a> Epoch<'a> {
 
     /// Record the outcome of the op in window slot `slot`.
     fn resolve(&mut self, slot: usize, outcome: Outcome) {
-        // PANICS: `slot` enumerates `prepared`, and `outcomes` is sized to match.
-        self.outcomes[slot] = Some(outcome);
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`slot` enumerates `prepared`, and `outcomes` is sized to match."
+        )]
+        let resolved = &mut self.outcomes[slot];
+        *resolved = Some(outcome);
     }
 
     /// Queue the op in window slot `slot` on the open epoch: one sub-op per
@@ -426,11 +432,14 @@ impl<'a> Epoch<'a> {
         start: u64,
         action: impl Fn(u32) -> SubAction<'a>,
     ) {
-        // PANICS: `slot` enumerates `prepared`.
+        #[expect(clippy::indexing_slicing, reason = "`slot` enumerates `prepared`.")]
         let obj = self.prepared[slot].op.object;
         for row in 0..rows {
             let rack = store.rack_of_row(obj, row) as usize;
-            // PANICS: `rack_of_row` maps into `0..racks`, the `by_rack` queue count.
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "`rack_of_row` maps into `0..racks`, the `by_rack` queue count."
+            )]
             self.queues.by_rack[rack].push(SubOp {
                 slot: self.pending.len() as u32,
                 obj,
@@ -461,10 +470,14 @@ impl<'a> Epoch<'a> {
         store.apply_epoch(&self.queues, shards, &mut self.ends)?;
         let done_at = store.repair().done_at();
         for (&slot, &end) in self.pending.iter().zip(&self.ends) {
-            // PANICS: `pending` holds window slots, and `prepared`/`outcomes` are both sized to the window.
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "`pending` holds window slots, and `prepared`/`outcomes` are both sized to the window."
+            )]
             let op = self.prepared[slot].op;
-            // PANICS: as above.
-            self.outcomes[slot] = Some(Outcome {
+            #[expect(clippy::indexing_slicing, reason = "as above.")]
+            let resolved = &mut self.outcomes[slot];
+            *resolved = Some(Outcome {
                 latency_us: end - op.at_us,
                 degraded: false,
                 chunks_read: 0,
@@ -500,9 +513,12 @@ fn run_inner<B: ChunkBackend + Send>(
     let encode = |obj: u64, version: u64, payload: &mut Vec<u8>, grid: &mut MlecStripe| {
         payload_into(&pay_stream, obj, version, plen, payload);
         let chunks: Vec<&[u8]> = payload.chunks(chunk_bytes).collect();
+        #[expect(
+            clippy::expect_used,
+            reason = "the chunk split uses the codec's exact payload geometry; encode cannot reject it."
+        )]
         codec
             .encode_into(&chunks, grid)
-            // PANICS: the chunk split uses the codec's exact payload geometry; encode cannot reject it.
             .expect("payload length is exact by construction");
     };
     let stopwatch = spec.timing.then(mlec_runner::clock::Stopwatch::start);
@@ -565,34 +581,39 @@ fn run_inner<B: ChunkBackend + Send>(
         let (mut carrying, mut bytes) = (0usize, 0usize);
         while next < gen.len() && !window.full(prepared.len(), carrying, bytes) {
             let index = next;
-            next += 1;
             let op = gen.op(index);
-            let (put, verify_version) = match op.kind {
+            let job = match op.kind {
                 OpKind::Put => {
-                    let v = expected_versions.get(&op.object).map_or(0, |v| v + 1);
-                    expected_versions.insert(op.object, v);
-                    (grids.next().map(|grid| (v, grid)), None)
+                    // A put with no free grid closes the window before it
+                    // is taken. `Window::max_puts` sized the pool so that
+                    // the window is full first.
+                    let Some(grid) = grids.next() else { break };
+                    let version = expected_versions.get(&op.object).map_or(0, |v| v + 1);
+                    expected_versions.insert(op.object, version);
+                    carrying += 1;
+                    bytes += grid_bytes;
+                    Job::Put { version, grid }
                 }
                 OpKind::Get => {
                     let live = expected_versions.get(&op.object).copied();
                     let sampled = spec.verify_every > 0 && index.is_multiple_of(spec.verify_every);
-                    (None, if sampled { live } else { None })
+                    let verify_version = if sampled { live } else { None };
+                    if verify_version.is_some() {
+                        carrying += 1;
+                        bytes += plen;
+                    }
+                    Job::Get {
+                        verify_version,
+                        expected: None,
+                    }
                 }
                 OpKind::Delete => {
                     expected_versions.remove(&op.object);
-                    (None, None)
+                    Job::Delete
                 }
             };
-            if put.is_some() || verify_version.is_some() {
-                carrying += 1;
-                bytes += if put.is_some() { grid_bytes } else { plen };
-            }
-            prepared.push(Prep {
-                op,
-                put,
-                verify_version,
-                expected: None,
-            });
+            next += 1;
+            prepared.push(Prep { op, job });
         }
 
         // Parallel prepare, in place: pure payload synthesis + encode.
@@ -600,12 +621,14 @@ fn run_inner<B: ChunkBackend + Send>(
             let mut payload = Vec::with_capacity(plen);
             for prep in mine {
                 let obj = prep.op.object;
-                if let Some((version, grid)) = &mut prep.put {
-                    encode(obj, *version, &mut payload, grid);
+                match &mut prep.job {
+                    Job::Put { version, grid } => encode(obj, *version, &mut payload, grid),
+                    Job::Get {
+                        verify_version: Some(v),
+                        expected,
+                    } => *expected = Some(payload_for(&pay_stream, obj, *v, plen)),
+                    Job::Get { .. } | Job::Delete => {}
                 }
-                prep.expected = prep
-                    .verify_version
-                    .map(|v| payload_for(&pay_stream, obj, v, plen));
             }
         });
 
@@ -654,36 +677,39 @@ fn run_inner<B: ChunkBackend + Send>(
                 chunks_read: 0,
                 phase: phase_of(kill_time_us, store.repair().done_at(), op.at_us),
             };
-            match op.kind {
-                OpKind::Put => {
+            match &prep.job {
+                Job::Put { grid, .. } => {
                     tally.puts += 1;
                     store.commit_put_version(op.object);
-                    // PANICS: the prepare pass builds a stripe for every Put before replay starts.
-                    let stripe = prep.stripe().expect("puts are prepared");
                     epoch.queue_rows(&store, slot, nw, start, |row| {
-                        // PANICS: `row < nw`, the stripe's row count.
-                        SubAction::Put(&stripe[row as usize])
+                        #[expect(
+                            clippy::indexing_slicing,
+                            reason = "`row < nw`, the stripe's row count."
+                        )]
+                        SubAction::Put(&grid[row as usize])
                     });
                 }
-                OpKind::Get => {
+                Job::Get { expected, .. } => {
                     tally.gets += 1;
                     if !store.exists(op.object) {
                         tally.misses += 1;
                         epoch.resolve(slot, miss);
                         continue;
                     }
-                    if prep.expected.is_some() {
+                    if expected.is_some() {
                         epoch.pending_verified += 1;
                     }
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "the expected buffer spans `kn * row_bytes` by construction, covering every row slice."
+                    )]
                     epoch.queue_rows(&store, slot, kn, start, |row| SubAction::Get {
-                        verify: prep
-                            .expected
+                        verify: expected
                             .as_ref()
-                            // PANICS: the expected buffer spans `kn * row_bytes` by construction, covering every row slice.
                             .map(|e| &e[row as usize * row_bytes..(row as usize + 1) * row_bytes]),
                     });
                 }
-                OpKind::Delete => {
+                Job::Delete => {
                     tally.deletes += 1;
                     if !store.commit_delete(op.object) {
                         tally.misses += 1;
@@ -700,7 +726,11 @@ fn run_inner<B: ChunkBackend + Send>(
         // Stitch: record histograms and the op log in trace-index order.
         let mut records: Vec<OpRecord> = Vec::with_capacity(if oplog.is_some() { n } else { 0 });
         for (slot, prep) in prepared.iter().enumerate() {
-            // PANICS: every trace slot was filled exactly once by the replay loop above.
+            #[expect(
+                clippy::indexing_slicing,
+                clippy::expect_used,
+                reason = "every trace slot was filled exactly once by the replay loop above."
+            )]
             let oc = outcomes[slot].take().expect("every op resolves an outcome");
             hists.entry(oc.phase).or_default().record(oc.latency_us);
             if oplog.is_some() {

@@ -79,7 +79,10 @@ impl ChunkCache {
         self.entries.insert(key, (tick, data.to_vec()));
         self.order.insert(tick, key);
         if self.entries.len() > self.capacity {
-            // PANICS: over-capacity implies at least one entry, so the LRU order map is non-empty.
+            #[expect(
+                clippy::expect_used,
+                reason = "over-capacity implies at least one entry, so the LRU order map is non-empty."
+            )]
             let (&lru_tick, &lru_key) = self.order.iter().next().expect("non-empty over capacity");
             self.order.remove(&lru_tick);
             self.entries.remove(&lru_key);

@@ -112,7 +112,10 @@ impl<B: ChunkBackend + Send> MlecStore<B> {
             if queue.is_empty() {
                 continue;
             }
-            // PANICS: `% shards` keeps the index in range; `shard_work` was built with `shards` buckets.
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "`% shards` keeps the index in range; `shard_work` was built with `shards` buckets."
+            )]
             shard_work[rack % shards].push((clock, lane, queue.as_slice()));
         }
         shard_work.retain(|bucket| !bucket.is_empty());
@@ -161,9 +164,12 @@ impl<B: ChunkBackend + Send> MlecStore<B> {
                         scope.spawn(move || drain(bucket))
                     })
                     .collect();
+                #[expect(
+                    clippy::expect_used,
+                    reason = "a panicked shard worker means a poisoned epoch; re-raising on the coordinator is correct."
+                )]
                 handles
                     .into_iter()
-                    // PANICS: a panicked shard worker means a poisoned epoch; re-raising on the coordinator is correct.
                     .map(|h| h.join().expect("epoch shard worker panicked"))
                     .collect()
             })
@@ -172,7 +178,10 @@ impl<B: ChunkBackend + Send> MlecStore<B> {
         // depend on which shard reported first.
         for outs in results {
             for (slot, end) in outs? {
-                // PANICS: sub-op `slot`s were assigned from `0..ends.len()` when the epoch was queued.
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "sub-op `slot`s were assigned from `0..ends.len()` when the epoch was queued."
+                )]
                 let e = &mut ends[slot as usize];
                 *e = (*e).max(end);
             }

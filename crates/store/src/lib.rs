@@ -27,6 +27,11 @@
 //! Facebook-warehouse study, made concrete. `mlec run store_bench` is the
 //! registry entry point.
 
+#![cfg_attr(
+    not(test),
+    warn(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)
+)]
+
 pub mod arbiter;
 pub mod backend;
 pub mod benchrun;

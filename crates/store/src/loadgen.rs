@@ -213,7 +213,10 @@ impl LoadGen {
                     object: object.min(spec.objects - 1),
                 }
             }
-            // PANICS: replay traces are generated with `index < ops.len()` (the spec's op count).
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "replay traces are generated with `index < ops.len()` (the spec's op count)."
+            )]
             LoadGen::Replay(ops) => ops[index as usize],
         }
     }

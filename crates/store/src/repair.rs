@@ -82,8 +82,12 @@ impl RepairScheduler {
     /// Record a rebuild that occupied `[.., end]` on `stream`; the stream
     /// then idles for `pacing_gap` to honor the repair bandwidth cap.
     pub fn complete(&mut self, stream: usize, end: u64, pacing_gap: u64) {
-        // PANICS: `stream` was handed out by this planner from `0..streams.len()`.
-        self.streams[stream] = end + pacing_gap;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`stream` was handed out by this planner from `0..streams.len()`."
+        )]
+        let free_at = &mut self.streams[stream];
+        *free_at = end + pacing_gap;
         self.last_end = self.last_end.max(end);
         if self.queue.is_empty() {
             self.done_at = Some(self.last_end);

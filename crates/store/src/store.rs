@@ -256,7 +256,10 @@ impl<B: ChunkBackend> RackCtx<'_, B> {
     ) -> Result<u64, StoreError> {
         let mut end = start;
         for col in 0..kl {
-            // PANICS: the verify buffer spans `k_l * chunk_bytes` by construction, covering every column slice.
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "the verify buffer spans `k_l * chunk_bytes` by construction, covering every column slice."
+            )]
             let expected =
                 verify.map(|v| &v[col as usize * chunk_bytes..(col as usize + 1) * chunk_bytes]);
             let deliver = |bytes: &[u8]| {
@@ -408,9 +411,12 @@ impl<B: ChunkBackend> MlecStore<B> {
     fn row_ctx(&mut self, obj: u64, row: u32) -> RackCtx<'_, B> {
         let rack = self.rack_of_row(obj, row);
         let (rates, clocks) = self.arbiter.split();
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`rack` comes from the geometry's rack mapping, bounded by the per-rack clock/lane counts."
+        )]
         RackCtx {
             rates,
-            // PANICS: `rack` comes from the geometry's rack mapping, bounded by the per-rack clock/lane counts.
             clock: &mut clocks[rack as usize],
             lane: &mut self.lanes[rack as usize],
             mapper: &self.mapper,
@@ -657,7 +663,10 @@ impl<B: ChunkBackend> MlecStore<B> {
         let mut lost_chunks = 0u64;
         for &disk in disks {
             let rack = self.cfg.geometry.rack_of(disk) as usize;
-            // PANICS: `rack_of` maps any disk id into `0..racks`, the lane count.
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "`rack_of` maps any disk id into `0..racks`, the lane count."
+            )]
             let lane = &mut self.lanes[rack];
             let Some(keys) = lane.by_disk.remove(&disk) else {
                 continue;

@@ -46,7 +46,7 @@ pub struct LintRun {
     /// Surviving findings, sorted by path, line, and lint name.
     pub diagnostics: Vec<Diagnostic>,
     /// `name: note` lines printed whether or not anything fired (L8's
-    /// `// PANICS:` count, the allow-entry count).
+    /// `#[expect]` panic-site count, the allow-entry count).
     pub notes: Vec<String>,
 }
 

@@ -8,7 +8,9 @@
 //! module; L5 went when typed parameter structs replaced by-name reads;
 //! L2 (wall clock and environment reads), L3 (hash-ordered collections)
 //! and L4 (`// SAFETY:` comments) went to clippy, configured by the root
-//! `clippy.toml` and `[workspace.lints]`.
+//! `clippy.toml` and `[workspace.lints]`. A lint shrinks the same way: L8
+//! once walked tokens for `unwrap`/`expect`/indexing, and now clippy finds
+//! those sites while L8 keeps only the budget of their `#[expect]`s.
 
 mod panic_freedom;
 mod unit_discipline;
