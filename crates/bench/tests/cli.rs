@@ -212,16 +212,14 @@ global keys: mode= out= threads= manifests=
         "fig12",
         r#"Figure 12 — MLEC vs SLEC durability/throughput tradeoff (~30% overhead) [§5.1, Fig 12]
 modes: analytic, sim (default: analytic)
-  parameter                 type  default                                                                  help
----------------------------------------------------------------------------------------------------------------
-         mb              integer       32                   MiB encoded while calibrating the kernel cost model
-    threads              integer        1  worker threads for the calibration encode (models an N-core encoder)
-   failures              integer       48                            burst stress cell: failed disks (mode=sim)
-      racks              integer        5                          burst stress cell: affected racks (mode=sim)
-    rel_err  non-negative number      0.1                   adaptive stop: target relative std error (mode=sim)
-min_samples              integer      200                minimum conditional-MC samples per campaign (mode=sim)
-    samples              integer    20000                  conditional-MC sample budget per campaign (mode=sim)
-       seed              integer       42                                              root RNG seed (mode=sim)
+  parameter                 type  default                                                    help
+-------------------------------------------------------------------------------------------------
+   failures              integer       48              burst stress cell: failed disks (mode=sim)
+      racks              integer        5            burst stress cell: affected racks (mode=sim)
+    rel_err  non-negative number      0.1     adaptive stop: target relative std error (mode=sim)
+min_samples              integer      200  minimum conditional-MC samples per campaign (mode=sim)
+    samples              integer    20000    conditional-MC sample budget per campaign (mode=sim)
+       seed              integer       42                                root RNG seed (mode=sim)
 global keys: mode= out= threads= manifests=
 `run all --fast` overrides: rel_err=0.3 samples=2000
 "#,
@@ -246,14 +244,12 @@ global keys: mode= out= threads= manifests=
         "fig15",
         r#"Figure 15 — MLEC C/D vs LRC-Dp durability/throughput tradeoff [§5.2, Fig 15]
 modes: analytic, sim (default: analytic)
-  parameter                 type  default                                                                  help
----------------------------------------------------------------------------------------------------------------
-         mb              integer       32                   MiB encoded while calibrating the kernel cost model
-    threads              integer        1  worker threads for the calibration encode (models an N-core encoder)
-    rel_err  non-negative number      0.1                   adaptive stop: target relative std error (mode=sim)
-min_samples              integer      200                          minimum rank tests per LRC config (mode=sim)
-    samples              integer    20000                            rank-test budget per LRC config (mode=sim)
-       seed              integer       42                                              root RNG seed (mode=sim)
+  parameter                 type  default                                                 help
+----------------------------------------------------------------------------------------------
+    rel_err  non-negative number      0.1  adaptive stop: target relative std error (mode=sim)
+min_samples              integer      200         minimum rank tests per LRC config (mode=sim)
+    samples              integer    20000           rank-test budget per LRC config (mode=sim)
+       seed              integer       42                             root RNG seed (mode=sim)
 global keys: mode= out= threads= manifests=
 `run all --fast` overrides: rel_err=0.3 samples=1000
 "#,

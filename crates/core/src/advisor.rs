@@ -6,8 +6,9 @@
 //! performance sensitivity — recommend an EC family, MLEC scheme, and
 //! repair method, with the measured justification attached.
 
-use crate::MlecSystem;
-use mlec_sim::repair::RepairMethod;
+use mlec_analysis::splitting::mlec_durability_nines;
+use mlec_sim::config::MlecDeployment;
+use mlec_sim::repair::{plan_catastrophic_repair, RepairMethod};
 use mlec_topology::MlecScheme;
 
 /// How often the site observes correlated failure bursts.
@@ -119,9 +120,9 @@ pub fn recommend(profile: &SiteProfile) -> Option<Recommendation> {
     // scheme with faster single-disk repair when within a nine.
     let mut best: Option<Recommendation> = None;
     for scheme in candidates {
-        let system = MlecSystem::paper_default(scheme);
-        let nines = system.durability_nines(method);
-        let plan = system.plan_catastrophic_repair(method);
+        let dep = MlecDeployment::paper_default(scheme);
+        let nines = mlec_durability_nines(&dep, method);
+        let plan = plan_catastrophic_repair(&dep, method);
         let rec = Recommendation {
             scheme,
             method,

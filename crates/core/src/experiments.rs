@@ -32,10 +32,6 @@ use mlec_sim::SimConfig;
 use mlec_topology::{Geometry, MlecScheme, SlecPlacement};
 use std::path::PathBuf;
 
-fn paper_deployment(scheme: MlecScheme) -> MlecDeployment {
-    MlecDeployment::paper_default(scheme)
-}
-
 /// A PDL heatmap: `pdl[yi][xi]` for failures `ys[yi]` over racks `xs[xi]`.
 #[derive(Debug, Clone)]
 pub struct Heatmap {
@@ -235,7 +231,7 @@ pub fn fig5_mlec_burst_with(spec: &HeatmapSpec, opts: &HeatmapRunOpts) -> Vec<He
     MlecScheme::ALL
         .into_iter()
         .map(|scheme| {
-            let dep = paper_deployment(scheme);
+            let dep = MlecDeployment::paper_default(scheme);
             let run_label = format!("fig05/{}", scheme.name().replace('/', ""));
             run_heatmap(
                 scheme.name(),
@@ -273,7 +269,7 @@ pub fn table2_and_fig6() -> Vec<RepairBandwidthRow> {
     MlecScheme::ALL
         .into_iter()
         .map(|scheme| {
-            let dep = paper_deployment(scheme);
+            let dep = MlecDeployment::paper_default(scheme);
             let (disk, pool) = repair_sizes(&dep);
             let (disk_tb, pool_tb) = (disk.to_tb(), pool.to_tb());
             RepairBandwidthRow {
@@ -304,7 +300,8 @@ pub fn fig7_catastrophic_prob() -> Vec<CatastrophicProbRow> {
         .into_iter()
         .map(|scheme| CatastrophicProbRow {
             scheme: scheme.name(),
-            prob_per_year: system_catastrophic_rate(&paper_deployment(scheme)).to_per_year(),
+            prob_per_year: system_catastrophic_rate(&MlecDeployment::paper_default(scheme))
+                .to_per_year(),
         })
         .collect()
 }
@@ -385,7 +382,7 @@ fn stage1_campaigns(
     let model = mlec_sim::failure::FailureModel::Exponential { afr };
     let mut out = Vec::new();
     for scheme in MlecScheme::ALL {
-        let mut dep = paper_deployment(scheme);
+        let mut dep = MlecDeployment::paper_default(scheme);
         dep.config.afr = afr;
         let bias = resolve_bias(bias, &dep, &model);
         // The trial budget is a stop rule, not run identity: trial seeds
@@ -479,7 +476,7 @@ pub struct RepairMethodCell {
 pub fn fig8_fig9_repair_methods(methods: &[RepairMethod]) -> Vec<RepairMethodCell> {
     let mut out = Vec::new();
     for scheme in MlecScheme::ALL {
-        let dep = paper_deployment(scheme);
+        let dep = MlecDeployment::paper_default(scheme);
         for &method in methods {
             let plan = plan_catastrophic_repair(&dep, method);
             out.push(RepairMethodCell {
@@ -535,7 +532,7 @@ pub fn fig8_fig9_repair_methods_sim(
 ) -> std::io::Result<Vec<RepairMethodSimCell>> {
     let mut out = Vec::new();
     for scheme in MlecScheme::ALL {
-        let mut dep = paper_deployment(scheme);
+        let mut dep = MlecDeployment::paper_default(scheme);
         dep.config.afr = afr;
         let model = mlec_sim::failure::FailureModel::Exponential { afr };
         for &method in methods {
@@ -603,7 +600,7 @@ pub struct DurabilityCell {
 pub fn fig10_durability() -> Vec<DurabilityCell> {
     let mut out = Vec::new();
     for scheme in MlecScheme::ALL {
-        let dep = paper_deployment(scheme);
+        let dep = MlecDeployment::paper_default(scheme);
         for method in RepairMethod::PAPER {
             out.push(DurabilityCell {
                 scheme: scheme.name(),
@@ -833,7 +830,7 @@ pub fn fig12_mlec_vs_slec_sim(
         .fingerprint()
     };
     for scheme in [MlecScheme::CC, MlecScheme::CD] {
-        let dep = paper_deployment(scheme);
+        let dep = MlecDeployment::paper_default(scheme);
         let label = dep.params.to_string();
         rows.push(burst_check_campaign(
             &format!("fig12/{}", scheme.name().replace('/', "")),
@@ -1028,7 +1025,7 @@ pub fn repair_traffic_comparison() -> Vec<TrafficRow> {
         },
     ];
     for scheme in MlecScheme::ALL {
-        let dep = paper_deployment(scheme);
+        let dep = MlecDeployment::paper_default(scheme);
         let rate = system_catastrophic_rate(&dep);
         for method in [RepairMethod::All, RepairMethod::Min] {
             let yearly = traffic::mlec_yearly_traffic(&dep, method, rate).to_tb();

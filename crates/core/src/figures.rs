@@ -995,9 +995,6 @@ fn tradeoff_tables(
 
 declare_experiment! {
     FIG12(run_fig12, Fig12Params {
-        mb: u32 = "32", "MiB encoded while calibrating the kernel cost model";
-        threads: u32 = "1",
-            "worker threads for the calibration encode (models an N-core encoder)";
         failures: NonZeroU32 = "48", "burst stress cell: failed disks (mode=sim)";
         racks: NonZeroU32 = "5", "burst stress cell: affected racks (mode=sim)";
         rel_err: f64 = "0.1", "adaptive stop: target relative std error (mode=sim)";
@@ -1017,13 +1014,11 @@ declare_experiment! {
 static FIG12_FAMILIES: &[&str] = &["C/C", "C/D", "Loc-Cp-S", "Loc-Dp-S", "Net-Cp-S", "Net-Dp-S"];
 
 fn run_fig12(ctx: &ExperimentCtx, p: &Fig12Params) -> Result<ExperimentOutput, ExperimentError> {
-    let mb = p.mb as usize * 1024 * 1024;
-    let threads = p.threads as usize;
-    let model = ThroughputModel::calibrate(128 * 1024, mb, threads);
+    let model = ThroughputModel::calibrate();
     let mut out = ExperimentOutput::new();
     w!(
         out.text,
-        "calibrated kernel rate: {:.0} MB/s of multiply work ({threads} thread(s), kernel: {})\n",
+        "calibrated kernel rate: {:.0} MB/s of multiply work (single core, kernel: {})\n",
         model.rate_mb_per_s,
         mlec_gf::simd::kernel_name()
     );
@@ -1101,9 +1096,6 @@ fn run_fig12(ctx: &ExperimentCtx, p: &Fig12Params) -> Result<ExperimentOutput, E
 
 declare_experiment! {
     FIG15(run_fig15, Fig15Params {
-        mb: u32 = "32", "MiB encoded while calibrating the kernel cost model";
-        threads: u32 = "1",
-            "worker threads for the calibration encode (models an N-core encoder)";
         rel_err: f64 = "0.1", "adaptive stop: target relative std error (mode=sim)";
         min_samples: u64 = "200", "minimum rank tests per LRC config (mode=sim)";
         samples: u64 = "20000", "rank-test budget per LRC config (mode=sim)";
@@ -1119,9 +1111,7 @@ declare_experiment! {
 }
 
 fn run_fig15(ctx: &ExperimentCtx, p: &Fig15Params) -> Result<ExperimentOutput, ExperimentError> {
-    let mb = p.mb as usize * 1024 * 1024;
-    let threads = p.threads as usize;
-    let model = ThroughputModel::calibrate(128 * 1024, mb, threads);
+    let model = ThroughputModel::calibrate();
     let mut out = ExperimentOutput::new();
     if ctx.mode == Mode::Sim {
         let rel_err = p.rel_err;

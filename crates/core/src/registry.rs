@@ -481,7 +481,7 @@ impl ExperimentCtx {
                         expected: "integer (0 = all cores)".to_string(),
                     })?;
                     // Experiments that also declare `threads` in their
-                    // schema (fig11/fig12/fig15: encode-side parallelism)
+                    // schema (fig11: encode-side parallelism)
                     // receive the same value there — one knob, both layers.
                     if let Some(slot) = declared {
                         *slot = Some(value.to_string());

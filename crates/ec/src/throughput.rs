@@ -34,7 +34,7 @@ pub struct ThroughputPoint {
 /// the stripe split across `threads` scoped worker threads
 /// ([`ReedSolomon::encode_into_parallel`]; `threads <= 1` encodes on the
 /// calling thread). The parity bytes are identical for every thread count.
-/// This backs the `threads=` parameter of the `fig11` / `fig12` experiments.
+/// This backs the `threads=` parameter of the `fig11` experiment.
 ///
 /// `min_bytes` controls how much data is pushed through the encoder (larger
 /// = steadier numbers, longer runtime).
@@ -86,12 +86,13 @@ pub struct ThroughputModel {
 }
 
 impl ThroughputModel {
-    /// Calibrate against a measured reference configuration, encoded on
-    /// `threads` worker threads (see [`measure_slec`]); predictions then
-    /// model a `threads`-core encoder.
-    pub fn calibrate(chunk_bytes: usize, min_bytes: usize, threads: usize) -> ThroughputModel {
+    /// Calibrate against the single-core encode of the reference (10+4)
+    /// code: 32 MiB in 128 KiB chunks (see [`measure_slec`]). The constant
+    /// scales every prediction alike, so only ratios between schemes carry
+    /// meaning.
+    pub fn calibrate() -> ThroughputModel {
         let reference = EcScheme::Slec(SlecParams::new(10, 4));
-        let measured = measure_slec(10, 4, chunk_bytes, min_bytes, threads);
+        let measured = measure_slec(10, 4, 128 * 1024, 32 * 1024 * 1024, 1);
         ThroughputModel {
             rate_mb_per_s: measured.mb_per_s * reference.encoding_multiplies_per_byte(),
         }

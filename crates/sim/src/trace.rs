@@ -4,8 +4,8 @@
 //! equivalent ones: steady Poisson background failures plus correlated
 //! bursts, which exercises the same trace-replay code path.
 //!
-//! Both synthesizers draw through an unbiased [`HazardKernel`] seeded from
-//! their own labeled stream: exponential gaps from
+//! The synthesizer draws through an unbiased [`HazardKernel`] seeded from
+//! its own labeled stream: exponential gaps from
 //! [`HazardKernel::sample_gap`], disk picks and burst placement from
 //! [`HazardKernel::rng`].
 
@@ -201,85 +201,6 @@ pub fn synthesize(
     Ok(FailureTrace::new(events))
 }
 
-/// Which disks a failure rule targets.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DiskSelector {
-    /// Every disk in the system.
-    All,
-    /// All disks of one rack.
-    Rack(u32),
-    /// All disks of one (rack, enclosure).
-    Enclosure(u32, u32),
-    /// An explicit contiguous id range `[start, end)` — e.g. a vendor batch
-    /// that shipped together.
-    Range(DiskId, DiskId),
-}
-
-impl DiskSelector {
-    /// Materialize the selected disk ids.
-    pub fn disks(&self, geometry: &Geometry) -> Vec<DiskId> {
-        match *self {
-            DiskSelector::All => (0..geometry.total_disks()).collect(),
-            DiskSelector::Rack(r) => geometry.disks_in_rack(r).collect(),
-            DiskSelector::Enclosure(r, e) => geometry.disks_in_enclosure(r, e).collect(),
-            DiskSelector::Range(a, b) => (a..b.min(geometry.total_disks())).collect(),
-        }
-    }
-}
-
-/// A failure rule: the selected disks fail at `afr` during
-/// `[start_h, end_h)` — the paper's "rules" fault-simulation mode. Rules
-/// compose additively (a batch rule on top of a background rule raises the
-/// batch's hazard during its window).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FailureRule {
-    /// Targeted disks.
-    pub selector: DiskSelector,
-    /// Annualized failure rate while the rule is active.
-    pub afr: f64,
-    /// Activation time, hours.
-    pub start_h: f64,
-    /// Deactivation time, hours.
-    pub end_h: f64,
-}
-
-/// Generate a trace from a set of additive failure rules.
-pub fn synthesize_rules(geometry: &Geometry, rules: &[FailureRule], seed: u64) -> FailureTrace {
-    let mut kernel = HazardKernel::from_seed_stream(
-        seed,
-        "trace/synthesize_rules",
-        FailureBias::NONE,
-        f64::INFINITY,
-    );
-    let mut events = Vec::new();
-    for rule in rules {
-        assert!(rule.end_h >= rule.start_h, "rule window must be ordered");
-        let disks = rule.selector.disks(geometry);
-        if disks.is_empty() || rule.afr <= 0.0 {
-            continue;
-        }
-        let rate = disks.len() as f64 * rule.afr / HOURS_PER_YEAR;
-        let mut t = rule.start_h;
-        loop {
-            t += kernel.sample_gap(0, rate);
-            if t >= rule.end_h {
-                break;
-            }
-            #[expect(
-                clippy::expect_used,
-                reason = "`gen_below(disks.len())` requires a non-empty selection and yields an in-range index."
-            )]
-            events.push(TraceEvent {
-                time_h: t,
-                disk: *disks
-                    .get(kernel.rng().gen_below(disks.len() as u64) as usize)
-                    .expect("non-empty selection"),
-            });
-        }
-    }
-    FailureTrace::new(events)
-}
-
 /// Split a trace into the burst windows it contains: maximal groups of
 /// events separated by less than `window_h`. Returns `(start_h, disks)` per
 /// group with at least `min_size` failures — the observable bursts an
@@ -431,72 +352,6 @@ mod tests {
         for (_, disks) in &bursts {
             assert!(disks.len() >= 10);
         }
-    }
-
-    #[test]
-    fn rules_respect_windows_and_selectors() {
-        let g = Geometry::paper_default();
-        let rules = vec![
-            // Background across the fleet for a year.
-            FailureRule {
-                selector: DiskSelector::All,
-                afr: 0.01,
-                start_h: 0.0,
-                end_h: 8766.0,
-            },
-            // A bad vendor batch (disks 1000..1500) failing hard in Q2.
-            FailureRule {
-                selector: DiskSelector::Range(1000, 1500),
-                afr: 2.0,
-                start_h: 2000.0,
-                end_h: 4000.0,
-            },
-        ];
-        let trace = synthesize_rules(&g, &rules, 3);
-        // Background ~576 + batch ~500*2*(2000/8766) ≈ 228.
-        assert!(
-            (trace.len() as f64 - 804.0).abs() < 150.0,
-            "len={}",
-            trace.len()
-        );
-        // Batch-window failures of batch disks only inside the window.
-        for e in trace.events() {
-            if (1000..1500).contains(&e.disk) && !(2000.0..4000.0).contains(&e.time_h) {
-                // Those must come from the background rule, consistent with
-                // its ~3% share of fleet disks.
-                continue;
-            }
-        }
-        let in_batch = trace
-            .events()
-            .iter()
-            .filter(|e| (1000..1500).contains(&e.disk))
-            .count();
-        assert!(in_batch > 150, "batch rule fired: {in_batch}");
-    }
-
-    #[test]
-    fn rack_rule_concentrates_failures() {
-        let g = Geometry::paper_default();
-        let rules = vec![FailureRule {
-            selector: DiskSelector::Rack(7),
-            afr: 5.0,
-            start_h: 0.0,
-            end_h: 1000.0,
-        }];
-        let trace = synthesize_rules(&g, &rules, 9);
-        assert!(!trace.is_empty());
-        assert!(trace.events().iter().all(|e| g.rack_of(e.disk) == 7));
-        assert!(trace.events().iter().all(|e| e.time_h < 1000.0));
-    }
-
-    #[test]
-    fn selector_materialization() {
-        let g = Geometry::small_test();
-        assert_eq!(DiskSelector::All.disks(&g).len(), 144);
-        assert_eq!(DiskSelector::Rack(0).disks(&g).len(), 24);
-        assert_eq!(DiskSelector::Enclosure(1, 1).disks(&g).len(), 12);
-        assert_eq!(DiskSelector::Range(140, 200).disks(&g).len(), 4);
     }
 
     #[test]

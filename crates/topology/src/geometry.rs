@@ -103,16 +103,6 @@ impl Geometry {
         let start = rack * self.disks_per_rack();
         start..start + self.disks_per_rack()
     }
-
-    /// Iterator over all disks in a (rack, enclosure).
-    pub fn disks_in_enclosure(
-        &self,
-        rack: RackId,
-        enclosure: EnclosureId,
-    ) -> std::ops::Range<DiskId> {
-        let start = self.disk_at(rack, enclosure, 0);
-        start..start + self.disks_per_enclosure
-    }
 }
 
 #[cfg(test)]
@@ -142,16 +132,11 @@ mod tests {
     }
 
     #[test]
-    fn rack_and_enclosure_ranges() {
+    fn rack_ranges() {
         let g = Geometry::small_test();
         let rack1: Vec<DiskId> = g.disks_in_rack(1).collect();
         assert_eq!(rack1.len(), g.disks_per_rack() as usize);
         assert!(rack1.iter().all(|&d| g.rack_of(d) == 1));
-        let encl: Vec<DiskId> = g.disks_in_enclosure(2, 1).collect();
-        assert_eq!(encl.len(), g.disks_per_enclosure as usize);
-        assert!(encl
-            .iter()
-            .all(|&d| g.rack_of(d) == 2 && g.enclosure_of(d) == 1));
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //!
 //! Run with: `cargo run --release --example burst_tolerance`
 
-use mlec_core::topology::MlecScheme;
-use mlec_core::MlecSystem;
+use mlec_analysis::burst::mlec_burst_pdl;
+use mlec_sim::config::MlecDeployment;
+use mlec_topology::MlecScheme;
 
 fn main() {
     println!("Burst tolerance: PDL when y disks fail simultaneously across x racks\n");
@@ -25,8 +26,8 @@ fn main() {
     for (y, x, label) in bursts {
         print!("{label:<50}");
         for scheme in MlecScheme::ALL {
-            let system = MlecSystem::paper_default(scheme);
-            let pdl = system.burst_pdl(y, x, 200, 0xb0b5);
+            let dep = MlecDeployment::paper_default(scheme);
+            let pdl = mlec_burst_pdl(&dep, y, x, 200, 0xb0b5);
             print!(" {pdl:>9.2e}");
         }
         println!();

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example codec_tour`
 
-use mlec_core::ec::{Lrc, MlecCodec, ReedSolomon};
+use mlec_ec::{Lrc, MlecCodec, ReedSolomon};
 
 fn main() {
     println!("Codec tour: encode, lose chunks, repair, verify\n");

@@ -5,17 +5,17 @@
 //!
 //! Run with: `cargo run --release --example durability_report`
 
-use mlec_core::analysis::chains::{pool_catastrophic_rate, pool_chain};
-use mlec_core::analysis::markov::nines;
-use mlec_core::analysis::splitting::{stage1_via_runner, stage2_pdl};
-use mlec_core::sim::config::MlecDeployment;
-use mlec_core::sim::failure::FailureModel;
-use mlec_core::sim::importance::FailureBias;
-use mlec_core::sim::pool_sim::simulate_pool;
-use mlec_core::sim::RepairMethod;
-use mlec_core::topology::MlecScheme;
-use mlec_core::units::Duration;
+use mlec_analysis::chains::{pool_catastrophic_rate, pool_chain};
+use mlec_analysis::markov::nines;
+use mlec_analysis::splitting::{stage1_via_runner, stage2_pdl};
 use mlec_runner::{RunSpec, StopRule};
+use mlec_sim::config::MlecDeployment;
+use mlec_sim::failure::FailureModel;
+use mlec_sim::importance::FailureBias;
+use mlec_sim::pool_sim::simulate_pool;
+use mlec_sim::RepairMethod;
+use mlec_topology::MlecScheme;
+use mlec_units::Duration;
 
 fn main() {
     println!("Durability report for the paper's (10+2)/(17+3) deployment\n");
@@ -53,7 +53,7 @@ fn main() {
         let dep = MlecDeployment::paper_default(scheme);
         print!("{:>8}", scheme.name());
         for method in RepairMethod::PAPER {
-            let s1 = mlec_core::analysis::splitting::stage1_analytic(&dep);
+            let s1 = mlec_analysis::splitting::stage1_analytic(&dep);
             let pdl = stage2_pdl(&dep, method, &s1, Duration::from_years(1.0));
             print!(" {:>10.1}", nines(pdl));
         }

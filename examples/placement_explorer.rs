@@ -6,11 +6,11 @@
 //! Run with: `cargo run --release --example placement_explorer`
 
 use mlec_core::advisor::{recommend, BurstExposure, OpsModel, Priority, SiteProfile};
-use mlec_core::sim::config::MlecDeployment;
-use mlec_core::sim::system_sim::simulate_system_trace;
-use mlec_core::sim::trace::{synthesize, TraceSpec};
-use mlec_core::topology::objectmap::{MapperCode, ObjectMapper};
-use mlec_core::topology::{Geometry, MlecScheme};
+use mlec_sim::config::MlecDeployment;
+use mlec_sim::system_sim::simulate_system_trace;
+use mlec_sim::trace::{synthesize, TraceSpec};
+use mlec_topology::objectmap::{MapperCode, ObjectMapper};
+use mlec_topology::{Geometry, MlecScheme};
 
 fn main() {
     println!("Placement explorer: objects -> chunks, advisor, trace replay\n");

@@ -4,23 +4,25 @@
 //!
 //! Run with: `cargo run --release --example repair_planning`
 
-use mlec_core::sim::RepairMethod;
-use mlec_core::topology::MlecScheme;
-use mlec_core::MlecSystem;
+use mlec_analysis::splitting::mlec_durability_nines;
+use mlec_sim::config::MlecDeployment;
+use mlec_sim::repair::plan_catastrophic_repair;
+use mlec_sim::RepairMethod;
+use mlec_topology::MlecScheme;
 
 fn main() {
     println!("Repair planning: traffic, time, durability, and implementation cost\n");
 
     for scheme in [MlecScheme::CC, MlecScheme::CD] {
-        let system = MlecSystem::paper_default(scheme);
+        let dep = MlecDeployment::paper_default(scheme);
         println!("=== scheme {scheme} ===");
         println!(
             "{:8} {:>14} {:>11} {:>10} {:>12} {:>24}",
             "method", "cross-rack TB", "network h", "local h", "nines", "needs cross-level API?"
         );
         for method in RepairMethod::EXTENDED {
-            let plan = system.plan_catastrophic_repair(method);
-            let nines = system.durability_nines(method);
+            let plan = plan_catastrophic_repair(&dep, method);
+            let nines = mlec_durability_nines(&dep, method);
             println!(
                 "{:8} {:>14.1} {:>11.1} {:>10.1} {:>12.1} {:>24}",
                 method.name(),

@@ -1,11 +1,5 @@
-//! Workspace root crate: re-exports the full `mlec-rs` suite for the
-//! runnable examples under `examples/` and the cross-crate integration tests
-//! under `tests/`. Library users should depend on `mlec-core` (the facade)
-//! or on the individual layer crates directly.
-
-pub use mlec_analysis as analysis;
-pub use mlec_core as core;
-pub use mlec_ec as ec;
-pub use mlec_gf as gf;
-pub use mlec_sim as sim;
-pub use mlec_topology as topology;
+//! Workspace root crate: it carries the runnable examples under
+//! `examples/` and the cross-crate integration tests under `tests/`, which
+//! name each layer crate by its own path (`mlec_sim::…`,
+//! `mlec_analysis::…`). Library users depend on the layer crates directly,
+//! or on `mlec-core` for the experiment registry and figure runners.

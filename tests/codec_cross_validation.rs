@@ -2,7 +2,7 @@
 //! placement layer, and the analytic loss predicates must tell the same
 //! story.
 
-use mlec_core::ec::{Lrc, MlecCodec, ReedSolomon};
+use mlec_ec::{Lrc, MlecCodec, ReedSolomon};
 use mlec_runner::rng::ChaCha12Rng;
 
 fn random_chunks(rng: &mut ChaCha12Rng, n: usize, len: usize) -> Vec<Vec<u8>> {

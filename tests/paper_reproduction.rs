@@ -1,14 +1,16 @@
 //! Cross-crate integration tests: the paper's headline numbers and finding
-//! orderings, exercised through the public `mlec-core` facade exactly as the
-//! figure binaries do.
+//! orderings, exercised through the `mlec-core` experiment runners exactly
+//! as the figure binaries do, and through the layer functions they call.
 
+use mlec_analysis::burst::mlec_burst_pdl;
 use mlec_core::experiments::{
     fig10_durability, fig7_catastrophic_prob, fig8_fig9_repair_methods, repair_traffic_comparison,
     table2_and_fig6,
 };
-use mlec_core::sim::RepairMethod;
-use mlec_core::topology::MlecScheme;
-use mlec_core::MlecSystem;
+use mlec_sim::config::MlecDeployment;
+use mlec_sim::repair::plan_catastrophic_repair;
+use mlec_sim::RepairMethod;
+use mlec_topology::MlecScheme;
 
 #[test]
 fn table2_full_reproduction() {
@@ -146,9 +148,9 @@ fn traffic_comparison_orders_of_magnitude() {
 
 #[test]
 fn facade_end_to_end_consistency() {
-    // The facade and the experiment runners must agree.
-    let system = MlecSystem::paper_default(MlecScheme::CD);
-    let plan = system.plan_catastrophic_repair(RepairMethod::Hyb);
+    // The layer function and the experiment runners must agree.
+    let dep = MlecDeployment::paper_default(MlecScheme::CD);
+    let plan = plan_catastrophic_repair(&dep, RepairMethod::Hyb);
     let cells = fig8_fig9_repair_methods(&RepairMethod::PAPER);
     let cell = cells
         .iter()
@@ -160,11 +162,11 @@ fn facade_end_to_end_consistency() {
 #[test]
 fn burst_pdl_findings_hold_via_facade() {
     // F#3: C/C has PDL 0 whenever at most p_n racks are hit.
-    let cc = MlecSystem::paper_default(MlecScheme::CC);
-    assert_eq!(cc.burst_pdl(50, 2, 50, 1), 0.0);
+    let cc = MlecDeployment::paper_default(MlecScheme::CC);
+    assert_eq!(mlec_burst_pdl(&cc, 50, 2, 50, 1), 0.0);
     // F#4: the x = p_n + 1 = 3 column at y = 60 is the danger zone.
-    let dd = MlecSystem::paper_default(MlecScheme::DD);
-    let danger = dd.burst_pdl(60, 3, 100, 2);
-    let safe = dd.burst_pdl(60, 40, 100, 2);
+    let dd = MlecDeployment::paper_default(MlecScheme::DD);
+    let danger = mlec_burst_pdl(&dd, 60, 3, 100, 2);
+    let safe = mlec_burst_pdl(&dd, 60, 40, 100, 2);
     assert!(danger > safe, "danger={danger} safe={safe}");
 }

@@ -5,12 +5,12 @@
 //! substream per property, one seed per case), so every run exercises the
 //! same inputs.
 
-use mlec_core::analysis::burst::poisson_binomial_tail;
-use mlec_core::ec::{Lrc, MlecCodec, ReedSolomon};
-use mlec_core::sim::census::{hypergeom_pmf, prob_cover_all, StripeCensus};
-use mlec_core::topology::{burst, FailureLayout, Geometry, LocalPoolMap, Placement};
+use mlec_analysis::burst::poisson_binomial_tail;
+use mlec_ec::{Lrc, MlecCodec, ReedSolomon};
 use mlec_runner::rng::ChaCha12Rng;
 use mlec_runner::{SeedStream, SplitMix64};
+use mlec_sim::census::{hypergeom_pmf, prob_cover_all, StripeCensus};
+use mlec_topology::{burst, FailureLayout, Geometry, LocalPoolMap, Placement};
 
 const CASES: u64 = 64;
 

@@ -3,12 +3,12 @@
 //! and the DP/Monte-Carlo burst estimators must agree where their domains
 //! overlap.
 
-use mlec_core::analysis::burst::{mlec_burst_pdl, mlec_burst_pdl_direct_mc};
-use mlec_core::analysis::chains::pool_catastrophic_rate;
-use mlec_core::sim::config::MlecDeployment;
-use mlec_core::sim::failure::FailureModel;
-use mlec_core::sim::pool_sim::simulate_pool;
-use mlec_core::topology::MlecScheme;
+use mlec_analysis::burst::{mlec_burst_pdl, mlec_burst_pdl_direct_mc};
+use mlec_analysis::chains::pool_catastrophic_rate;
+use mlec_sim::config::MlecDeployment;
+use mlec_sim::failure::FailureModel;
+use mlec_sim::pool_sim::simulate_pool;
+use mlec_topology::MlecScheme;
 
 /// Simulated catastrophic rate at inflated AFR must match the Markov chain
 /// within Monte Carlo noise for the clustered pool (whose chain is exact up

@@ -12,9 +12,9 @@ pub struct SourceFile {
     pub rel: String,
     /// Full token stream, comments included.
     pub tokens: Vec<Token>,
-    /// `test_mask[i]` — token `i` belongs to a `#[cfg(test)]`- or
-    /// `#[test]`-gated item (lints about production determinism skip
-    /// these regions).
+    /// `test_mask[i]` — token `i` belongs to an item that only test (or
+    /// Miri) builds compile (lints about production code skip these
+    /// regions).
     pub test_mask: Vec<bool>,
 }
 
@@ -42,8 +42,9 @@ impl SourceFile {
 }
 
 /// Compute the test mask: any item (through its full brace/semicolon
-/// extent) whose attributes mention `test` — `#[cfg(test)]`,
-/// `#[cfg(any(test, …))]`, `#[test]` — is masked, attributes included.
+/// extent) with an attribute that keeps it out of non-test builds —
+/// `#[test]`, `#[cfg(test)]`, `#[cfg(miri)]`, `#[cfg(all(test, …))]` — is
+/// masked, attributes included. `#[cfg(not(test))]` items are scanned.
 fn test_mask(tokens: &[Token]) -> Vec<bool> {
     let mut mask = vec![false; tokens.len()];
     let mut i = 0usize;
@@ -90,26 +91,73 @@ fn test_mask(tokens: &[Token]) -> Vec<bool> {
 }
 
 /// Scan a bracketed attribute starting at the `[` at index `open`.
-/// Returns `(index past the closing ], attribute mentions `test`)`.
+/// Returns `(index past the closing ], attribute gates its item on a test
+/// build)`.
 fn scan_attr(tokens: &[Token], open: usize) -> (usize, bool) {
     let mut depth = 0usize;
-    let mut has_test = false;
-    let mut i = open;
-    while i < tokens.len() {
-        match &tokens[i].tok {
+    for (i, t) in tokens.iter().enumerate().skip(open) {
+        match t.tok {
             Tok::Punct('[') => depth += 1,
             Tok::Punct(']') => {
                 depth -= 1;
                 if depth == 0 {
-                    return (i + 1, has_test);
+                    let body: Vec<&Tok> = tokens[open + 1..i]
+                        .iter()
+                        .map(|t| &t.tok)
+                        .filter(|t| !matches!(t, Tok::Comment(_)))
+                        .collect();
+                    return (i + 1, gates_on_test(&body));
                 }
             }
-            Tok::Ident(s) if s == "test" || s == "miri" => has_test = true,
             _ => {}
         }
-        i += 1;
     }
-    (i, has_test)
+    (tokens.len(), false)
+}
+
+/// Whether an attribute body keeps its item out of every non-test build:
+/// `test`, or `cfg(P)` with `P` implying a test (or Miri) build.
+/// `cfg(not(test))`, `cfg_attr(…)` and every other attribute do not.
+fn gates_on_test(body: &[&Tok]) -> bool {
+    match body {
+        [Tok::Ident(s)] => s == "test",
+        [Tok::Ident(cfg), Tok::Punct('('), pred @ .., Tok::Punct(')')] if cfg == "cfg" => {
+            implies_test(pred)
+        }
+        _ => false,
+    }
+}
+
+/// Whether cfg predicate `pred` holds only in a test or Miri build:
+/// `test`, `miri`, `all(…)` with one such argument, `any(…)` with only
+/// such arguments.
+fn implies_test(pred: &[&Tok]) -> bool {
+    match pred {
+        [Tok::Ident(s)] => s == "test" || s == "miri",
+        [Tok::Ident(op), Tok::Punct('('), args @ .., Tok::Punct(')')] => {
+            let mut args = cfg_args(args);
+            match op.as_str() {
+                "all" => args.any(implies_test),
+                "any" => args.all(implies_test),
+                _ => false,
+            }
+        }
+        _ => false,
+    }
+}
+
+/// The comma-separated arguments of a cfg combinator, split at depth 0.
+fn cfg_args<'a>(args: &'a [&'a Tok]) -> impl Iterator<Item = &'a [&'a Tok]> {
+    let mut depth = 0usize;
+    args.split(move |t| {
+        match t {
+            Tok::Punct('(') => depth += 1,
+            Tok::Punct(')') => depth = depth.saturating_sub(1),
+            _ => {}
+        }
+        depth == 0 && **t == Tok::Punct(',')
+    })
+    .filter(|arg| !arg.is_empty())
 }
 
 /// Scan one item starting at `start`: ends at the first `;` at brace depth
@@ -295,6 +343,39 @@ mod tests {
         );
         let visible = f.code().len();
         assert!(visible > 3, "inner attribute must not gate the file");
+    }
+
+    #[test]
+    fn only_test_only_gates_mask() {
+        let visible = |src: &str| -> Vec<String> {
+            SourceFile::parse("crates/x/src/lib.rs", src)
+                .code()
+                .iter()
+                .filter_map(|(_, t)| match &t.tok {
+                    Tok::Ident(s) => Some(s.clone()),
+                    _ => None,
+                })
+                .collect()
+        };
+        for gate in [
+            "cfg(miri)",
+            "cfg(all(test, feature = \"simd\"))",
+            "cfg(all(unix, any(test, miri)))",
+            "cfg(any(test, miri))",
+        ] {
+            let seen = visible(&format!("#[{gate}]\nfn gated() {{ hidden(); }}\n"));
+            assert!(!seen.contains(&"hidden".to_string()), "{gate}: {seen:?}");
+        }
+        for gate in [
+            "cfg(not(test))",
+            "cfg(any(test, feature = \"simd\"))",
+            "cfg(all(not(test), unix))",
+            "cfg_attr(test, derive(Debug))",
+            "cfg_attr(not(test), inline)",
+        ] {
+            let seen = visible(&format!("#[{gate}]\nfn built() {{ shown(); }}\n"));
+            assert!(seen.contains(&"shown".to_string()), "{gate}: {seen:?}");
+        }
     }
 
     #[test]

@@ -24,3 +24,11 @@ pub fn exposure() -> f64 {
     let window_hours = 8766.0;
     rate_per_year * window_hours
 }
+
+/// A `not(test)` gate builds the item everywhere but tests: it is scanned.
+#[cfg(not(test))]
+pub fn production_only() -> f64 {
+    let drain_tb = 1200.0;
+    let uplink_mbs = 1250.0;
+    drain_tb * uplink_mbs
+}

@@ -35,3 +35,11 @@ pub fn assemble() -> RepairPlan {
         network_time_h: helper(1.0) * 2.0,
     }
 }
+
+/// Items only test or Miri builds compile are out of scope.
+#[cfg(any(test, miri))]
+pub fn test_only() -> f64 {
+    let drain_tb = 1200.0;
+    let uplink_mbs = 1250.0;
+    drain_tb * uplink_mbs
+}

@@ -68,6 +68,19 @@ fn unit_discipline_fires_on_bare_f64_and_mixed_arithmetic() {
         .any(|d| d.message.contains("`rate_per_year`") && d.message.contains("`window_hours`")));
 }
 
+/// Only a gate that keeps an item out of every non-test build masks it;
+/// a `#[cfg(not(test))]` body is production code and is scanned.
+#[test]
+fn unit_discipline_scans_cfg_not_test_items() {
+    let diags = fire("unit-discipline");
+    assert!(
+        diags
+            .iter()
+            .any(|d| d.message.contains("`drain_tb`") && d.message.contains("`uplink_mbs`")),
+        "{diags:?}"
+    );
+}
+
 #[test]
 fn unit_discipline_quiet_on_newtypes_fields_and_same_class() {
     assert_quiet("unit-discipline");
