@@ -81,7 +81,11 @@ pub fn ln_factorial(n: u32) -> f64 {
 
 /// Expected-value census of stripes by failure multiplicity in one
 /// declustered pool.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Every walk over the classes stops at `top`, the highest class that may
+/// be non-zero: a pool with `f` failed disks holds no stripe above class
+/// `f`, so a failure event costs what the live classes cost, not `w + 1`.
+#[derive(Debug, Clone)]
 pub struct StripeCensus {
     /// Pool size in disks.
     pub pool_disks: u32,
@@ -92,24 +96,36 @@ pub struct StripeCensus {
     counts: Vec<f64>,
     /// Currently failed disks reflected in the census.
     failed_disks: u32,
+    /// Highest class that may be non-zero: every class above it is exactly
+    /// `+0.0`. One more per failure (capped at `stripe_width`), back to 0
+    /// when a drain snaps the census to all-healthy.
+    top: usize,
+}
+
+/// Equality of the model state; `top` is a cache of where that state's
+/// non-zero classes end.
+impl PartialEq for StripeCensus {
+    fn eq(&self, other: &StripeCensus) -> bool {
+        self.pool_disks == other.pool_disks
+            && self.stripe_width == other.stripe_width
+            && self.counts == other.counts
+            && self.failed_disks == other.failed_disks
+    }
 }
 
 impl StripeCensus {
     /// A healthy pool with `total_stripes` stripes.
     pub fn new(pool_disks: u32, stripe_width: u32, total_stripes: f64) -> StripeCensus {
         assert!(stripe_width >= 2 && stripe_width <= pool_disks);
-        let mut counts = vec![0.0; stripe_width as usize + 1];
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "`counts` was just built with `stripe_width + 1 >= 3` entries."
-        )]
-        let healthy = &mut counts[0];
-        *healthy = total_stripes;
+        let counts = std::iter::once(total_stripes)
+            .chain(std::iter::repeat_n(0.0, stripe_width as usize))
+            .collect();
         StripeCensus {
             pool_disks,
             stripe_width,
             counts,
             failed_disks: 0,
+            top: 0,
         }
     }
 
@@ -120,7 +136,7 @@ impl StripeCensus {
 
     /// Expected stripes at multiplicity `m` or higher.
     pub fn at_or_above(&self, m: u32) -> f64 {
-        self.counts.iter().skip(m as usize).sum()
+        self.live_sum(m as usize, |_, n| n)
     }
 
     /// Currently failed disks.
@@ -130,16 +146,33 @@ impl StripeCensus {
 
     /// Total stripes (conserved by all operations).
     pub fn total_stripes(&self) -> f64 {
-        self.counts.iter().sum()
+        self.live_sum(0, |_, n| n)
     }
 
     /// Failed chunks outstanding (sum of `m * n[m]`).
     pub fn failed_chunks(&self) -> f64 {
-        self.counts
+        self.live_sum(0, |m, n| m as f64 * n)
+    }
+
+    /// `term(m, n[m])` summed over the classes `m >= from`, walking only
+    /// `from..=top`. The result is bit-identical to the sum over every class:
+    /// `f64::sum` starts from `-0.0`, so a walk that covers no non-zero
+    /// class returns `-0.0`, and the skipped classes' `+0.0` terms would
+    /// have turned it into `+0.0`. One `+ 0.0` stands for all of them.
+    fn live_sum(&self, from: usize, term: impl Fn(usize, f64) -> f64) -> f64 {
+        let live: f64 = self
+            .counts
             .iter()
             .enumerate()
-            .map(|(m, &n)| m as f64 * n)
-            .sum()
+            .take(self.top + 1)
+            .skip(from)
+            .map(|(m, &n)| term(m, n))
+            .sum();
+        if from.max(self.top + 1) < self.counts.len() {
+            live + 0.0
+        } else {
+            live
+        }
     }
 
     /// Register a new disk failure: every stripe at multiplicity `m` gains a
@@ -154,23 +187,17 @@ impl StripeCensus {
         assert!(self.failed_disks < self.pool_disks, "no disks left to fail");
         let survivors = d - f_prev;
         // Walk top-down so each class is promoted from its pre-update value.
-        for m in (0..self.stripe_width as usize).rev() {
+        // Classes above `top` hold `+0.0` and would move nothing.
+        let w = self.stripe_width as usize;
+        for m in (0..w.min(self.top + 1)).rev() {
             let q = (self.stripe_width as f64 - m as f64) / survivors;
-            #[expect(
-                clippy::indexing_slicing,
-                reason = "`m < stripe_width` and `counts.len() == stripe_width + 1`, so `m` is in bounds."
-            )]
-            let moved = self.counts[m] * q;
-            #[expect(clippy::indexing_slicing, reason = "same bound: `m < counts.len()`.")]
-            let from = &mut self.counts[m];
-            *from -= moved;
-            #[expect(
-                clippy::indexing_slicing,
-                reason = "`m + 1 <= stripe_width < counts.len()`."
-            )]
-            let to = &mut self.counts[m + 1];
-            *to += moved;
+            if let Some([from, to]) = self.counts.get_mut(m..m + 2) {
+                let moved = *from * q;
+                *from -= moved;
+                *to += moved;
+            }
         }
+        self.top = w.min(self.top + 1);
         self.failed_disks += 1;
     }
 
@@ -180,34 +207,24 @@ impl StripeCensus {
     /// Returns the chunks actually repaired.
     pub fn drain_priority(&mut self, mut chunk_budget: f64) -> f64 {
         let mut repaired = 0.0;
-        for m in (1..=self.stripe_width as usize).rev() {
-            if chunk_budget <= 0.0 {
-                break;
+        if let Some((healthy, failed)) = self.counts.split_first_mut() {
+            // `failed[i]` is class `i + 1`; the classes above `top` are empty.
+            for (i, n) in failed.iter_mut().take(self.top).enumerate().rev() {
+                if chunk_budget <= 0.0 {
+                    break;
+                }
+                let m = (i + 1) as f64;
+                let class_chunks = *n * m;
+                if class_chunks <= 0.0 {
+                    continue;
+                }
+                let take_chunks = class_chunks.min(chunk_budget);
+                let take_stripes = take_chunks / m;
+                *n -= take_stripes;
+                *healthy += take_stripes;
+                chunk_budget -= take_chunks;
+                repaired += take_chunks;
             }
-            #[expect(
-                clippy::indexing_slicing,
-                reason = "loop bound `m <= stripe_width`, and `counts.len() == stripe_width + 1`."
-            )]
-            let class_chunks = self.counts[m] * m as f64;
-            if class_chunks <= 0.0 {
-                continue;
-            }
-            let take_chunks = class_chunks.min(chunk_budget);
-            let take_stripes = take_chunks / m as f64;
-            #[expect(
-                clippy::indexing_slicing,
-                reason = "same loop bound keeps `m` in range; index 0 always exists."
-            )]
-            let from = &mut self.counts[m];
-            *from -= take_stripes;
-            #[expect(
-                clippy::indexing_slicing,
-                reason = "index 0 always exists (`counts` is never empty)."
-            )]
-            let healthy = &mut self.counts[0];
-            *healthy += take_stripes;
-            chunk_budget -= take_chunks;
-            repaired += take_chunks;
         }
         // All failed data rebuilt: the failed disks no longer hold live
         // chunks; the pool is effectively healthy (spare-space model — the
@@ -218,12 +235,10 @@ impl StripeCensus {
             self.failed_disks = 0;
             let total = self.total_stripes();
             self.counts.fill(0.0);
-            #[expect(
-                clippy::indexing_slicing,
-                reason = "index 0 always exists (`counts` is never empty)."
-            )]
-            let healthy = &mut self.counts[0];
-            *healthy = total;
+            if let Some(healthy) = self.counts.first_mut() {
+                *healthy = total;
+            }
+            self.top = 0;
         }
         repaired
     }
@@ -363,6 +378,137 @@ mod tests {
         assert!((repaired - chunks).abs() < 1e-6);
         assert_eq!(census.failed_disks(), 0);
         assert!((census.at(0) - 1e6).abs() < 1e-6);
+    }
+
+    /// The census as it was before it tracked `top`: every walk visits all
+    /// `w + 1` classes.
+    struct FullWidth {
+        pool_disks: u32,
+        stripe_width: u32,
+        counts: Vec<f64>,
+        failed_disks: u32,
+    }
+
+    impl FullWidth {
+        fn new(pool_disks: u32, stripe_width: u32, total_stripes: f64) -> FullWidth {
+            let mut counts = vec![0.0; stripe_width as usize + 1];
+            counts[0] = total_stripes;
+            FullWidth {
+                pool_disks,
+                stripe_width,
+                counts,
+                failed_disks: 0,
+            }
+        }
+
+        fn at(&self, m: u32) -> f64 {
+            self.counts.get(m as usize).copied().unwrap_or(0.0)
+        }
+
+        fn at_or_above(&self, m: u32) -> f64 {
+            self.counts.iter().skip(m as usize).sum()
+        }
+
+        fn total_stripes(&self) -> f64 {
+            self.counts.iter().sum()
+        }
+
+        fn failed_chunks(&self) -> f64 {
+            self.counts
+                .iter()
+                .enumerate()
+                .map(|(m, &n)| m as f64 * n)
+                .sum()
+        }
+
+        fn add_disk_failure(&mut self) {
+            let survivors = self.pool_disks as f64 - self.failed_disks as f64;
+            for m in (0..self.stripe_width as usize).rev() {
+                let q = (self.stripe_width as f64 - m as f64) / survivors;
+                let moved = self.counts[m] * q;
+                self.counts[m] -= moved;
+                self.counts[m + 1] += moved;
+            }
+            self.failed_disks += 1;
+        }
+
+        fn drain_priority(&mut self, mut chunk_budget: f64) -> f64 {
+            let mut repaired = 0.0;
+            for m in (1..=self.stripe_width as usize).rev() {
+                if chunk_budget <= 0.0 {
+                    break;
+                }
+                let class_chunks = self.counts[m] * m as f64;
+                if class_chunks <= 0.0 {
+                    continue;
+                }
+                let take_chunks = class_chunks.min(chunk_budget);
+                let take_stripes = take_chunks / m as f64;
+                self.counts[m] -= take_stripes;
+                self.counts[0] += take_stripes;
+                chunk_budget -= take_chunks;
+                repaired += take_chunks;
+            }
+            if self.failed_chunks() < 0.5 {
+                self.failed_disks = 0;
+                let total = self.total_stripes();
+                self.counts.fill(0.0);
+                self.counts[0] = total;
+            }
+            repaired
+        }
+    }
+
+    #[test]
+    fn top_bounded_walks_equal_the_full_width_walks_bit_for_bit() {
+        use mlec_runner::rng::ChaCha12Rng;
+        let shapes = [(120u32, 20u32), (60, 10), (12, 4), (8, 8)];
+        for seed in 0..40u64 {
+            let mut rng = ChaCha12Rng::seed_from_u64(seed);
+            let (d, w) = shapes[seed as usize % shapes.len()];
+            let stripes = [0.0, 1.0, 5e5, 1e9][(seed / 4) as usize % 4];
+            let mut census = StripeCensus::new(d, w, stripes);
+            let mut reference = FullWidth::new(d, w, stripes);
+            for step in 0..200 {
+                let what = if census.failed_disks() + 1 < d && rng.gen_bool(0.6) {
+                    census.add_disk_failure();
+                    reference.add_disk_failure();
+                    "add".to_string()
+                } else {
+                    // Mostly partial drains; about one in four overshoots
+                    // the outstanding work and snaps back to healthy.
+                    let budget = census.failed_chunks() * rng.gen_f64(0.0, 1.35);
+                    let got = census.drain_priority(budget);
+                    let want = reference.drain_priority(budget);
+                    assert_eq!(got.to_bits(), want.to_bits(), "seed {seed} step {step}");
+                    format!("drain {budget}")
+                };
+                let ctx = format!("seed {seed} step {step} ({what}), top {}", census.top);
+                for m in 0..=w + 1 {
+                    assert_eq!(
+                        census.at(m).to_bits(),
+                        reference.at(m).to_bits(),
+                        "{ctx}: at({m})"
+                    );
+                    assert_eq!(
+                        census.at_or_above(m).to_bits(),
+                        reference.at_or_above(m).to_bits(),
+                        "{ctx}: at_or_above({m})"
+                    );
+                }
+                assert_eq!(
+                    census.failed_chunks().to_bits(),
+                    reference.failed_chunks().to_bits(),
+                    "{ctx}: failed_chunks"
+                );
+                assert_eq!(
+                    census.total_stripes().to_bits(),
+                    reference.total_stripes().to_bits(),
+                    "{ctx}: total_stripes"
+                );
+                assert_eq!(census.failed_disks(), reference.failed_disks, "{ctx}");
+            }
+        }
     }
 
     #[test]

@@ -239,12 +239,14 @@ fn run_pools<P: PoolPolicy, O: SimObserver>(
     let survival =
         chunk_knowledge_survival(dep, method, injected.lost_stripes, injected.total_stripes);
 
-    // Touched pools not under network repair, each with the time its policy
-    // was last advanced to. A pool is advanced only when a failure lands in
-    // it: whatever repair completed since is applied first, so an arrival
-    // never sees a rebuild that finished at its own timestamp, and the
-    // drain guard and thresholds are the policy's own.
-    let mut states: BTreeMap<u32, (f64, P)> = BTreeMap::new();
+    // Touched pools not under network repair, indexed by pool id, each with
+    // the time its policy was last advanced to. A pool is advanced only when
+    // a failure lands in it: whatever repair completed since is applied
+    // first, so an arrival never sees a rebuild that finished at its own
+    // timestamp, and the drain guard and thresholds are the policy's own.
+    let mut states: Vec<Option<(f64, P)>> = std::iter::repeat_with(|| None)
+        .take(pools.num_pools() as usize)
+        .collect();
     // Catastrophic pools under network repair, in admission order.
     let mut in_flight: Vec<RepairInFlight> = Vec::new();
 
@@ -289,14 +291,15 @@ fn run_pools<P: PoolPolicy, O: SimObserver>(
         kernel.record_failure();
 
         let pool = pools.pool_of(disk);
-        // The failed-disk count of a pool this failure sends catastrophic.
-        let catastrophe = if in_flight.iter().any(|r| r.pool == pool) {
-            // Pool already under network reconstruction; the failure is
-            // absorbed by that repair.
-            observer.on_disk_failure(now, 0);
+        let state = if in_flight.iter().any(|r| r.pool == pool) {
             None
         } else {
-            let (advanced_to, policy) = states.entry(pool).or_insert_with(|| (0.0, healthy_pool()));
+            // Every disk below `total_disks` lies in a pool below `num_pools`.
+            states.get_mut(pool as usize)
+        };
+        // The failed-disk count of a pool this failure sends catastrophic.
+        let catastrophe = if let Some(state) = state {
+            let (advanced_to, policy) = state.get_or_insert_with(|| (0.0, healthy_pool()));
             let failed_before = policy.failed_disks();
             policy.on_repair_progress(*advanced_to, now);
             policy.on_repair_event(now, failed_before);
@@ -313,14 +316,21 @@ fn run_pools<P: PoolPolicy, O: SimObserver>(
                 }
             };
             observer.on_disk_failure(now, pool_failed);
+            if catastrophe.is_some() {
+                *state = None; // network repair rebuilds the pool
+            }
             catastrophe
+        } else {
+            // Pool already under network reconstruction; the failure is
+            // absorbed by that repair.
+            observer.on_disk_failure(now, 0);
+            None
         };
 
         if let Some(pool_failed) = catastrophe {
             catastrophic_pools += 1;
             cross_rack_traffic_tb += plan.cross_rack_traffic_tb;
             observer.on_catastrophe(now, pool_failed, injected.lost_stripes, 1.0);
-            states.remove(&pool); // network repair rebuilds the pool
 
             // Bandwidth contention: concurrent repairs sharing this repair's
             // bottleneck stretch its sojourn (snapshot at admission).

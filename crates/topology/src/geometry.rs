@@ -93,11 +93,6 @@ impl Geometry {
         disk % self.disks_per_enclosure
     }
 
-    /// Disk id from (rack, enclosure, slot) coordinates.
-    pub const fn disk_at(&self, rack: RackId, enclosure: EnclosureId, slot: u32) -> DiskId {
-        rack * self.disks_per_rack() + enclosure * self.disks_per_enclosure + slot
-    }
-
     /// Iterator over all disks in a rack.
     pub fn disks_in_rack(&self, rack: RackId) -> std::ops::Range<DiskId> {
         let start = rack * self.disks_per_rack();
@@ -124,7 +119,7 @@ mod tests {
             let r = g.rack_of(disk);
             let e = g.enclosure_of(disk);
             let s = g.slot_of(disk);
-            assert_eq!(g.disk_at(r, e, s), disk);
+            assert_eq!(r * g.disks_per_rack() + e * g.disks_per_enclosure + s, disk);
             assert!(r < g.racks);
             assert!(e < g.enclosures_per_rack);
             assert!(s < g.disks_per_enclosure);

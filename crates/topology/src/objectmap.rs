@@ -199,11 +199,11 @@ impl ObjectMapper {
 
     /// The disk hosting chunk `col` of the row placed in `pool`.
     fn disk_of_chunk(&self, network_stripe: u64, pool: u32, col: u32) -> DiskId {
-        let pool_disks: Vec<DiskId> = self.pools.disks_of_pool(pool).collect();
+        let pool_disks = self.pools.disks_of_pool(pool);
         match self.scheme.local {
             Placement::Clustered => {
                 // The stripe occupies the whole pool, one chunk per disk.
-                pool_disks[col as usize]
+                pool_disks.start + col
             }
             Placement::Declustered => {
                 // Pseudorandom distinct disks within the pool per (stripe,
@@ -214,7 +214,7 @@ impl ObjectMapper {
                     self.code.local_width(),
                     col,
                 );
-                pool_disks[idx as usize]
+                pool_disks.start + idx
             }
         }
     }

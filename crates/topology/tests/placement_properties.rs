@@ -137,7 +137,10 @@ fn geometry_roundtrip() {
         for probe in [0, total / 3, total.saturating_sub(1)] {
             if probe < total {
                 let (rk, e, s) = (g.rack_of(probe), g.enclosure_of(probe), g.slot_of(probe));
-                assert_eq!(g.disk_at(rk, e, s), probe);
+                assert_eq!(
+                    rk * g.disks_per_rack() + e * g.disks_per_enclosure + s,
+                    probe
+                );
             }
         }
     }
