@@ -18,6 +18,7 @@ use mlec_runner::TrialRng;
 use mlec_sim::census::{hypergeom_pmf, ln_choose};
 use mlec_sim::config::MlecDeployment;
 use mlec_topology::burst::{sample_burst, sample_rack_counts};
+use mlec_topology::placement::network_data_loss;
 use mlec_topology::{Geometry, Placement, SlecPlacement};
 
 /// Tail of a Poisson–binomial distribution: `P(sum of independent
@@ -195,7 +196,7 @@ pub fn mlec_burst_sample(
     let threshold = dep.params.local.p as u32 + 1;
     let pn1 = dep.params.network.p + 1;
     let w = dep.local_width();
-    let stripes_per_pool = pools.pool_size() as f64 * g.chunks_per_disk() / w as f64;
+    let stripes_per_pool = dep.stripes_per_pool();
 
     let Ok(counts) = sample_rack_counts(&g, failures, affected_racks, rng) else {
         return f64::NAN;
@@ -301,9 +302,8 @@ pub fn mlec_burst_direct_trial(
     let g = dep.geometry;
     let pools = dep.local_pools();
     let threshold = dep.params.local.p as u32 + 1;
-    let pn1 = dep.params.network.p as u32 + 1;
     let w = dep.local_width();
-    let stripes_per_pool = pools.pool_size() as f64 * g.chunks_per_disk() / w as f64;
+    let stripes_per_pool = dep.stripes_per_pool();
 
     let layout = sample_burst(&g, failures, affected_racks, rng).ok()?;
     // Catastrophic pools (Bernoulli thinning for declustered).
@@ -323,25 +323,13 @@ pub fn mlec_burst_direct_trial(
             cat_pools.push(pool);
         }
     }
-    Some(match dep.scheme.network {
-        Placement::Clustered => {
-            let group_size = dep.network_width();
-            let mut slots: std::collections::BTreeMap<(u32, u32), u32> =
-                std::collections::BTreeMap::new();
-            for &p in &cat_pools {
-                let rack = pools.rack_of_pool(p);
-                let key = (rack / group_size, pools.position_in_rack(p));
-                *slots.entry(key).or_insert(0) += 1;
-            }
-            slots.values().any(|&n| n >= pn1)
-        }
-        Placement::Declustered => {
-            let mut racks: Vec<u32> = cat_pools.iter().map(|&p| pools.rack_of_pool(p)).collect();
-            racks.sort_unstable();
-            racks.dedup();
-            racks.len() as u32 >= pn1
-        }
-    })
+    Some(network_data_loss(
+        &pools,
+        dep.scheme.network,
+        dep.network_width(),
+        dep.params.network.p as u32,
+        cat_pools,
+    ))
 }
 
 /// MLEC burst PDL by direct disk-level Monte Carlo (the cross-check for

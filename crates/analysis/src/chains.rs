@@ -54,7 +54,7 @@ fn declustered_pool_chain(dep: &MlecDeployment) -> BirthDeathChain {
     let pl = dep.params.local.p;
     let lambda = dep.config.disk_failure_rate().to_per_hour();
     let chunk_mb = dep.geometry.chunk_kb / 1e3;
-    let total_stripes = d as f64 * dep.geometry.chunks_per_disk() / w as f64;
+    let total_stripes = dep.stripes_per_pool();
 
     let fail: Vec<f64> = (0..=pl).map(|m| (d as f64 - m as f64) * lambda).collect();
     let mut repair = Vec::with_capacity(pl);

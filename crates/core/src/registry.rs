@@ -2,7 +2,7 @@
 //! [`ExperimentInfo`] behind one uniform execution surface.
 //!
 //! An experiment is one `declare_experiment!` declaration plus one run
-//! function (both in [`crate::figures`]). The declaration lists each
+//! function, both in its family's module under [`crate::figures`]. The declaration lists each
 //! parameter once — name, type, default, help — and expands to the printed
 //! schema (`&[ParamSpec]`, what `mlec info` shows) *and* a typed parameter
 //! struct whose fields are filled, in declaration order, from the
@@ -14,7 +14,7 @@
 //! outside the field type's range, and unsupported modes are hard errors,
 //! never silently ignored.
 
-use crate::experiments::HeatmapRunOpts;
+use crate::figures::RunnerOpts;
 use crate::report::{dump_json_in, DumpError};
 use mlec_runner::Json;
 use std::fmt;
@@ -427,7 +427,7 @@ pub struct ExperimentCtx {
     /// Artifact directory (`out=DIR`, default `target/figures`).
     pub out_dir: PathBuf,
     /// Runner execution options: `threads=N`, `manifests=DIR`.
-    pub runner: HeatmapRunOpts,
+    pub runner: RunnerOpts,
     /// Per declared parameter, in schema order: the value given on the
     /// command line, if any.
     values: Vec<Option<String>>,
@@ -446,7 +446,7 @@ impl ExperimentCtx {
         let mut ctx = ExperimentCtx {
             mode: info.default_mode(),
             out_dir: Path::new("target").join("figures"),
-            runner: HeatmapRunOpts::default(),
+            runner: RunnerOpts::default(),
             values: vec![None; info.params.len()],
         };
         for arg in raw_args {
@@ -545,25 +545,25 @@ impl ExperimentOutput {
 
 /// Every registered experiment, in the paper's presentation order.
 pub static REGISTRY: &[&ExperimentInfo] = &[
-    &crate::figures::FIG01,
-    &crate::figures::TABLE2,
-    &crate::figures::FIG05,
-    &crate::figures::FIG06,
-    &crate::figures::FIG07,
-    &crate::figures::FIG08,
-    &crate::figures::FIG09,
-    &crate::figures::FIG10,
-    &crate::figures::FIG11,
-    &crate::figures::FIG12,
-    &crate::figures::FIG13,
-    &crate::figures::FIG15,
-    &crate::figures::FIG16,
-    &crate::figures::SEC514,
-    &crate::figures::ABLATIONS,
-    &crate::figures::PAPER_SUMMARY,
-    &crate::figures::VALIDATION,
-    &crate::figures::TRACE,
-    &crate::figures::STORE_BENCH,
+    &crate::figures::summary::FIG01,
+    &crate::figures::repair::TABLE2,
+    &crate::figures::bursts::FIG05,
+    &crate::figures::repair::FIG06,
+    &crate::figures::durability::FIG07,
+    &crate::figures::repair::FIG08,
+    &crate::figures::repair::FIG09,
+    &crate::figures::durability::FIG10,
+    &crate::figures::tradeoff::FIG11,
+    &crate::figures::tradeoff::FIG12,
+    &crate::figures::bursts::FIG13,
+    &crate::figures::tradeoff::FIG15,
+    &crate::figures::bursts::FIG16,
+    &crate::figures::summary::SEC514,
+    &crate::figures::summary::ABLATIONS,
+    &crate::figures::summary::PAPER_SUMMARY,
+    &crate::figures::durability::VALIDATION,
+    &crate::figures::tools::TRACE,
+    &crate::figures::tools::STORE_BENCH,
 ];
 
 /// Look up an experiment by registry name.

@@ -2,7 +2,7 @@
 //! log-scale heatmaps that read like the paper's figures in a terminal,
 //! plus JSON dumping for machine consumption.
 
-use crate::experiments::Heatmap;
+use crate::figures::bursts::Heatmap;
 use mlec_runner::ToJson;
 use std::path::Path;
 

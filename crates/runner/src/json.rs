@@ -460,6 +460,13 @@ macro_rules! impl_to_json_uint {
 }
 impl_to_json_uint!(u32, u64, usize);
 
+/// `None` is `null`.
+impl<T: ToJson> ToJson for Option<T> {
+    fn to_json(&self) -> Json {
+        self.as_ref().map_or(Json::Null, ToJson::to_json)
+    }
+}
+
 impl<T: ToJson> ToJson for Vec<T> {
     fn to_json(&self) -> Json {
         Json::Arr(self.iter().map(ToJson::to_json).collect())

@@ -4,6 +4,7 @@
 //! where every observation carries a likelihood-ratio weight.
 
 use crate::json::Json;
+use crate::trial::Summary;
 
 /// `-ln(0.05)`: the 95% upper confidence bound on a Poisson mean when zero
 /// events were observed (divide by the exposure to get a rate bound).
@@ -98,6 +99,21 @@ impl Welford {
             }
         } else {
             (se / self.mean).abs()
+        }
+    }
+
+    /// The runner's summary of the mean, with the normal 95% interval
+    /// `mean ± 1.96·se`.
+    pub fn summary(&self) -> Summary {
+        let mean = self.mean();
+        let se = self.std_err();
+        Summary {
+            trials: self.count(),
+            mean,
+            std_err: se,
+            ci_low: mean - 1.96 * se,
+            ci_high: mean + 1.96 * se,
+            rel_err: self.rel_err(),
         }
     }
 
@@ -450,6 +466,20 @@ impl Proportion {
             f64::INFINITY
         } else {
             self.wilson_half_width() / self.estimate()
+        }
+    }
+
+    /// The runner's summary of the proportion, with the 95% Wilson
+    /// interval.
+    pub fn summary(&self) -> Summary {
+        let (lo, hi) = self.wilson(1.96);
+        Summary {
+            trials: self.trials(),
+            mean: self.estimate(),
+            std_err: self.wilson_half_width() / 1.96,
+            ci_low: lo,
+            ci_high: hi,
+            rel_err: self.rel_half_width(),
         }
     }
 

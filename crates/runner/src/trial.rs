@@ -87,16 +87,7 @@ impl Accumulator for MeanAcc {
     }
 
     fn summary(&self) -> Summary {
-        let mean = self.stats.mean();
-        let se = self.stats.std_err();
-        Summary {
-            trials: self.stats.count(),
-            mean,
-            std_err: se,
-            ci_low: mean - 1.96 * se,
-            ci_high: mean + 1.96 * se,
-            rel_err: self.stats.rel_err(),
-        }
+        self.stats.summary()
     }
 
     fn save(&self) -> Json {
@@ -132,15 +123,7 @@ impl Accumulator for HitAcc {
     }
 
     fn summary(&self) -> Summary {
-        let (lo, hi) = self.stats.wilson(1.96);
-        Summary {
-            trials: self.stats.trials(),
-            mean: self.stats.estimate(),
-            std_err: self.stats.wilson_half_width() / 1.96,
-            ci_low: lo,
-            ci_high: hi,
-            rel_err: self.stats.rel_half_width(),
-        }
+        self.stats.summary()
     }
 
     fn save(&self) -> Json {
@@ -205,16 +188,7 @@ impl Accumulator for GridAcc {
         for cell in &self.cells {
             pooled.merge(cell);
         }
-        let mean = pooled.mean();
-        let se = pooled.std_err();
-        Summary {
-            trials: pooled.count(),
-            mean,
-            std_err: se,
-            ci_low: mean - 1.96 * se,
-            ci_high: mean + 1.96 * se,
-            rel_err: pooled.rel_err(),
-        }
+        pooled.summary()
     }
 
     fn save(&self) -> Json {

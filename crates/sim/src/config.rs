@@ -102,6 +102,13 @@ impl MlecDeployment {
     pub fn local_pools(&self) -> mlec_topology::LocalPoolMap {
         mlec_topology::LocalPoolMap::new(self.geometry, self.scheme.local, self.local_width())
     }
+
+    /// Local stripes in one local pool: `pool_size × chunks_per_disk /
+    /// (k_l + p_l)`.
+    pub fn stripes_per_pool(&self) -> f64 {
+        self.local_pools().pool_size() as f64 * self.geometry.chunks_per_disk()
+            / self.local_width() as f64
+    }
 }
 
 #[cfg(test)]

@@ -183,11 +183,6 @@ pub(crate) fn per_disk_rate(model: &FailureModel) -> f64 {
     afr / HOURS_PER_YEAR
 }
 
-/// Stripes in one local pool of the deployment.
-fn stripes_per_pool(dep: &MlecDeployment, pool_disks: u32) -> f64 {
-    pool_disks as f64 * dep.geometry.chunks_per_disk() / dep.local_width() as f64
-}
-
 /// What every clustered pool of a deployment shares: built once per run
 /// (or per whole-system mission) and borrowed by each [`ClusteredPolicy`].
 pub struct ClusteredParams {
@@ -212,7 +207,7 @@ impl ClusteredParams {
                 + Volume::from_tb(dep.geometry.disk_capacity_tb)
                     .transfer_time_mb(dep.config.disk_repair_bw()))
             .to_hours(),
-            total_stripes: stripes_per_pool(dep, d),
+            total_stripes: dep.stripes_per_pool(),
         }
     }
 }
@@ -317,7 +312,7 @@ impl DeclusteredParams {
             d,
             w: dep.local_width(),
             threshold: dep.params.local.p as u32 + 1,
-            total_stripes: stripes_per_pool(dep, d),
+            total_stripes: dep.stripes_per_pool(),
             detection_hours: dep.config.detection_hours,
             drain_chunks_per_hour: (0..=d)
                 .map(|f| crate::bandwidth::local_repair_bw(dep, 1, f).to_mbs() * 3600.0 / chunk_mb)

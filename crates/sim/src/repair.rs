@@ -262,8 +262,7 @@ pub fn inject_catastrophic(dep: &MlecDeployment) -> InjectedFailure {
     let d = pools.pool_size();
     let w = dep.local_width();
     let chunk = Volume::from_kb(dep.geometry.chunk_kb);
-    let pool_chunks = d as f64 * dep.geometry.chunks_per_disk();
-    let total_stripes = pool_chunks / w as f64;
+    let total_stripes = dep.stripes_per_pool();
     let failed_volume = f as f64 * Volume::from_tb(dep.geometry.disk_capacity_tb);
 
     let (lost_stripes, lost_chunk_volume) = match dep.scheme.local {

@@ -39,8 +39,8 @@ use crate::pool_sim::{
     per_disk_rate, ClusteredParams, ClusteredPolicy, DeclusteredParams, DeclusteredPolicy,
 };
 use crate::repair::{chunk_knowledge_survival, inject_catastrophic, RepairMethod};
+use mlec_topology::placement::network_data_loss;
 use mlec_topology::Placement;
-use std::collections::BTreeMap;
 
 /// Result of one system simulation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -225,7 +225,6 @@ fn run_pools<P: PoolPolicy, O: SimObserver>(
         years * HOURS_PER_YEAR,
     );
     let pools = dep.local_pools();
-    let pn1 = dep.params.network.p as u32 + 1;
     let horizon = kernel.horizon();
 
     // Repair plan for the configured method (identical for every pool), and
@@ -361,29 +360,13 @@ fn run_pools<P: PoolPolicy, O: SimObserver>(
 
             // Data-loss check: p_n+1 overlapping catastrophic pools in loss
             // position.
-            let in_loss_position = match dep.scheme.network {
-                Placement::Clustered => {
-                    let group_size = dep.network_width();
-                    let mut slots: BTreeMap<(u32, u32), u32> = BTreeMap::new();
-                    for r in &in_flight {
-                        let key = (
-                            pools.rack_of_pool(r.pool) / group_size,
-                            pools.position_in_rack(r.pool),
-                        );
-                        *slots.entry(key).or_insert(0) += 1;
-                    }
-                    slots.values().any(|&n| n >= pn1)
-                }
-                Placement::Declustered => {
-                    let mut racks: Vec<u32> = in_flight
-                        .iter()
-                        .map(|r| pools.rack_of_pool(r.pool))
-                        .collect();
-                    racks.sort_unstable();
-                    racks.dedup();
-                    racks.len() as u32 >= pn1
-                }
-            };
+            let in_loss_position = network_data_loss(
+                &pools,
+                dep.scheme.network,
+                dep.network_width(),
+                dep.params.network.p as u32,
+                in_flight.iter().map(|r| r.pool),
+            );
             if in_loss_position && kernel.rng().gen_bool(survival.clamp(0.0, 1.0)) {
                 data_loss_events += 1;
                 first_loss_h.get_or_insert(now);

@@ -422,15 +422,7 @@ impl Accumulator for LossAcc {
     }
 
     fn summary(&self) -> Summary {
-        let (lo, hi) = self.loss.wilson(1.96);
-        Summary {
-            trials: self.loss.trials(),
-            mean: self.loss.estimate(),
-            std_err: self.loss.wilson_half_width() / 1.96,
-            ci_low: lo,
-            ci_high: hi,
-            rel_err: self.loss.rel_half_width(),
-        }
+        self.loss.summary()
     }
 
     fn save(&self) -> Json {

@@ -42,7 +42,7 @@ use crate::oplog::{OpLog, OpRecord};
 use crate::store::{MlecStore, StoreConfig};
 use crate::StoreError;
 use mlec_ec::mlec::MlecStripe;
-use mlec_runner::{SeedStream, SplitMix64};
+use mlec_runner::{impl_to_json, SeedStream, SplitMix64};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
@@ -137,6 +137,16 @@ pub struct PhaseSummary {
     pub max_us: u64,
 }
 
+impl_to_json!(PhaseSummary {
+    phase,
+    count,
+    mean_us,
+    p50_us,
+    p99_us,
+    p999_us,
+    max_us,
+});
+
 /// Everything a benchmark run measured.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoreBenchReport {
@@ -192,6 +202,35 @@ pub struct StoreBenchReport {
     /// only, deliberately absent from deterministic comparisons.
     pub wall_secs: Option<f64>,
 }
+
+// Every field but `wall_secs`, so the `store_bench` artifact stays
+// deterministic.
+impl_to_json!(StoreBenchReport {
+    ops,
+    puts,
+    gets,
+    deletes,
+    misses,
+    degraded_reads,
+    failed_gets,
+    verified_inline,
+    verified_final,
+    phases,
+    kill_time_us,
+    lost_chunks,
+    rebuild_done_us,
+    repaired_stripes,
+    skipped_stripes,
+    unrecoverable_stripes,
+    repaired_local_chunks,
+    repaired_network_chunks,
+    cache_hit_rate,
+    foreground_ios,
+    foreground_bytes,
+    repair_ios,
+    repair_bytes,
+    oplog_records,
+});
 
 impl StoreBenchReport {
     /// The summary of `phase`, if any ops completed in it.

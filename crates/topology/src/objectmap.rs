@@ -234,15 +234,30 @@ fn hash3(seed: u64, a: u64, b: u64) -> u64 {
     mix(seed ^ mix(a ^ mix(b)))
 }
 
+/// Touched slots [`distinct_sample`] keeps on the stack: `index + 1` swaps
+/// touch at most `2(index + 1)` slots, so every prefix of up to 32 swaps
+/// (every stripe width of the paper) draws without allocating.
+const STACK_SLOTS: usize = 64;
+
 /// The `index`-th element of a deterministic pseudorandom permutation-prefix
 /// of `0..n` of length `count`, derived from `key`. Implemented as a
-/// Fisher–Yates prefix over a keyed index sequence — O(count) per call,
-/// no allocation beyond the prefix.
+/// Fisher–Yates prefix over a keyed index sequence — O(count) per call.
 fn distinct_sample(key: u64, n: u32, count: u32, index: u32) -> u32 {
     debug_assert!(count <= n, "cannot draw {count} distinct of {n}");
     debug_assert!(index < count);
-    // Virtual Fisher-Yates: keep only the touched entries in a small map.
-    let mut touched: Vec<(u32, u32)> = Vec::with_capacity(count as usize);
+    let slots = 2 * (index as usize + 1);
+    if slots <= STACK_SLOTS {
+        fisher_yates_prefix(key, n, index, &mut [(0, 0); STACK_SLOTS])
+    } else {
+        fisher_yates_prefix(key, n, index, &mut vec![(0, 0); slots])
+    }
+}
+
+/// Steps `0..=index` of a virtual Fisher–Yates shuffle of `0..n`: only the
+/// touched `(position, value)` slots are kept, in `touched`, which must
+/// hold `2(index + 1)` of them. Returns the value drawn at step `index`.
+fn fisher_yates_prefix(key: u64, n: u32, index: u32, touched: &mut [(u32, u32)]) -> u32 {
+    let mut len = 0;
     let lookup = |touched: &[(u32, u32)], i: u32| -> u32 {
         touched
             .iter()
@@ -252,21 +267,25 @@ fn distinct_sample(key: u64, n: u32, count: u32, index: u32) -> u32 {
     let mut result = 0;
     for step in 0..=index {
         let j = step + (hash3(key, step as u64, 0x5eed) % (n - step) as u64) as u32;
-        let vi = lookup(&touched, step);
-        let vj = lookup(&touched, j);
+        let vi = lookup(&touched[..len], step);
+        let vj = lookup(&touched[..len], j);
         // swap positions step and j
-        upsert(&mut touched, step, vj);
-        upsert(&mut touched, j, vi);
+        len = upsert(touched, len, step, vj);
+        len = upsert(touched, len, j, vi);
         result = vj;
     }
     result
 }
 
-fn upsert(touched: &mut Vec<(u32, u32)>, key: u32, value: u32) {
-    if let Some(slot) = touched.iter_mut().find(|(k, _)| *k == key) {
+/// Set `key` to `value` among the first `len` slots, appending it when
+/// absent; returns the new length.
+fn upsert(touched: &mut [(u32, u32)], len: usize, key: u32, value: u32) -> usize {
+    if let Some(slot) = touched[..len].iter_mut().find(|(k, _)| *k == key) {
         slot.1 = value;
+        len
     } else {
-        touched.push((key, value));
+        touched[len] = (key, value);
+        len + 1
     }
 }
 

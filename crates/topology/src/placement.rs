@@ -298,9 +298,74 @@ impl NetworkPoolMap {
     }
 }
 
+/// The network-level loss rule: a network stripe is lost with `p_n + 1` of
+/// its local stripes, so data can be lost once `p_n + 1` of the
+/// `catastrophic` local pools sit in one network pool of a clustered
+/// network (the same position in one group of `k_n + p_n` racks), or in
+/// `p_n + 1` distinct racks of a declustered one.
+pub fn network_data_loss(
+    local: &LocalPoolMap,
+    network: Placement,
+    network_width: u32,
+    pn: u32,
+    catastrophic: impl IntoIterator<Item = u32>,
+) -> bool {
+    let mut slots: Vec<(u32, u32)> = catastrophic
+        .into_iter()
+        .map(|pool| {
+            let rack = local.rack_of_pool(pool);
+            match network {
+                Placement::Clustered => (rack / network_width, local.position_in_rack(pool)),
+                Placement::Declustered => (rack, 0),
+            }
+        })
+        .collect();
+    slots.sort_unstable();
+    let threshold = pn as usize + 1;
+    match network {
+        Placement::Clustered => slots
+            .chunk_by(|a, b| a == b)
+            .any(|same| same.len() >= threshold),
+        Placement::Declustered => {
+            slots.dedup();
+            slots.len() >= threshold
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn network_data_loss_counts_network_pools_for_c_and_racks_for_d() {
+        // The paper's (10+2) network: p_n = 2, rack groups of 12.
+        let (width, pn) = (12, 2);
+        for local in [Placement::Clustered, Placement::Declustered] {
+            let pools = LocalPoolMap::new(Geometry::paper_default(), local, 20);
+            let pool = |rack: u32, position: u32| rack * pools.pools_per_rack() + position;
+            let loss = |network, set: &[u32]| {
+                network_data_loss(&pools, network, width, pn, set.iter().copied())
+            };
+            let (c, d) = (Placement::Clustered, Placement::Declustered);
+            // Three pools at one position of rack group 0: one network pool.
+            let one_network_pool = [pool(0, 5), pool(1, 5), pool(11, 5)];
+            assert!(loss(c, &one_network_pool) && loss(d, &one_network_pool));
+            // Three racks of group 0, but two positions: two network pools.
+            let two_positions = [pool(0, 5), pool(1, 5), pool(2, 6)];
+            assert!(!loss(c, &two_positions) && loss(d, &two_positions));
+            // One position, but rack 12 opens rack group 1.
+            let two_groups = [pool(0, 5), pool(1, 5), pool(12, 5)];
+            assert!(!loss(c, &two_groups) && loss(d, &two_groups));
+            // Three pools in two racks: neither rule fires.
+            let two_racks = [pool(0, 5), pool(0, 6), pool(1, 5)];
+            assert!(!loss(c, &two_racks) && !loss(d, &two_racks));
+            // Four pools, three of them in one network pool.
+            let four = [pool(3, 1), pool(0, 5), pool(4, 5), pool(7, 5)];
+            assert!(loss(c, &four) && loss(d, &four));
+            assert!(!loss(c, &[]) && !loss(d, &[]));
+        }
+    }
 
     #[test]
     fn scheme_names_match_paper() {

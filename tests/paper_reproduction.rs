@@ -3,10 +3,9 @@
 //! as the figure binaries do, and through the layer functions they call.
 
 use mlec_analysis::burst::mlec_burst_pdl;
-use mlec_core::experiments::{
-    fig10_durability, fig7_catastrophic_prob, fig8_fig9_repair_methods, repair_traffic_comparison,
-    table2_and_fig6,
-};
+use mlec_core::figures::durability::{fig10_durability, fig7_catastrophic_prob};
+use mlec_core::figures::repair::{fig8_fig9_repair_methods, table2_and_fig6};
+use mlec_core::figures::summary::repair_traffic_comparison;
 use mlec_sim::config::MlecDeployment;
 use mlec_sim::repair::plan_catastrophic_repair;
 use mlec_sim::RepairMethod;
