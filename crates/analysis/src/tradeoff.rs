@@ -138,15 +138,17 @@ pub fn enumerate_slec(
 
 /// Enumerate declustered-LRC configurations within the overhead band.
 /// `undecodable_at_limit` supplies the `P(undecodable | r + 2 uniform
-/// erasures)` thinning per configuration; pass
-/// [`ideal_lrc_undecodable_at_limit`] for the fast analytic estimate.
-pub fn enumerate_lrc(
+/// erasures)` thinning per configuration, in enumeration order; the first
+/// error it returns ends the enumeration and is returned. Wrap
+/// [`ideal_lrc_undecodable_at_limit`] in `Ok` for the fast analytic
+/// estimate.
+pub fn enumerate_lrc<E>(
     geometry: &Geometry,
     config: &SimConfig,
     band: (f64, f64),
     model: &ThroughputModel,
-    undecodable_at_limit: impl Fn(LrcParams) -> f64,
-) -> Vec<TradeoffPoint> {
+    mut undecodable_at_limit: impl FnMut(LrcParams) -> Result<f64, E>,
+) -> Result<Vec<TradeoffPoint>, E> {
     let mut out = Vec::new();
     for l in 2..=4usize {
         for r in 1..=8usize {
@@ -168,7 +170,7 @@ pub fn enumerate_lrc(
                         geometry,
                         config,
                         params,
-                        undecodable_at_limit(params),
+                        undecodable_at_limit(params)?,
                     ),
                     throughput_mbs: model.predict(EcScheme::Lrc(params)),
                     overhead: params.overhead(),
@@ -176,7 +178,7 @@ pub fn enumerate_lrc(
             }
         }
     }
-    out
+    Ok(out)
 }
 
 /// Analytic estimate of `P(an (r+2)-erasure pattern at uniform positions is
@@ -270,6 +272,7 @@ mlec_runner::impl_to_json!(TradeoffPoint {
 mod tests {
     use super::*;
     use mlec_ec::Lrc;
+    use std::convert::Infallible;
 
     fn setup() -> (Geometry, SimConfig, ThroughputModel) {
         (
@@ -354,13 +357,9 @@ mod tests {
     fn fig15_mlec_cd_beats_lrc_at_high_durability() {
         let (g, c, model) = setup();
         let mlec = enumerate_mlec(&g, &c, MlecScheme::CD, OVERHEAD_BAND, &model);
-        let lrc = enumerate_lrc(
-            &g,
-            &c,
-            OVERHEAD_BAND,
-            &model,
-            ideal_lrc_undecodable_at_limit,
-        );
+        let Ok(lrc) = enumerate_lrc(&g, &c, OVERHEAD_BAND, &model, |params| {
+            Ok::<_, Infallible>(ideal_lrc_undecodable_at_limit(params))
+        });
         assert!(!lrc.is_empty());
         let best_mlec = mlec
             .iter()
@@ -393,13 +392,9 @@ mod tests {
     #[test]
     fn lrc_enumeration_has_paper_config() {
         let (g, c, model) = setup();
-        let points = enumerate_lrc(
-            &g,
-            &c,
-            OVERHEAD_BAND,
-            &model,
-            ideal_lrc_undecodable_at_limit,
-        );
+        let Ok(points) = enumerate_lrc(&g, &c, OVERHEAD_BAND, &model, |params| {
+            Ok::<_, Infallible>(ideal_lrc_undecodable_at_limit(params))
+        });
         assert!(
             points.iter().any(|p| p.label == "(14,2,4)"),
             "paper's (14,2,4) at 43% overhead"

@@ -681,13 +681,18 @@ fn run_validation(
     ])
     .fingerprint();
 
-    let mut rows = Vec::new();
-    for scheme in MlecScheme::ALL {
+    let model = FailureModel::Exponential { afr };
+    let deployments = MlecScheme::ALL.map(|scheme| {
         let mut dep = MlecDeployment::paper_default(scheme);
         dep.config.afr = afr;
-        let model = FailureModel::Exponential { afr };
+        dep
+    });
+    // The four schemes' campaigns run side by side; their rows and resume
+    // notes are rendered in scheme order.
+    let reports = mlec_runner::fan_out(deployments.len(), ctx.runner.threads, |index, threads| {
+        let dep = &deployments[index];
         let trial = SystemTrial {
-            dep: &dep,
+            dep,
             model: &model,
             strategy: RepairMethod::Fco,
             years,
@@ -695,11 +700,16 @@ fn run_validation(
             event_log: None,
             log_label: "",
         };
-        let label = format!("validation/{}", scheme.name().replace('/', ""));
+        let label = format!("validation/{}", dep.scheme.name().replace('/', ""));
         let spec = ctx
             .runner
-            .run_spec(&label, seed, StopRule::fixed(runs), config_hash);
-        let report = mlec_runner::run(&trial, &spec)?;
+            .run_spec(&label, seed, StopRule::fixed(runs), config_hash)
+            .threads(threads);
+        mlec_runner::run(&trial, &spec).map(|report| (label, report))
+    });
+    let mut rows = Vec::new();
+    for (dep, report) in deployments.iter().zip(reports) {
+        let (label, report) = report?;
         if report.resumed_trials > 0 {
             w!(
                 out.text,
@@ -709,11 +719,11 @@ fn run_validation(
             );
         }
 
-        let s1 = stage1_analytic(&dep);
-        let splitting_pdl = stage2_pdl(&dep, RepairMethod::Fco, &s1, Duration::from_years(years));
+        let s1 = stage1_analytic(dep);
+        let splitting_pdl = stage2_pdl(dep, RepairMethod::Fco, &s1, Duration::from_years(years));
         let summary = report.summary;
         rows.push(ValidationRow {
-            scheme: scheme.name(),
+            scheme: dep.scheme.name(),
             afr,
             direct_loss_runs: report.acc.loss.hits(),
             total_runs: report.trials,

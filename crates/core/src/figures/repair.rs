@@ -420,7 +420,9 @@ fn sim_cell(c: &RepairMethodSimCell, value: f64) -> String {
 /// [`fig8_fig9_repair_methods`] sits beside the measurement; they must
 /// agree because the simulator charges repairs from the same plan — the
 /// sim columns confirm the event accounting, catastrophe frequencies and
-/// determinism of the pipeline, not an independent physical model.
+/// determinism of the pipeline, not an independent physical model. Each
+/// campaign is a few missions, less than one runner batch, so the
+/// campaigns themselves share the thread budget ([`mlec_runner::fan_out`]).
 fn repair_methods_sim_campaign(
     ctx: &ExperimentCtx,
     p: &RepairMethodParams,
@@ -436,61 +438,70 @@ fn repair_methods_sim_campaign(
          root seed {seed}, methods {}\n",
         labels.join(",")
     );
-    let mut cells = Vec::new();
-    for scheme in MlecScheme::ALL {
+    let model = mlec_sim::failure::FailureModel::Exponential { afr };
+    let deployments = MlecScheme::ALL.map(|scheme| {
         let mut dep = MlecDeployment::paper_default(scheme);
         dep.config.afr = afr;
-        let model = mlec_sim::failure::FailureModel::Exponential { afr };
-        for &method in &methods {
-            let plan = plan_catastrophic_repair(&dep, method);
-            let trial = mlec_sim::trials::SystemTrial {
-                dep: &dep,
-                model: &model,
-                strategy: method,
-                years,
-                opts: mlec_sim::system_sim::SystemSimOptions::default(),
-                event_log: None,
-                log_label: "",
-            };
-            // Trial budget excluded (a resumed run may extend it), the
-            // physics included — see `durability::stage1_campaigns`.
-            let config_hash = Json::obj(vec![
-                ("afr", Json::F64(afr)),
-                ("years_per_trial", Json::F64(years)),
-                ("method", Json::Str(method.name().to_string())),
-            ])
-            .fingerprint();
-            let run_label = format!("fig08/{}-{}", scheme.name().replace('/', ""), method.name());
-            let spec = ctx
-                .runner
-                .run_spec(&run_label, seed, StopRule::fixed(trials), config_hash);
-            let report = mlec_runner::run(&trial, &spec)?;
-            let acc = &report.acc;
-            let cat = acc.catastrophic_pools;
-            let missions = report.trials;
-            let total_traffic = acc.cross_rack_traffic_tb.mean() * missions as f64;
-            let total_sojourn = acc.total_sojourn_h.mean() * missions as f64;
-            cells.push(RepairMethodSimCell {
-                scheme: scheme.name(),
-                method: method.name().to_string(),
-                plan_cross_rack_tb: plan.cross_rack_traffic_tb,
-                plan_network_time_h: plan.network_time_h,
-                sim_cross_rack_tb: if cat > 0 {
-                    total_traffic / cat as f64
-                } else {
-                    f64::NAN
-                },
-                sim_network_time_h: if cat > 0 {
-                    total_sojourn / cat as f64
-                } else {
-                    f64::NAN
-                },
-                catastrophic_pools: cat,
-                missions,
-            });
-        }
-    }
-    Ok((cells, out))
+        dep
+    });
+    // One campaign per scheme x method, rendered in this order whichever
+    // finished first.
+    let campaigns: Vec<(&MlecDeployment, RepairMethod)> = deployments
+        .iter()
+        .flat_map(|dep| methods.iter().map(move |&method| (dep, method)))
+        .collect();
+    let cells = mlec_runner::fan_out(campaigns.len(), ctx.runner.threads, |index, threads| {
+        let (dep, method) = campaigns[index];
+        let scheme = dep.scheme;
+        let plan = plan_catastrophic_repair(dep, method);
+        let trial = mlec_sim::trials::SystemTrial {
+            dep,
+            model: &model,
+            strategy: method,
+            years,
+            opts: mlec_sim::system_sim::SystemSimOptions::default(),
+            event_log: None,
+            log_label: "",
+        };
+        // Trial budget excluded (a resumed run may extend it), the
+        // physics included — see `durability::stage1_campaigns`.
+        let config_hash = Json::obj(vec![
+            ("afr", Json::F64(afr)),
+            ("years_per_trial", Json::F64(years)),
+            ("method", Json::Str(method.name().to_string())),
+        ])
+        .fingerprint();
+        let run_label = format!("fig08/{}-{}", scheme.name().replace('/', ""), method.name());
+        let spec = ctx
+            .runner
+            .run_spec(&run_label, seed, StopRule::fixed(trials), config_hash)
+            .threads(threads);
+        let report = mlec_runner::run(&trial, &spec)?;
+        let acc = &report.acc;
+        let cat = acc.catastrophic_pools;
+        let missions = report.trials;
+        let total_traffic = acc.cross_rack_traffic_tb.mean() * missions as f64;
+        let total_sojourn = acc.total_sojourn_h.mean() * missions as f64;
+        Ok::<_, std::io::Error>(RepairMethodSimCell {
+            scheme: scheme.name(),
+            method: method.name().to_string(),
+            plan_cross_rack_tb: plan.cross_rack_traffic_tb,
+            plan_network_time_h: plan.network_time_h,
+            sim_cross_rack_tb: if cat > 0 {
+                total_traffic / cat as f64
+            } else {
+                f64::NAN
+            },
+            sim_network_time_h: if cat > 0 {
+                total_sojourn / cat as f64
+            } else {
+                f64::NAN
+            },
+            catastrophic_pools: cat,
+            missions,
+        })
+    });
+    Ok((cells.into_iter().collect::<Result<_, _>>()?, out))
 }
 
 /// Parse the `method=` parameter of fig08/fig09: a comma-separated list

@@ -18,6 +18,7 @@ use mlec_runner::{impl_to_json, trial_rng, FnTrial, HitTrial, Json, StopRule, Tr
 use mlec_sim::config::MlecDeployment;
 use mlec_sim::SimConfig;
 use mlec_topology::{Geometry, MlecScheme, SlecPlacement};
+use std::convert::Infallible;
 use std::num::NonZeroU32;
 
 /// One measured point of the Fig 11 throughput surface.
@@ -224,16 +225,22 @@ fn fig12_mlec_vs_slec(model: &ThroughputModel) -> Vec<TradeoffPoint> {
 }
 
 /// Fig 15: MLEC C/D vs LRC-Dp tradeoff scatter, the LRC series thinned
-/// by `lrc_undecodable`.
-fn fig15_mlec_vs_lrc(
+/// by `lrc_undecodable`; its first error ends the scatter.
+fn fig15_mlec_vs_lrc<E>(
     model: &ThroughputModel,
-    lrc_undecodable: impl Fn(LrcParams) -> f64,
-) -> Vec<TradeoffPoint> {
+    lrc_undecodable: impl FnMut(LrcParams) -> Result<f64, E>,
+) -> Result<Vec<TradeoffPoint>, E> {
     let g = Geometry::paper_default();
     let c = SimConfig::paper_default();
     let mut out = enumerate_mlec(&g, &c, MlecScheme::CD, OVERHEAD_BAND, model);
-    out.extend(enumerate_lrc(&g, &c, OVERHEAD_BAND, model, lrc_undecodable));
-    out
+    out.extend(enumerate_lrc(
+        &g,
+        &c,
+        OVERHEAD_BAND,
+        model,
+        lrc_undecodable,
+    )?);
+    Ok(out)
 }
 
 declare_experiment! {
@@ -409,7 +416,9 @@ fn run_fig15(ctx: &ExperimentCtx, p: &Fig15Params) -> Result<ExperimentOutput, E
     let model = ThroughputModel::calibrate();
     let mut out = ExperimentOutput::new();
     if ctx.mode != Mode::Sim {
-        let points = fig15_mlec_vs_lrc(&model, ideal_lrc_undecodable_at_limit);
+        let Ok(points) = fig15_mlec_vs_lrc(&model, |params| {
+            Ok::<_, Infallible>(ideal_lrc_undecodable_at_limit(params))
+        });
         tradeoff_tables(&mut out, &points, &["C/D", "LRC-Dp"]);
         w!(
             out.text,
@@ -419,13 +428,8 @@ fn run_fig15(ctx: &ExperimentCtx, p: &Fig15Params) -> Result<ExperimentOutput, E
         return Ok(out);
     }
     let rel_err = p.rel_err;
-    let rows = std::cell::RefCell::new(Vec::new());
-    let io_err = std::cell::RefCell::new(None);
+    let mut rows = Vec::new();
     let points = fig15_mlec_vs_lrc(&model, |params| {
-        let analytic = ideal_lrc_undecodable_at_limit(params);
-        if io_err.borrow().is_some() {
-            return analytic;
-        }
         let lrc = Lrc::new(params.k, params.l, params.r).expect("enumerated LRC is valid");
         let m = params.r + 2;
         let n = lrc.total_chunks();
@@ -445,28 +449,16 @@ fn run_fig15(ctx: &ExperimentCtx, p: &Fig15Params) -> Result<ExperimentOutput, E
         .fingerprint();
         let stop = StopRule::until_rel_err(rel_err, p.min_samples, p.samples);
         let spec = ctx.runner.run_spec(&run_label, p.seed, stop, config_hash);
-        match mlec_runner::run(&trial, &spec) {
-            Ok(report) => {
-                let s = report.summary;
-                rows.borrow_mut().push(LrcUndecodableRow {
-                    label: params.to_string(),
-                    analytic,
-                    sampled: s.mean,
-                    trials: s.trials,
-                    rel_err: s.rel_err,
-                });
-                s.mean
-            }
-            Err(e) => {
-                *io_err.borrow_mut() = Some(e);
-                analytic
-            }
-        }
-    });
-    if let Some(e) = io_err.into_inner() {
-        return Err(e.into());
-    }
-    let rows = rows.into_inner();
+        let s = mlec_runner::run(&trial, &spec)?.summary;
+        rows.push(LrcUndecodableRow {
+            label: params.to_string(),
+            analytic: ideal_lrc_undecodable_at_limit(params),
+            sampled: s.mean,
+            trials: s.trials,
+            rel_err: s.rel_err,
+        });
+        Ok::<_, std::io::Error>(s.mean)
+    })?;
     tradeoff_tables(&mut out, &points, &["C/D", "LRC-Dp"]);
     w!(
         out.text,

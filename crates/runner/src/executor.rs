@@ -309,6 +309,55 @@ pub fn run_with<T: Trial>(
     })
 }
 
+/// Run `jobs` independent jobs concurrently and return their results in
+/// index order.
+///
+/// `outer = min(threads, jobs)` workers, the calling thread among them,
+/// claim job indices from an atomic counter (0 threads means every core,
+/// as for [`RunSpec::threads`]); `job(index, inner)` runs job `index` with
+/// a thread budget of `inner = max(1, threads / outer)` for whatever it
+/// runs itself. This is how a figure spends its thread budget on
+/// campaigns that are each too small to fill it: a campaign's result does
+/// not depend on its thread count, so neither does anything built from
+/// the returned vector.
+pub fn fan_out<R: Send>(
+    jobs: usize,
+    threads: usize,
+    job: impl Fn(usize, usize) -> R + Sync,
+) -> Vec<R> {
+    let threads = resolve_threads(threads);
+    let outer = threads.min(jobs).max(1);
+    let inner = (threads / outer).max(1);
+    let claim = AtomicU64::new(0);
+    let total = jobs as u64;
+    // Claim and run jobs until none is left; each worker keeps its own.
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let _stop = StopOnPanic(&claim, total);
+            let index = claim.fetch_add(1, Ordering::Relaxed);
+            if index >= total {
+                return done;
+            }
+            let index = index as usize;
+            done.push((index, job(index, inner)));
+        }
+    };
+    let mut results = std::thread::scope(|scope| {
+        let workers: Vec<_> = (1..outer).map(|_| scope.spawn(work)).collect();
+        let mut results = work();
+        for worker in workers {
+            match worker.join() {
+                Ok(done) => results.extend(done),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+        results
+    });
+    results.sort_unstable_by_key(|&(index, _)| index);
+    results.into_iter().map(|(_, result)| result).collect()
+}
+
 /// Exhausts a pass's batch counter when a panicking worker drops it, so no
 /// other batch starts and the panic surfaces without waiting out the pass.
 struct StopOnPanic<'a>(&'a AtomicU64, u64);
@@ -551,6 +600,42 @@ mod tests {
         )
         .unwrap();
         assert_eq!(report.trials, 130);
+    }
+
+    #[test]
+    fn fan_out_returns_results_in_index_order_on_any_thread_count() {
+        // Each job runs a small campaign of its own on the budget it is
+        // handed; the vector must not depend on who ran what.
+        let trial = noisy_mean_trial();
+        let job = |index: usize, inner: usize| {
+            assert!(inner >= 1);
+            let spec = RunSpec::new(format!("exec/fan-out/{index}"), 3, StopRule::fixed(150))
+                .batch_size(16)
+                .threads(inner);
+            (index, run(&trial, &spec).unwrap().acc)
+        };
+        for jobs in [0, 1, 5] {
+            let one = fan_out(jobs, 1, job);
+            assert_eq!(one.len(), jobs);
+            assert!(one.iter().enumerate().all(|(i, &(index, _))| index == i));
+            for threads in [2, 3, 8] {
+                assert_eq!(
+                    fan_out(jobs, threads, job),
+                    one,
+                    "jobs={jobs} threads={threads}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fan_out_splits_the_thread_budget() {
+        let budgets = |jobs, threads| fan_out(jobs, threads, |_, inner| inner);
+        assert_eq!(budgets(5, 1), [1; 5]);
+        assert_eq!(budgets(5, 2), [1; 5]);
+        assert_eq!(budgets(2, 8), [4; 2]);
+        assert_eq!(budgets(3, 8), [2; 3]);
+        assert_eq!(budgets(1, 3), [3]);
     }
 
     #[test]

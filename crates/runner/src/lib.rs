@@ -6,7 +6,8 @@
 //!   `(root_seed, experiment_label, trial_index)`, so results are
 //!   bit-identical regardless of thread count or batch size;
 //! * [`executor`] — a batched parallel executor over the generic
-//!   [`trial::Trial`] trait with adaptive stopping rules;
+//!   [`trial::Trial`] trait with adaptive stopping rules, and
+//!   [`executor::fan_out`], which runs independent campaigns side by side;
 //! * [`stats`] — streaming Welford mean/variance and Wilson confidence
 //!   intervals for rare-event proportions;
 //! * [`manifest`] — incremental JSONL run manifests enabling
@@ -30,7 +31,7 @@ pub mod seed_stream;
 pub mod stats;
 pub mod trial;
 
-pub use executor::{run, run_with, RunReport, RunSpec, StopRule};
+pub use executor::{fan_out, run, run_with, RunReport, RunSpec, StopRule};
 pub use json::{Json, ToJson};
 pub use rng::{trial_rng, SplitMix64, TrialRng};
 pub use seed_stream::SeedStream;

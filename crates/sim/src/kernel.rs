@@ -8,13 +8,14 @@
 //! [`HazardKernel`] owns all of them — plus the `ChaCha12` RNG stream they
 //! draw from — so the simulators reduce to *policies over the kernel*:
 //!
-//! - the pool simulators implement [`PoolPolicy`] (state transitions, loss
-//!   detection, and the repair-time model) and run under the shared
-//!   next-event loop [`run_pool_policy`];
+//! - the pool simulators implement [`PoolPolicy`] (the rules: state
+//!   transitions, loss detection, and the repair-time model, over a
+//!   per-pool state) and run one pool's state under the shared next-event
+//!   loop [`run_pool_policy`];
 //! - the system simulator races each failure arrival, drawn from the
 //!   kernel via [`ArrivalSource`] (stochastic or trace-replay), against its
-//!   earliest network repair in flight, and advances one of the same
-//!   [`PoolPolicy`] objects per touched pool lazily to each arrival;
+//!   earliest network repair in flight, and advances the per-pool state of
+//!   the same rules lazily to each arrival in a touched pool;
 //! - trace synthesis ([`crate::trace`]) draws its exponential gaps from an
 //!   unbiased kernel too.
 //!
@@ -376,45 +377,58 @@ pub enum FailureOutcome {
     },
 }
 
-/// Pool-state policy driven by [`run_pool_policy`] and by
+/// A local pool's rules, driven by [`run_pool_policy`] and by
 /// [`crate::system_sim`]: the clustered and declustered pool models
-/// expressed as state transitions over the shared kernel. See
-/// `ClusteredPolicy`/`DeclusteredPolicy` in [`crate::pool_sim`].
+/// expressed as transitions of a per-pool [`PoolPolicy::State`] over the
+/// shared kernel. The implementors are the per-deployment constants
+/// (`ClusteredParams`/`DeclusteredParams` in [`crate::pool_sim`]), built
+/// once and shared by every pool of a run or mission; a pool itself is
+/// only its state.
 pub trait PoolPolicy {
+    /// What one pool carries between events.
+    type State;
+
+    /// The state of a healthy pool.
+    fn healthy(&self) -> Self::State;
+
     /// Pool size in disks; the survivors carry the pool's failure hazard.
     fn pool_disks(&self) -> u32;
 
     /// Currently failed disks (drives the bias multiplier).
-    fn failed_disks(&self) -> u32;
+    fn failed_disks(&self, state: &Self::State) -> u32;
 
     /// Absolute time of the next internal repair event — clustered rebuild
     /// completion or declustered full-drain completion — or infinity.
-    fn next_repair_event(&self, now: f64) -> f64;
+    fn next_repair_event(&self, state: &Self::State, now: f64) -> f64;
 
     /// Tie rule at `next_failure == next_repair_event`: `true` handles the
     /// failure first (declustered), `false` the repair (clustered). The
     /// asymmetry is load-bearing for the fixed-seed goldens.
     fn failure_wins_ties(&self) -> bool;
 
-    /// Apply continuous repair progress over `(from, to]` (the declustered
-    /// drain; a no-op for clustered pools).
-    fn on_repair_progress(&mut self, from: f64, to: f64);
+    /// Apply continuous repair progress from the last time the state was
+    /// advanced to `to` (the declustered drain; a no-op for clustered
+    /// pools).
+    fn on_repair_progress(&self, state: &mut Self::State, to: f64);
 
     /// Handle the internal repair event at `now`; `failed_before` is the
     /// failed-disk count at the start of the step. Returns `true` when the
     /// pool returned to all-healthy (a regeneration point).
-    fn on_repair_event(&mut self, now: f64, failed_before: u32) -> bool;
+    fn on_repair_event(&self, state: &mut Self::State, now: f64, failed_before: u32) -> bool;
 
     /// Handle a failure arrival at `kernel.now()`. The kernel has already
     /// recorded the arrival (jump weight); the policy may draw thinning
     /// randomness through `kernel.rng()`. On a catastrophic outcome the
-    /// policy resets its own state to healthy before returning.
-    fn on_failure(&mut self, kernel: &mut HazardKernel) -> FailureOutcome;
+    /// policy resets the state to healthy before returning.
+    fn on_failure(&self, state: &mut Self::State, kernel: &mut HazardKernel) -> FailureOutcome;
 
-    /// Maximum concurrent failures seen (policy-specific accounting — the
-    /// declustered simulator deliberately excludes the everything-failed
-    /// catastrophic branch, mirroring the original loop).
-    fn max_concurrent(&self) -> u32;
+    /// Whether an arrival that finds `failed` disks down leaves nothing to
+    /// place stripes on. Such an arrival is catastrophic unconditionally
+    /// and, mirroring the original declustered loop, is not counted into
+    /// the pool simulator's maximum concurrency.
+    fn overwhelmed(&self, _failed: u32) -> bool {
+        false
+    }
 }
 
 /// The shared next-event loop of both pool simulators: sample the next
@@ -422,19 +436,23 @@ pub trait PoolPolicy {
 /// events/hour), race it against the policy's next repair event, charge
 /// exposure, censor at the horizon, and route regeneration and
 /// catastrophic outcomes through the kernel. Returns the catastrophic
-/// events observed (each carrying its excursion's likelihood weight).
+/// events observed (each carrying its excursion's likelihood weight) and
+/// the most disks down at once, counted at each arrival that did not
+/// overwhelm the pool ([`PoolPolicy::overwhelmed`]).
 pub fn run_pool_policy<P: PoolPolicy, O: SimObserver>(
     kernel: &mut HazardKernel,
-    policy: &mut P,
+    policy: &P,
+    state: &mut P::State,
     per_disk_rate: f64,
     observer: &mut O,
-) -> Vec<CatastrophicEvent> {
+) -> (Vec<CatastrophicEvent>, u32) {
     let mut events = Vec::new();
+    let mut max_concurrent = 0;
     loop {
-        let failed = policy.failed_disks();
+        let failed = policy.failed_disks(state);
         let true_rate = (policy.pool_disks() - failed) as f64 * per_disk_rate;
         let next_fail = kernel.sample_next_failure(failed, true_rate);
-        let next_repair = policy.next_repair_event(kernel.now());
+        let next_repair = policy.next_repair_event(state, kernel.now());
         let step_to = next_fail.min(next_repair);
         if step_to > kernel.horizon() {
             let from = kernel.now();
@@ -449,7 +467,7 @@ pub fn run_pool_policy<P: PoolPolicy, O: SimObserver>(
         if failed > 0 {
             observer.on_degraded_interval(from, step_to, failed);
         }
-        policy.on_repair_progress(from, step_to);
+        policy.on_repair_progress(state, step_to);
         let failure_fires = if policy.failure_wins_ties() {
             next_fail <= next_repair
         } else {
@@ -457,12 +475,16 @@ pub fn run_pool_policy<P: PoolPolicy, O: SimObserver>(
         };
         if failure_fires {
             kernel.record_failure();
-            match policy.on_failure(kernel) {
+            let found = policy.failed_disks(state);
+            if !policy.overwhelmed(found) {
+                max_concurrent = max_concurrent.max(found + 1);
+            }
+            match policy.on_failure(state, kernel) {
                 FailureOutcome::Continue => {
-                    observer.on_disk_failure(step_to, policy.failed_disks());
+                    observer.on_disk_failure(step_to, policy.failed_disks(state));
                 }
                 FailureOutcome::Regenerated => {
-                    observer.on_disk_failure(step_to, policy.failed_disks());
+                    observer.on_disk_failure(step_to, policy.failed_disks(state));
                     kernel.regenerate();
                 }
                 FailureOutcome::Catastrophic {
@@ -482,14 +504,14 @@ pub fn run_pool_policy<P: PoolPolicy, O: SimObserver>(
                 }
             }
         } else {
-            let healthy = policy.on_repair_event(step_to, failed);
-            observer.on_repair(step_to, policy.failed_disks());
+            let healthy = policy.on_repair_event(state, step_to, failed);
+            observer.on_repair(step_to, policy.failed_disks(state));
             if healthy {
                 kernel.regenerate();
             }
         }
     }
-    events
+    (events, max_concurrent)
 }
 
 #[cfg(test)]

@@ -8,12 +8,13 @@
 //! catastrophic boundary.
 //!
 //! The two [`PoolPolicy`] implementations here are the only model of a
-//! local pool in the crate: [`simulate_pool_observed`] races one of them
-//! against its own hazard under [`run_pool_policy`], and
-//! [`crate::system_sim`] keeps one per touched pool of a whole deployment.
-//! Each policy is split into per-deployment constants ([`ClusteredParams`],
-//! [`DeclusteredParams`] — built once per run or mission, shared by
-//! reference) and the per-pool state that changes.
+//! local pool in the crate: [`simulate_pool_observed`] races one pool's
+//! state against its own hazard under [`run_pool_policy`], and
+//! [`crate::system_sim`] keeps one state per touched pool of a whole
+//! deployment. The rules are per-deployment constants ([`ClusteredParams`],
+//! [`DeclusteredParams`] — built once per run or mission); a pool is only
+//! the state that changes: a clustered pool its rebuild-completion times, a
+//! declustered pool its [`DeclusteredState`].
 //!
 //! At the paper's true 1% AFR direct simulation observes nothing; the
 //! [`crate::importance`] layer fixes that: failure arrivals can be sampled
@@ -138,39 +139,34 @@ pub fn simulate_pool_observed<O: SimObserver>(
             // and seeds its ChaCha12 stream raw; changing this would shift
             // every fixed-seed golden.
             let kernel = HazardKernel::from_seed(seed, bias, horizon_h);
-            let params = ClusteredParams::new(dep);
-            run_pool(kernel, ClusteredPolicy::new(&params), rate, years, observer)
+            run_pool(kernel, &ClusteredParams::new(dep), rate, years, observer)
         }
         Placement::Declustered => {
             let kernel =
                 HazardKernel::from_seed_stream(seed, "pool_sim/declustered", bias, horizon_h);
-            let params = DeclusteredParams::new(dep);
-            run_pool(
-                kernel,
-                DeclusteredPolicy::new(&params),
-                rate,
-                years,
-                observer,
-            )
+            run_pool(kernel, &DeclusteredParams::new(dep), rate, years, observer)
         }
     }
 }
 
-/// Run one policy to the kernel's horizon and assemble a [`PoolSimResult`]
-/// from the kernel's bookkeeping and the policy's concurrency accounting.
+/// Run one healthy pool to the kernel's horizon and assemble a
+/// [`PoolSimResult`] from the kernel's bookkeeping and the loop's
+/// concurrency accounting.
 fn run_pool<P: PoolPolicy, O: SimObserver>(
     mut kernel: HazardKernel,
-    mut policy: P,
+    policy: &P,
     per_disk_rate: f64,
     years: f64,
     observer: &mut O,
 ) -> PoolSimResult {
-    let events = run_pool_policy(&mut kernel, &mut policy, per_disk_rate, observer);
+    let mut state = policy.healthy();
+    let (events, max_concurrent) =
+        run_pool_policy(&mut kernel, policy, &mut state, per_disk_rate, observer);
     PoolSimResult {
         pool_years: years,
         events,
         disk_failures: kernel.disk_failures(),
-        max_concurrent: policy.max_concurrent(),
+        max_concurrent,
         excursions: kernel.excursions(),
         excursion_weight: kernel.excursion_weight(),
     }
@@ -183,8 +179,12 @@ pub(crate) fn per_disk_rate(model: &FailureModel) -> f64 {
     afr / HOURS_PER_YEAR
 }
 
-/// What every clustered pool of a deployment shares: built once per run
-/// (or per whole-system mission) and borrowed by each [`ClusteredPolicy`].
+/// The clustered pool's rules, shared by every clustered pool of a run or
+/// mission: per-disk rebuilds tracked directly, catastrophe when `p_l + 1`
+/// failures overlap — at which point every stripe spans the pool and all
+/// are lost. A pool's state is the list of its rebuild-completion times;
+/// the failure that would be its `p_l + 1`-th entry is the catastrophe, so
+/// the list never holds more than `p_l`.
 pub struct ClusteredParams {
     /// Pool size in disks.
     d: u32,
@@ -212,39 +212,24 @@ impl ClusteredParams {
     }
 }
 
-/// The clustered pool as a [`PoolPolicy`]: per-disk rebuilds tracked
-/// directly (a `Vec` of repair-completion times), catastrophe when
-/// `p_l + 1` failures overlap — at which point every stripe spans the pool
-/// and all are lost.
-pub struct ClusteredPolicy<'a> {
-    params: &'a ClusteredParams,
-    /// Repair-completion times of currently failed disks.
-    active: Vec<f64>,
-    max_concurrent: u32,
-}
+impl PoolPolicy for ClusteredParams {
+    /// Repair-completion times of the currently failed disks.
+    type State = Vec<f64>;
 
-impl<'a> ClusteredPolicy<'a> {
-    /// A healthy clustered pool.
-    pub fn new(params: &'a ClusteredParams) -> ClusteredPolicy<'a> {
-        ClusteredPolicy {
-            params,
-            active: Vec::new(),
-            max_concurrent: 0,
-        }
+    fn healthy(&self) -> Vec<f64> {
+        Vec::with_capacity(self.threshold as usize - 1)
     }
-}
 
-impl PoolPolicy for ClusteredPolicy<'_> {
     fn pool_disks(&self) -> u32 {
-        self.params.d
+        self.d
     }
 
-    fn failed_disks(&self) -> u32 {
-        self.active.len() as u32
+    fn failed_disks(&self, active: &Vec<f64>) -> u32 {
+        active.len() as u32
     }
 
-    fn next_repair_event(&self, _now: f64) -> f64 {
-        self.active.iter().copied().fold(f64::INFINITY, f64::min)
+    fn next_repair_event(&self, active: &Vec<f64>, _now: f64) -> f64 {
+        active.iter().copied().fold(f64::INFINITY, f64::min)
     }
 
     fn failure_wins_ties(&self) -> bool {
@@ -253,39 +238,36 @@ impl PoolPolicy for ClusteredPolicy<'_> {
         false
     }
 
-    fn on_repair_progress(&mut self, _from: f64, _to: f64) {}
+    fn on_repair_progress(&self, _active: &mut Vec<f64>, _to: f64) {}
 
-    fn on_repair_event(&mut self, now: f64, _failed_before: u32) -> bool {
-        self.active.retain(|&t| t > now);
+    fn on_repair_event(&self, active: &mut Vec<f64>, now: f64, _failed_before: u32) -> bool {
+        active.retain(|&t| t > now);
         // Back to all-healthy: regeneration point, weight resets.
-        self.active.is_empty()
+        active.is_empty()
     }
 
-    fn on_failure(&mut self, kernel: &mut HazardKernel) -> FailureOutcome {
-        self.active.push(kernel.now() + self.params.repair_hours);
-        self.max_concurrent = self.max_concurrent.max(self.active.len() as u32);
-        if self.active.len() as u32 >= self.params.threshold {
+    fn on_failure(&self, active: &mut Vec<f64>, kernel: &mut HazardKernel) -> FailureOutcome {
+        let concurrent_failures = active.len() as u32 + 1;
+        if concurrent_failures >= self.threshold {
             // Every stripe spans the pool: all stripes are lost.
-            let concurrent_failures = self.active.len() as u32;
-            self.active.clear(); // network repair resets the pool
+            active.clear(); // network repair resets the pool
             FailureOutcome::Catastrophic {
                 concurrent_failures,
-                lost_stripes: self.params.total_stripes,
+                lost_stripes: self.total_stripes,
             }
         } else {
+            active.push(kernel.now() + self.repair_hours);
             FailureOutcome::Continue
         }
     }
-
-    fn max_concurrent(&self) -> u32 {
-        self.max_concurrent
-    }
 }
 
-/// What every declustered pool of a deployment shares: built once per run
-/// (or per whole-system mission) and borrowed by each
-/// [`DeclusteredPolicy`], so the drain-rate table exists once however many
-/// pools a mission touches.
+/// The declustered pool's rules, shared by every declustered pool of a run
+/// or mission, so the drain-rate table exists once however many pools a
+/// mission touches: the [`StripeCensus`] expected-value model with priority
+/// (most-failed-first) drain, FIFO spare-drain disk release,
+/// detection-delay repair pauses, and Poisson rare-stripe sampling at the
+/// catastrophic boundary.
 pub struct DeclusteredParams {
     /// Pool size in disks.
     d: u32,
@@ -328,17 +310,17 @@ impl DeclusteredParams {
         self.drain_chunks_per_hour[failed as usize]
     }
 
-    fn healthy_census(&self) -> StripeCensus {
-        StripeCensus::new(self.d, self.w, self.total_stripes)
+    /// Reset to healthy after a catastrophe (the network level rebuilds the
+    /// pool); repair of future failures resumes immediately.
+    fn reset_after_catastrophe(&self, state: &mut DeclusteredState, now: f64) {
+        state.census = StripeCensus::new(self.d, self.w, self.total_stripes);
+        state.pending.clear();
+        state.drain_paused_until = now;
     }
 }
 
-/// The declustered pool as a [`PoolPolicy`]: the [`StripeCensus`]
-/// expected-value model with priority (most-failed-first) drain, FIFO
-/// spare-drain disk release, detection-delay repair pauses, and Poisson
-/// rare-stripe sampling at the catastrophic boundary.
-pub struct DeclusteredPolicy<'a> {
-    params: &'a DeclusteredParams,
+/// One declustered pool between events.
+pub struct DeclusteredState {
     census: StripeCensus,
     /// Repair is paused until the most recent failure is detected.
     drain_paused_until: f64,
@@ -346,47 +328,38 @@ pub struct DeclusteredPolicy<'a> {
     /// covers the head entry, that disk's data is fully in spare space and
     /// the disk is released (it no longer constrains stripe placement).
     pending: VecDeque<f64>,
-    max_concurrent: u32,
+    /// The time the drain was last applied up to, hours.
+    advanced_to: f64,
 }
 
-impl<'a> DeclusteredPolicy<'a> {
-    /// A healthy declustered pool.
-    pub fn new(params: &'a DeclusteredParams) -> DeclusteredPolicy<'a> {
-        DeclusteredPolicy {
-            params,
-            census: params.healthy_census(),
+impl PoolPolicy for DeclusteredParams {
+    type State = DeclusteredState;
+
+    fn healthy(&self) -> DeclusteredState {
+        DeclusteredState {
+            census: StripeCensus::new(self.d, self.w, self.total_stripes),
             drain_paused_until: 0.0,
             pending: VecDeque::new(),
-            max_concurrent: 0,
+            advanced_to: 0.0,
         }
     }
 
-    /// Reset to healthy after a catastrophe (the network level rebuilds the
-    /// pool); repair of future failures resumes immediately.
-    fn reset_after_catastrophe(&mut self, now: f64) {
-        self.census = self.params.healthy_census();
-        self.pending.clear();
-        self.drain_paused_until = now;
-    }
-}
-
-impl PoolPolicy for DeclusteredPolicy<'_> {
     fn pool_disks(&self) -> u32 {
-        self.params.d
+        self.d
     }
 
-    fn failed_disks(&self) -> u32 {
-        self.census.failed_disks()
+    fn failed_disks(&self, state: &DeclusteredState) -> u32 {
+        state.census.failed_disks()
     }
 
-    fn next_repair_event(&self, now: f64) -> f64 {
+    fn next_repair_event(&self, state: &DeclusteredState, now: f64) -> f64 {
         // Time at which the current drain would finish everything.
-        let remaining_chunks = self.census.failed_chunks();
+        let remaining_chunks = state.census.failed_chunks();
         if remaining_chunks > 0.5 {
-            let rate = self.params.drain_rate(self.census.failed_disks());
+            let rate = self.drain_rate(state.census.failed_disks());
             // Floor the step so floating-point rounding at large `now` can
             // never produce a zero-length step (which would livelock).
-            (self.drain_paused_until.max(now) + remaining_chunks / rate).max(now + 1e-6)
+            (state.drain_paused_until.max(now) + remaining_chunks / rate).max(now + 1e-6)
         } else {
             f64::INFINITY
         }
@@ -398,57 +371,59 @@ impl PoolPolicy for DeclusteredPolicy<'_> {
         true
     }
 
-    fn on_repair_progress(&mut self, from: f64, to: f64) {
-        // Apply the drain that happened over [from, to]; the rate is held
-        // at the interval-start value (the same convention the exposure
-        // accounting uses, so the likelihood ratio stays exact).
-        let remaining_chunks = self.census.failed_chunks();
-        let drain_start = self.drain_paused_until.max(from);
+    fn on_repair_progress(&self, state: &mut DeclusteredState, to: f64) {
+        // Apply the drain since the last advance; the rate is held at the
+        // interval-start value (the same convention the exposure accounting
+        // uses, so the likelihood ratio stays exact).
+        let remaining_chunks = state.census.failed_chunks();
+        let drain_start = state.drain_paused_until.max(state.advanced_to);
+        state.advanced_to = to;
         if to > drain_start && remaining_chunks > 1e-9 {
-            let budget = (to - drain_start) * self.params.drain_rate(self.census.failed_disks());
-            let repaired = self.census.drain_priority(budget);
-            self.census.consume_drain(&mut self.pending, repaired);
-            if self.census.failed_chunks() < 0.5 {
-                self.pending.clear();
+            let budget = (to - drain_start) * self.drain_rate(state.census.failed_disks());
+            let repaired = state.census.drain_priority(budget);
+            state.census.consume_drain(&mut state.pending, repaired);
+            if state.census.failed_chunks() < 0.5 {
+                state.pending.clear();
             }
         }
     }
 
-    fn on_repair_event(&mut self, _now: f64, failed_before: u32) -> bool {
+    fn on_repair_event(&self, state: &mut DeclusteredState, _now: f64, failed_before: u32) -> bool {
         // A pure drain step (already applied by `on_repair_progress`)
         // finished every outstanding chunk: back to all-healthy.
-        failed_before > 0 && self.census.failed_disks() == 0
+        failed_before > 0 && state.census.failed_disks() == 0
     }
 
-    fn on_failure(&mut self, kernel: &mut HazardKernel) -> FailureOutcome {
+    fn on_failure(
+        &self,
+        state: &mut DeclusteredState,
+        kernel: &mut HazardKernel,
+    ) -> FailureOutcome {
         let now = kernel.now();
-        let (d, threshold) = (self.params.d, self.params.threshold);
-        if self.census.failed_disks() + 1 >= d {
-            // Essentially every disk is down: unconditionally catastrophic
-            // (nothing left to place stripes on). Deliberately not counted
-            // into max_concurrent, mirroring the original loop.
-            self.reset_after_catastrophe(now);
+        let threshold = self.threshold;
+        if self.overwhelmed(state.census.failed_disks()) {
+            self.reset_after_catastrophe(state, now);
             return FailureOutcome::Catastrophic {
-                concurrent_failures: d,
-                lost_stripes: self.params.total_stripes,
+                concurrent_failures: self.d,
+                lost_stripes: self.total_stripes,
             };
         }
-        let before = self.census.failed_chunks();
-        self.census.add_disk_failure();
-        self.pending.push_back(self.census.failed_chunks() - before);
-        self.max_concurrent = self.max_concurrent.max(self.census.failed_disks());
-        self.drain_paused_until = now + self.params.detection_hours;
-        if self.census.failed_disks() >= threshold {
-            let lambda = self.census.at_or_above(threshold);
+        let census = &mut state.census;
+        let before = census.failed_chunks();
+        census.add_disk_failure();
+        state.pending.push_back(census.failed_chunks() - before);
+        state.drain_paused_until = now + self.detection_hours;
+        if census.failed_disks() >= threshold {
+            let lambda = census.at_or_above(threshold);
             let lost = if lambda > 30.0 {
                 lambda
             } else {
                 sample_poisson(kernel.rng(), lambda) as f64
             };
             if lost >= 1.0 {
-                let concurrent_failures = self.census.failed_disks();
+                let concurrent_failures = census.failed_disks();
                 // Network repair resets the pool to healthy.
-                self.reset_after_catastrophe(now);
+                self.reset_after_catastrophe(state, now);
                 return FailureOutcome::Catastrophic {
                     concurrent_failures,
                     lost_stripes: lost,
@@ -457,21 +432,23 @@ impl PoolPolicy for DeclusteredPolicy<'_> {
             // Rare-stripe sampling says no stripe actually reached the
             // catastrophic multiplicity: zero those classes (drain clears
             // the top classes first by construction).
-            let removed = self.census.at_or_above(threshold);
-            let repaired = self.census.drain_priority(removed * threshold as f64 * 2.0);
-            self.census.consume_drain(&mut self.pending, repaired);
-            if self.census.failed_disks() == 0 {
+            let removed = census.at_or_above(threshold);
+            let repaired = census.drain_priority(removed * threshold as f64 * 2.0);
+            census.consume_drain(&mut state.pending, repaired);
+            if census.failed_disks() == 0 {
                 // All-healthy (possibly by the census's half-chunk snap):
                 // no failed disk is left to release.
-                self.pending.clear();
+                state.pending.clear();
                 return FailureOutcome::Regenerated;
             }
         }
         FailureOutcome::Continue
     }
 
-    fn max_concurrent(&self) -> u32 {
-        self.max_concurrent
+    fn overwhelmed(&self, failed: u32) -> bool {
+        // Essentially every disk is down: nothing is left to place stripes
+        // on.
+        failed + 1 >= self.d
     }
 }
 

@@ -9,14 +9,15 @@
 //! Fig 10 come from `mlec-analysis`'s splitting path instead.
 //!
 //! The local pools *are* [`crate::pool_sim`]'s policies: a mission keeps
-//! one [`PoolPolicy`] per touched pool and advances it lazily to each
-//! arrival in that pool (`on_repair_progress` → `on_repair_event` →
-//! `on_failure`), so rebuild tracking, census drain, detection pauses and
-//! rare-stripe sampling have one implementation. The network level treats a
-//! catastrophic pool as its "disk": it enters a network-repair sojourn whose
-//! length depends on the repair method; while `p_n + 1` pools in loss
-//! position overlap, a data-loss event is recorded (with rare-stripe
-//! thinning for chunk-knowledge methods on declustered locals).
+//! one [`PoolPolicy::State`] per touched pool, under the deployment's one
+//! set of rules, and advances it lazily to each arrival in that pool
+//! (`on_repair_progress` → `on_repair_event` → `on_failure`), so rebuild
+//! tracking, census drain, detection pauses and rare-stripe sampling have
+//! one implementation. The network level treats a catastrophic pool as its
+//! "disk": it enters a network-repair sojourn whose length depends on the
+//! repair method; while `p_n + 1` pools in loss position overlap, a
+//! data-loss event is recorded (with rare-stripe thinning for
+//! chunk-knowledge methods on declustered locals).
 //!
 //! The next event is a race of two times, as in the pool simulators'
 //! [`crate::kernel::run_pool_policy`]: the one pending failure arrival and
@@ -35,9 +36,7 @@ use crate::importance::FailureBias;
 use crate::kernel::{
     ArrivalSource, FailureOutcome, HazardKernel, NoopObserver, PoolPolicy, SimObserver,
 };
-use crate::pool_sim::{
-    per_disk_rate, ClusteredParams, ClusteredPolicy, DeclusteredParams, DeclusteredPolicy,
-};
+use crate::pool_sim::{per_disk_rate, ClusteredParams, DeclusteredParams};
 use crate::repair::{chunk_knowledge_survival, inject_catastrophic, RepairMethod};
 use mlec_topology::placement::network_data_loss;
 use mlec_topology::Placement;
@@ -178,7 +177,7 @@ struct RepairInFlight {
     concurrent: u32,
 }
 
-/// Run the mission with the pool policy of the deployment's local
+/// Run the mission under the pool rules of the deployment's local
 /// placement; the loop is monomorphised per policy type, so a clustered
 /// pool's state is its rebuild list and nothing else.
 fn run_system<O: SimObserver>(
@@ -187,17 +186,43 @@ fn run_system<O: SimObserver>(
     observer: &mut O,
 ) -> SystemSimResult {
     match mission.dep.scheme.local {
-        Placement::Clustered => {
-            let params = ClusteredParams::new(mission.dep);
-            run_pools(mission, arrivals, observer, || {
-                ClusteredPolicy::new(&params)
-            })
+        Placement::Clustered => run_pools(
+            mission,
+            arrivals,
+            observer,
+            &ClusteredParams::new(mission.dep),
+        ),
+        Placement::Declustered => run_pools(
+            mission,
+            arrivals,
+            observer,
+            &DeclusteredParams::new(mission.dep),
+        ),
+    }
+}
+
+/// One pool's entry in a mission's pool table.
+enum PoolSlot<S> {
+    /// Healthy and untouched since the mission began or since its last
+    /// network repair.
+    Healthy,
+    /// Touched: the pool's state under the local rules.
+    Local(S),
+    /// Catastrophic and under network repair; a failure in it is absorbed
+    /// by that repair.
+    NetworkRepair,
+}
+
+impl<S> PoolSlot<S> {
+    /// The local state of a pool not under network repair, made healthy
+    /// on its first touch.
+    fn local(&mut self, healthy: impl FnOnce() -> S) -> Option<&mut S> {
+        if matches!(self, PoolSlot::Healthy) {
+            *self = PoolSlot::Local(healthy());
         }
-        Placement::Declustered => {
-            let params = DeclusteredParams::new(mission.dep);
-            run_pools(mission, arrivals, observer, || {
-                DeclusteredPolicy::new(&params)
-            })
+        match self {
+            PoolSlot::Local(state) => Some(state),
+            PoolSlot::Healthy | PoolSlot::NetworkRepair => None,
         }
     }
 }
@@ -206,7 +231,7 @@ fn run_pools<P: PoolPolicy, O: SimObserver>(
     mission: &Mission,
     mut arrivals: ArrivalSource,
     observer: &mut O,
-    healthy_pool: impl Fn() -> P,
+    policy: &P,
 ) -> SystemSimResult {
     let &Mission {
         dep,
@@ -238,12 +263,11 @@ fn run_pools<P: PoolPolicy, O: SimObserver>(
     let survival =
         chunk_knowledge_survival(dep, method, injected.lost_stripes, injected.total_stripes);
 
-    // Touched pools not under network repair, indexed by pool id, each with
-    // the time its policy was last advanced to. A pool is advanced only when
-    // a failure lands in it: whatever repair completed since is applied
-    // first, so an arrival never sees a rebuild that finished at its own
-    // timestamp, and the drain guard and thresholds are the policy's own.
-    let mut states: Vec<Option<(f64, P)>> = std::iter::repeat_with(|| None)
+    // Every pool, indexed by pool id. A touched pool is advanced only when a
+    // failure lands in it: whatever repair completed since is applied first,
+    // so an arrival never sees a rebuild that finished at its own timestamp,
+    // and the drain guard and thresholds are the policy's own.
+    let mut slots: Vec<PoolSlot<P::State>> = std::iter::repeat_with(|| PoolSlot::Healthy)
         .take(pools.num_pools() as usize)
         .collect();
     // Catastrophic pools under network repair, in admission order.
@@ -272,6 +296,9 @@ fn run_pools<P: PoolPolicy, O: SimObserver>(
             .map(|(i, _)| i);
         if let Some(i) = due {
             let repair = in_flight.remove(i);
+            if let Some(slot) = slots.get_mut(repair.pool as usize) {
+                *slot = PoolSlot::Healthy; // rebuilt over the network
+            }
             observer.on_degraded_interval(repair.admitted_h, repair.done_h, repair.concurrent);
             observer.on_repair(repair.done_h, 0);
             continue;
@@ -290,34 +317,27 @@ fn run_pools<P: PoolPolicy, O: SimObserver>(
         kernel.record_failure();
 
         let pool = pools.pool_of(disk);
-        let state = if in_flight.iter().any(|r| r.pool == pool) {
-            None
-        } else {
-            // Every disk below `total_disks` lies in a pool below `num_pools`.
-            states.get_mut(pool as usize)
-        };
+        // Every disk below `total_disks` lies in a pool below `num_pools`.
+        let state = slots
+            .get_mut(pool as usize)
+            .and_then(|slot| slot.local(|| policy.healthy()));
         // The failed-disk count of a pool this failure sends catastrophic.
         let catastrophe = if let Some(state) = state {
-            let (advanced_to, policy) = state.get_or_insert_with(|| (0.0, healthy_pool()));
-            let failed_before = policy.failed_disks();
-            policy.on_repair_progress(*advanced_to, now);
-            policy.on_repair_event(now, failed_before);
-            *advanced_to = now;
+            let failed_before = policy.failed_disks(state);
+            policy.on_repair_progress(state, now);
+            policy.on_repair_event(state, now, failed_before);
             // The failed-disk count of the pool after this failure feeds the
             // observer hooks.
-            let (catastrophe, pool_failed) = match policy.on_failure(&mut kernel) {
+            let (catastrophe, pool_failed) = match policy.on_failure(state, &mut kernel) {
                 FailureOutcome::Catastrophic {
                     concurrent_failures,
                     ..
                 } => (Some(concurrent_failures), concurrent_failures),
                 FailureOutcome::Continue | FailureOutcome::Regenerated => {
-                    (None, policy.failed_disks())
+                    (None, policy.failed_disks(state))
                 }
             };
             observer.on_disk_failure(now, pool_failed);
-            if catastrophe.is_some() {
-                *state = None; // network repair rebuilds the pool
-            }
             catastrophe
         } else {
             // Pool already under network reconstruction; the failure is
@@ -351,6 +371,9 @@ fn run_pools<P: PoolPolicy, O: SimObserver>(
                 1.0
             };
             total_sojourn_h += sojourn_h * contention;
+            if let Some(slot) = slots.get_mut(pool as usize) {
+                *slot = PoolSlot::NetworkRepair; // its local state is gone
+            }
             in_flight.push(RepairInFlight {
                 pool,
                 done_h: now + sojourn_h * contention,

@@ -403,7 +403,7 @@ impl<B: ChunkBackend> MlecStore<B> {
     /// The rack hosting row `row` of object `obj` — every column of a row
     /// lives in one rack, which is what makes rows the unit of sharding.
     pub(crate) fn rack_of_row(&self, obj: u64, row: u32) -> RackId {
-        self.mapper.rack_of(&self.mapper.chunk_at(obj, row, 0))
+        self.mapper.rack_of_row(obj, row)
     }
 
     /// Borrow the context of the rack hosting row `row` of `obj`: its

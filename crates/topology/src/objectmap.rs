@@ -139,12 +139,20 @@ impl ObjectMapper {
 
     /// All `(kn+pn) x (kl+pl)` chunk locations of a network stripe — what a
     /// repair coordinator enumerates when planning `R_FCO/R_MIN` reads.
+    /// Each row is drawn in one walk ([`ObjectMapper::row_disks`]).
     pub fn stripe_chunks(&self, network_stripe: u64) -> Vec<ChunkLocation> {
         let mut out =
             Vec::with_capacity((self.code.network_width() * self.code.local_width()) as usize);
         for row in 0..self.code.network_width() {
-            for col in 0..self.code.local_width() {
-                out.push(self.chunk_at(network_stripe, row, col));
+            let pool = self.pool_of_row(network_stripe, row);
+            for (col, disk) in (0..).zip(self.disks_of_row(network_stripe, pool)) {
+                out.push(ChunkLocation {
+                    network_stripe,
+                    row,
+                    col,
+                    pool,
+                    disk,
+                });
             }
         }
         out
@@ -163,6 +171,22 @@ impl ObjectMapper {
             pool,
             disk,
         }
+    }
+
+    /// The rack hosting `row` of `network_stripe`: every column of a row
+    /// lives in one pool, hence one rack, so only the pool is drawn.
+    pub fn rack_of_row(&self, network_stripe: u64, row: u32) -> RackId {
+        assert!(row < self.code.network_width(), "row out of range");
+        self.pools
+            .rack_of_pool(self.pool_of_row(network_stripe, row))
+    }
+
+    /// The disks of `row` of `network_stripe` in column order, drawn in one
+    /// walk: the `col`-th is `chunk_at(network_stripe, row, col).disk`. On
+    /// local widths up to 32 the walk does not allocate.
+    pub fn row_disks(&self, network_stripe: u64, row: u32) -> RowDisks {
+        assert!(row < self.code.network_width(), "row out of range");
+        self.disks_of_row(network_stripe, self.pool_of_row(network_stripe, row))
     }
 
     /// The local pool hosting `row` of `network_stripe`.
@@ -197,26 +221,57 @@ impl ObjectMapper {
         }
     }
 
-    /// The disk hosting chunk `col` of the row placed in `pool`.
+    /// The disk hosting chunk `col` of the row placed in `pool`: the
+    /// `col`-th of [`ObjectMapper::disks_of_row`], drawn without the
+    /// columns after it.
     fn disk_of_chunk(&self, network_stripe: u64, pool: u32, col: u32) -> DiskId {
         let pool_disks = self.pools.disks_of_pool(pool);
         match self.scheme.local {
-            Placement::Clustered => {
-                // The stripe occupies the whole pool, one chunk per disk.
-                pool_disks.start + col
-            }
+            Placement::Clustered => pool_disks.start + col,
             Placement::Declustered => {
-                // Pseudorandom distinct disks within the pool per (stripe,
-                // pool).
-                let idx = distinct_sample(
-                    hash3(self.seed, network_stripe ^ (pool as u64) << 32, 0xd15c),
-                    pool_disks.len() as u32,
-                    self.code.local_width(),
-                    col,
-                );
-                pool_disks.start + idx
+                pool_disks.start
+                    + distinct_sample(
+                        self.disk_key(network_stripe, pool),
+                        pool_disks.len() as u32,
+                        self.code.local_width(),
+                        col,
+                    )
             }
         }
+    }
+
+    /// The disks of the row of `network_stripe` placed in `pool`, in
+    /// column order.
+    fn disks_of_row(&self, network_stripe: u64, pool: u32) -> RowDisks {
+        let pool_disks = self.pools.disks_of_pool(pool);
+        let width = self.code.local_width();
+        let slots = 2 * width as usize;
+        RowDisks {
+            first: pool_disks.start,
+            cols: 0..width,
+            walk: match self.scheme.local {
+                // The stripe occupies the whole pool, one chunk per disk.
+                Placement::Clustered => None,
+                // Pseudorandom distinct disks within the pool per (stripe,
+                // pool).
+                Placement::Declustered => {
+                    Some((self.disk_key(network_stripe, pool), pool_disks.len() as u32))
+                }
+            },
+            stack: [(0, 0); STACK_SLOTS],
+            heap: if slots > STACK_SLOTS {
+                vec![(0, 0); slots]
+            } else {
+                Vec::new()
+            },
+            len: 0,
+        }
+    }
+
+    /// The key of the walk that places the row of `network_stripe` on the
+    /// disks of a declustered `pool`.
+    fn disk_key(&self, network_stripe: u64, pool: u32) -> u64 {
+        hash3(self.seed, network_stripe ^ (pool as u64) << 32, 0xd15c)
     }
 
     /// Rack of a chunk location (convenience).
@@ -234,47 +289,95 @@ fn hash3(seed: u64, a: u64, b: u64) -> u64 {
     mix(seed ^ mix(a ^ mix(b)))
 }
 
-/// Touched slots [`distinct_sample`] keeps on the stack: `index + 1` swaps
-/// touch at most `2(index + 1)` slots, so every prefix of up to 32 swaps
-/// (every stripe width of the paper) draws without allocating.
+/// Touched slots a Fisher–Yates walk keeps on the stack: `steps` swaps
+/// touch at most `2 * steps` slots, so every walk of up to 32 steps (every
+/// stripe width of the paper) draws without allocating.
 const STACK_SLOTS: usize = 64;
 
-/// The `index`-th element of a deterministic pseudorandom permutation-prefix
-/// of `0..n` of length `count`, derived from `key`. Implemented as a
-/// Fisher–Yates prefix over a keyed index sequence — O(count) per call.
-fn distinct_sample(key: u64, n: u32, count: u32, index: u32) -> u32 {
-    debug_assert!(count <= n, "cannot draw {count} distinct of {n}");
-    debug_assert!(index < count);
-    let slots = 2 * (index as usize + 1);
-    if slots <= STACK_SLOTS {
-        fisher_yates_prefix(key, n, index, &mut [(0, 0); STACK_SLOTS])
-    } else {
-        fisher_yates_prefix(key, n, index, &mut vec![(0, 0); slots])
+/// The disks of one row of a network stripe, in column order: the
+/// iterator [`ObjectMapper::row_disks`] returns. A declustered row is one
+/// keyed Fisher–Yates walk over its pool's disks, a step per column.
+pub struct RowDisks {
+    /// First disk of the row's pool.
+    first: DiskId,
+    /// Columns not yet drawn.
+    cols: std::ops::Range<u32>,
+    /// A declustered pool's walk key and disk count; a clustered row puts
+    /// column `c` on the pool's `c`-th disk.
+    walk: Option<(u64, u32)>,
+    /// The walk's touched slots, for a row of up to 32 columns.
+    stack: [(u32, u32); STACK_SLOTS],
+    /// The walk's touched slots, for a wider row; empty otherwise.
+    heap: Vec<(u32, u32)>,
+    len: usize,
+}
+
+impl Iterator for RowDisks {
+    type Item = DiskId;
+
+    fn next(&mut self) -> Option<DiskId> {
+        let col = self.cols.next()?;
+        let Some((key, n)) = self.walk else {
+            return Some(self.first + col);
+        };
+        let touched = if self.heap.is_empty() {
+            &mut self.stack[..]
+        } else {
+            &mut self.heap[..]
+        };
+        let (offset, len) = fisher_yates_step(key, n, col, touched, self.len);
+        self.len = len;
+        Some(self.first + offset)
     }
 }
 
-/// Steps `0..=index` of a virtual Fisher–Yates shuffle of `0..n`: only the
-/// touched `(position, value)` slots are kept, in `touched`, which must
-/// hold `2(index + 1)` of them. Returns the value drawn at step `index`.
-fn fisher_yates_prefix(key: u64, n: u32, index: u32, touched: &mut [(u32, u32)]) -> u32 {
-    let mut len = 0;
+/// The `index`-th element of a deterministic pseudorandom permutation-prefix
+/// of `0..n` of length `count`, derived from `key`: the draw at step
+/// `index` of the keyed Fisher–Yates walk — O(count) per call.
+fn distinct_sample(key: u64, n: u32, count: u32, index: u32) -> u32 {
+    debug_assert!(count <= n, "cannot draw {count} distinct of {n}");
+    debug_assert!(index < count);
+    let prefix = |touched: &mut [(u32, u32)]| {
+        let mut len = 0;
+        let mut result = 0;
+        for step in 0..=index {
+            (result, len) = fisher_yates_step(key, n, step, touched, len);
+        }
+        result
+    };
+    let slots = 2 * (index as usize + 1);
+    if slots <= STACK_SLOTS {
+        prefix(&mut [(0, 0); STACK_SLOTS])
+    } else {
+        prefix(&mut vec![(0, 0); slots])
+    }
+}
+
+/// Step `step` of the virtual Fisher–Yates shuffle of `0..n` keyed by
+/// `key`: swap position `step` with a keyed pick from `step..n`. Only
+/// touched `(position, value)` slots are kept, the first `len` of
+/// `touched`, which must hold `2(step + 1)`. Returns the value landing at
+/// `step` and the new count of touched slots.
+#[inline]
+fn fisher_yates_step(
+    key: u64,
+    n: u32,
+    step: u32,
+    touched: &mut [(u32, u32)],
+    len: usize,
+) -> (u32, usize) {
     let lookup = |touched: &[(u32, u32)], i: u32| -> u32 {
         touched
             .iter()
             .find(|&&(k, _)| k == i)
             .map_or(i, |&(_, v)| v)
     };
-    let mut result = 0;
-    for step in 0..=index {
-        let j = step + (hash3(key, step as u64, 0x5eed) % (n - step) as u64) as u32;
-        let vi = lookup(&touched[..len], step);
-        let vj = lookup(&touched[..len], j);
-        // swap positions step and j
-        len = upsert(touched, len, step, vj);
-        len = upsert(touched, len, j, vi);
-        result = vj;
-    }
-    result
+    let j = step + (hash3(key, step as u64, 0x5eed) % (n - step) as u64) as u32;
+    let vi = lookup(&touched[..len], step);
+    let vj = lookup(&touched[..len], j);
+    // swap positions step and j
+    let len = upsert(touched, len, step, vj);
+    (vj, upsert(touched, len, j, vi))
 }
 
 /// Set `key` to `value` among the first `len` slots, appending it when

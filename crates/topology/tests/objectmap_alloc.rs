@@ -1,7 +1,8 @@
 //! Heap allocations of the object mapper's address translation, counted by
 //! a `#[global_allocator]` (hence a test binary of its own). The store
-//! calls `ObjectMapper::chunk_at` for every chunk it reads or writes, so
-//! on the paper's code widths a lookup must not touch the heap.
+//! calls `ObjectMapper::chunk_at` for every chunk it reads or writes, and
+//! `row_disks` draws a whole row, so on the paper's code widths neither
+//! may touch the heap.
 
 use mlec_topology::objectmap::{MapperCode, ObjectMapper};
 use mlec_topology::{Geometry, MlecScheme};
@@ -62,5 +63,31 @@ fn chunk_at_on_a_declustered_mapper_allocates_nothing() {
     assert_eq!(
         allocs, 0,
         "{allocs} allocations over 64 stripes of chunk_at"
+    );
+}
+
+#[test]
+fn row_disks_on_a_declustered_mapper_allocates_nothing() {
+    let mapper = ObjectMapper::new(
+        Geometry::paper_default(),
+        MapperCode::paper_default(),
+        MlecScheme::DD,
+        128_000,
+        0xfeed,
+    );
+    let code = MapperCode::paper_default();
+    let before = ALLOCS.with(Cell::get);
+    let mut disks = 0u64;
+    for stripe in 0..64 {
+        for row in 0..code.network_width() {
+            disks += mapper.row_disks(stripe, row).map(u64::from).sum::<u64>();
+            disks += u64::from(mapper.rack_of_row(stripe, row));
+        }
+    }
+    let allocs = ALLOCS.with(Cell::get) - before;
+    assert!(disks > 0);
+    assert_eq!(
+        allocs, 0,
+        "{allocs} allocations over 64 stripes of row_disks"
     );
 }

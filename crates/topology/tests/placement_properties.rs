@@ -155,3 +155,41 @@ fn declustered_map_is_one_pool_per_enclosure() {
         assert_eq!(map.disks_of_pool(pool).len() as u32, g.disks_per_enclosure);
     }
 }
+
+/// A row drawn in one walk is the row `chunk_at` draws column by column,
+/// and a row's rack is its first chunk's rack, on every placement of the
+/// paper and the small test geometry.
+#[test]
+fn row_walk_agrees_with_chunk_at() {
+    let setups = [
+        (Geometry::paper_default(), MapperCode::paper_default()),
+        (
+            Geometry::small_test(),
+            MapperCode {
+                kn: 2,
+                pn: 1,
+                kl: 3,
+                pl: 1,
+            },
+        ),
+    ];
+    for case in 0..CASES {
+        let mut r = case_rng("row_disks", case);
+        let stripe = in_range(&mut r, 0, 100_000);
+        let seed = r.next_u64();
+        for (g, code) in setups {
+            for scheme in MlecScheme::ALL {
+                let mapper = ObjectMapper::new(g, code, scheme, 128_000, seed);
+                for row in 0..code.network_width() {
+                    let disks: Vec<u32> = mapper.row_disks(stripe, row).collect();
+                    assert_eq!(disks.len(), code.local_width() as usize);
+                    for (col, &disk) in (0..).zip(&disks) {
+                        assert_eq!(disk, mapper.chunk_at(stripe, row, col).disk, "{scheme}");
+                    }
+                    let first = mapper.chunk_at(stripe, row, 0);
+                    assert_eq!(mapper.rack_of_row(stripe, row), mapper.rack_of(&first));
+                }
+            }
+        }
+    }
+}
